@@ -1,0 +1,39 @@
+"""Byte-for-byte regression of the ``--format json`` reports.
+
+Every command that applies to a file's role is run on each ``samples/`` file
+and on the fixed trees in ``tests/golden/``; the output must equal the stored
+report in ``tests/golden/reports/STEM.COMMAND.json``, which was written by
+``tautfol COMMAND FILE --format json``.  A deliberate change to a report
+(a correctness fix) replaces the stored file in the same change.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tautfol.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+COMMANDS = {
+    "closed": ("validate", "ctf", "oracle-check"),
+    "solid-torus": ("validate", "longitude", "detect", "oracle-check"),
+}
+
+
+def _cases():
+    inputs = sorted((ROOT / "samples").glob("*.json")) + sorted(GOLDEN.glob("*.json"))
+    for path in inputs:
+        role = json.loads(path.read_text(encoding="utf-8"))["role"]
+        for command in COMMANDS[role]:
+            yield pytest.param(path, command, id=f"{path.stem}-{command}")
+
+
+@pytest.mark.parametrize("path,command", list(_cases()))
+def test_golden_report(path, command, capsys):
+    code = main([command, str(path), "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
+    assert out == expected

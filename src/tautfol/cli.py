@@ -9,8 +9,9 @@ Commands operate on a manifold JSON file (format documented in graph.py):
     tautfol oracle-check  FILE    closed form vs brute force cross-check
 
 Exit codes: 0 success (including a mathematical "admits = false"), 1
-malformed input, 2 role mismatch, 3 internal-consistency failure detected by
-the oracle cross-check.
+malformed input or an unknown ``--split-edge``, 2 role mismatch, 3
+internal-consistency failure: an oracle-check mismatch, or a DecisionError
+raised by ctf.
 """
 
 from __future__ import annotations
@@ -156,6 +157,11 @@ def _cmd_detect(graph, args):
 
 
 def _cmd_ctf(graph, args):
+    idents = [e.ident for e in graph.edges]
+    if args.split_edge is not None and args.split_edge not in idents:
+        print(f"error: no edge {args.split_edge!r}; the edges are: "
+              f"{', '.join(idents) or 'none'}", file=sys.stderr)
+        return EXIT_MALFORMED
     verdict = decide_ctf(graph, split_edge=args.split_edge, n_max=args.nmax)
     report = {
         "schema": SCHEMA,

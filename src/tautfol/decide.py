@@ -2,16 +2,16 @@
 graph manifold rational homology spheres.
 
 detect_tree computes, for a rooted rational homology solid torus, the
-detected slope set on the dangling torus by recursing over the tree: each
-child subtree contributes its detected arc, transported through the edge
-gluing into the root piece's boundary frame, and the root piece maps the
-constraint arcs through the relative-detection kernel.  Strong statuses are
-assembled at tree level: frontier slopes of a non-degenerate arc are never
-strong, the fibre slope is not strong whenever some child detects it, a
-degenerate detected set (necessarily the rational longitude) is strong over
-an orientable base and not strong over a non-orientable one, and the two
-cable-space / degenerate-fibration situations downgrade finitely many slopes
-to an indeterminate status.
+detected slope set on the dangling torus by one post-order evaluation of the
+tree: each child subtree contributes its detected arc, transported through
+the edge gluing into the parent piece's boundary frame, and the parent piece
+maps the constraint arcs through the relative-detection kernel.  Strong
+statuses are assembled at tree level: frontier slopes of a non-degenerate arc
+are never strong, the fibre slope is not strong whenever some child detects
+it, a degenerate detected set (necessarily the rational longitude) is strong
+over an orientable base and not strong over a non-orientable one, and the
+two cable-space / degenerate-fibration situations downgrade finitely many
+slopes to an indeterminate status.
 
 decide_ctf splits a closed manifold along any JSJ torus, intersects the two
 detected sets, and certifies a co-oriented taut foliation by a gluing
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from .graph import (
     RoleError,
@@ -60,19 +60,24 @@ class DecisionError(ValueError):
     """Internal inconsistency between independent computations."""
 
 
-def _floor(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def _ceil(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
+def _require_valid(graph):
+    errs = errors_of(validate(graph))
+    if errs:
+        raise RoleError("; ".join(errs))
 
 
 # ---------------------------------------------------------------------------
-# Child transport
+# Tree evaluation
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Node:
+    """One piece evaluated as seen from the boundary towards the root."""
+    piece: object        # SeifertPiece
+    children: tuple      # _Child per other boundary, in boundary-index order
+    family: object       # ConstraintFamily fed to the kernel; None on a product
+    result: DetectionResult
 
 
 @dataclass(frozen=True)
@@ -80,40 +85,60 @@ class _Child:
     bdry: int            # boundary index on the parent piece
     edge: object
     transport: object    # GluingMatrix: child root frame -> parent frame
-    result: DetectionResult
+    node: _Node          # the child subtree's own evaluation
     arc: SlopeArc        # transported detected arc
     exceptions: tuple    # transported exceptional slopes
 
 
-def _children(graph, piece_id, via, n_max):
-    piece = graph.pieces[piece_id]
-    out = []
-    for j in range(piece.boundary_count):
-        if j == via:
-            continue
-        edge = graph.edge_at(piece_id, j)
-        if edge is None:
-            raise RoleError(
-                f"piece {piece_id} boundary {j} is dangling inside the tree")
-        cid, cbd = edge.other_side(piece_id, j)
-        sub = _detect(graph, cid, cbd, n_max)
-        g = edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd) \
-            else edge.matrix.inverse()
-        arc = act_arc(g, sub.detected)
-        moved = tuple(
-            ExceptionalSlope(act(g, e.slope), e.status, e.reason)
-            for e in sub.exceptions)
-        out.append(_Child(j, edge, g, sub, arc, moved))
-    return out
+def _evaluate(graph, n_max):
+    """The nodes of the rooted tree in post-order (depth-first, children in
+    boundary-index order), the root last.  Each piece is evaluated once, from
+    its children's nodes.  The walk keeps its own stack, so the depth of the
+    tree is not limited by the interpreter's recursion limit."""
+    # Pre-order taking the children last-first; reversed, it is the post-order.
+    order = []
+    stack = [graph.root()]
+    while stack:
+        pid, via = stack.pop()
+        order.append((pid, via))
+        if len(order) > len(graph.pieces):
+            raise RoleError("underlying graph is not a tree")
+        for j in range(graph.pieces[pid].boundary_count):
+            if j == via:
+                continue
+            edge = graph.edge_at(pid, j)
+            if edge is None:
+                raise RoleError(
+                    f"piece {pid} boundary {j} is dangling inside the tree")
+            stack.append(edge.other_side(pid, j))
+    nodes = {}
+    for pid, via in reversed(order):
+        piece = graph.pieces[pid]
+        children = tuple(_child(graph, nodes, pid, j)
+                         for j in range(piece.boundary_count) if j != via)
+        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max))
+    return list(nodes.values())
 
 
-def _detect(graph, piece_id, via, n_max):
-    piece = graph.pieces[piece_id]
-    children = _children(graph, piece_id, via, n_max)
+def _child(graph, nodes, pid, j):
+    edge = graph.edge_at(pid, j)
+    cid, cbd = edge.other_side(pid, j)
+    node = nodes[cid]
+    g = edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd) \
+        else edge.matrix.inverse()
+    moved = tuple(
+        ExceptionalSlope(act(g, e.slope), e.status, e.reason)
+        for e in node.result.exceptions)
+    return _Child(j, edge, g, node, act_arc(g, node.result.detected), moved)
+
+
+def _detect(piece, via, children, n_max):
+    """(constraint family, DetectionResult) of one piece from its children;
+    the family is None on a product piece, which only relays its child."""
     if piece.is_product_piece:
         k = product_transport(piece)
         child = children[0]
-        return DetectionResult(
+        return None, DetectionResult(
             act_arc(k, child.arc),
             tuple(ExceptionalSlope(act(k, e.slope), e.status, e.reason)
                   for e in child.exceptions),
@@ -121,25 +146,16 @@ def _detect(graph, piece_id, via, n_max):
         )
     family = ConstraintFamily(tuple(c.arc for c in children))
     rel = detect_relative(piece, family, n_max=n_max)
-    entries = []
     detected = rel.detected
-    if rel.branch in ("nonorientable-point", "nonorientable-full", "full",
-                      "vertical-full"):
-        entries.extend(rel.exceptions)
-    elif rel.branch == "horizontal-interval":
-        entries.extend(rel.exceptions)
-    elif rel.branch == "vertical-arc":
-        if detected.is_point:
-            # Degenerate set {lambda} over an orientable base: strong.
-            pass
-        else:
-            entries.extend(rel.exceptions)
-    # n2 / solid-torus branches carry no exceptions: the point is strong.
+    # A degenerate set {lambda} over an orientable base is strong; the n2 and
+    # solid-torus branches carry no exceptions either.
+    degenerate = rel.branch == "vertical-arc" and detected.is_point
+    entries = [] if degenerate else list(rel.exceptions)
     entries.extend(_cable_exceptions(piece, children, detected))
-    entries.extend(_degenerate_fibration_exceptions(graph, piece, via, children, detected))
-    return DetectionResult(detected, merge_exceptions(entries), branch=rel.branch,
-                           low_certificate=rel.low_certificate,
-                           high_certificate=rel.high_certificate)
+    entries.extend(_degenerate_fibration_exceptions(piece, via, children, detected))
+    return family, DetectionResult(
+        detected, merge_exceptions(entries), branch=rel.branch,
+        low_certificate=rel.low_certificate, high_certificate=rel.high_certificate)
 
 
 def _cable_exceptions(piece, children, detected):
@@ -165,7 +181,7 @@ def _cable_exceptions(piece, children, detected):
     return out
 
 
-def _degenerate_fibration_exceptions(graph, piece, via, children, detected):
+def _degenerate_fibration_exceptions(piece, via, children, detected):
     """When the unique child detects a single not-strong horizontal slope and
     the piece fibres over the circle meeting the child torus once, the slope
     completing the fibration has unknown strong status."""
@@ -241,31 +257,16 @@ def _listed(slope, entries):
 
 def detect_tree(graph, n_max=None):
     """DetectionResult on the dangling torus of a solid-torus-role graph."""
-    errs = errors_of(validate(graph))
-    if errs:
-        raise RoleError("; ".join(errs))
-    pid, via = graph.root()
-    return _detect(graph, pid, via, n_max)
+    _require_valid(graph)
+    return _evaluate(graph, n_max)[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):
     """(piece, constraint family) for every node of the rooted tree, children
     first; the families are the transported child detected sets actually fed
     to the relative-detection kernel."""
-    pid, via = graph.root()
-    out = []
-
-    def walk(piece_id, via_bdry):
-        children = _children(graph, piece_id, via_bdry, n_max)
-        for c in children:
-            cid, cbd = c.edge.other_side(piece_id, c.bdry)
-            walk(cid, cbd)
-        piece = graph.pieces[piece_id]
-        if not piece.is_product_piece:
-            out.append((piece, ConstraintFamily(tuple(c.arc for c in children))))
-
-    walk(pid, via)
-    return out
+    return [(node.piece, node.family) for node in _evaluate(graph, n_max)
+            if node.family is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +289,12 @@ def check_degenerate(graph, n_max=None):
     """Is the detected set a single point (necessarily the rational
     longitude)?  Cross-checks the branch conditions against the direct
     computation and reports any disagreement."""
-    result = detect_tree(graph, n_max)
+    _require_valid(graph)
+    root = _evaluate(graph, n_max)[-1]
+    result = root.result
     direct = result.detected.is_point
     lam = rational_longitude(graph).slope
-    pid, via = graph.root()
-    piece = graph.pieces[pid]
-    children = _children(graph, pid, via, n_max)
+    piece, children = root.piece, root.children
     arcs = [c.arc for c in children]
     v = sum(1 for a in arcs if a.contains_vertical())
 
@@ -328,14 +329,13 @@ def check_degenerate(graph, n_max=None):
         if v == 0 and all(a.is_point for a in arcs):
             points_are_longitudes = True
             for c in children:
-                sub_graph = _child_subtree(graph, pid, c)
+                sub_graph = subtree(graph, *c.edge.other_side(piece.ident, c.bdry))
                 sub_lam = rational_longitude(sub_graph).slope
                 if act(c.transport, sub_lam) != c.arc.start:
                     points_are_longitudes = False
             if points_are_longitudes:
-                family = ConstraintFamily(tuple(arcs))
-                rel = detect_relative(piece, family, n_max=n_max)
-                predicted = rel.detected == SlopeArc.point(lam)
+                # The root's kernel result is relative to exactly these arcs.
+                predicted = result.detected == SlopeArc.point(lam)
                 explanation = (
                     "all children are degenerate at their longitudes and the "
                     "piece detects a single slope relative to them"
@@ -355,12 +355,6 @@ def check_degenerate(graph, n_max=None):
         branch=branch, explanation=explanation, result=result, longitude=lam)
 
 
-def _child_subtree(graph, pid, child):
-    e = child.edge
-    cid, cbd = e.other_side(pid, child.bdry)
-    return subtree(graph, cid, cbd)
-
-
 # ---------------------------------------------------------------------------
 # Witness extraction
 # ---------------------------------------------------------------------------
@@ -376,51 +370,42 @@ def extract_witness(graph, target, n_max=None):
     edge ident maps to the assigned slope on that torus in the edge's
     from-side frame.  Raises DecisionError when the target is not detected.
     """
-    result = detect_tree(graph, n_max)
-    if not result.detected.contains(target):
+    _require_valid(graph)
+    return _extract(_evaluate(graph, n_max)[-1], target, n_max)
+
+
+def _extract(root, target, n_max):
+    """Top-down over the evaluated tree, in pre-order on an explicit stack:
+    each piece chooses constraint slopes in its children's arcs that detect
+    its own slope, and each child continues from its chosen slope."""
+    if not root.result.detected.contains(target):
         raise DecisionError(f"slope {target} is not detected")
-    pid, via = graph.root()
-    assignment = {ROOT_KEY: target}
-    _extract(graph, pid, via, target, n_max, assignment)
+    assignment = {}
+    # (node, assignment key, slope recorded there, slope in the node's frame)
+    stack = [(root, ROOT_KEY, target, target)]
+    while stack:
+        node, key, recorded, slope = stack.pop()
+        assignment[key] = recorded
+        if not node.children:
+            continue
+        piece = node.piece
+        if piece.is_product_piece:
+            picks = [act(product_transport(piece), slope)]
+        else:
+            picks = _choose_constraints(piece, node.children, slope, n_max)
+            family = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
+            rel = detect_relative(piece, family, n_max=n_max)
+            if not rel.detected.contains(slope):
+                raise DecisionError(
+                    f"witness search failed at piece {piece.ident}: chosen "
+                    "constraint tuple does not detect the target")
+        for c, s in reversed(list(zip(node.children, picks))):
+            child_slope = act(c.transport.inverse(), s)
+            # An edge's slope is recorded in its from-side frame.
+            parent_is_from = (c.edge.from_piece, c.edge.from_bdry) == (piece.ident, c.bdry)
+            stack.append((c.node, c.edge.ident, s if parent_is_from else child_slope,
+                          child_slope))
     return assignment
-
-
-def _record(assignment, child, parent_frame_slope, graph, pid):
-    e = child.edge
-    if (e.from_piece, e.from_bdry) == (pid, child.bdry):
-        assignment[e.ident] = parent_frame_slope
-    else:
-        assignment[e.ident] = act(e.matrix.inverse(), parent_frame_slope)
-
-
-def _extract(graph, pid, via, target, n_max, assignment):
-    piece = graph.pieces[pid]
-    children = _children(graph, pid, via, n_max)
-    if not children:
-        return
-    if piece.is_product_piece:
-        c = children[0]
-        child_target = act(product_transport(piece), target)
-        _record(assignment, c, child_target, graph, pid)
-        _extract_into_child(graph, pid, c, child_target, n_max, assignment)
-        return
-    picks = _choose_constraints(piece, children, target, n_max)
-    family = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
-    rel = detect_relative(piece, family, n_max=n_max)
-    if not rel.detected.contains(target):
-        raise DecisionError(
-            f"witness search failed at piece {pid}: chosen constraint tuple "
-            "does not detect the target")
-    for c, s in zip(children, picks):
-        _record(assignment, c, s, graph, pid)
-        _extract_into_child(graph, pid, c, s, n_max, assignment)
-
-
-def _extract_into_child(graph, pid, child, parent_frame_slope, n_max, assignment):
-    e = child.edge
-    cid, cbd = e.other_side(pid, child.bdry)
-    child_slope = act(child.transport.inverse(), parent_frame_slope)
-    _extract(graph, cid, cbd, child_slope, n_max, assignment)
 
 
 def _choose_constraints(piece, children, target, n_max):
@@ -471,13 +456,13 @@ def _int_interval_choices(pieces, integral):
     out = []
     for lo, hi in pieces:
         if integral:
-            a = None if lo is None else _ceil(lo)
-            b = None if hi is None else _floor(hi)
+            a = None if lo is None else ceil(lo)
+            b = None if hi is None else floor(hi)
         else:
             # floors k with (k, k+1) meeting [lo, hi]
-            a = None if lo is None else _floor(lo - 1) + 1
-            b = None if hi is None else (_floor(hi) - 1 if Fraction(hi).denominator == 1
-                                         else _floor(hi))
+            a = None if lo is None else floor(lo - 1) + 1
+            b = None if hi is None else (floor(hi) - 1 if Fraction(hi).denominator == 1
+                                         else floor(hi))
         if a is not None and b is not None and a > b:
             continue
         out.append((a, b))
@@ -566,8 +551,8 @@ def _search_floor_tuple(piece, arcs, target_tau):
     patterns = itertools.product(*[sorted(o.keys()) for o in options])
     for sigma in patterns:
         s0 = sum(sigma)
-        f_lo = _ceil(-t) - (n + r - 1)
-        f_hi = _floor(s0 - 1 - t)
+        f_lo = ceil(-t) - (n + r - 1)
+        f_hi = floor(s0 - 1 - t)
         if f_lo > f_hi:
             continue
         sets = [options[j][sigma[j]] for j in range(len(arcs))]
@@ -759,9 +744,7 @@ NOTE_REFUSES = ("no gluing coherent slope family exists; no co-oriented taut "
 def decide_ctf(graph, split_edge=None, n_max=None):
     """Taut-foliation decision for a closed graph manifold rational homology
     sphere, with a gluing coherent witness when the answer is yes."""
-    errs = errors_of(validate(graph))
-    if errs:
-        raise RoleError("; ".join(errs))
+    _require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
     if not graph.edges:
@@ -778,16 +761,18 @@ def decide_ctf(graph, split_edge=None, n_max=None):
         edge = graph.edge_by_ident(split_edge)
     else:
         edge = split_edge
+    # The sides of a valid closed tree are valid solid trees: each is
+    # evaluated once, for detection and for extraction alike.
     u_side, v_side = split_at_edge(graph, edge)
-    d_u = detect_tree(u_side, n_max)
-    d_v = detect_tree(v_side, n_max)
-    moved = act_arc(edge.matrix.inverse(), d_v.detected)
-    meet = arc_intersect(d_u.detected, moved)
+    u_root = _evaluate(u_side, n_max)[-1]
+    v_root = _evaluate(v_side, n_max)[-1]
+    moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
+    meet = arc_intersect(u_root.result.detected, moved)
     if meet.is_empty:
         return CtfVerdict(False, {}, {}, NOTE_REFUSES, edge.ident)
     w = simplest_slope(meet)
-    assign_u = extract_witness(u_side, w, n_max)
-    assign_v = extract_witness(v_side, act(edge.matrix, w), n_max)
+    assign_u = _extract(u_root, w, n_max)
+    assign_v = _extract(v_root, act(edge.matrix, w), n_max)
     witness = {edge.ident: w}
     for src in (assign_u, assign_v):
         for key, slope in src.items():
@@ -815,18 +800,22 @@ def _tag_pieces(graph, witness):
 
 def revalidate_witness(graph, witness, n_max=None):
     """Check gluing coherence: every piece's induced slope tuple lies in its
-    relative detected set against the other coordinates."""
+    relative detected set against the other coordinates.  On a solid-torus
+    graph the slope on the dangling torus is ``witness[ROOT_KEY]``, as
+    extract_witness returns it."""
     for pid, piece in graph.pieces.items():
         slopes = {}
         for j in range(piece.boundary_count):
             e = graph.edge_at(pid, j)
             if e is None:
-                return False
-            s = witness.get(e.ident)
+                s = witness.get(ROOT_KEY)
+            else:
+                s = witness.get(e.ident)
+                if s is not None and (e.from_piece, e.from_bdry) != (pid, j):
+                    s = act(e.matrix, s)
             if s is None:
                 return False
-            slopes[j] = s if (e.from_piece, e.from_bdry) == (pid, j) \
-                else act(e.matrix, s)
+            slopes[j] = s
         for target_bdry in range(piece.boundary_count):
             arcs = tuple(SlopeArc.point(slopes[j])
                          for j in range(piece.boundary_count) if j != target_bdry)

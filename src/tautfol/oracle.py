@@ -18,31 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-from math import gcd
+from math import ceil, floor, gcd
 
 from .seifert import (
     FamilyError,
     JNCertificate,
+    _frac,
     core_interval,
     tau_stats,
     v_count,
 )
-
-
-def _floor(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def _ceil(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
-def _frac(x):
-    x = Fraction(x)
-    return x - _floor(x)
 
 
 @dataclass(frozen=True)
@@ -64,7 +49,7 @@ class GridSpec:
         d = self.denominator
         points = {eta, zeta}
         step = Fraction(1, d)
-        for k in range(_ceil(eta), _floor(zeta) + 1):
+        for k in range(ceil(eta), floor(zeta) + 1):
             points.add(Fraction(k))
             if eta <= k - step <= zeta:
                 points.add(k - step)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 
 from .slopes import (
     VERTICAL,
@@ -47,14 +47,9 @@ class FamilyError(ValueError):
     """Constraint family violating the normalization assumptions."""
 
 
-def _floor(x):
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
 def _frac(x):
     x = Fraction(x)
-    return x - _floor(x)
+    return x - floor(x)
 
 
 def _is_int(x):
@@ -206,7 +201,7 @@ def tau_stats(taus, strong, n_cones):
     r1 = sum(1 for t in taus if not _is_int(t))
     s0 = sum(1 for j, t in enumerate(taus) if _is_int(t) and j not in strong)
     i0 = sum(1 for j, t in enumerate(taus) if _is_int(t) and j in strong)
-    b0 = -sum(_floor(t) for t in taus)
+    b0 = -sum(floor(t) for t in taus)
     m0 = b0 + i0 - (n_cones + r - 1)
     m1 = b0 + s0 - 1
     return TauStats(r1=r1, s0=s0, i0=i0, b0=b0, m0=m0, m1=m1)
@@ -225,12 +220,12 @@ def _finite_intervals(family):
 
 def _cmin_value(n_cones, r, zetas, strong):
     i1 = sum(1 for j, z in enumerate(zetas) if j in strong and _is_int(z))
-    return i1 - sum(_floor(z) for z in zetas) - (n_cones + r - 1)
+    return i1 - sum(floor(z) for z in zetas) - (n_cones + r - 1)
 
 
 def _cmax_value(n_cones, r, etas, strong):
     s1 = sum(1 for j, e in enumerate(etas) if j not in strong and _is_int(e))
-    return s1 - 1 - sum(_floor(e) for e in etas)
+    return s1 - 1 - sum(floor(e) for e in etas)
 
 
 def core_interval(piece, family):

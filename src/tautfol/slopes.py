@@ -16,7 +16,7 @@ Everything here is exact: no floats, ever.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 
 class SlopeError(ValueError):
@@ -449,28 +449,20 @@ def _slopes_with_q(pieces, has_vertical, q):
         elif p_lo is None:
             # p ranges over (-oo, P]; any q+1 consecutive integers contain a
             # residue coprime to q, so a window around 0 clipped at P works.
-            top = _floor(p_hi)
+            top = floor(p_hi)
             hi_i = min(top, q + 1)
             lo_i = min(-(q + 1), top - q)
         elif p_hi is None:
-            bot = _ceil(p_lo)
+            bot = ceil(p_lo)
             lo_i = max(bot, -(q + 1))
             hi_i = max(q + 1, bot + q)
         else:
-            lo_i, hi_i = _ceil(p_lo), _floor(p_hi)
+            lo_i, hi_i = ceil(p_lo), floor(p_hi)
         for p in range(lo_i, hi_i + 1):
             if gcd(p, q) == 1:
                 found.append(Slope(p, q))
     found.sort(key=lambda s: (abs(s.p), s.p))
     return found
-
-
-def _floor(x):
-    return x.numerator // x.denominator
-
-
-def _ceil(x):
-    return -((-x.numerator) // x.denominator)
 
 
 def simplest_slope(region, allow_vertical=True):

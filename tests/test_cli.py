@@ -116,6 +116,13 @@ def test_ctf_split_edge_flag(manifold_file, capsys):
     assert json.loads(out)["split_edge"] == "e0"
 
 
+def test_ctf_unknown_split_edge_exit_1(manifold_file, capsys):
+    code, out, err = run(capsys, "ctf", manifold_file(CLOSED_ADMITS),
+                         "--split-edge", "e1")
+    assert code == 1 and out == ""
+    assert err == "error: no edge 'e1'; the edges are: e0\n"
+
+
 def test_oracle_check(manifold_file, capsys):
     code, out, _ = run(capsys, "oracle-check", manifold_file(HALFHALF),
                        "--format", "json")

@@ -1,5 +1,6 @@
-"""Tree recursion, degenerate analysis, witnesses and the closed decision."""
+"""Tree evaluation, degenerate analysis, witnesses and the closed decision."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from tautfol import (
     homology,
     rational_longitude,
     revalidate_witness,
+    simplest_slope,
     slope_of_tau,
 )
 from tautfol.decide import ROOT_KEY, iter_piece_evaluations
@@ -152,6 +154,55 @@ def test_tree_requires_valid_graph():
         detect_tree(bad)
 
 
+def test_walk_rejects_a_cycle():
+    # iter_piece_evaluations does not validate: the walk itself must stop.
+    swap = GluingMatrix(0, 1, 1, 0)
+    g = PlumbingGraph(
+        [piece("r", [(2, 1)], r=2), piece("x", [(2, 1)], r=3), piece("y", [(3, 1)], r=2)],
+        [Edge("x", 2, "r", 1, swap, "e0"), Edge("y", 0, "x", 0, swap, "e1"),
+         Edge("y", 1, "x", 1, swap, "e2")],
+        "solid-torus")
+    with pytest.raises(RoleError):
+        iter_piece_evaluations(g)
+
+
+def plumbing_chain(k):
+    """k pieces with cones (2,1), (3,1) and b = -2 glued end to end by
+    [[0,1],[1,0]]; p0 carries the dangling torus."""
+    pieces = [piece(f"p{i}", [(2, 1), (3, 1)], b=-2, r=1 if i == k - 1 else 2)
+              for i in range(k)]
+    edges = [Edge(f"p{i + 1}", 0, f"p{i}", 1, GluingMatrix(0, 1, 1, 0), f"e{i}")
+             for i in range(k - 1)]
+    return PlumbingGraph(pieces, edges, "solid-torus")
+
+
+def test_kernel_runs_once_per_piece(monkeypatch):
+    import tautfol.decide
+
+    calls = []
+
+    def counting(piece, family, n_max=None):
+        calls.append(piece.ident)
+        return detect_relative(piece, family, n_max=n_max)
+
+    monkeypatch.setattr(tautfol.decide, "detect_relative", counting)
+    g = plumbing_chain(24)
+    res = detect_tree(g)
+    assert sorted(calls) == sorted(g.pieces)
+    calls.clear()
+    extract_witness(g, simplest_slope(res.detected))
+    assert len(calls) <= 2 * 24
+
+
+def test_deep_chain_needs_no_recursion():
+    g = plumbing_chain(600)
+    assert len(g.pieces) > sys.getrecursionlimit() // 2
+    res = detect_tree(g)
+    target = simplest_slope(res.detected)
+    witness = extract_witness(g, target)
+    assert revalidate_witness(g, witness)
+
+
 def test_lambda_membership_random(rng):
     for _ in range(40):
         g = rand_valid_solid_tree(rng)
@@ -209,7 +260,6 @@ def test_witness_revalidates_random(rng):
     for _ in range(30):
         g = rand_valid_solid_tree(rng)
         res = detect_tree(g)
-        from tautfol import simplest_slope
         target = simplest_slope(res.detected)
         assignment = extract_witness(g, target)
         assert assignment[ROOT_KEY] == target

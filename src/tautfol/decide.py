@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .graph import (
+    PlumbingGraph,
     RoleError,
     homology,
     presentation,
@@ -213,17 +214,11 @@ def _degenerate_fibration_exceptions(piece, via, children, detected):
 
 def _piece_free_images(piece):
     """Free-quotient images of fibre and section classes for one piece."""
-    single = _single_piece_graph(piece)
-    solved = presentation(single).solve()
+    solved = presentation(PlumbingGraph([piece], [], "solid-torus")).solve()
     v_h = solved.free_image({("h", piece.ident): 1})
     v_d = [solved.free_image({("d", piece.ident, j): 1})
            for j in range(piece.boundary_count)]
     return v_h, v_d
-
-
-def _single_piece_graph(piece):
-    from .graph import PlumbingGraph
-    return PlumbingGraph([piece], [], "solid-torus")
 
 
 def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
@@ -758,7 +753,12 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     if split_edge is None:
         edge = graph.edges[0]
     elif isinstance(split_edge, str):
-        edge = graph.edge_by_ident(split_edge)
+        try:
+            edge = graph.edge_by_ident(split_edge)
+        except KeyError:
+            raise RoleError(
+                f"no edge {split_edge!r}; the edges are: "
+                f"{', '.join(e.ident for e in graph.edges)}") from None
     else:
         edge = split_edge
     # The sides of a valid closed tree are valid solid trees: each is

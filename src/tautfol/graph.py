@@ -183,7 +183,6 @@ def errors_of(diagnostics):
 class HomologySummary:
     betti: int
     invariant_factors: tuple
-    boundary_images: dict  # (piece id, bdry) -> {"fibre": vec, "section": vec}
 
 
 def _hom_matrix(matrix):
@@ -226,16 +225,9 @@ def presentation(graph):
 
 def homology(graph):
     solved = presentation(graph).solve()
-    images = {}
-    for pid, j in graph.dangling():
-        images[(pid, j)] = {
-            "fibre": solved.free_image({("h", pid): 1}),
-            "section": solved.free_image({("d", pid, j): 1}),
-        }
     return HomologySummary(
         betti=solved.betti,
         invariant_factors=tuple(solved.invariant_factors()),
-        boundary_images=images,
     )
 
 

@@ -1,10 +1,23 @@
 """Smith normal form and finitely presented abelian groups over Z.
 
-A group is presented as Z^g modulo the column space of an integer relation
-matrix.  The Smith normal form U * R * V = D with unimodular U, V turns the
-presentation into a direct sum of cyclic groups; the row transform U also
-converts any element of Z^g into coordinates adapted to that decomposition,
-which is what the longitude computation needs.
+A group is presented as Z^g modulo the span of integer relations.  Solving a
+presentation first shrinks it by exact unimodular moves on the sparse
+relations: a generator with coefficient +-1 in some relation is eliminated
+through it (a Tietze move, pivot chosen for least fill-in, its substitution
+recorded), and when no +-1 is left, two relations whose coefficients in one
+column are coprime are combined by the extended gcd to make one.
+
+The small residual R (k kept generators, rank r) is then solved without
+letting its entries grow.  One fraction-free Gauss-Jordan pass over the
+relations gives r, a nonzero r x r minor delta and a basis of the left kernel
+of R; the Smith normal form of that basis, which has only betti rows, turns
+it into the exact free map H_1 -> Z^betti.  The torsion comes from the Smith
+normal form of [R | delta I] computed modulo delta: its diagonal is
+d_1 | ... | d_r followed by betti copies of delta, and since delta kills the
+torsion subgroup T, T embeds in H_1 / delta H_1, so the order of a torsion
+element is read from its coordinates modulo that diagonal (Domich, Kannan
+and Trotter 1987).  An element of Z^g is first rewritten in the kept
+generators by the recorded substitutions.
 """
 
 from __future__ import annotations
@@ -123,7 +136,7 @@ def smith_normal_form(matrix):
 
 
 class Presentation:
-    """Z^g modulo integer relation columns, with named generators."""
+    """Z^g modulo integer relations, with named generators."""
 
     def __init__(self, generators):
         self.generators = list(generators)
@@ -141,51 +154,246 @@ class Presentation:
         return SolvedPresentation(self)
 
 
+def _combine(f1, r1, f2, r2):
+    """The sparse relation f1 * r1 + f2 * r2."""
+    out = {}
+    for y in r1.keys() | r2.keys():
+        v = f1 * r1.get(y, 0) + f2 * r2.get(y, 0)
+        if v:
+            out[y] = v
+    return out
+
+
+def _eliminate(ngens, relations):
+    """Shrink sparse relations (dicts generator index -> nonzero coefficient)
+    by unimodular moves.
+
+    Returns (substitutions, kept, residual): ``substitutions`` lists, in
+    elimination order, (x, expr) with x equal in the group to the combination
+    ``expr`` of generators not yet eliminated; ``kept`` are the remaining
+    generator indices and ``residual`` the remaining nonzero relations, which
+    present the same group on ``kept``.
+    """
+    rels = {}
+    occ = [set() for _ in range(ngens)]  # generator -> keys of its relations
+
+    def put(k, r):
+        if r:
+            rels[k] = r
+            for x in r:
+                occ[x].add(k)
+
+    def take(k):
+        for x in rels[k]:
+            occ[x].discard(k)
+        return rels.pop(k)
+
+    for k, r in enumerate(relations):
+        put(k, r)
+    next_key = len(relations)
+    substitutions = []
+    while rels:
+        # Tietze move through the +-1 entry of least fill-in (Markowitz); the
+        # first one found without fill-in is taken at once.
+        best = None
+        for k, r in rels.items():
+            for x, c in r.items():
+                if c in (1, -1):
+                    cost = (len(r) - 1) * (len(occ[x]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, k, x)
+            if best is not None and best[0] == 0:
+                break
+        if best is not None:
+            _cost, k, x = best
+            pivot = take(k)
+            e = pivot[x]
+            substitutions.append((x, {y: -e * c for y, c in pivot.items() if y != x}))
+            for j in list(occ[x]):
+                r = take(j)
+                put(j, _combine(1, r, -r[x] * e, pivot))
+            continue
+        # No +-1 left: make one from two relations coprime in some column.
+        pairs = [(len(rels[k1]) + len(rels[k2]), k1, k2, x)
+                 for x in range(ngens) for k1 in occ[x] for k2 in occ[x]
+                 if k1 < k2 and gcd(rels[k1][x], rels[k2][x]) == 1]
+        if not pairs:
+            break
+        _size, k1, k2, x = min(pairs)
+        r1, r2 = take(k1), take(k2)
+        a, b = r1[x], r2[x]
+        s, t = _bezout(a, b)
+        # [[s, t], [-b, a]] has determinant s * a + t * b = +-1.
+        put(next_key, _combine(s, r1, t, r2))
+        put(next_key + 1, _combine(-b, r1, a, r2))
+        next_key += 2
+    eliminated = {x for x, _expr in substitutions}
+    kept = [x for x in range(ngens) if x not in eliminated]
+    return substitutions, kept, list(rels.values())
+
+
+def _bezout(a, b):
+    """(s, t) with s * a + t * b == +-gcd(a, b), the plus sign when a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return s0, t0
+
+
+def _gcd_move(x, y):
+    """(s, t, p, q) with [[s, t], [-p, q]] unimodular, sending (x, y), x > 0,
+    to (gcd, 0); the identity on x when x divides y, so the pivot stays."""
+    if y % x == 0:
+        return 1, 0, y // x, 1
+    s, t = _bezout(x, y)
+    g = s * x + t * y
+    return s, t, y // g, x // g
+
+
+def _mix(v, w, move, m):
+    """Rows v, w after the 2 x 2 move [[s, t], [-p, q]], reduced modulo m."""
+    s, t, p, q = move
+    return ([(s * a + t * b) % m for a, b in zip(v, w)],
+            [(q * b - p * a) % m for a, b in zip(v, w)])
+
+
+def _fraction_free_rref(rows, width):
+    """Fraction-free Gauss-Jordan elimination of integer ``rows`` in place.
+
+    Returns (pivot columns, last pivot).  Every division is exact (Bareiss),
+    entries stay minors of the input, and at the end each pivot row holds the
+    last pivot in its own pivot column and zero in the others.
+    """
+    prev, piv = 1, []
+    for col in range(width):
+        row = len(piv)
+        i = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[row], rows[i] = rows[i], rows[row]
+        p, top = rows[row][col], rows[row]
+        for i, r in enumerate(rows):
+            if i != row:
+                f = r[col]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(r, top)]
+        prev = p
+        piv.append(col)
+    return piv, prev
+
+
+def _smith_mod(matrix, m):
+    """Smith normal form of [matrix | m I] for a k-row ``matrix`` and m > 0
+    a multiple of each of its nonzero invariant factors: returns the k
+    diagonal entries, each dividing the next, and a row transform U reduced
+    modulo m.  Row moves act on U; column moves, among them those with the
+    m I block that reduce entries modulo m, need no record."""
+    k = len(matrix)
+    a = [[x % m for x in row] for row in matrix]
+    u = _identity(k)
+    d = []
+    for r in range(k):
+        # Pivot: the entry that generates the largest ideal of Z/m.
+        pivot = min(((gcd(x, m), i, j) for i in range(r, k)
+                     for j, x in enumerate(a[i]) if j >= r and x), default=None)
+        if pivot is None:
+            break
+        _g, i, j = pivot
+        a[r], a[i] = a[i], a[r]
+        u[r], u[i] = u[i], u[r]
+        for row in a:
+            row[r], row[j] = row[j], row[r]
+        # Clear the pivot column by row moves and the pivot row by column
+        # moves; a move that does not keep the pivot strictly lowers it.
+        while True:
+            for i in range(r + 1, k):
+                if a[i][r]:
+                    move = _gcd_move(a[r][r], a[i][r])
+                    a[r], a[i] = _mix(a[r], a[i], move, m)
+                    u[r], u[i] = _mix(u[r], u[i], move, m)
+            for j in range(r + 1, len(a[r])):
+                if a[r][j]:
+                    s, t, p, q = _gcd_move(a[r][r], a[r][j])
+                    for row in a:
+                        row[r], row[j] = (s * row[r] + t * row[j]) % m, (q * row[j] - p * row[r]) % m
+            if not any(a[i][r] for i in range(r + 1, k)):
+                break
+        d.append(gcd(a[r][r], m))
+    d += [m] * (k - len(d))
+    # Divisibility along the diagonal: diag(x, y) -> diag(gcd, lcm).
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = d[i], d[j]
+            if y % x:
+                u[i], u[j] = _mix(u[i], u[j], _gcd_move(x, y), m)
+                g = gcd(x, y)
+                d[i], d[j] = g, x * y // g
+    return d, u
+
+
 class SolvedPresentation:
-    """Smith-reduced presentation with element queries."""
+    """Reduced presentation with element queries: ``free_map`` gives the
+    free quotient exactly, ``u`` and ``orders`` the torsion (see the module
+    docstring)."""
 
     def __init__(self, pres):
-        g = len(pres.generators)
-        m = len(pres.relations)
         self.generators = pres.generators
         self.index = pres.index
-        if g == 0:
-            self.u = []
-            self.orders = []
-            self.free_positions = []
-            self.torsion = []
-            return
-        if m == 0:
-            matrix = [[0] for _ in range(g)]
-        else:
-            matrix = [[pres.relations[k][i] for k in range(m)] for i in range(g)]
-        d, u, _v = smith_normal_form(matrix)
-        self.u = u
-        # Orders per adapted coordinate: d_i for i < len(d), else 0 (free).
-        self.orders = [abs(x) for x in d] + [0] * (g - len(d))
-        self.free_positions = [i for i, o in enumerate(self.orders) if o == 0]
-        self.torsion = sorted(o for o in self.orders if o > 1)
+        sparse = [{i: c for i, c in enumerate(r) if c} for r in pres.relations]
+        self.substitutions, self.kept, residual = _eliminate(len(self.generators), sparse)
+        k = len(self.kept)
+        rows = [[r.get(x, 0) for x in self.kept] for r in residual]
+        reduced = [list(r) for r in rows]
+        piv, last = _fraction_free_rref(reduced, k)
+        self.rank = len(piv)
+        # A basis of the left kernel of R, one vector per non-pivot generator;
+        # the rows of U * K over the diagonal of its Smith normal form are a
+        # basis of its saturation, which is the exact free map.
+        kernel = []
+        for n in range(k):
+            if n not in piv:
+                y = [0] * k
+                y[n] = last
+                for i, c in enumerate(piv):
+                    y[c] = -reduced[i][n]
+                kernel.append(y)
+        self.free_map = []
+        if kernel:
+            d, u, _v = smith_normal_form(kernel)
+            for ui, di in zip(u, d):
+                self.free_map.append([sum(a * row[j] for a, row in zip(ui, kernel)) // di
+                                      for j in range(k)])
+        matrix = [[r[i] for r in rows] for i in range(k)]
+        self.orders, self.u = _smith_mod(matrix, abs(last) if piv else 1)
 
     @property
     def betti(self):
-        return len(self.free_positions)
+        return len(self.kept) - self.rank
 
     def invariant_factors(self):
         """Torsion invariant factors, each dividing the next."""
-        return list(self.torsion)
+        return [o for o in self.orders[:self.rank] if o > 1]
 
     def coordinates(self, coeffs):
-        """Adapted coordinates (w_i mod order_i) of an element of Z^g."""
-        vec = [0] * len(self.generators)
+        """An element of Z^g rewritten in the kept generators by the recorded
+        substitutions."""
+        vec = {}
         for g, c in coeffs.items():
-            vec[self.index[g]] += c
-        return [sum(self.u[i][t] * vec[t] for t in range(len(vec)))
-                for i in range(len(vec))]
+            i = self.index[g]
+            vec[i] = vec.get(i, 0) + c
+        for x, expr in self.substitutions:
+            c = vec.pop(x, 0)
+            if c:
+                for y, e in expr.items():
+                    vec[y] = vec.get(y, 0) + c * e
+        return [vec.get(x, 0) for x in self.kept]
 
     def free_image(self, coeffs):
         """Image in the free quotient Z^betti."""
         w = self.coordinates(coeffs)
-        return tuple(w[i] for i in self.free_positions)
+        return tuple(sum(a * b for a, b in zip(row, w)) for row in self.free_map)
 
     def is_torsion(self, coeffs):
         return all(x == 0 for x in self.free_image(coeffs))
@@ -196,10 +404,8 @@ class SolvedPresentation:
             return 0
         w = self.coordinates(coeffs)
         order = 1
-        for i, o in enumerate(self.orders):
-            if o == 0:
-                continue
-            residue = w[i] % o
+        for row, o in zip(self.u, self.orders):
+            residue = sum(a * b for a, b in zip(row, w)) % o
             if residue:
                 k = o // gcd(o, residue)
                 order = order * k // gcd(order, k)

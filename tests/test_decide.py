@@ -341,6 +341,12 @@ def test_ctf_rejects_edgeless():
         decide_ctf(g)
 
 
+def test_ctf_unknown_split_edge_names_the_edges():
+    g = closed_two(GluingMatrix(1, 1, 0, -1))
+    with pytest.raises(RoleError, match="no edge 'e9'; the edges are: e0"):
+        decide_ctf(g, split_edge="e9")
+
+
 def test_ctf_splitting_invariance(rng):
     for _ in range(15):
         g = rand_valid_closed(rng, max_pieces=4, min_pieces=2)

@@ -4,7 +4,20 @@ import random
 from itertools import combinations
 from math import gcd
 
+import tautfol.decide
+from tautfol import (
+    PlumbingGraph,
+    SeifertPiece,
+    Slope,
+    classify_piece,
+    detect_tree,
+    homology,
+    rational_longitude,
+)
+from tautfol.graph import presentation
 from tautfol.snf import Presentation, smith_normal_form
+from conftest import rand_cones, rand_valid_closed, rand_valid_solid_tree
+from test_decide import plumbing_chain
 
 
 def _mm(x, y):
@@ -106,3 +119,164 @@ def test_presentation_torsion_orders():
     assert solved.invariant_factors() == [2, 12]
     assert solved.element_order({"x": 1, "y": 1}) == 12
     assert solved.element_order({"x": 2}) == 2
+
+
+# ---------------------------------------------------------------------------
+# Reduced presentations against the dense Smith normal form
+# ---------------------------------------------------------------------------
+
+
+class _Dense:
+    """The unreduced presentation solved by smith_normal_form alone: the
+    oracle for the sparse elimination in Presentation.solve."""
+
+    def __init__(self, pres):
+        g = len(pres.generators)
+        rels = pres.relations
+        matrix = [[r[i] for r in rels] for i in range(g)] if rels else [[0]] * g
+        d, self.u, _v = smith_normal_form(matrix)
+        self.index = pres.index
+        self.orders = [abs(x) for x in d] + [0] * (g - len(d))
+
+    def coordinates(self, coeffs):
+        vec = [0] * len(self.orders)
+        for gen, c in coeffs.items():
+            vec[self.index[gen]] += c
+        return [sum(a * b for a, b in zip(row, vec)) for row in self.u]
+
+    def free_image(self, coeffs):
+        w = self.coordinates(coeffs)
+        return tuple(x for x, o in zip(w, self.orders) if o == 0)
+
+    def element_order(self, coeffs):
+        order = 1
+        for x, o in zip(self.coordinates(coeffs), self.orders):
+            if o == 0 and x != 0:
+                return 0
+            if o:
+                k = o // gcd(o, x % o)
+                order = order * k // gcd(order, k)
+        return order
+
+
+def _same_free_map(solved, dense, gens):
+    """The two free images of ``gens`` differ by an automorphism of Z^betti:
+    the reduced one is onto Z^betti and lies in the rational span of the
+    dense one, which is onto by construction."""
+    new = [list(solved.free_image({x: 1})) for x in gens]
+    old = [list(dense.free_image({x: 1})) for x in gens]
+    b = len(old[0])
+    if b == 0:
+        return all(not row for row in new)
+    d_new, _u, _v = smith_normal_form(new)
+    d_both, _u, _v = smith_normal_form([x + y for x, y in zip(old, new)])
+    return ([abs(x) for x in d_new] == [1] * b
+            and sum(1 for x in d_both if x) == b)
+
+
+def _check_against_dense(pres, rng, extra=20):
+    solved = pres.solve()
+    dense = _Dense(pres)
+    assert solved.betti == sum(1 for o in dense.orders if o == 0)
+    assert solved.invariant_factors() == sorted(o for o in dense.orders if o > 1)
+    gens = pres.generators
+    elements = [{x: 1} for x in gens]
+    for _ in range(extra):
+        elements.append({x: rng.randint(-9, 9) for x in rng.sample(gens, min(3, len(gens)))})
+    for el in elements:
+        assert solved.is_torsion(el) == all(x == 0 for x in dense.free_image(el))
+        assert solved.element_order(el) == dense.element_order(el)
+    assert _same_free_map(solved, dense, gens)
+    return solved
+
+
+def _rand_sparse_presentation(rng):
+    g = rng.randint(1, 10)
+    pres = Presentation(range(g))
+    for _ in range(rng.randint(0, 12)):
+        support = rng.sample(range(g), rng.randint(1, min(5, g)))
+        pres.add_relation({x: rng.choice([1, -1, 1, -1, 2, -3, 4, 6, -10, 15])
+                           for x in support})
+    return pres
+
+
+def test_reduced_random_sparse_presentations():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(400):
+        solved = _check_against_dense(_rand_sparse_presentation(rng), rng)
+        seen.add(min(solved.betti, 2))
+    assert seen == {0, 1, 2}
+
+
+def test_reduced_tree_presentations():
+    rng = random.Random(14)
+    for _ in range(25):
+        _check_against_dense(presentation(rand_valid_closed(rng, max_pieces=4)), rng)
+        _check_against_dense(presentation(rand_valid_solid_tree(rng, max_pieces=4)), rng)
+
+
+def test_homology_of_seed_5023():
+    # A 38 x 38 presentation: unreduced, its Smith normal form took 12.6 s
+    # and grew U to 134,531 bits.
+    g = rand_valid_closed(random.Random(5023), max_pieces=8)
+    summary = homology(g)
+    assert summary.betti == 0
+    assert summary.invariant_factors == (2, 2, 4, 4, 20, 120, 3669960)
+
+
+def test_long_chain_longitude():
+    # Unreduced, the Smith normal form of this chain did not finish in 30 s.
+    g = plumbing_chain(128)
+    assert homology(g).betti == 1
+    assert detect_tree(g).detected.contains(rational_longitude(g).slope)
+
+
+def _dense_piece_free_images(piece):
+    dense = _Dense(presentation(PlumbingGraph([piece], [], "solid-torus")))
+    return (dense.free_image({("h", piece.ident): 1}),
+            [dense.free_image({("d", piece.ident, j): 1})
+             for j in range(piece.boundary_count)])
+
+
+def _rand_slope(rng):
+    q = rng.randint(0, 5)
+    return Slope(rng.randint(-7, 7), q) if q else Slope(1, 0)
+
+
+def test_piece_tags_and_fibrations_match_dense(monkeypatch):
+    rng = random.Random(15)
+    cases = []
+    bettis = set()
+    for i in range(150):
+        r = rng.randint(1, 3)
+        orientable = rng.random() < 0.7
+        piece = SeifertPiece(base_orientable=orientable, cones=rand_cones(rng),
+                             b=rng.randint(-2, 2), boundary_count=r,
+                             crosscaps=0 if orientable else 1, ident=f"q{i}")
+        v_h, v_d = _dense_piece_free_images(piece)
+        bettis.add(len(v_h))
+        slopes = {j: _rand_slope(rng) for j in range(r)}
+        # Half the time, the boundary slopes of a fibration: the kernels of a
+        # random functional u on the free quotient.
+        u = [rng.randint(-3, 3) for _ in v_h]
+        if rng.random() < 0.5 and sum(a * b for a, b in zip(u, v_h)):
+            slopes = {j: Slope(sum(a * b for a, b in zip(u, v_d[j])),
+                               sum(a * b for a, b in zip(u, v_h)))
+                      for j in range(r)}
+        t, c = rng.randrange(r), rng.randrange(r)
+        cases.append((piece, slopes, t, c))
+    assert 2 in bettis
+
+    def answers():
+        return [(classify_piece(piece, slopes),
+                 tautfol.decide._fibration_slope(piece, t, c, slopes[c]))
+                for piece, slopes, t, c in cases]
+
+    reduced = answers()
+    assert {tag for tag, _fib in reduced} == {
+        tautfol.decide.TAG_VERTICAL, tautfol.decide.TAG_FIBRATION,
+        tautfol.decide.TAG_HORIZONTAL}
+    assert any(fib is not None for _tag, fib in reduced)
+    monkeypatch.setattr(tautfol.decide, "_piece_free_images", _dense_piece_free_images)
+    assert reduced == answers()

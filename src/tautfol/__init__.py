@@ -34,6 +34,7 @@ from .seifert import (
     detect_relative,
     jn_refine_high,
     jn_refine_low,
+    realize,
     tau_stats,
     v_count,
 )

@@ -20,10 +20,8 @@ coherent slope assignment when the intersection is non-empty.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 from .graph import (
     PlumbingGraph,
@@ -44,7 +42,9 @@ from .seifert import (
     detect_relative,
     merge_exceptions,
     product_transport,
+    realize,
 )
+from .snf import rank
 from .slopes import (
     VERTICAL,
     Slope,
@@ -64,7 +64,7 @@ class DecisionError(ValueError):
 def _require_valid(graph):
     errs = errors_of(validate(graph))
     if errs:
-        raise RoleError("; ".join(errs))
+        raise RoleError("; ".join(e.removeprefix("error: ") for e in errs))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,6 @@ def _evaluate(graph, n_max):
     while stack:
         pid, via = stack.pop()
         order.append((pid, via))
-        if len(order) > len(graph.pieces):
-            raise RoleError("underlying graph is not a tree")
         for j in range(graph.pieces[pid].boundary_count):
             if j == via:
                 continue
@@ -260,6 +258,7 @@ def iter_piece_evaluations(graph, n_max=None):
     """(piece, constraint family) for every node of the rooted tree, children
     first; the families are the transported child detected sets actually fed
     to the relative-detection kernel."""
+    _require_valid(graph)
     return [(node.piece, node.family) for node in _evaluate(graph, n_max)
             if node.family is not None]
 
@@ -371,8 +370,9 @@ def extract_witness(graph, target, n_max=None):
 
 def _extract(root, target, n_max):
     """Top-down over the evaluated tree, in pre-order on an explicit stack:
-    each piece chooses constraint slopes in its children's arcs that detect
-    its own slope, and each child continues from its chosen slope."""
+    each piece realizes its own slope by constraint slopes in its children's
+    arcs, read off the branch its kernel call took, and each child continues
+    from its slope."""
     if not root.result.detected.contains(target):
         raise DecisionError(f"slope {target} is not detected")
     assignment = {}
@@ -384,16 +384,14 @@ def _extract(root, target, n_max):
         if not node.children:
             continue
         piece = node.piece
-        if piece.is_product_piece:
-            picks = [act(product_transport(piece), slope)]
-        else:
-            picks = _choose_constraints(piece, node.children, slope, n_max)
+        picks = realize(piece, node.family, node.result, slope, n_max)
+        if node.family is not None:
             family = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
-            rel = detect_relative(piece, family, n_max=n_max)
-            if not rel.detected.contains(slope):
+            if not detect_relative(piece, family, n_max=n_max).detected.contains(slope):
                 raise DecisionError(
-                    f"witness search failed at piece {piece.ident}: chosen "
-                    "constraint tuple does not detect the target")
+                    f"witness search failed at piece {piece.ident} "
+                    f"(branch {node.result.branch}): the constraint tuple "
+                    f"({', '.join(map(str, picks))}) does not detect {slope}")
         for c, s in reversed(list(zip(node.children, picks))):
             child_slope = act(c.transport.inverse(), s)
             # An edge's slope is recorded in its from-side frame.
@@ -401,251 +399,6 @@ def _extract(root, target, n_max):
             stack.append((c.node, c.edge.ident, s if parent_is_from else child_slope,
                           child_slope))
     return assignment
-
-
-def _choose_constraints(piece, children, target, n_max):
-    """Rational points c_j in the transported child arcs whose relative
-    detected set contains the target."""
-    arcs = [c.arc for c in children]
-    forced = {j for j, a in enumerate(arcs) if not _horizontal_pieces(a)}
-
-    def mixed(vertical_indices):
-        return [VERTICAL if k in vertical_indices else
-                simplest_slope(arcs[k], allow_vertical=False)
-                for k in range(len(arcs))]
-
-    if not piece.base_orientable:
-        if target.is_vertical:
-            return mixed(forced)
-        vert = next((j for j, a in enumerate(arcs) if a.contains_vertical()), None)
-        if vert is None:
-            raise DecisionError("full detected set without a vertical child")
-        return mixed(forced | {vert})
-    if target.is_vertical:
-        vert = next((j for j, a in enumerate(arcs) if a.contains_vertical()), None)
-        if vert is None:
-            raise DecisionError("vertical target without a vertical child")
-        return mixed(forced | {vert})
-    if len(forced) >= 2:
-        return mixed(forced)
-    if len(forced) == 1:
-        raise DecisionError(
-            "horizontal target but the detected set is a vertical point")
-    taus = _search_floor_tuple(piece, arcs, target.tau)
-    if taus is None:
-        taus = _frontier_tuple(arcs, target.tau, piece, n_max)
-    if taus is None:
-        raise DecisionError("no constraint tuple found for the target")
-    return [slope_of_tau(t) for t in taus]
-
-
-def _horizontal_pieces(arc):
-    pieces, _ = arc.tau_pieces()
-    return pieces
-
-
-def _int_interval_choices(pieces, integral):
-    """Integer intervals (lo, hi), None for unbounded, of admissible floor
-    values.  ``integral`` selects floors of integral versus non-integral
-    coordinates."""
-    out = []
-    for lo, hi in pieces:
-        if integral:
-            a = None if lo is None else ceil(lo)
-            b = None if hi is None else floor(hi)
-        else:
-            # floors k with (k, k+1) meeting [lo, hi]
-            a = None if lo is None else floor(lo - 1) + 1
-            b = None if hi is None else (floor(hi) - 1 if Fraction(hi).denominator == 1
-                                         else floor(hi))
-        if a is not None and b is not None and a > b:
-            continue
-        out.append((a, b))
-    return out
-
-
-def _sum_intervals(list_a, list_b):
-    if not list_a or not list_b:
-        return []
-    out = []
-    for a1, b1 in list_a:
-        for a2, b2 in list_b:
-            lo = None if (a1 is None or a2 is None) else a1 + a2
-            hi = None if (b1 is None or b2 is None) else b1 + b2
-            out.append((lo, hi))
-    return _merge_int_intervals(out)
-
-
-def _merge_int_intervals(items):
-    def key(iv):
-        return (iv[0] is not None, iv[0] if iv[0] is not None else 0)
-    items = sorted(items, key=key)
-    merged = []
-    for lo, hi in items:
-        if merged:
-            plo, phi = merged[-1]
-            touch = phi is None or lo is None or lo <= phi + 1
-            if touch:
-                newhi = None if (phi is None or hi is None) else max(phi, hi)
-                merged[-1] = (plo, newhi)
-                continue
-        merged.append((lo, hi))
-    return merged
-
-
-def _interval_contains(items, lo, hi):
-    """Does some integer in [lo, hi] (None = unbounded) lie in the union?"""
-    for a, b in items:
-        clo = a if lo is None else (lo if a is None else max(a, lo))
-        chi = b if hi is None else (hi if b is None else min(b, hi))
-        if clo is None or chi is None or clo <= chi:
-            return True
-    return False
-
-
-def _pick_from(items, lo, hi):
-    """A deterministic integer from the union restricted to [lo, hi]."""
-    best = None
-    for a, b in items:
-        clo = a if lo is None else (lo if a is None else max(a, lo))
-        chi = b if hi is None else (hi if b is None else min(b, hi))
-        if clo is not None and chi is not None and clo > chi:
-            continue
-        if clo is not None:
-            cand = clo if clo >= 0 else (min(chi, 0) if chi is not None else 0)
-        elif chi is not None:
-            cand = min(chi, 0)
-        else:
-            cand = 0
-        if clo is not None and cand < clo:
-            cand = clo
-        if chi is not None and cand > chi:
-            cand = chi
-        if best is None or abs(cand) < abs(best):
-            best = cand
-    return best
-
-
-def _search_floor_tuple(piece, arcs, target_tau):
-    """All-horizontal constraint tuple by per-child integer translation."""
-    r = piece.boundary_count
-    n = piece.n
-    shift = piece.b_eff
-    t = Fraction(target_tau) - shift  # normalized frame
-    per_child = [_horizontal_pieces(a) for a in arcs]
-    options = []
-    for pieces in per_child:
-        opts = {}
-        ints = _int_interval_choices(pieces, integral=True)
-        nonints = _int_interval_choices(pieces, integral=False)
-        if nonints:
-            opts[0] = nonints
-        if ints:
-            opts[1] = ints
-        options.append(opts)
-    patterns = itertools.product(*[sorted(o.keys()) for o in options])
-    for sigma in patterns:
-        s0 = sum(sigma)
-        f_lo = ceil(-t) - (n + r - 1)
-        f_hi = floor(s0 - 1 - t)
-        if f_lo > f_hi:
-            continue
-        sets = [options[j][sigma[j]] for j in range(len(arcs))]
-        suffix = [[(0, 0)]]
-        for s in reversed(sets):
-            suffix.insert(0, _sum_intervals(s, suffix[0]))
-        if not _interval_contains(suffix[0], f_lo, f_hi):
-            continue
-        floors = []
-        lo, hi = f_lo, f_hi
-        feasible = True
-        for j in range(len(arcs)):
-            rest = suffix[j + 1]
-            choice = None
-            for a, b in sets[j]:
-                for rest_lo, rest_hi in rest:
-                    # f in [a, b] such that the window minus f still meets
-                    # this rest interval: f in [lo - rest_hi, hi - rest_lo].
-                    cand_lo = a
-                    cand_hi = b
-                    if rest_hi is not None:
-                        cand_lo = (lo - rest_hi) if cand_lo is None \
-                            else max(cand_lo, lo - rest_hi)
-                    if rest_lo is not None:
-                        cand_hi = (hi - rest_lo) if cand_hi is None \
-                            else min(cand_hi, hi - rest_lo)
-                    picked = _pick_from([(cand_lo, cand_hi)], None, None)
-                    if picked is not None and (choice is None or abs(picked) < abs(choice)):
-                        choice = picked
-            if choice is None:
-                feasible = False
-                break
-            floors.append(choice)
-            lo = lo - choice
-            hi = hi - choice
-        if not feasible:
-            continue
-        taus = []
-        ok = True
-        for j, (f, sg) in enumerate(zip(floors, sigma)):
-            tau = _tau_in_unit(per_child[j], f, sg)
-            if tau is None:
-                ok = False
-                break
-            taus.append(tau)
-        if ok:
-            return taus
-    return None
-
-
-def _tau_in_unit(pieces, floor_value, integral):
-    """A rational tau in the arc with the given floor and integrality."""
-    if integral:
-        f = Fraction(floor_value)
-        for lo, hi in pieces:
-            if (lo is None or lo <= f) and (hi is None or f <= hi):
-                return f
-        return None
-    k = Fraction(floor_value)
-    for lo, hi in pieces:
-        a = k if lo is None else max(lo, k)
-        b = k + 1 if hi is None else min(hi, k + 1)
-        if a > b:
-            continue
-        half = k + Fraction(1, 2)
-        if a <= half <= b:
-            return half
-        if a == b:
-            if a.denominator != 1:
-                return a
-            continue
-        # a < b inside [k, k+1]: the midpoint is strictly inside (k, k+1),
-        # hence non-integral.
-        return (a + b) / 2
-    return None
-
-
-def _frontier_tuple(arcs, target_tau, piece, n_max):
-    """Fallback for targets in the refined zones: children sit at their
-    extreme finite endpoints (upper for the low side, lower for the high)."""
-    for side in ("low", "high"):
-        taus = []
-        ok = True
-        for a in arcs:
-            pieces = _horizontal_pieces(a)
-            finite = [hi for _, hi in pieces if hi is not None] if side == "low" \
-                else [lo for lo, _ in pieces if lo is not None]
-            if not finite:
-                ok = False
-                break
-            taus.append(max(finite) if side == "low" else min(finite))
-        if not ok:
-            continue
-        family = ConstraintFamily(tuple(SlopeArc.point(slope_of_tau(t)) for t in taus))
-        rel = detect_relative(piece, family, n_max=n_max)
-        if rel.detected.contains(slope_of_tau(target_tau)):
-            return taus
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -671,54 +424,13 @@ def classify_piece(piece, boundary_slopes):
 
 
 def _is_fibred_tuple(piece, slopes):
+    """A fibration completes the tuple exactly when some integral class
+    vanishes on every boundary slope but not on the fibre, that is, when v_h
+    lies outside the rational span of the boundary rows."""
     v_h, v_d = _piece_free_images(piece)
-    betti = len(v_h)
-    rows = []
-    for j, s in enumerate(slopes):
-        rows.append([s.p * v_h[i] - s.q * v_d[j][i] for i in range(betti)])
-    basis = _rational_nullspace(rows, betti)
-    for u in basis:
-        if sum(u[i] * v_h[i] for i in range(betti)) != 0:
-            return True
-    return False
-
-
-def _rational_nullspace(rows, width):
-    """Basis of {u : row . u = 0 for all rows}, by exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fcol in free:
-        u = [Fraction(0)] * width
-        u[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            u[pcol] = -m[i][fcol]
-        den = 1
-        for x in u:
-            den = den * x.denominator // gcd(den, x.denominator)
-        vec = [int(x * den) for x in u]
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g:
-            vec = [x // g for x in vec]
-        basis.append(vec)
-    return basis
+    rows = [[s.p * h - s.q * d for h, d in zip(v_h, v_d[j])]
+            for j, s in enumerate(slopes)]
+    return rank(rows + [list(v_h)]) > rank(rows)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from .slopes import (
     VERTICAL,
     GluingMatrix,
     Slope,
     SlopeArc,
+    act,
     act_arc,
+    simplest_slope,
     slope_of_tau,
 )
 
@@ -722,3 +724,111 @@ def detect_relative(piece, family, n_max=None):
                 end, Strength.INDETERMINATE,
                 "endpoint of an arc through the vertical slope"))
     return DetectionResult(detected, merge_exceptions(entries), branch="vertical-arc")
+
+
+# ---------------------------------------------------------------------------
+# Realizing a detected slope
+# ---------------------------------------------------------------------------
+
+
+def realize(piece, family, result, target, n_max=None):
+    """One slope in each constraint arc such that the point family detects
+    ``target``, a slope of ``result.detected``.
+
+    ``result`` is what ``detect_relative`` answered for ``family`` under the
+    certificate bound ``n_max`` (on a product piece, which only relays its
+    child, ``family`` may be None).  The detected set is the union of the sets
+    detected relative to single-slope tuples, and the tuple is read off the
+    branch that ``result`` took.
+    """
+    if result.branch == "product":
+        return (act(product_transport(piece), target),)
+    arcs = family.arcs
+    vertical = [j for j, arc in enumerate(arcs) if arc.contains_vertical()]
+    if not piece.base_orientable:
+        # Without a vertical slope the point family detects only the fibre
+        # slope; with one, every slope.
+        return _vertical_or_simplest(arcs, vertical[:0 if target.is_vertical else 1])
+    if target.is_vertical:
+        return _vertical_or_simplest(arcs, vertical[:1])
+    if result.branch == "full":
+        return _vertical_or_simplest(arcs, vertical[:2])
+    # Horizontal target, at most one arc through the vertical slope.
+    t = target.tau - piece.b_eff
+    r = piece.boundary_count
+    low, high = ceil(-t) - (piece.n + r - 1), floor(r - 2 - t)
+    pieces = [arc.tau_pieces()[0] for arc in arcs]
+    if not vertical:
+        return _floor_tuple([p[0] for p in pieces], low, high)[0]
+    j0 = vertical[0]
+    tuples = []
+    for ray in pieces[j0]:
+        picks, in_core = _floor_tuple(
+            [ray if j == j0 else p[0] for j, p in enumerate(pieces)], low, high)
+        if in_core:
+            return picks
+        tuples.append(picks)
+    if len(tuples) == 1:
+        return tuples[0]
+    # Past both cores, so in the refinement zone of the ray (-oo, a] (low,
+    # reaching down to ``left``) or of [b, +oo) (high, up to ``right``).
+    if result.detected.is_full:
+        a_tau, b_tau = pieces[j0][0][1], pieces[j0][1][0]
+        right = _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max)[1]
+    else:
+        right = result.detected.end.tau - piece.b_eff
+    return tuples[1] if t <= right else tuples[0]
+
+
+def _vertical_or_simplest(arcs, chosen):
+    """The vertical slope on the arcs in ``chosen`` and on arcs holding no
+    other slope; the simplest horizontal slope on the rest."""
+    return tuple(VERTICAL if j in chosen or not arc.tau_pieces()[0]
+                 else simplest_slope(arc, allow_vertical=False)
+                 for j, arc in enumerate(arcs))
+
+
+def _floor_tuple(intervals, low, high):
+    """(slopes, in_core) for one closed tau-interval per constraint (None
+    unbounded).
+
+    A point tuple tau_* puts the normalized target in its core interval
+    exactly when sum(floor(tau_j)) >= low and sum(ceil(tau_j)) <= high.
+    An interval holding an integer contributes an integer, whose floor and
+    ceiling agree; the floors are moved from 0 towards the window.  When the
+    window cannot be met the target lies past the core, and the tuple of
+    extreme endpoints (upper ones below the core, lower ones above) has the
+    same refinement certificate as the family.
+    """
+    spans, fixed = [], {}
+    for j, (lo, hi) in enumerate(intervals):
+        a = None if lo is None else ceil(lo)
+        b = None if hi is None else floor(hi)
+        if a is None or b is None or a <= b:
+            spans.append((a, b))
+        else:  # inside (b, b + 1): floor b, ceiling b + 1
+            spans.append((b, b))
+            fixed[j] = simplest_slope(SlopeArc.from_tau_interval(lo, hi),
+                                      allow_vertical=False)
+            high -= 1
+    floors = [_clamp(0, a, b) for a, b in spans]
+    for j, (a, b) in enumerate(spans):
+        total = sum(floors)
+        if total < low:
+            floors[j] = _clamp(floors[j] + low - total, a, b)
+        elif total > high:
+            floors[j] = _clamp(floors[j] + high - total, a, b)
+    if sum(floors) < low:
+        return tuple(slope_of_tau(hi) for _, hi in intervals), False
+    if sum(floors) > high:
+        return tuple(slope_of_tau(lo) for lo, _ in intervals), False
+    return tuple(fixed.get(j, slope_of_tau(f)) for j, f in enumerate(floors)), True
+
+
+def _clamp(x, lo, hi):
+    """x moved into [lo, hi], None unbounded."""
+    if lo is not None and x < lo:
+        return lo
+    if hi is not None and x > hi:
+        return hi
+    return x

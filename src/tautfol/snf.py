@@ -284,6 +284,12 @@ def _fraction_free_rref(rows, width):
     return piv, prev
 
 
+def rank(rows):
+    """Rank over the rationals of a list of equal-length integer rows."""
+    rows = [list(r) for r in rows]
+    return len(_fraction_free_rref(rows, len(rows[0]) if rows else 0)[0])
+
+
 def _smith_mod(matrix, m):
     """Smith normal form of [matrix | m I] for a k-row ``matrix`` and m > 0
     a multiple of each of its nonzero invariant factors: returns the k

@@ -155,6 +155,24 @@ def test_role_mismatch_exit_2(manifold_file, capsys):
     assert code3 == 2
 
 
+CROSSCAP_TWO = {
+    "role": "solid-torus",
+    "pieces": [
+        {"id": "p0", "base": {"orientable": False, "crosscaps": 2},
+         "cones": [], "b": 0, "boundary": 1},
+    ],
+    "edges": [],
+}
+
+
+def test_invalid_graph_exit_2_with_one_prefix(manifold_file, capsys):
+    path = manifold_file(CROSSCAP_TWO)
+    for command in ("detect", "ctf", "oracle-check"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert err == "error: piece p0: crosscap number >= 2 is unsupported\n", command
+
+
 def test_reports_deterministic(manifold_file, capsys):
     path = manifold_file(CLOSED_ADMITS)
     outputs = set()

@@ -1,5 +1,6 @@
 """Tree evaluation, degenerate analysis, witnesses and the closed decision."""
 
+import random
 import sys
 from fractions import Fraction
 
@@ -155,7 +156,7 @@ def test_tree_requires_valid_graph():
 
 
 def test_walk_rejects_a_cycle():
-    # iter_piece_evaluations does not validate: the walk itself must stop.
+    # Validation rejects the cycle before any walk starts.
     swap = GluingMatrix(0, 1, 1, 0)
     g = PlumbingGraph(
         [piece("r", [(2, 1)], r=2), piece("x", [(2, 1)], r=3), piece("y", [(3, 1)], r=2)],
@@ -360,6 +361,32 @@ def test_ctf_witness_revalidates(rng):
         verdict = decide_ctf(g)
         if verdict.admits:
             assert revalidate_witness(g, verdict.witness)
+
+
+# Splits on which witness extraction once failed: the root saw two child arcs
+# through the fibre slope, so its kernel returned the full circle.
+PINNED_SPLITS = [(563, "e2"), (584, "e0"), (955, "e0"), (1085, "e1"), (1355, "e0")]
+
+
+def test_every_split_realizes_a_witness():
+    graphs = [rand_valid_closed(random.Random(seed), max_pieces=6) for seed in range(300)]
+    graphs += [rand_valid_closed(random.Random(seed)) for seed, _ in PINNED_SPLITS]
+    for g in graphs:
+        verdicts = [decide_ctf(g, split_edge=e.ident) for e in g.edges]
+        assert len({v.admits for v in verdicts}) == 1
+        for v in verdicts:
+            assert not v.admits or revalidate_witness(g, v.witness), v.split_edge
+    for seed, edge in PINNED_SPLITS:
+        g = rand_valid_closed(random.Random(seed))
+        assert decide_ctf(g, split_edge=edge).admits
+
+
+def test_solid_tree_witnesses_at_simplest_and_endpoints():
+    for seed in range(200):
+        g = rand_valid_solid_tree(random.Random(seed), max_pieces=6)
+        detected = detect_tree(g).detected
+        for target in (simplest_slope(detected), *detected.endpoints()):
+            assert revalidate_witness(g, extract_witness(g, target)), (seed, target)
 
 
 # ---------------------------------------------------------------------------

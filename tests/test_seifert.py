@@ -19,12 +19,19 @@ from tautfol import (
     detect_relative,
     jn_refine_high,
     jn_refine_low,
+    realize,
+    simplest_slope,
     slope_of_tau,
     tau_stats,
     v_count,
 )
 from tautfol.oracle import GridSpec, grid_union, jn_exhaustive
-from conftest import rand_family, rand_horizontal_piece_and_family
+from conftest import (
+    rand_cones,
+    rand_family,
+    rand_fraction,
+    rand_horizontal_piece_and_family,
+)
 
 F = Fraction
 
@@ -400,3 +407,74 @@ def test_family_union_structure(rng):
             for end in sub.detected.endpoints():
                 assert res.detected.contains(end), (piece, fam.arcs, taus, end)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# realize
+# ---------------------------------------------------------------------------
+
+
+def _assert_realizes(piece, family, target):
+    picks = realize(piece, family, detect_relative(piece, family), target)
+    assert all(arc.contains(s) for arc, s in zip(family.arcs, picks))
+    points = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
+    assert detect_relative(piece, points).detected.contains(target), \
+        (piece, family.arcs, target, picks)
+    return picks
+
+
+def test_realize_full_branch_uses_two_vertical_slopes():
+    piece = _piece([(2, 1)], r=3)
+    family = ConstraintFamily((SlopeArc.full(),
+                               SlopeArc.arc(VERTICAL, slope_of_tau(1))))
+    assert detect_relative(piece, family).branch == "full"
+    assert _assert_realizes(piece, family, slope_of_tau(F(7, 3))) == (VERTICAL, VERTICAL)
+
+
+def _rand_arc(rng):
+    x, y = rand_fraction(rng), rand_fraction(rng)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return SlopeArc.point(slope_of_tau(x))
+    if kind == 1:
+        return SlopeArc.point(VERTICAL)
+    if kind == 2:
+        return SlopeArc.full()
+    if kind == 3:
+        return SlopeArc.from_tau_interval(min(x, y), max(x, y))
+    if kind == 4:
+        return SlopeArc.arc(VERTICAL, slope_of_tau(x))
+    if kind == 5:
+        return SlopeArc.arc(slope_of_tau(x), VERTICAL)
+    return SlopeArc.arc(slope_of_tau(max(x, y) + 1), slope_of_tau(min(x, y)))
+
+
+def test_realize_random_families(rng):
+    """Every branch: the simplest slope and both endpoints of the detected
+    set are detected by the realized point family."""
+    branches = set()
+    for _ in range(400):
+        r = rng.randint(2, 4)
+        orientable = rng.random() < 0.8
+        piece = _piece(rand_cones(rng), b=rng.randint(-2, 2), r=r,
+                       orientable=orientable, crosscaps=0 if orientable else 1)
+        family = ConstraintFamily(tuple(_rand_arc(rng) for _ in range(r - 1)))
+        res = detect_relative(piece, family)
+        branches.add(res.branch)
+        for target in (simplest_slope(res.detected), *res.detected.endpoints()):
+            _assert_realizes(piece, family, target)
+    assert branches >= {"product", "full", "horizontal-interval", "vertical-arc",
+                        "vertical-full", "nonorientable-point", "nonorientable-full"}
+
+
+def test_realize_between_abutting_ray_cores():
+    # The two rays of the vertical arc give cores (-oo, -2] and [-1, +oo);
+    # the refinements meet at -3/2, so targets in (-2, -1) lie past both
+    # cores and the kernel's own bound picks the ray.
+    piece = _piece([], r=3)
+    family = ConstraintFamily((SlopeArc.arc(Slope(-1, 2), Slope(4, 3)),
+                               SlopeArc.point(Slope(-3, 2))))
+    assert detect_relative(piece, family).branch == "vertical-full"
+    for den in range(2, 13):
+        for k in range(1, den):
+            _assert_realizes(piece, family, slope_of_tau(-2 + F(k, den)))

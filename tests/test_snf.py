@@ -15,7 +15,7 @@ from tautfol import (
     rational_longitude,
 )
 from tautfol.graph import presentation
-from tautfol.snf import Presentation, smith_normal_form
+from tautfol.snf import Presentation, rank, smith_normal_form
 from conftest import rand_cones, rand_valid_closed, rand_valid_solid_tree
 from test_decide import plumbing_chain
 
@@ -89,6 +89,20 @@ def test_against_minor_gcds():
         d = _check(matrix)
         expected = _minor_invariants(matrix)
         assert [abs(x) for x in d if x != 0] == expected
+
+
+def test_rank_matches_smith_normal_form():
+    rng = random.Random(13)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        # Low-rank products as well as full random matrices.
+        k = rng.randint(1, min(rows, cols))
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+        matrix = _mm(left, right)
+        d, _u, _v = smith_normal_form(matrix)
+        assert rank(matrix) == sum(1 for x in d if x)
+    assert rank([]) == 0 and rank([[0, 0]]) == 0
 
 
 def test_presentation_cyclic():

@@ -320,13 +320,25 @@ def _scan_certificates(slots, n_max):
     cut2 = min((one_cutoff(t, s) for t, s in thresholds[2:]), default=n_max)
     t0, strict0 = thresholds[0]
     t0n, t0d = t0.numerator, t0.denominator
-    # Past both cutoffs no placement can park the 1/N copies, so stop there.
-    n_stop = n_max if len(thresholds) < 2 else min(n_max, max(cut1, cut2))
+    # The 1/N case puts the two largest values, which sum to N, above t0*N
+    # and t1*N: impossible at every N when t0 + t1 > 1, or = 1 with a
+    # strict slot.
+    pair = None
+    if len(thresholds) >= 2:
+        t1, strict1 = thresholds[1]
+        if t0 + t1 < 1 or (t0 + t1 == 1 and not (strict0 or strict1)):
+            pair = (t0n, t0d, strict0, t1.numerator, t1.denominator, strict1)
+    # Past cut1 only the 1/N case can place the values, and past cut2 not
+    # even that, so stop there.
+    n_stop = min(n_max, max(cut1, cut2) if pair else cut1)
 
-    best = None  # (c_over_n, n, a, case_rank, c_num)
+    best = None  # (c_num, n, a, case_rank)
+    # The best C/N so far as integers (0/1 before any), compared by
+    # cross-multiplication: the order of Fractions without their cost.
+    best_c, best_n = 0, 1
     best_assign = None
     for n_value in range(2, n_stop + 1):
-        if best is not None and best[0] * n_value >= n_value - 1:
+        if best_c * n_value >= (n_value - 1) * best_n:
             continue  # nothing at this N can strictly improve C/N
         candidates = []
         if n_value <= cut_all:
@@ -347,22 +359,21 @@ def _scan_certificates(slots, n_max):
             if a is not None:
                 candidates.append((n_value - a, a, 1))
         # target takes a 1/N copy (needs at least two non-target slots).
-        if len(thresholds) >= 2 and n_value <= cut2 \
-                and (best is None or best[0] * n_value < 1):
-            a = _first_a_pair_fits(n_value, thresholds[0], thresholds[1])
+        if pair and n_value <= cut2 and best_c * n_value < best_n:
+            a = _first_a_pair_fits(n_value, pair)
             if a is not None:
                 candidates.append((1, a, 2))
         if not candidates:
             continue
         c_num, a_val, case = max(candidates, key=lambda t: (t[0], -t[1], -t[2]))
-        c_over_n = Fraction(c_num, n_value)
-        if best is None or c_over_n > best[0]:
-            best = (c_over_n, n_value, a_val, case, c_num)
+        if c_num * best_n > best_c * n_value:
+            best = (c_num, n_value, a_val, case)
+            best_c, best_n = c_num, n_value
             best_assign = _build_assignment(slots, order, n_value, a_val, case)
     if best is None:
         return None
-    c_over_n, n_value, a_val, case, c_num = best
-    return c_over_n, n_value, a_val, best_assign, c_num
+    c_num, n_value, a_val, case = best
+    return Fraction(c_num, n_value), n_value, a_val, best_assign, c_num
 
 
 def _largest_coprime_below(n_value, cap):
@@ -379,17 +390,18 @@ def _smallest_coprime_at_least(n_value, floor_a):
     return None
 
 
-def _first_a_pair_fits(n_value, slot0, slot1):
+def _first_a_pair_fits(n_value, pair):
     """Smallest A such that {A, N-A} sorted descending satisfies the two
-    hardest slots, by window arithmetic on big = max(A, N-A)."""
-    t0, s0 = slot0
-    t1, s1 = slot1
+    hardest slots, by window arithmetic on big = max(A, N-A).  ``pair`` is
+    (numerator, denominator, strict) of the hardest threshold followed by
+    the same three of the second hardest."""
+    t0n, t0d, s0, t1n, t1d, s1 = pair
     # big > t0*N (or >=):
-    need = n_value * t0.numerator
-    lo = need // t0.denominator + 1 if s0 else -((-need) // t0.denominator)
+    need = n_value * t0n
+    lo = need // t0d + 1 if s0 else -((-need) // t0d)
     # N - big > t1*N  <=>  big < N(1 - t1) (or <=):
-    spare = n_value * (t1.denominator - t1.numerator)
-    hi = (spare - 1) // t1.denominator if s1 else spare // t1.denominator
+    spare = n_value * (t1d - t1n)
+    hi = (spare - 1) // t1d if s1 else spare // t1d
     lo = max(lo, (n_value + 1) // 2)
     hi = min(hi, n_value - 1)
     for big in range(hi, lo - 1, -1):

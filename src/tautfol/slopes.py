@@ -480,18 +480,31 @@ def simplest_slope(region, allow_vertical=True):
         raise SlopeError("cannot pick a slope from the empty set")
     pieces = []
     has_vertical = False
-    bound = 1
     for a in arcs:
         ps, v = a.tau_pieces()
         pieces.extend(ps)
         has_vertical = has_vertical or v
-        for lo, hi in ps:
-            for t in (lo, hi):
-                if t is not None:
-                    bound = max(bound, t.denominator)
     start = 0 if allow_vertical else 1
-    for q in range(start, bound + 1):
+    for q in range(start, 2):
         candidates = _slopes_with_q(pieces, has_vertical, q)
         if candidates:
             return candidates[0]
-    raise SlopeError("no rational slope found; malformed region")
+    if not pieces:
+        raise SlopeError("no rational slope found; malformed region")
+    # No integer anywhere: every piece is a finite interval between two
+    # consecutive integers and holds exactly one slope of least q.
+    tau = min((_least_denominator(lo, hi) for lo, hi in pieces),
+              key=lambda t: (t.denominator, abs(t.numerator), -t.numerator))
+    return slope_of_tau(tau)
+
+
+def _least_denominator(lo, hi):
+    """The rational of least denominator in [lo, hi], lo <= hi, by the
+    continued fraction expansion (the Stern-Brocot descent); it is unique
+    when the interval holds no integer."""
+    a = floor(lo)
+    if a == lo:
+        return Fraction(a)
+    if a + 1 <= hi:
+        return Fraction(a + 1)
+    return a + 1 / _least_denominator(1 / (hi - a), 1 / (lo - a))

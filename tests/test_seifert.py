@@ -26,6 +26,7 @@ from tautfol import (
     v_count,
 )
 from tautfol.oracle import GridSpec, grid_union, jn_exhaustive
+from tautfol.seifert import _scan_certificates
 from conftest import (
     rand_cones,
     rand_family,
@@ -195,6 +196,45 @@ def test_certificates_revalidate(rng):
                 assert c_max < endpoint < c_max + 1
             seen += 1
     assert seen > 10
+
+
+def _best_c_over_n(slots, n_max):
+    """(largest C/N, least N reaching it) over N <= n_max, A coprime to N
+    and the target's value C taken from {A, N - A, 1, ..., 1} (one value
+    per slot and the target), such that the other values fit the slots;
+    None if nothing fits."""
+    fits = [(t, strict) for _, t, strict in slots]
+    fits.sort(key=lambda ts: (-ts[0], not ts[1]))
+    best = None
+    for n in range(2, n_max + 1):
+        for a in range(1, n):
+            if math.gcd(a, n) != 1:
+                continue
+            values = [a, n - a] + [1] * (len(slots) - 1)
+            for k in range(len(values)):
+                rest = sorted(values[:k] + values[k + 1:], reverse=True)
+                if all(F(v, n) > t if strict else F(v, n) >= t
+                       for v, (t, strict) in zip(rest, fits)):
+                    c = F(values[k], n)
+                    if best is None or c > best[0]:
+                        best = (c, n)
+    return best
+
+
+def test_certificate_scan_finds_the_optimum(rng):
+    # Thresholds summing to 1 or more make the 1/N case impossible, where
+    # the scan stops early; they are drawn often.
+    for _ in range(300):
+        slots = [(i, F(rng.randint(0, 7), rng.choice([2, 3, 5, 8])), rng.random() < 0.5)
+                 for i in range(rng.randint(1, 4))]
+        if len(slots) >= 2 and rng.random() < 0.4:
+            slots[1] = (1, 1 - slots[0][1], slots[1][2])
+        n_max = rng.randint(2, 24)
+        found = _scan_certificates(slots, n_max)
+        assert (found[:2] if found else None) == _best_c_over_n(slots, n_max), (slots, n_max)
+    # Non-strict thresholds summing to exactly 1: only {5, 3} at N = 8 fits.
+    slots = [(0, F(5, 8), False), (1, F(3, 8), False)]
+    assert _scan_certificates(slots, 14)[:2] == _best_c_over_n(slots, 14) == (F(1, 8), 8)
 
 
 # ---------------------------------------------------------------------------

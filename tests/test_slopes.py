@@ -1,7 +1,7 @@
 """Slope arithmetic, arcs, and the unimodular action."""
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +213,36 @@ def test_simplest_slope():
     assert simplest_slope(arc3, allow_vertical=False) == Slope(0, 1)
     arc4 = SlopeArc.arc(slope_of_tau(2), slope_of_tau(-2))  # through vertical
     assert simplest_slope(arc4, allow_vertical=False) == Slope(-2, 1)
+
+
+def _simplest_by_scan(pieces):
+    """Least q, then least |p|, then least p, over finite tau-pieces."""
+    q = 1
+    while True:
+        found = [Slope(p, q) for lo, hi in pieces
+                 for p in range(ceil(-hi * q), floor(-lo * q) + 1) if gcd(p, q) == 1]
+        if found:
+            return min(found, key=lambda s: (abs(s.p), s.p))
+        q += 1
+
+
+def test_simplest_slope_between_integers(rng):
+    # No integer in the region: the slope comes from the continued fraction
+    # descent, which must agree with a scan over q.
+    for _ in range(300):
+        arcs = []
+        for _ in range(rng.randint(1, 3)):
+            b, d = rng.randint(-6, 6), rng.choice([5, 12, 97, 1000, 4099])
+            x, y = sorted(rng.sample(range(1, d), 2))
+            arcs.append(SlopeArc.from_tau_interval(b + Fraction(x, d), b + Fraction(y, d)))
+        pieces = [p for arc in arcs for p in arc.tau_pieces()[0]]
+        assert simplest_slope(arcs) == _simplest_by_scan(pieces)
+    # Two pieces whose slopes of least q tie on q and |p|: positive tau wins.
+    arcs = [SlopeArc.from_tau_interval(Fraction(-3, 5), Fraction(-2, 5)),
+            SlopeArc.from_tau_interval(Fraction(2, 5), Fraction(3, 5))]
+    assert simplest_slope(arcs) == Slope(-1, 2)
+    point = SlopeArc.point(Slope(-355, 113))
+    assert simplest_slope(point) == Slope(-355, 113)
 
 
 def test_simplest_slope_in_members(rng):

@@ -13,12 +13,9 @@ from .slopes import (
     act,
     act_arc,
     arc_intersect,
-    delta,
     simplest_slope,
-    slope_from_pair,
     slope_from_string,
     slope_of_tau,
-    tau_of_slope,
 )
 from .seifert import (
     ConstraintFamily,

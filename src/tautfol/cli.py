@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .decide import (
     DecisionError,
+    _require_valid,
     check_degenerate,
     decide_ctf,
     detect_tree,
@@ -187,6 +188,7 @@ def _cmd_oracle_check(graph, args):
     rows = []
     ok = True
     if graph.role == "closed":
+        _require_valid(graph)  # the split edge too, not only the two sides
         if not graph.edges:
             raise RoleError("oracle-check on a closed graph needs a JSJ torus")
         sides = split_at_edge(graph, graph.edges[0])
@@ -198,12 +200,8 @@ def _cmd_oracle_check(graph, args):
                     or piece.is_product_piece or v_count(family) != 0):
                 continue
             c_min, c_max = core_interval(piece, family)
-            dens = [1]
-            for arc in family.arcs:
-                pieces_, _ = arc.tau_pieces()
-                for lo, hi in pieces_:
-                    dens.extend([lo.denominator, hi.denominator])
-            spec = GridSpec(denominator=max(args.grid, max(dens)))
+            endpoints = [e for arc in family.arcs for e in arc.tau_pieces()[0][0]]
+            spec = GridSpec(denominator=max([args.grid] + [e.denominator for e in endpoints]))
             lo, hi = grid_union(piece, family, spec)
             row = {
                 "piece": str(piece.ident),
@@ -211,14 +209,7 @@ def _cmd_oracle_check(graph, args):
                 "grid": [lo, hi],
                 "core_matches_grid": (c_min, c_max) == (lo, hi),
             }
-            n_bound = args.nmax
-            if n_bound is None:
-                endpoints = []
-                for arc in family.arcs:
-                    pieces_, _ = arc.tau_pieces()
-                    for pair in pieces_:
-                        endpoints.extend(pair)
-                n_bound = default_n_bound(piece, endpoints)
+            n_bound = args.nmax if args.nmax is not None else default_n_bound(piece, endpoints)
             low = jn_refine_low(piece, family, n_max=n_bound)
             high = jn_refine_high(piece, family, n_max=n_bound)
             ex_low = jn_exhaustive_extremal(piece, family, "low", n_bound)

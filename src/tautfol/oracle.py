@@ -7,10 +7,12 @@ core_interval once the grid is fine enough (the extrema sit at interval
 endpoints and just inside integer coordinates, so endpoints, integer points
 and integer +- 1/d offsets are always sampled).
 
-jn_exhaustive checks a single proposed refined endpoint by enumerating every
-(N, A, placement) triple in lexicographic order and testing the three
-certificate conditions verbatim, sharing no search logic with the optimized
-scan in the kernel.
+_certificates enumerates every (N, A, placement) triple in lexicographic
+order and yields those whose non-target values pass the cone and boundary
+conditions, tested verbatim and sharing no search logic with the optimized
+scan in the kernel.  jn_exhaustive takes the first one whose target value
+proves a proposed refined endpoint; jn_exhaustive_extremal the largest target
+value C/N over all of them.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor, gcd
 
 from .seifert import (
     FamilyError,
     JNCertificate,
-    _frac,
     core_interval,
     tau_stats,
     v_count,
@@ -100,7 +102,8 @@ def _condition_slot(endpoint, in_j, side, b_num, n_value):
     1 - frac(eta) off the integers but 0 on them, which is what makes an
     integral free endpoint kill the refinement on both sides."""
     value = Fraction(b_num, n_value)
-    f = _frac(endpoint) if side == "low" else _frac(-endpoint)
+    x = Fraction(endpoint if side == "low" else -endpoint)
+    f = x - floor(x)
     return (1 - value) < f if in_j else (1 - value) <= f
 
 
@@ -131,6 +134,36 @@ def _placements(n_value, a_value, slot_count):
             yield values
 
 
+def _certificates(piece, family, side, n_max):
+    """Every certificate with N <= n_max whose cone and boundary values pass
+    their conditions on ``side``, in (N, A, placement) lexicographic order;
+    the target takes the value left on the last slot."""
+    intervals = _intervals(family)
+    endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
+    gammas = piece.gammas
+    excluded = tuple(j for j, e in enumerate(endpoints)
+                     if j in family.strong and Fraction(e).denominator == 1)
+    bdry = [j for j in range(len(endpoints)) if j not in excluded]
+    checks = ([partial(_condition_cone, gamma, side=side) for gamma in gammas]
+              + [partial(_condition_slot, endpoints[j], j in family.strong, side)
+                 for j in bdry])
+    for n_value in range(2, n_max + 1):
+        for a_value in range(1, n_value):
+            if gcd(a_value, n_value) != 1:
+                continue
+            for values in _placements(n_value, a_value, len(checks) + 1):
+                if all(check(v, n_value) for check, v in zip(checks, values)):
+                    yield JNCertificate(
+                        n_value=n_value,
+                        a_value=a_value,
+                        side=side,
+                        cone_numerators=tuple(values[:len(gammas)]),
+                        boundary_numerators=tuple(zip(bdry, values[len(gammas):-1])),
+                        excluded=excluded,
+                        target_numerator=values[-1],
+                    )
+
+
 def jn_exhaustive(piece, family, boundary_target, n_max):
     """First certificate, in (N, A, placement) lexicographic order, proving
     the proposed refined endpoint ``boundary_target``; None when no
@@ -150,50 +183,8 @@ def jn_exhaustive(piece, family, boundary_target, n_max):
         c_over_n = target - c_max
     else:
         return None
-    intervals = _intervals(family)
-    endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
-    gammas = piece.gammas
-    slot_meta = [("cone", i) for i in range(len(gammas))]
-    excluded = []
-    for j, endpoint in enumerate(endpoints):
-        if j in family.strong and Fraction(endpoint).denominator == 1:
-            excluded.append(j)
-        else:
-            slot_meta.append(("bdry", j))
-    slot_meta.append(("target", None))
-    for n_value in range(2, n_max + 1):
-        c_num = c_over_n * n_value
-        if c_num.denominator != 1:
-            continue
-        c_num = int(c_num)
-        for a_value in range(1, n_value):
-            if gcd(a_value, n_value) != 1:
-                continue
-            for values in _placements(n_value, a_value, len(slot_meta)):
-                ok = True
-                for (kind, idx), value in zip(slot_meta, values):
-                    if kind == "cone":
-                        ok = _condition_cone(gammas[idx], value, n_value, side)
-                    elif kind == "bdry":
-                        ok = _condition_slot(endpoints[idx], idx in family.strong,
-                                             side, value, n_value)
-                    else:
-                        ok = (value == c_num)
-                    if not ok:
-                        break
-                if ok:
-                    return JNCertificate(
-                        n_value=n_value,
-                        a_value=a_value,
-                        side=side,
-                        cone_numerators=tuple(
-                            v for (k, _), v in zip(slot_meta, values) if k == "cone"),
-                        boundary_numerators=tuple(
-                            (i, v) for (k, i), v in zip(slot_meta, values) if k == "bdry"),
-                        excluded=tuple(excluded),
-                        target_numerator=c_num,
-                    )
-    return None
+    return next((cert for cert in _certificates(piece, family, side, n_max)
+                 if Fraction(cert.target_numerator, cert.n_value) == c_over_n), None)
 
 
 def jn_exhaustive_extremal(piece, family, side, n_max):
@@ -201,11 +192,8 @@ def jn_exhaustive_extremal(piece, family, side, n_max):
     below c_min resp. maximal zeta above c_max over all certificates with
     N <= n_max, or None.  Used to cross-check the optimized scan."""
     c_min, c_max = core_interval(piece, family)
-    gaps = sorted({Fraction(c, n)
-                   for n in range(2, n_max + 1) for c in range(1, n)},
-                  reverse=True)
-    for gap in gaps:
-        target = c_min - gap if side == "low" else c_max + gap
-        if jn_exhaustive(piece, family, target, n_max) is not None:
-            return target
-    return None
+    gap = max((Fraction(cert.target_numerator, cert.n_value)
+               for cert in _certificates(piece, family, side, n_max)), default=None)
+    if gap is None:
+        return None
+    return c_min - gap if side == "low" else c_max + gap

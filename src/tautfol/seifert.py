@@ -209,29 +209,10 @@ def tau_stats(taus, strong, n_cones):
     return TauStats(r1=r1, s0=s0, i0=i0, b0=b0, m0=m0, m1=m1)
 
 
-def _finite_intervals(family):
-    """[eta_j, zeta_j] tau-intervals of a vertical-free family."""
-    out = []
-    for j, arc in enumerate(family.arcs):
-        pieces, has_vertical = arc.tau_pieces()
-        if has_vertical or len(pieces) != 1 or pieces[0][0] is None or pieces[0][1] is None:
-            raise FamilyError(f"constraint {j} is not a finite horizontal arc")
-        out.append((pieces[0][0], pieces[0][1]))
-    return out
-
-
-def _cmin_value(n_cones, r, zetas, strong):
-    i1 = sum(1 for j, z in enumerate(zetas) if j in strong and _is_int(z))
-    return i1 - sum(floor(z) for z in zetas) - (n_cones + r - 1)
-
-
-def _cmax_value(n_cones, r, etas, strong):
-    s1 = sum(1 for j, e in enumerate(etas) if j not in strong and _is_int(e))
-    return s1 - 1 - sum(floor(e) for e in etas)
-
-
-def core_interval(piece, family):
-    """The core integer interval [c_min, c_max] of the horizontal case."""
+def _horizontal_ends(piece, family):
+    """(zetas, etas): the upper and lower ends of the [eta_j, zeta_j]
+    tau-intervals of a vertical-free family, once the horizontal case's
+    preconditions are checked."""
     if not piece.base_orientable:
         raise PieceError("core interval is defined over orientable bases")
     if v_count(family) != 0:
@@ -241,10 +222,31 @@ def core_interval(piece, family):
         raise FamilyError("family size must be boundary count minus one")
     if piece.n + r < 3:
         raise PieceError("core interval needs n + r >= 3")
-    intervals = _finite_intervals(family)
-    c_min = _cmin_value(piece.n, r, [z for _, z in intervals], family.strong)
-    c_max = _cmax_value(piece.n, r, [e for e, _ in intervals], family.strong)
-    return c_min, c_max
+    zetas, etas = [], []
+    for j, arc in enumerate(family.arcs):
+        pieces, has_vertical = arc.tau_pieces()
+        if has_vertical or len(pieces) != 1 or pieces[0][0] is None or pieces[0][1] is None:
+            raise FamilyError(f"constraint {j} is not a finite horizontal arc")
+        etas.append(pieces[0][0])
+        zetas.append(pieces[0][1])
+    return zetas, etas
+
+
+def _core_end(piece, ends, strong, side):
+    """c_min from the zetas (side "low") or c_max from the etas ("high"):
+    integral ends count on strong constraints below, on free ones above."""
+    count = sum(1 for j, e in enumerate(ends)
+                if _is_int(e) and (j in strong) == (side == "low"))
+    if side == "low":
+        return count - sum(floor(e) for e in ends) - (piece.n + piece.boundary_count - 1)
+    return count - 1 - sum(floor(e) for e in ends)
+
+
+def core_interval(piece, family):
+    """The core integer interval [c_min, c_max] of the horizontal case."""
+    zetas, etas = _horizontal_ends(piece, family)
+    return (_core_end(piece, zetas, family.strong, "low"),
+            _core_end(piece, etas, family.strong, "high"))
 
 
 # ---------------------------------------------------------------------------
@@ -435,34 +437,32 @@ def _build_assignment(slots, order, n_value, a_val, case):
     return assign
 
 
-def _refine(piece, endpoint_data, side, n_max):
-    """Shared low/high refinement.
+def _side_reach(piece, ends, strong, side, n_max):
+    """How far the detected set reaches on one side of the core: (end,
+    certificate) with end = c_min - C/N ("low") or c_max + C/N ("high")
+    for the largest C/N certified with N <= n_max, or (core end, None).
 
-    ``endpoint_data``: list over constraints of (endpoint tau, in_J), the
-    extreme endpoint for the chosen side (zeta for low, eta for high).
-    Returns (C/N fraction, JNCertificate) or None.
+    ``ends`` are the side's extreme endpoints, one per constraint: zeta for
+    low, eta for high.
     """
-    gammas = piece.gammas
+    end = Fraction(_core_end(piece, ends, strong, side))
     # Absence rule: an integral extreme endpoint on a free constraint makes
     # the extremal stratum integral, which kills the refinement.
-    for endpoint, in_j in endpoint_data:
-        if not in_j and _is_int(endpoint):
-            return None
-    slots = []
+    if any(j not in strong and _is_int(e) for j, e in enumerate(ends)):
+        return end, None
+    gammas = piece.gammas
+    slots = [(("cone", i), (1 - gamma) if side == "low" else gamma, True)
+             for i, gamma in enumerate(gammas)]
     excluded = []
-    for i, gamma in enumerate(gammas):
-        threshold = (1 - gamma) if side == "low" else gamma
-        slots.append((("cone", i), threshold, True))
-    for j, (endpoint, in_j) in enumerate(endpoint_data):
-        if in_j and _is_int(endpoint):
+    for j, endpoint in enumerate(ends):
+        if j in strong and _is_int(endpoint):
             excluded.append(j)
             continue
         f = _frac(endpoint)
-        threshold = (1 - f) if side == "low" else f
-        slots.append((("bdry", j), threshold, in_j))
+        slots.append((("bdry", j), (1 - f) if side == "low" else f, j in strong))
     found = _scan_certificates(slots, n_max)
     if found is None:
-        return None
+        return end, None
     c_over_n, n_value, a_val, assign, c_num = found
     cert = JNCertificate(
         n_value=n_value,
@@ -470,43 +470,30 @@ def _refine(piece, endpoint_data, side, n_max):
         side=side,
         cone_numerators=tuple(assign[("cone", i)] for i in range(len(gammas))),
         boundary_numerators=tuple(
-            (j, assign[("bdry", j)])
-            for j in range(len(endpoint_data))
-            if ("bdry", j) in assign
-        ),
+            (j, assign[("bdry", j)]) for j in range(len(ends)) if ("bdry", j) in assign),
         excluded=tuple(excluded),
         target_numerator=c_num,
     )
-    return c_over_n, cert
+    return (end - c_over_n if side == "low" else end + c_over_n), cert
+
+
+def _refine_family(piece, family, side, n_max):
+    """_side_reach on a vertical-free family, bounded by both sides' ends."""
+    zetas, etas = _horizontal_ends(piece, family)
+    bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
+    end, cert = _side_reach(piece, zetas if side == "low" else etas, family.strong, side, bound)
+    return None if cert is None else (end, cert)
 
 
 def jn_refine_low(piece, family, n_max=None):
     """Extremal eta in (c_min - 1, c_min) realizable past the core interval,
     with its certificate, or None when no certificate exists up to n_max."""
-    c_min, _ = core_interval(piece, family)
-    intervals = _finite_intervals(family)
-    data = [(z, j in family.strong) for j, (_, z) in enumerate(intervals)]
-    if n_max is None:
-        n_max = default_n_bound(piece, [e for pair in intervals for e in pair])
-    found = _refine(piece, data, "low", n_max)
-    if found is None:
-        return None
-    c_over_n, cert = found
-    return c_min - c_over_n, cert
+    return _refine_family(piece, family, "low", n_max)
 
 
 def jn_refine_high(piece, family, n_max=None):
     """Extremal zeta in (c_max, c_max + 1); mirror of jn_refine_low."""
-    _, c_max = core_interval(piece, family)
-    intervals = _finite_intervals(family)
-    data = [(e, j in family.strong) for j, (e, _) in enumerate(intervals)]
-    if n_max is None:
-        n_max = default_n_bound(piece, [e for pair in intervals for e in pair])
-    found = _refine(piece, data, "high", n_max)
-    if found is None:
-        return None
-    c_over_n, cert = found
-    return c_max + c_over_n, cert
+    return _refine_family(piece, family, "high", n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -616,30 +603,18 @@ def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
     coming from the (-oo, a_tau] ray; each is None when its ray is absent.
     All values in the normalized (b = 0) frame.
     """
-    r = piece.boundary_count
-    intervals = []
-    for j, arc in enumerate(family.arcs):
-        if j == j0:
-            intervals.append(None)
-        else:
-            pieces, _ = arc.tau_pieces()
-            intervals.append((pieces[0][0], pieces[0][1]))
-    right = None
-    if b_tau is not None:
-        etas = [b_tau if j == j0 else intervals[j][0] for j in range(len(family.arcs))]
-        c_max = _cmax_value(piece.n, r, etas, family.strong)
-        data = [(e, j in family.strong) for j, e in enumerate(etas)]
-        bound = n_max if n_max is not None else default_n_bound(piece, etas)
-        found = _refine(piece, data, "high", bound)
-        right = c_max + found[0] if found else Fraction(c_max)
-    left = None
-    if a_tau is not None:
-        zetas = [a_tau if j == j0 else intervals[j][1] for j in range(len(family.arcs))]
-        c_min = _cmin_value(piece.n, r, zetas, family.strong)
-        data = [(z, j in family.strong) for j, z in enumerate(zetas)]
-        bound = n_max if n_max is not None else default_n_bound(piece, zetas)
-        found = _refine(piece, data, "low", bound)
-        left = c_min - found[0] if found else Fraction(c_min)
+    # Each side's default bound counts only that side's extreme endpoints,
+    # where the horizontal branch counts both sides': a larger bound can
+    # certify a larger C/N, and recorded reports were made this way.
+    def reach(ray_end, side):
+        k = 1 if side == "low" else 0
+        ends = [ray_end if j == j0 else arc.tau_pieces()[0][0][k]
+                for j, arc in enumerate(family.arcs)]
+        bound = n_max if n_max is not None else default_n_bound(piece, ends)
+        return _side_reach(piece, ends, family.strong, side, bound)[0]
+
+    right = None if b_tau is None else reach(b_tau, "high")
+    left = None if a_tau is None else reach(a_tau, "low")
     return left, right
 
 
@@ -681,11 +656,10 @@ def detect_relative(piece, family, n_max=None):
         return DetectionResult(SlopeArc.full(), exc, branch="full")
 
     if v == 0:
-        c_min, c_max = core_interval(piece, family)
-        low = jn_refine_low(piece, family, n_max)
-        high = jn_refine_high(piece, family, n_max)
-        left = low[0] if low else Fraction(c_min)
-        right = high[0] if high else Fraction(c_max)
+        zetas, etas = _horizontal_ends(piece, family)
+        bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
+        left, low = _side_reach(piece, zetas, family.strong, "low", bound)
+        right, high = _side_reach(piece, etas, family.strong, "high", bound)
         detected = SlopeArc.from_tau_interval(left + shift, right + shift)
         exc = merge_exceptions([
             ExceptionalSlope(slope_of_tau(left + shift), Strength.NOT_STRONG,
@@ -694,8 +668,7 @@ def detect_relative(piece, family, n_max=None):
                              "frontier of the detected interval"),
         ])
         return DetectionResult(detected, exc, branch="horizontal-interval",
-                               low_certificate=low[1] if low else None,
-                               high_certificate=high[1] if high else None)
+                               low_certificate=low, high_certificate=high)
 
     # v == 1: the detected set is a closed arc through the vertical slope.
     j0 = next(j for j, arc in enumerate(family.arcs) if arc.contains_vertical())
@@ -785,8 +758,7 @@ def realize(piece, family, result, target, n_max=None):
     # Past both cores, so in the refinement zone of the ray (-oo, a] (low,
     # reaching down to ``left``) or of [b, +oo) (high, up to ``right``).
     if result.detected.is_full:
-        a_tau, b_tau = pieces[j0][0][1], pieces[j0][1][0]
-        right = _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max)[1]
+        right = _ray_side_bounds(piece, family, j0, None, pieces[j0][1][0], n_max)[1]
     else:
         right = result.detected.end.tau - piece.b_eff
     return tuples[1] if t <= right else tuples[0]

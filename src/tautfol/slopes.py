@@ -69,11 +69,6 @@ class Slope:
 VERTICAL = Slope(1, 0)
 
 
-def slope_from_pair(p, q):
-    """Canonical slope of the nonzero class p*h + q*h#."""
-    return Slope(p, q)
-
-
 def slope_from_string(text):
     """Parse a "p/q" string back into a slope."""
     parts = text.strip().split("/")
@@ -82,23 +77,13 @@ def slope_from_string(text):
     return Slope(int(parts[0]), int(parts[1]))
 
 
-def tau_of_slope(slope):
-    """tau-coordinate of a slope; None stands for infinity (vertical)."""
-    return slope.tau
-
-
 def slope_of_tau(tau):
-    """Inverse of tau_of_slope: None gives the vertical slope, a Fraction or
+    """Inverse of Slope.tau: None gives the vertical slope, a Fraction or
     int t the slope (-t.numerator, t.denominator)."""
     if tau is None:
         return VERTICAL
     t = Fraction(tau)
     return Slope(-t.numerator, t.denominator)
-
-
-def delta(s1, s2):
-    """Geometric intersection pairing |p1*q2 - p2*q1| of two slopes."""
-    return abs(s1.p * s2.q - s2.p * s1.q)
 
 
 def _key(slope):
@@ -426,45 +411,6 @@ def act_arc(g, arc):
     return SlopeArc.arc(e, s)
 
 
-def _slopes_with_q(pieces, has_vertical, q):
-    """All slopes with second coordinate q inside the given tau-pieces,
-    ordered by |p| then p ascending (so tau > 0, i.e. p < 0, wins ties)."""
-    if q == 0:
-        return [VERTICAL] if has_vertical else []
-    found = []
-    for lo, hi in pieces:
-        # tau = -p/q in [lo, hi]  <=>  p in [-q*hi, -q*lo]
-        if hi is None:
-            p_lo = None
-        else:
-            p_lo = -(hi * q)
-        if lo is None:
-            p_hi = None
-        else:
-            p_hi = -(lo * q)
-        # Walk integers near zero outward; unbounded rays always contain
-        # a coprime candidate within |p| <= q + |bound| + 1.
-        if p_lo is None and p_hi is None:
-            lo_i, hi_i = -q - 1, q + 1
-        elif p_lo is None:
-            # p ranges over (-oo, P]; any q+1 consecutive integers contain a
-            # residue coprime to q, so a window around 0 clipped at P works.
-            top = floor(p_hi)
-            hi_i = min(top, q + 1)
-            lo_i = min(-(q + 1), top - q)
-        elif p_hi is None:
-            bot = ceil(p_lo)
-            lo_i = max(bot, -(q + 1))
-            hi_i = max(q + 1, bot + q)
-        else:
-            lo_i, hi_i = ceil(p_lo), floor(p_hi)
-        for p in range(lo_i, hi_i + 1):
-            if gcd(p, q) == 1:
-                found.append(Slope(p, q))
-    found.sort(key=lambda s: (abs(s.p), s.p))
-    return found
-
-
 def simplest_slope(region, allow_vertical=True):
     """The simplest rational slope in a non-empty SlopeArc or SlopeSet:
     minimal q, then minimal |p|, then positive tau preferred.
@@ -484,18 +430,26 @@ def simplest_slope(region, allow_vertical=True):
         ps, v = a.tau_pieces()
         pieces.extend(ps)
         has_vertical = has_vertical or v
-    start = 0 if allow_vertical else 1
-    for q in range(start, 2):
-        candidates = _slopes_with_q(pieces, has_vertical, q)
-        if candidates:
-            return candidates[0]
+    if allow_vertical and has_vertical:
+        return VERTICAL
     if not pieces:
         raise SlopeError("no rational slope found; malformed region")
-    # No integer anywhere: every piece is a finite interval between two
-    # consecutive integers and holds exactly one slope of least q.
-    tau = min((_least_denominator(lo, hi) for lo, hi in pieces),
+    tau = min((_simplest_in(lo, hi) for lo, hi in pieces),
               key=lambda t: (t.denominator, abs(t.numerator), -t.numerator))
     return slope_of_tau(tau)
+
+
+def _simplest_in(lo, hi):
+    """The simplest tau in [lo, hi] (None unbounded): the integer nearest 0
+    when the interval holds one, else its unique tau of least denominator."""
+    k = 0
+    if lo is not None and lo > 0:
+        k = ceil(lo)
+    elif hi is not None and hi < 0:
+        k = floor(hi)
+    if (lo is None or lo <= k) and (hi is None or k <= hi):
+        return Fraction(k)
+    return _least_denominator(lo, hi)
 
 
 def _least_denominator(lo, hi):

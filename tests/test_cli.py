@@ -165,12 +165,22 @@ CROSSCAP_TWO = {
 }
 
 
+CLOSED_DET_PLUS_ONE = {
+    "role": "closed",
+    "pieces": CLOSED_ADMITS["pieces"],
+    "edges": [{"from": ["A", 0], "to": ["B", 0], "matrix": [[1, 3], [0, 1]]}],
+}
+
+
 def test_invalid_graph_exit_2_with_one_prefix(manifold_file, capsys):
-    path = manifold_file(CROSSCAP_TWO)
-    for command in ("detect", "ctf", "oracle-check"):
-        code, out, err = run(capsys, command, path)
-        assert (code, out) == (2, ""), command
-        assert err == "error: piece p0: crosscap number >= 2 is unsupported\n", command
+    for data, message in (
+            (CROSSCAP_TWO, "piece p0: crosscap number >= 2 is unsupported"),
+            (CLOSED_DET_PLUS_ONE, "edge e0: orientation-incompatible gluing (det != -1)")):
+        path = manifold_file(data)
+        for command in ("detect", "ctf", "oracle-check"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {message}\n", command
 
 
 def test_reports_deterministic(manifold_file, capsys):

@@ -78,3 +78,28 @@ def test_exhaustive_extremal_agrees_with_refine(rng):
             got = refine(piece, fam, n_max=10)
             expected = jn_exhaustive_extremal(piece, fam, side, 10)
             assert (got[0] if got else None) == expected, (piece, fam.arcs, side)
+
+
+def _extremal_by_gaps(piece, fam, side, n_max):
+    """The per-gap definition: the largest c/n with n <= n_max for which
+    jn_exhaustive proves the refined endpoint."""
+    c_min, c_max = core_interval(piece, fam)
+    for gap in sorted({F(c, n) for n in range(2, n_max + 1) for c in range(1, n)},
+                      reverse=True):
+        target = c_min - gap if side == "low" else c_max + gap
+        if jn_exhaustive(piece, fam, target, n_max) is not None:
+            return target
+    return None
+
+
+def test_exhaustive_extremal_matches_per_gap_definition(rng):
+    found = 0
+    for _ in range(40):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=4, n_max=3,
+                                                      a_max=4)
+        for side in ("low", "high"):
+            expected = _extremal_by_gaps(piece, fam, side, 8)
+            assert jn_exhaustive_extremal(piece, fam, side, 8) == expected, (
+                piece, fam.arcs, side)
+            found += expected is not None
+    assert found

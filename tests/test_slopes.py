@@ -16,25 +16,22 @@ from tautfol import (
     act,
     act_arc,
     arc_intersect,
-    delta,
     simplest_slope,
-    slope_from_pair,
     slope_from_string,
     slope_of_tau,
-    tau_of_slope,
 )
 from conftest import rand_unimodular
 
 
 def test_canonical_pairs():
-    assert slope_from_pair(2, 4) == Slope(1, 2)
-    assert slope_from_pair(-3, 0) == Slope(1, 0) == VERTICAL
-    assert slope_from_pair(5, -10) == Slope(-1, 2)
+    assert Slope(2, 4) == Slope(1, 2)
+    assert Slope(-3, 0) == Slope(1, 0) == VERTICAL
+    assert Slope(5, -10) == Slope(-1, 2)
 
 
 def test_zero_rejected():
     with pytest.raises(SlopeError):
-        slope_from_pair(0, 0)
+        Slope(0, 0)
 
 
 def test_canonicalization_idempotent(rng):
@@ -42,40 +39,25 @@ def test_canonicalization_idempotent(rng):
         p, q = rng.randint(-30, 30), rng.randint(-30, 30)
         if (p, q) == (0, 0):
             continue
-        s = slope_from_pair(p, q)
-        again = slope_from_pair(s.p, s.q)
+        s = Slope(p, q)
+        again = Slope(s.p, s.q)
         assert again == s
         assert gcd(s.p, s.q) == 1 and s.q >= 0
 
 
 def test_tau_round_trip():
-    assert tau_of_slope(Slope(-3, 2)) == Fraction(3, 2)
-    assert tau_of_slope(VERTICAL) is None
+    assert Slope(-3, 2).tau == Fraction(3, 2)
+    assert VERTICAL.tau is None
     assert slope_of_tau(-2) == Slope(2, 1)
     for p, q in [(1, 2), (-7, 3), (5, 1), (1, 0)]:
         s = Slope(p, q)
-        assert slope_of_tau(tau_of_slope(s)) == s
+        assert slope_of_tau(s.tau) == s
 
 
 def test_slope_strings():
     assert str(Slope(-3, 2)) == "-3/2"
     assert slope_from_string("-3/2") == Slope(-3, 2)
     assert slope_from_string("1/0") == VERTICAL
-
-
-def test_delta():
-    s = Slope(4, 7)
-    assert delta(s, s) == 0
-    assert delta(Slope(1, 0), Slope(0, 1)) == 1
-    assert delta(Slope(2, 3), Slope(1, 1)) == 1
-
-
-def test_delta_symmetric_vanishing(rng):
-    for _ in range(100):
-        s1 = slope_from_pair(rng.randint(-9, 9) or 1, rng.randint(0, 9))
-        s2 = slope_from_pair(rng.randint(-9, 9) or 1, rng.randint(0, 9))
-        assert delta(s1, s2) == delta(s2, s1)
-        assert (delta(s1, s2) == 0) == (s1 == s2)
 
 
 def test_act_examples():
@@ -91,7 +73,7 @@ def test_act_rejects_non_unimodular():
 def test_act_preserves_primitivity(rng):
     for _ in range(100):
         g = rand_unimodular(rng)
-        s = slope_from_pair(rng.randint(-20, 20) or 3, rng.randint(-20, 20))
+        s = Slope(rng.randint(-20, 20) or 3, rng.randint(-20, 20))
         image = act(g, s)
         assert gcd(image.p, image.q) == 1
 
@@ -100,7 +82,7 @@ def test_act_is_group_action(rng):
     for _ in range(100):
         g = rand_unimodular(rng)
         h = rand_unimodular(rng)
-        s = slope_from_pair(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
+        s = Slope(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
         assert act(g.compose(h), s) == act(g, act(h, s))
 
 
@@ -127,8 +109,8 @@ def test_act_arc_identity_and_point(rng):
 def test_act_arc_membership_equivariance(rng):
     for _ in range(30):
         g = rand_unimodular(rng)
-        start = slope_from_pair(rng.randint(-6, 6) or 1, rng.randint(-6, 6))
-        end = slope_from_pair(rng.randint(-6, 6) or 2, rng.randint(-6, 6))
+        start = Slope(rng.randint(-6, 6) or 1, rng.randint(-6, 6))
+        end = Slope(rng.randint(-6, 6) or 2, rng.randint(-6, 6))
         if start == end:
             continue
         arc = SlopeArc.arc(start, end)
@@ -189,7 +171,7 @@ def test_arc_intersect_grid_oracle(rng):
 def test_arc_membership_against_cyclic_order(p1, q1, p2, q2):
     if (p1, q1) == (0, 0) or (p2, q2) == (0, 0):
         return
-    s, e = slope_from_pair(p1, q1), slope_from_pair(p2, q2)
+    s, e = Slope(p1, q1), Slope(p2, q2)
     if s == e:
         return
     arc = SlopeArc.arc(s, e)
@@ -227,16 +209,30 @@ def _simplest_by_scan(pieces):
 
 
 def test_simplest_slope_between_integers(rng):
-    # No integer in the region: the slope comes from the continued fraction
-    # descent, which must agree with a scan over q.
-    for _ in range(300):
+    # A piece holding an integer gives the one nearest 0; a piece between two
+    # integers gives its slope of least q by the continued fraction descent.
+    # Both must agree with a scan over q, mirror images (ties on q and |p|)
+    # included.
+    for _ in range(600):
         arcs = []
         for _ in range(rng.randint(1, 3)):
             b, d = rng.randint(-6, 6), rng.choice([5, 12, 97, 1000, 4099])
-            x, y = sorted(rng.sample(range(1, d), 2))
-            arcs.append(SlopeArc.from_tau_interval(b + Fraction(x, d), b + Fraction(y, d)))
+            if rng.random() < 0.5:
+                x, y = sorted(rng.sample(range(1, d), 2))
+                lo, hi = b + Fraction(x, d), b + Fraction(y, d)
+            else:
+                lo = b + Fraction(rng.randrange(d), d)
+                hi = lo + Fraction(rng.randrange(3 * d), d)
+            arcs.append(SlopeArc.from_tau_interval(lo, hi))
+            if rng.random() < 0.25:
+                arcs.append(SlopeArc.from_tau_interval(-hi, -lo))
         pieces = [p for arc in arcs for p in arc.tau_pieces()[0]]
         assert simplest_slope(arcs) == _simplest_by_scan(pieces)
+    assert simplest_slope(SlopeArc.from_tau_interval(1, 10**6)) == Slope(-1, 1)
+    assert simplest_slope(SlopeArc.from_tau_interval(-10**6, -1)) == Slope(1, 1)
+    arcs = [SlopeArc.from_tau_interval(Fraction(-5, 2), Fraction(-3, 2)),
+            SlopeArc.from_tau_interval(Fraction(3, 2), Fraction(5, 2))]
+    assert simplest_slope(arcs) == Slope(-2, 1)
     # Two pieces whose slopes of least q tie on q and |p|: positive tau wins.
     arcs = [SlopeArc.from_tau_interval(Fraction(-3, 5), Fraction(-2, 5)),
             SlopeArc.from_tau_interval(Fraction(2, 5), Fraction(3, 5))]

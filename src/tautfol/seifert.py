@@ -36,6 +36,7 @@ from .slopes import (
     SlopeArc,
     act,
     act_arc,
+    _least_denominator,
     simplest_slope,
     slope_of_tau,
 )
@@ -300,10 +301,26 @@ def _satisfies(value_num, n_value, threshold, strict):
 
 def _scan_certificates(slots, n_max):
     """Maximize C/N over certificates whose non-target values satisfy the
-    slot thresholds.  ``slots`` is a list of (tag, threshold, strict).
+    slot thresholds, with N <= n_max.  ``slots`` is a list of (tag,
+    threshold, strict).
 
     Returns (C/N, N, A, assignment dict tag -> numerator, C) or None.
-    Deterministic: the first optimum in (N, then per-N best C, then A) order.
+
+    Every candidate C/N is in lowest terms: (N-1)/N, A/N or (N-A)/N with
+    gcd(A, N) = 1, or 1/N.  So the largest C/N fixes its N, which is unique,
+    and each way of placing the values is one Farey question with a bounded
+    denominator, answered in O(log n_max) integer steps:
+
+    * while 1/N fits every slot but the hardest (threshold t0), the target
+      takes A or N - A and the hardest slot the other: C/N is the best
+      approximation of 1 - t0 from below with N <= cut1 (_farey_below);
+    * the target takes a 1/N copy and {A, N - A} go on the two hardest
+      slots: the least N <= cut2 with some big/N in lowest terms in the
+      window of _first_a_pair_fits, the denominator of the window's
+      simplest fraction (slopes._least_denominator).
+
+    At the winning N the least A reaching C is taken, then the lowest case:
+    the first optimum in (N, then C, then A) order.
     """
     if not slots:
         return None
@@ -317,79 +334,78 @@ def _scan_certificates(slots, n_max):
             return n_max
         return (td - 1) // tn if strict else td // tn
 
-    cut_all = min((one_cutoff(t, s) for t, s in thresholds), default=n_max)
     cut1 = min((one_cutoff(t, s) for t, s in thresholds[1:]), default=n_max)
     cut2 = min((one_cutoff(t, s) for t, s in thresholds[2:]), default=n_max)
     t0, strict0 = thresholds[0]
     t0n, t0d = t0.numerator, t0.denominator
-    # The 1/N case puts the two largest values, which sum to N, above t0*N
-    # and t1*N: impossible at every N when t0 + t1 > 1, or = 1 with a
-    # strict slot.
-    pair = None
+    # Up to cut1 only the hardest slot can refuse a 1/N; A/N < 1 - t0 and
+    # (N-A)/N > t0 are the same condition, so cases 0 and 1 reach the same
+    # C at every N, and where 1/N fits every slot that C is N - 1.
+    best = _farey_below(t0d - t0n, t0d, strict0, min(cut1, n_max))
+    case = None
     if len(thresholds) >= 2:
         t1, strict1 = thresholds[1]
-        if t0 + t1 < 1 or (t0 + t1 == 1 and not (strict0 or strict1)):
-            pair = (t0n, t0d, strict0, t1.numerator, t1.denominator, strict1)
-    # Past cut1 only the 1/N case can place the values, and past cut2 not
-    # even that, so stop there.
-    n_stop = min(n_max, max(cut1, cut2) if pair else cut1)
-
-    best = None  # (c_num, n, a, case_rank)
-    # The best C/N so far as integers (0/1 before any), compared by
-    # cross-multiplication: the order of Fractions without their cost.
-    best_c, best_n = 0, 1
-    best_assign = None
-    for n_value in range(2, n_stop + 1):
-        if best_c * n_value >= (n_value - 1) * best_n:
-            continue  # nothing at this N can strictly improve C/N
-        candidates = []
-        if n_value <= cut_all:
-            candidates.append((n_value - 1, n_value - 1, 0))
-            candidates.append((n_value - 1, 1, 1))
-        elif n_value <= cut1:
-            # target takes A; N - A goes on the hardest slot:
-            # A < N(1 - t0), or <= without strictness.
-            spare = n_value * (t0d - t0n)
-            a_cap = (spare - 1) // t0d if strict0 else spare // t0d
-            a = _largest_coprime_below(n_value, min(a_cap, n_value - 1))
-            if a is not None:
-                candidates.append((a, a, 0))
-            # target takes N - A; A itself sits on the hardest slot.
-            need = n_value * t0n
-            a_floor = need // t0d + 1 if strict0 else -((-need) // t0d)
-            a = _smallest_coprime_at_least(n_value, max(a_floor, 1))
-            if a is not None:
-                candidates.append((n_value - a, a, 1))
-        # target takes a 1/N copy (needs at least two non-target slots).
-        if pair and n_value <= cut2 and best_c * n_value < best_n:
-            a = _first_a_pair_fits(n_value, pair)
-            if a is not None:
-                candidates.append((1, a, 2))
-        if not candidates:
-            continue
-        c_num, a_val, case = max(candidates, key=lambda t: (t[0], -t[1], -t[2]))
-        if c_num * best_n > best_c * n_value:
-            best = (c_num, n_value, a_val, case)
-            best_c, best_n = c_num, n_value
-            best_assign = _build_assignment(slots, order, n_value, a_val, case)
+        pair = (t0n, t0d, strict0, t1.numerator, t1.denominator, strict1)
+        n_value = _least_pair_denominator(pair)
+        # A tie goes to cases 0 and 1: at N <= cut1 they reach C = 1 with A = 1.
+        if (n_value is not None and n_value <= min(cut2, n_max)
+                and (best is None or best[0] * n_value < best[1])):
+            best, case = (1, n_value), 2
     if best is None:
         return None
-    c_num, n_value, a_val, case = best
-    return Fraction(c_num, n_value), n_value, a_val, best_assign, c_num
+    c_num, n_value = best
+    if case == 2:
+        a_val = _first_a_pair_fits(n_value, pair)
+    elif 2 * c_num <= n_value:  # case 0 (A = C) wins a tie in A, at N = 2
+        a_val, case = c_num, 0
+    else:
+        a_val, case = n_value - c_num, 1
+    assign = _build_assignment(slots, order, n_value, a_val, case)
+    return Fraction(c_num, n_value), n_value, a_val, assign, c_num
 
 
-def _largest_coprime_below(n_value, cap):
-    for a in range(min(cap, n_value - 1), 0, -1):
-        if gcd(a, n_value) == 1:
-            return a
-    return None
+def _farey_below(num, den, strict, bound):
+    """(C, N): the largest C/N in (0, 1), in lowest terms, with N <= bound
+    and C/N < num/den (<= when not strict), or None.  num/den is in lowest
+    terms with den > 0."""
+    if num >= den:
+        num, den, strict = 1, 1, True
+    if num <= 0 or bound < 2:
+        return None
+    if den > bound:
+        # num/den is beyond the bound: its last convergent p1/q1 under the
+        # bound and the largest semiconvergent after it bracket num/den.
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            if q0 + a * q1 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        c, n = (p1, q1) if p1 * den < num * q1 else (p0 + k * p1, q0 + k * q1)
+    elif not strict:
+        return num, den
+    else:
+        # The left neighbour of num/den in the Farey sequence of order
+        # bound: num*n - den*c = 1 with bound - den < n <= bound.
+        n = bound - (bound - pow(num, -1, den)) % den
+        c = (num * n - 1) // den
+    return (c, n) if c > 0 else None
 
 
-def _smallest_coprime_at_least(n_value, floor_a):
-    for a in range(max(1, floor_a), n_value):
-        if gcd(a, n_value) == 1:
-            return a
-    return None
+def _least_pair_denominator(pair):
+    """The least N with a big/N in lowest terms that _first_a_pair_fits
+    accepts: 1/2 <= big/N < 1, big/N above t0 and below 1 - t1 (or at
+    them without strictness).  None when that window is empty."""
+    t0n, t0d, s0, t1n, t1d, s1 = pair
+    lo = (1, 2, False) if 2 * t0n < t0d else (t0n, t0d, s0)
+    hi = (1, 1, True) if t1n <= 0 else (t1d - t1n, t1d, s1)
+    gap = lo[0] * hi[1] - hi[0] * lo[1]
+    if gap > 0 or (gap == 0 and (lo[2] or hi[2])):
+        return None
+    return _least_denominator(lo[0], lo[1], hi[0], hi[1], lo[2], hi[2])[1]
 
 
 def _first_a_pair_fits(n_value, pair):

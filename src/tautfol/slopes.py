@@ -449,16 +449,26 @@ def _simplest_in(lo, hi):
         k = floor(hi)
     if (lo is None or lo <= k) and (hi is None or k <= hi):
         return Fraction(k)
-    return _least_denominator(lo, hi)
+    p, q = _least_denominator(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return Fraction(p, q)
 
 
-def _least_denominator(lo, hi):
-    """The rational of least denominator in [lo, hi], lo <= hi, by the
-    continued fraction expansion (the Stern-Brocot descent); it is unique
-    when the interval holds no integer."""
-    a = floor(lo)
-    if a == lo:
-        return Fraction(a)
-    if a + 1 <= hi:
-        return Fraction(a + 1)
-    return a + 1 / _least_denominator(1 / (hi - a), 1 / (lo - a))
+def _least_denominator(lo_num, lo_den, hi_num, hi_den, lo_open=False, hi_open=False):
+    """(p, q): the rational p/q of least denominator q > 0 in the non-empty
+    interval from lo_num/lo_den to hi_num/hi_den (positive denominators; an
+    end is left out when its flag is set), by the continued fraction
+    expansion (the Stern-Brocot descent); it is unique when the interval
+    holds no integer.  Takes O(log) integer steps in the ends' sizes."""
+    # x = (p1*y + p0) / (q1*y + q0) for the tail y, which lies between the
+    # current ends; hi_den == 0 means the tail has no upper end.
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        k = lo_num // lo_den + 1 if lo_open else -(-lo_num // lo_den)
+        if hi_den == 0 or k * hi_den < hi_num or (k * hi_den == hi_num and not hi_open):
+            return p1 * k + p0, q1 * k + q0
+        # No integer in between: y = a + 1/z, and z lies between
+        # 1/(hi - a) and 1/(lo - a), so the ends swap.
+        a = lo_num // lo_den
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        lo_num, lo_den, hi_num, hi_den = hi_den, hi_num - a * hi_den, lo_den, lo_num - a * lo_den
+        lo_open, hi_open = hi_open, lo_open

@@ -252,3 +252,43 @@ def test_oracle_check_random_trees(manifold_file, capsys):
                            "--format", "json")
         assert code == 0, out
         assert json.loads(out)["ok"] is True
+
+
+def _two_piece_torus(m):
+    """A solid torus whose high refinement certificate has N = m."""
+    return {
+        "role": "solid-torus",
+        "pieces": [
+            {"id": "root", "base": {"orientable": True, "crosscaps": 0},
+             "cones": [[2, 1]], "b": -1, "boundary": 2},
+            {"id": "leaf", "base": {"orientable": True, "crosscaps": 0},
+             "cones": [[2, 1], [3, 1]], "b": -1, "boundary": 1},
+        ],
+        "edges": [{"from": ["leaf", 0], "to": ["root", 1],
+                   "matrix": [[m, 1], [m + 1, 1]]}],
+    }
+
+
+def test_detect_certificate_at_a_64_bit_bound(manifold_file, capsys):
+    m = 2**64 + 1
+    code, out, _ = run(capsys, "detect", manifold_file(_two_piece_torus(m)),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["refinement_high"]["N"] == m
+
+
+def test_detect_certificate_pattern_matches_the_linear_scan(manifold_file, capsys,
+                                                             monkeypatch):
+    from test_seifert import _linear_scan
+
+    from tautfol import seifert
+
+    for k in range(1, 13):
+        m = 2**k + 1
+        path = manifold_file(_two_piece_torus(m), f"t{k}.json")
+        code, out, _ = run(capsys, "detect", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["refinement_high"]["N"] == m
+        with monkeypatch.context() as patch:
+            patch.setattr(seifert, "_scan_certificates", _linear_scan)
+            assert run(capsys, "detect", path, "--format", "json") == (code, out, "")

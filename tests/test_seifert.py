@@ -26,12 +26,18 @@ from tautfol import (
     v_count,
 )
 from tautfol.oracle import GridSpec, grid_union, jn_exhaustive
-from tautfol.seifert import _scan_certificates
+from tautfol.seifert import (
+    _build_assignment,
+    _first_a_pair_fits,
+    _scan_certificates,
+    default_n_bound,
+)
 from conftest import (
     rand_cones,
     rand_family,
     rand_fraction,
     rand_horizontal_piece_and_family,
+    rand_orientable_piece,
 )
 
 F = Fraction
@@ -235,6 +241,123 @@ def test_certificate_scan_finds_the_optimum(rng):
     # Non-strict thresholds summing to exactly 1: only {5, 3} at N = 8 fits.
     slots = [(0, F(5, 8), False), (1, F(3, 8), False)]
     assert _scan_certificates(slots, 14)[:2] == _best_c_over_n(slots, 14) == (F(1, 8), 8)
+
+
+def _linear_scan(slots, n_max):
+    """The certificate scan as a loop over every N <= n_max, with the same
+    per-N rule: the reference for _scan_certificates' closed form.  (The
+    loop built the assignment at every improvement; it is built once here,
+    for the optimum, with the same result.)"""
+    if not slots:
+        return None
+    order = sorted(range(len(slots)), key=lambda i: (-slots[i][1], not slots[i][2]))
+    thresholds = [(slots[i][1], slots[i][2]) for i in order]
+
+    def one_cutoff(threshold, strict):
+        tn, td = threshold.numerator, threshold.denominator
+        if tn <= 0:
+            return n_max
+        return (td - 1) // tn if strict else td // tn
+
+    cut_all = min((one_cutoff(t, s) for t, s in thresholds), default=n_max)
+    cut1 = min((one_cutoff(t, s) for t, s in thresholds[1:]), default=n_max)
+    cut2 = min((one_cutoff(t, s) for t, s in thresholds[2:]), default=n_max)
+    t0, strict0 = thresholds[0]
+    t0n, t0d = t0.numerator, t0.denominator
+    pair = None
+    if len(thresholds) >= 2:
+        t1, strict1 = thresholds[1]
+        if t0 + t1 < 1 or (t0 + t1 == 1 and not (strict0 or strict1)):
+            pair = (t0n, t0d, strict0, t1.numerator, t1.denominator, strict1)
+    n_stop = min(n_max, max(cut1, cut2) if pair else cut1)
+    best = None
+    best_c, best_n = 0, 1
+    for n_value in range(2, n_stop + 1):
+        if best_c * n_value >= (n_value - 1) * best_n:
+            continue
+        candidates = []
+        if n_value <= cut_all:
+            candidates.append((n_value - 1, n_value - 1, 0))
+            candidates.append((n_value - 1, 1, 1))
+        elif n_value <= cut1:
+            spare = n_value * (t0d - t0n)
+            a_cap = (spare - 1) // t0d if strict0 else spare // t0d
+            a = next((a for a in range(min(a_cap, n_value - 1), 0, -1)
+                      if math.gcd(a, n_value) == 1), None)
+            if a is not None:
+                candidates.append((a, a, 0))
+            need = n_value * t0n
+            a_floor = need // t0d + 1 if strict0 else -((-need) // t0d)
+            a = next((a for a in range(max(a_floor, 1), n_value)
+                      if math.gcd(a, n_value) == 1), None)
+            if a is not None:
+                candidates.append((n_value - a, a, 1))
+        if pair and n_value <= cut2 and best_c * n_value < best_n:
+            a = _first_a_pair_fits(n_value, pair)
+            if a is not None:
+                candidates.append((1, a, 2))
+        if not candidates:
+            continue
+        c_num, a_val, case = max(candidates, key=lambda t: (t[0], -t[1], -t[2]))
+        if c_num * best_n > best_c * n_value:
+            best = (c_num, n_value, a_val, case)
+            best_c, best_n = c_num, n_value
+    if best is None:
+        return None
+    c_num, n_value, a_val, case = best
+    return (F(c_num, n_value), n_value, a_val,
+            _build_assignment(slots, order, n_value, a_val, case), c_num)
+
+
+def _placement(slots, n):
+    """Which values can fit at N: 1/N fits every slot ("all"), every slot
+    but the hardest ("hardest"), or fewer ("pair": only the target's 1/N)."""
+    fits = sorted(((t, s) for _, t, s in slots), key=lambda ts: (-ts[0], not ts[1]))
+    ok = [F(1, n) > t if s else F(1, n) >= t for t, s in fits]
+    return "all" if all(ok) else "hardest" if all(ok[1:]) else "pair"
+
+
+def test_certificate_scan_matches_the_linear_scan(rng):
+    dens = [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 17, 30, 97]
+    wins = {"all": 0, "hardest": 0, "pair": 0, None: 0}
+    for _ in range(40000):
+        slots = []
+        for i in range(rng.randint(1, 5)):
+            d = rng.choice(dens)
+            num = rng.choice([0, 1, 1, 1, 1, 1, rng.randint(1, d - 1), rng.randint(1, d - 1)])
+            slots.append((i, F(num, d), rng.random() < 0.5))
+        if len(slots) >= 2 and rng.random() < 0.3:
+            # Two hard slots, t0 >= 1/2 and t1 just under 1 - t0, and easy
+            # others: often only the target's 1/N copy is left.
+            d = rng.choice(dens)
+            t0 = F(rng.randint(d, 2 * d - 1), 2 * d)
+            hard = [t0, (1 - t0) * F(rng.randint(2 * d, 3 * d), 3 * d)]
+            slots = [(i, hard[i] if i < 2 else F(1, rng.choice([30, 97])), strict)
+                     for i, (_, _, strict) in enumerate(slots)]
+        elif len(slots) >= 2 and rng.random() < 0.3:
+            # Two thresholds summing to exactly 1, or to more than 1.
+            j = rng.randrange(1, len(slots))
+            excess = F(rng.randint(1, 3), rng.choice(dens)) if rng.random() < 0.5 else 0
+            slots[j] = (j, 1 - slots[0][1] + excess, slots[j][2])
+        n_max = rng.randint(0, rng.choice([12, 60, 300]))
+        found = _scan_certificates(slots, n_max)
+        assert found == _linear_scan(slots, n_max), (slots, n_max)
+        wins[found and _placement(slots, found[1])] += 1
+    assert min(wins.values()) > 1000, wins
+
+
+def test_certificate_scan_at_large_bounds():
+    # The optimum sits at the bound: (k-2)/2 over k-1 for even k, so
+    # 499999/999999 at k = 10^6.
+    for k in (10**6, 10**40):
+        slots = [(0, F(1, 2), True), (1, F(1, k), True)]
+        c_over_n, n_value, a_val, assign, c_num = _scan_certificates(slots, k)
+        assert (c_over_n, n_value, c_num) == (F((k - 2) // 2, k - 1), k - 1, (k - 2) // 2)
+        assert assign == {0: k // 2, 1: 1} and a_val == (k - 2) // 2
+    # The slowest scan of a census member: found at N = 3 under a bound of
+    # 822,871,550.
+    slots = [(("cone", 0), F(3, 5), True), (("bdry", 0), F(24636223, 82287155), False)]
+    assert _scan_certificates(slots, 822871550)[:3] == (F(1, 3), 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +641,41 @@ def test_realize_between_abutting_ray_cores():
     for den in range(2, 13):
         for k in range(1, den):
             _assert_realizes(piece, family, slope_of_tau(-2 + F(k, den)))
+
+
+def test_realize_in_refined_zones_under_the_point_bound(rng):
+    """In a refined zone realize picks the side's extreme endpoints.  The
+    point family's default bound counts only their denominators, the
+    family's bound both sides'; here the other side's reach 2^32, and the
+    point family must still find the family's certificate."""
+    targets = smaller = 0
+    for _ in range(1200):
+        r = rng.randint(2, 4)
+        piece = rand_orientable_piece(rng, r)
+        if piece.n + r < 3:
+            continue
+        small_high = rng.random() < 0.5
+        pairs = []
+        for _ in range(r - 1):
+            x = rand_fraction(rng)
+            d = rng.randint(2, 2**32)
+            w = F(rng.randint(1, 3 * d), d)
+            pairs.append((x - w, x) if small_high else (x, x + w))
+        family = _interval_family(*pairs)
+        res = detect_relative(piece, family)
+        c_min, c_max = core_interval(piece, family)
+        shift = piece.b_eff
+        left, right = res.detected.start.tau - shift, res.detected.end.tau - shift
+        zones = []
+        if res.low_certificate is not None:
+            zones.append(("low", left, c_min))
+        if res.high_certificate is not None:
+            zones.append(("high", right, c_max))
+        for side, reach, core in zones:
+            ends = [hi if side == "low" else lo for lo, hi in pairs]
+            all_ends = [e for pair in pairs for e in pair]
+            smaller += default_n_bound(piece, ends) < default_n_bound(piece, all_ends)
+            for t in (reach, (reach + core) / 2):
+                _assert_realizes(piece, family, slope_of_tau(t + shift))
+                targets += 1
+    assert targets > 300 and smaller > 50, (targets, smaller)

@@ -49,7 +49,6 @@ from .graph import (
     parse_manifold,
     rational_longitude,
     split_at_edge,
-    subtree,
     validate,
 )
 from .decide import (

@@ -124,6 +124,8 @@ def _cmd_validate(graph, args):
 
 
 def _cmd_longitude(graph, args):
+    graph.root()  # a role mismatch keeps its own message
+    _require_valid(graph)
     result = rational_longitude(graph)
     report = {
         "schema": SCHEMA,

@@ -13,14 +13,19 @@ over an orientable base and not strong over a non-orientable one, and the
 two cable-space / degenerate-fibration situations downgrade finitely many
 slopes to an indeterminate status.
 
-decide_ctf splits a closed manifold along any JSJ torus, intersects the two
-detected sets, and certifies a co-oriented taut foliation by a gluing
-coherent slope assignment when the intersection is non-empty.
+The same pass gives each subtree's rational longitude in closed form, so
+no question here needs H_1 of the whole graph: decide_ctf splits a closed
+manifold along any JSJ torus, reads from the two longitudes there whether it
+is a rational homology sphere, intersects the two detected sets, and
+certifies a co-oriented taut foliation by a gluing coherent slope assignment
+when the intersection is non-empty.  A graph is read-only, so its
+evaluation is kept on it and every question about it shares one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .graph import (
@@ -30,7 +35,6 @@ from .graph import (
     presentation,
     rational_longitude,
     split_at_edge,
-    subtree,
     validate,
     errors_of,
 )
@@ -79,6 +83,7 @@ class _Node:
     children: tuple      # _Child per other boundary, in boundary-index order
     family: object       # ConstraintFamily fed to the kernel; None on a product
     result: DetectionResult
+    longitude: object    # the subtree's rational longitude, None when b1 != 1
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,20 @@ def _evaluate(graph, n_max):
         piece = graph.pieces[pid]
         children = tuple(_child(graph, nodes, pid, j)
                          for j in range(piece.boundary_count) if j != via)
-        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max))
-    return list(nodes.values())
+        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max),
+                           _longitude(piece, children))
+    return tuple(nodes.values())
+
+
+def _evaluated(graph, n_max):
+    """The nodes of a valid graph: validated and evaluated on first use, then
+    read from the graph."""
+    nodes = graph.evaluations.get(n_max)
+    if nodes is None:
+        if not graph.evaluations:
+            _require_valid(graph)
+        nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
+    return nodes
 
 
 def _child(graph, nodes, pid, j):
@@ -129,6 +146,31 @@ def _child(graph, nodes, pid, j):
         ExceptionalSlope(act(g, e.slope), e.status, e.reason)
         for e in node.result.exceptions)
     return _Child(j, edge, g, node, act_arc(g, node.result.detected), moved)
+
+
+def _longitude(piece, children):
+    """The subtree's rational longitude in its root frame, or None when the
+    subtree's first Betti number is not 1.
+
+    By Mayer-Vietoris, filling each child torus along the child's longitude
+    lambda_j leaves the subtree's rational homology, and b1 = 1 exactly when
+    every child has b1 = 1 and the lambda_j stay independent in H_1(piece; Q).
+    Over a planar base a horizontal lambda_j sets d_j = -tau(lambda_j) h and
+    a vertical one kills h, so two vertical ones are dependent; over a
+    crosscap-1 base h is torsion, so a vertical lambda_j is dependent and the
+    others kill their d_j, leaving the root's d free."""
+    lams = []
+    for c in children:
+        if c.node.longitude is None:
+            return None
+        lams.append(act(c.transport, c.node.longitude))
+    vertical = sum(1 for lam in lams if lam.is_vertical)
+    if not piece.base_orientable:
+        return VERTICAL if vertical == 0 else None
+    if vertical:
+        return VERTICAL if vertical == 1 else None
+    return slope_of_tau(piece.b - sum(Fraction(beta, a) for a, beta in piece.cones)
+                        - sum(lam.tau for lam in lams))
 
 
 def _detect(piece, via, children, n_max):
@@ -250,16 +292,14 @@ def _listed(slope, entries):
 
 def detect_tree(graph, n_max=None):
     """DetectionResult on the dangling torus of a solid-torus-role graph."""
-    _require_valid(graph)
-    return _evaluate(graph, n_max)[-1].result
+    return _evaluated(graph, n_max)[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):
     """(piece, constraint family) for every node of the rooted tree, children
     first; the families are the transported child detected sets actually fed
     to the relative-detection kernel."""
-    _require_valid(graph)
-    return [(node.piece, node.family) for node in _evaluate(graph, n_max)
+    return [(node.piece, node.family) for node in _evaluated(graph, n_max)
             if node.family is not None]
 
 
@@ -283,11 +323,13 @@ def check_degenerate(graph, n_max=None):
     """Is the detected set a single point (necessarily the rational
     longitude)?  Cross-checks the branch conditions against the direct
     computation and reports any disagreement."""
-    _require_valid(graph)
-    root = _evaluate(graph, n_max)[-1]
+    root = _evaluated(graph, n_max)[-1]
     result = root.result
     direct = result.detected.is_point
-    lam = rational_longitude(graph).slope
+    lam = root.longitude
+    if lam is None:
+        rational_longitude(graph)  # raises, naming the Betti number
+        raise DecisionError("the tree has no rational longitude, but H_1 has betti = 1")
     piece, children = root.piece, root.children
     arcs = [c.arc for c in children]
     v = sum(1 for a in arcs if a.contains_vertical())
@@ -321,13 +363,9 @@ def check_degenerate(graph, n_max=None):
         predicted = False
         explanation = "some child set is not degenerate"
         if v == 0 and all(a.is_point for a in arcs):
-            points_are_longitudes = True
-            for c in children:
-                sub_graph = subtree(graph, *c.edge.other_side(piece.ident, c.bdry))
-                sub_lam = rational_longitude(sub_graph).slope
-                if act(c.transport, sub_lam) != c.arc.start:
-                    points_are_longitudes = False
-            if points_are_longitudes:
+            # b1 = 1 here, so every child subtree has b1 = 1 and a longitude.
+            if all(act(c.transport, c.node.longitude) == c.arc.start
+                   for c in children):
                 # The root's kernel result is relative to exactly these arcs.
                 predicted = result.detected == SlopeArc.point(lam)
                 explanation = (
@@ -364,8 +402,7 @@ def extract_witness(graph, target, n_max=None):
     edge ident maps to the assigned slope on that torus in the edge's
     from-side frame.  Raises DecisionError when the target is not detected.
     """
-    _require_valid(graph)
-    return _extract(_evaluate(graph, n_max)[-1], target, n_max)
+    return _extract(_evaluated(graph, n_max)[-1], target, n_max)
 
 
 def _extract(root, target, n_max):
@@ -458,16 +495,13 @@ def decide_ctf(graph, split_edge=None, n_max=None):
         raise RoleError(
             "Seifert manifolds without JSJ tori are out of scope; fill a "
             "one-piece solid torus and test membership with detect instead")
-    summary = homology(graph)
-    if summary.betti != 0:
-        raise RoleError(
-            f"not a rational homology sphere (betti = {summary.betti})")
     if split_edge is None:
         edge = graph.edges[0]
     elif isinstance(split_edge, str):
         try:
             edge = graph.edge_by_ident(split_edge)
         except KeyError:
+            _require_rational_sphere(graph)
             raise RoleError(
                 f"no edge {split_edge!r}; the edges are: "
                 f"{', '.join(e.ident for e in graph.edges)}") from None
@@ -478,6 +512,13 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     u_side, v_side = split_at_edge(graph, edge)
     u_root = _evaluate(u_side, n_max)[-1]
     v_root = _evaluate(v_side, n_max)[-1]
+    # By Mayer-Vietoris, b1 = 0 exactly when both sides have b1 = 1 and
+    # their longitudes are different slopes of the split torus.
+    if (u_root.longitude is None or v_root.longitude is None
+            or u_root.longitude == act(edge.matrix.inverse(), v_root.longitude)):
+        _require_rational_sphere(graph)
+        raise DecisionError(
+            f"the longitudes at {edge.ident} give betti > 0, but H_1 has betti = 0")
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
     if meet.is_empty:
@@ -493,6 +534,14 @@ def decide_ctf(graph, split_edge=None, n_max=None):
             witness[key] = slope
     tags = _tag_pieces(graph, witness)
     return CtfVerdict(True, witness, tags, NOTE_ADMITS, edge.ident)
+
+
+def _require_rational_sphere(graph):
+    """Raise, naming the Betti number, unless b1 = 0; only the error paths
+    of decide_ctf solve H_1."""
+    betti = homology(graph).betti
+    if betti != 0:
+        raise RoleError(f"not a rational homology sphere (betti = {betti})")
 
 
 def _tag_pieces(graph, witness):

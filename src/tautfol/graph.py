@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .snf import Presentation
 from .seifert import PieceError, SeifertPiece
@@ -67,20 +68,34 @@ class Edge:
 
 
 class PlumbingGraph:
-    """A tree of Seifert pieces with GL(2,Z) edge gluings."""
+    """A tree of Seifert pieces with GL(2,Z) edge gluings.
+
+    A graph is read-only once built (``pieces`` is a read-only mapping), so
+    ``evaluations``, which maps n_max to the validated tree evaluation of
+    ``decide``, cannot go stale: each graph is evaluated at most once per
+    bound, and the records live as long as the graph does.
+    """
+
+    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations")
 
     def __init__(self, pieces, edges, role):
-        self.pieces = {p.ident: p for p in pieces}
-        if len(self.pieces) != len(pieces):
+        by_ident = {p.ident: p for p in pieces}
+        if len(by_ident) != len(pieces):
             raise ManifoldFormatError("duplicate piece ids")
-        self.edges = tuple(edges)
-        self.role = role
-        self._by_boundary = {}
-        for e in self.edges:
+        edges = tuple(edges)
+        by_boundary = {}
+        for e in edges:
             for key in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
-                if key in self._by_boundary:
+                if key in by_boundary:
                     raise ManifoldFormatError(f"boundary {key} used by two edges")
-                self._by_boundary[key] = e
+                by_boundary[key] = e
+        for name, value in (("pieces", MappingProxyType(by_ident)), ("edges", edges),
+                            ("role", role), ("_by_boundary", by_boundary),
+                            ("evaluations", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PlumbingGraph is read-only")
 
     def piece(self, ident):
         return self.pieces[ident]
@@ -299,42 +314,37 @@ def normalize(graph):
 
 
 # ---------------------------------------------------------------------------
-# Subtrees and splitting
+# Splitting
 # ---------------------------------------------------------------------------
-
-
-def subtree(graph, root_piece, root_bdry):
-    """The solid-torus-role graph on one side of a torus: all pieces reachable
-    from ``root_piece`` without crossing the torus (root_piece, root_bdry)."""
-    keep = {root_piece}
-    frontier = [root_piece]
-    edges = []
-    while frontier:
-        pid = frontier.pop()
-        p = graph.pieces[pid]
-        for j in range(p.boundary_count):
-            if (pid, j) == (root_piece, root_bdry):
-                continue
-            e = graph.edge_at(pid, j)
-            if e is None:
-                continue
-            oid, _ = e.other_side(pid, j)
-            if oid not in keep:
-                keep.add(oid)
-                frontier.append(oid)
-                edges.append(e)
-    pieces = [graph.pieces[i] for i in graph.pieces if i in keep]
-    return PlumbingGraph(pieces, edges, "solid-torus")
 
 
 def split_at_edge(graph, edge):
     """Split a closed graph along a JSJ torus into two rooted solid tori.
 
-    Returns (U, V): U rooted at the from-side frame, V at the to-side frame.
+    Returns (U, V): U rooted at the from-side frame, V at the to-side frame;
+    each holds the pieces reachable from its side of the torus without
+    crossing it.
     """
-    u = subtree(graph, edge.from_piece, edge.from_bdry)
-    v = subtree(graph, edge.to_piece, edge.to_bdry)
-    return u, v
+    sides = []
+    for root_piece, root_bdry in ((edge.from_piece, edge.from_bdry),
+                                  (edge.to_piece, edge.to_bdry)):
+        keep = {root_piece}
+        frontier = [root_piece]
+        edges = []
+        while frontier:
+            pid = frontier.pop()
+            for j in range(graph.pieces[pid].boundary_count):
+                e = graph.edge_at(pid, j)
+                if e is None or (pid, j) == (root_piece, root_bdry):
+                    continue
+                oid, _ = e.other_side(pid, j)
+                if oid not in keep:
+                    keep.add(oid)
+                    frontier.append(oid)
+                    edges.append(e)
+        pieces = [p for i, p in graph.pieces.items() if i in keep]
+        sides.append(PlumbingGraph(pieces, edges, "solid-torus"))
+    return tuple(sides)
 
 
 # ---------------------------------------------------------------------------

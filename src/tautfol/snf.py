@@ -33,106 +33,83 @@ def smith_normal_form(matrix):
     """Return (d, U, V) with U * matrix * V = D diagonal, d the diagonal,
     U and V unimodular, and each diagonal entry dividing the next.
 
-    ``matrix`` is a list of rows; it is not modified.
+    ``matrix`` is a list of rows; it is not modified.  Row and column
+    Hermite forms alternate until the matrix is diagonal, and each keeps
+    its entries bounded (see ``_hermite_rows``); eliminating one pivot at a
+    time instead lets them grow without bound.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     a = [list(r) for r in matrix]
     u = _identity(rows)
-    v = _identity(cols)
-
-    def row_op(i, j, k):  # row_i += k * row_j
-        for t in range(cols):
-            a[i][t] += k * a[j][t]
-        for t in range(rows):
-            u[i][t] += k * u[j][t]
-
-    def col_op(i, j, k):  # col_i += k * col_j
-        for t in range(rows):
-            a[t][i] += k * a[t][j]
-        for t in range(cols):
-            v[t][i] += k * v[t][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for t in range(rows):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(cols):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def nearest_quotient(x, pivot):
-        # Balanced division: remainder in [-pivot/2, pivot/2].
-        return (2 * x + pivot) // (2 * pivot)
-
-    r = 0
-    while r < rows and r < cols:
-        # Locate the nonzero entry of smallest magnitude in the working block.
-        pivot = None
-        for i in range(r, rows):
-            for j in range(r, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    vt = _identity(cols)  # V transposed: a column move is a row move of a^T
+    while True:
+        piv = _hermite_rows(a, u)
+        if all(sum(1 for x in a[i] if x) == 1 for i in range(len(piv))):
             break
-        i, j = pivot
-        row_swap(r, i)
-        col_swap(r, j)
-        if a[r][r] < 0:
-            row_negate(r)
-        # Shrink the pivot until it divides its whole row and column.  Each
-        # balanced reduction at least halves the pivot, so this is fast and
-        # keeps the entries from blowing up.
-        while True:
-            shrunk = False
-            for i in range(r + 1, rows):
-                if a[i][r] % a[r][r] != 0:
-                    row_op(i, r, -nearest_quotient(a[i][r], a[r][r]))
-                    row_swap(r, i)
-                    if a[r][r] < 0:
-                        row_negate(r)
-                    shrunk = True
-                    break
-            if shrunk:
-                continue
-            for j in range(r + 1, cols):
-                if a[r][j] % a[r][r] != 0:
-                    col_op(j, r, -nearest_quotient(a[r][j], a[r][r]))
-                    col_swap(r, j)
-                    if a[r][r] < 0:
-                        row_negate(r)
-                    shrunk = True
-                    break
-            if not shrunk:
-                break
-        # Exact elimination of the pivot row and column.
-        for i in range(r + 1, rows):
-            if a[i][r] != 0:
-                row_op(i, r, -(a[i][r] // a[r][r]))
-        for j in range(r + 1, cols):
-            if a[r][j] != 0:
-                col_op(j, r, -(a[r][j] // a[r][r]))
-        # Enforce divisibility over the remaining block: fold one offending
-        # row into the pivot row and redo this r.  One at a time, or two bad
-        # entries could cancel modulo the pivot and cycle forever.
-        added = False
-        for i in range(r + 1, rows):
-            if any(a[i][j] % a[r][r] != 0 for j in range(r + 1, cols)):
-                row_op(r, i, 1)
-                added = True
-                break
-        if added:
-            continue  # the shrink loop will strictly reduce the pivot
-        r += 1
+        at = [list(c) for c in zip(*a)]
+        _hermite_rows(at, vt)
+        a = [list(r) for r in zip(*at)]
+    # Pivot columns first, in order, then the others.
+    vt = [vt[j] for j in piv + [j for j in range(cols) if j not in piv]]
+    d = [a[i][c] for i, c in enumerate(piv)] + [0] * (min(rows, cols) - len(piv))
+    # Divisibility along the diagonal by 2 x 2 moves that touch no other
+    # entry: with s*x + t*y = g, [[s, t], [-y/g, x/g]] * diag(x, y) *
+    # [[1, -t*y/g], [1, s*x/g]] is diag(g, x*y/g).
+    for i in range(len(piv)):
+        for j in range(i + 1, len(piv)):
+            x, y = d[i], d[j]
+            if y % x:
+                s, t, p, q = move = _gcd_move(x, y)
+                u[i], u[j] = _move(u[i], u[j], move)
+                vt[i], vt[j] = _move(vt[i], vt[j], (1, 1, t * p, s * q))
+                d[i], d[j] = x // q, x * p
+    return d, u, [list(c) for c in zip(*vt)]
 
-    d = [a[i][i] for i in range(min(rows, cols))]
-    return d, u, v
+
+def _hermite_rows(a, u):
+    """Bring ``a`` to Hermite normal form in place by row moves, applied to
+    ``u`` as well, and return its pivot columns: the nonzero rows come
+    first, each pivot is positive, the rows' pivot columns increase, and
+    every entry above a pivot lies in [0, pivot).
+
+    Rows are taken in one at a time and the form is fully reduced after
+    each, so that every entry stays bounded by minors of the input
+    (Kannan and Bachem 1979)."""
+    piv = []
+    for k in range(len(a)):
+        r = len(piv)
+        a[r], a[k] = a[k], a[r]
+        u[r], u[k] = u[k], u[r]
+        # Clear row r at the pivot columns by gcd moves, left to right,
+        # until it is zero or leads at a new column.
+        i, lead = 0, None
+        for c in range(len(a[r])):
+            if not a[r][c]:
+                continue
+            while i < r and piv[i] < c:
+                i += 1
+            if i == r or piv[i] != c:
+                lead = c
+                break
+            move = _gcd_move(a[i][c], a[r][c])
+            a[i], a[r] = _move(a[i], a[r], move)
+            u[i], u[r] = _move(u[i], u[r], move)
+        if lead is None:
+            continue
+        if a[r][lead] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+        a.insert(i, a.pop(r))
+        u.insert(i, u.pop(r))
+        piv.insert(i, lead)
+        for j, c in enumerate(piv):
+            for h in range(j):
+                f = a[h][c] // a[j][c]
+                if f:
+                    a[h] = [y - f * z for y, z in zip(a[h], a[j])]
+                    u[h] = [y - f * z for y, z in zip(u[h], u[j])]
+    return piv
 
 
 class Presentation:
@@ -245,19 +222,28 @@ def _bezout(a, b):
 
 def _gcd_move(x, y):
     """(s, t, p, q) with [[s, t], [-p, q]] unimodular, sending (x, y), x > 0,
-    to (gcd, 0); the identity on x when x divides y, so the pivot stays."""
+    to (gcd, 0) with gcd > 0; the identity on x when x divides y, so the
+    pivot stays."""
     if y % x == 0:
         return 1, 0, y // x, 1
     s, t = _bezout(x, y)
     g = s * x + t * y
+    if g < 0:
+        s, t, g = -s, -t, -g
     return s, t, y // g, x // g
+
+
+def _move(v, w, move):
+    """Rows v, w after the 2 x 2 move [[s, t], [-p, q]]."""
+    s, t, p, q = move
+    return ([s * a + t * b for a, b in zip(v, w)],
+            [q * b - p * a for a, b in zip(v, w)])
 
 
 def _mix(v, w, move, m):
     """Rows v, w after the 2 x 2 move [[s, t], [-p, q]], reduced modulo m."""
-    s, t, p, q = move
-    return ([(s * a + t * b) % m for a, b in zip(v, w)],
-            [(q * b - p * a) % m for a, b in zip(v, w)])
+    v, w = _move(v, w, move)
+    return [x % m for x in v], [x % m for x in w]
 
 
 def _fraction_free_rref(rows, width):

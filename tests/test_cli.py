@@ -1,6 +1,7 @@
 """The command line front end: commands, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +293,31 @@ def test_detect_certificate_pattern_matches_the_linear_scan(manifold_file, capsy
         with monkeypatch.context() as patch:
             patch.setattr(seifert, "_scan_certificates", _linear_scan)
             assert run(capsys, "detect", path, "--format", "json") == (code, out, "")
+
+
+EDGE_OUT_OF_RANGE = {
+    "role": "solid-torus",
+    "pieces": [
+        {"id": "root", "base": {"orientable": True, "crosscaps": 0},
+         "cones": [[2, 1], [3, 1]], "b": 0, "boundary": 1},
+        {"id": "leaf", "base": {"orientable": True, "crosscaps": 0},
+         "cones": [[2, 1], [3, 1]], "b": 0, "boundary": 1},
+    ],
+    "edges": [{"from": ["leaf", 0], "to": ["root", 1], "matrix": [[0, 1], [1, 0]]}],
+}
+
+
+def test_every_command_ends_in_an_exit_code(manifold_file, capsys):
+    """No command ends in a traceback on the samples or on a graph whose
+    edge names a boundary its piece does not have."""
+    bad = manifold_file(EDGE_OUT_OF_RANGE)
+    samples = sorted(str(p) for p in (Path(__file__).resolve().parent.parent
+                                      / "samples").glob("*.json"))
+    for path in samples + [bad]:
+        for command in ("validate", "longitude", "detect", "ctf", "oracle-check"):
+            code, _, _ = run(capsys, command, path, "--format", "json")
+            assert code in (0, 1, 2, 3), (path, command)
+    for command in ("longitude", "detect"):
+        code, out, err = run(capsys, command, bad)
+        assert (code, out) == (2, ""), command
+        assert err == "error: edge e0 boundary index 1 out of range\n", command

@@ -3,9 +3,11 @@
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tautfol.decide
 from tautfol import (
     ConstraintFamily,
     DecisionError,
@@ -27,14 +29,21 @@ from tautfol import (
     detect_tree,
     extract_witness,
     homology,
+    load_manifold,
     rational_longitude,
     revalidate_witness,
     simplest_slope,
     slope_of_tau,
 )
-from tautfol.decide import ROOT_KEY, iter_piece_evaluations
+from tautfol.decide import ROOT_KEY, _evaluate, iter_piece_evaluations
 from tautfol.seifert import product_transport
-from conftest import rand_matrix, rand_valid_closed, rand_valid_solid_tree
+from conftest import (
+    rand_closed,
+    rand_matrix,
+    rand_solid_tree,
+    rand_valid_closed,
+    rand_valid_solid_tree,
+)
 
 F = Fraction
 
@@ -178,8 +187,6 @@ def plumbing_chain(k):
 
 
 def test_kernel_runs_once_per_piece(monkeypatch):
-    import tautfol.decide
-
     calls = []
 
     def counting(piece, family, n_max=None):
@@ -190,9 +197,35 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     g = plumbing_chain(24)
     res = detect_tree(g)
     assert sorted(calls) == sorted(g.pieces)
+    # The graph keeps its evaluation: extraction only rechecks each piece
+    # that has children, and the other questions call the kernel no more.
     calls.clear()
     extract_witness(g, simplest_slope(res.detected))
-    assert len(calls) <= 2 * 24
+    assert sorted(calls) == sorted(f"p{i}" for i in range(23))
+    calls.clear()
+    iter_piece_evaluations(g)
+    check_degenerate(g)
+    detect_tree(g)
+    assert calls == []
+    detect_tree(g, n_max=5)
+    assert len(calls) == 24
+
+
+def test_evaluation_is_kept_on_its_own_graph():
+    path = Path(__file__).resolve().parent.parent / "samples" / "two_piece_tree.json"
+    g, h = load_manifold(path), load_manifold(path)
+    assert detect_tree(g) == detect_tree(h)
+    nodes_g, nodes_h = g.evaluations[None], h.evaluations[None]
+    assert all(a is not b for a, b in zip(nodes_g, nodes_h))
+    assert detect_tree(g) is nodes_g[-1].result
+    with pytest.raises(AttributeError):
+        g.pieces = {}
+    with pytest.raises(TypeError):
+        g.pieces["extra"] = g.pieces["root"]
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    with pytest.raises(AttributeError):
+        g.role = "closed"
 
 
 def test_deep_chain_needs_no_recursion():
@@ -202,6 +235,51 @@ def test_deep_chain_needs_no_recursion():
     target = simplest_slope(res.detected)
     witness = extract_witness(g, target)
     assert revalidate_witness(g, witness)
+
+
+def test_tree_longitudes_match_homology():
+    """Each root node's longitude is the rational longitude from H_1, and
+    None exactly when the Betti number is not 1."""
+    checked = 0
+    for seed in range(600):
+        g = rand_solid_tree(random.Random(seed), max_pieces=8)
+        betti = homology(g).betti
+        longitude = _evaluate(g, None)[-1].longitude
+        if betti == 1:
+            assert longitude == rational_longitude(g).slope, seed
+            checked += 1
+        else:
+            assert longitude is None, seed
+    assert checked > 500
+
+
+def test_betti_test_at_every_split_matches_homology(monkeypatch):
+    """decide_ctf reads b1 = 0 off the two longitudes at the split torus, at
+    every edge, and solves H_1 only to report a graph that is not a
+    rational homology sphere."""
+    solved = []
+
+    def spy(graph):
+        solved.append(graph)
+        return homology(graph)
+
+    monkeypatch.setattr(tautfol.decide, "homology", spy)
+    spheres = 0
+    for seed in range(600):
+        g = rand_closed(random.Random(seed), max_pieces=6)
+        if g is None:
+            continue
+        betti = homology(g).betti
+        spheres += betti == 0
+        for e in g.edges:
+            solved.clear()
+            if betti == 0:
+                decide_ctf(g, split_edge=e.ident)
+                assert solved == [], (seed, e.ident)
+            else:
+                with pytest.raises(RoleError, match=f"betti = {betti}"):
+                    decide_ctf(g, split_edge=e.ident)
+    assert spheres > 100
 
 
 def test_lambda_membership_random(rng):

@@ -294,3 +294,33 @@ def test_piece_tags_and_fibrations_match_dense(monkeypatch):
     assert any(fib is not None for _tag, fib in reduced)
     monkeypatch.setattr(tautfol.decide, "_piece_free_images", _dense_piece_free_images)
     assert reduced == answers()
+
+
+def _det(matrix):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in matrix]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def test_entries_stay_small_on_a_large_matrix():
+    """A 14 x 13 matrix of 60-bit entries: the transforms stay within a
+    Hadamard-sized bound, where eliminating one pivot at a time reaches tens
+    of thousands of bits."""
+    rng = random.Random(14)
+    matrix = [[rng.randint(-2 ** 60, 2 ** 60) for _ in range(13)] for _ in range(14)]
+    d = _check(matrix)
+    _d, u, v = smith_normal_form(matrix)
+    assert abs(_det(u)) == 1 and abs(_det(v)) == 1
+    assert all(x > 0 for x in d)
+    assert max(abs(x).bit_length() for m in (u, v) for row in m for x in row) <= 2000

@@ -126,13 +126,18 @@ def _evaluate(graph, n_max):
 
 
 def _evaluated(graph, n_max):
-    """The nodes of a valid graph: validated and evaluated on first use, then
-    read from the graph."""
+    """The nodes of a valid graph, read from the graph when an evaluation at
+    this bound is kept there, else evaluated and kept."""
     nodes = graph.evaluations.get(n_max)
-    if nodes is None:
-        if not graph.evaluations:
-            _require_valid(graph)
-        nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
+    return _reevaluated(graph, n_max) if nodes is None else nodes
+
+
+def _reevaluated(graph, n_max):
+    """Evaluate the graph afresh and keep the nodes on it; the graph is
+    validated on its first evaluation only, since it cannot change."""
+    if not graph.evaluations:
+        _require_valid(graph)
+    nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
     return nodes
 
 
@@ -291,8 +296,12 @@ def _listed(slope, entries):
 
 
 def detect_tree(graph, n_max=None):
-    """DetectionResult on the dangling torus of a solid-torus-role graph."""
-    return _evaluated(graph, n_max)[-1].result
+    """DetectionResult on the dangling torus of a solid-torus-role graph.
+
+    Each call evaluates the tree, so timing or tracing it always measures
+    the kernel's work; the evaluation is kept on the graph, where
+    extract_witness, iter_piece_evaluations and check_degenerate read it."""
+    return _reevaluated(graph, n_max)[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):

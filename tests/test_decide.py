@@ -205,9 +205,13 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     calls.clear()
     iter_piece_evaluations(g)
     check_degenerate(g)
-    detect_tree(g)
     assert calls == []
-    detect_tree(g, n_max=5)
+    # detect_tree itself evaluates the tree on every call.
+    assert detect_tree(g) == res
+    assert len(calls) == 24
+    calls.clear()
+    iter_piece_evaluations(g, n_max=5)
+    check_degenerate(g, n_max=5)
     assert len(calls) == 24
 
 
@@ -217,7 +221,8 @@ def test_evaluation_is_kept_on_its_own_graph():
     assert detect_tree(g) == detect_tree(h)
     nodes_g, nodes_h = g.evaluations[None], h.evaluations[None]
     assert all(a is not b for a, b in zip(nodes_g, nodes_h))
-    assert detect_tree(g) is nodes_g[-1].result
+    assert extract_witness(g, simplest_slope(nodes_g[-1].result.detected))
+    assert g.evaluations[None] is nodes_g
     with pytest.raises(AttributeError):
         g.pieces = {}
     with pytest.raises(TypeError):

@@ -9,10 +9,10 @@ and integer +- 1/d offsets are always sampled).
 
 _certificates enumerates every (N, A, placement) triple in lexicographic
 order and yields those whose non-target values pass the cone and boundary
-conditions, tested verbatim and sharing no search logic with the optimized
-scan in the kernel.  jn_exhaustive takes the first one whose target value
-proves a proposed refined endpoint; jn_exhaustive_extremal the largest target
-value C/N over all of them.
+conditions, each tested as an integer threshold built from its definition,
+sharing no search logic with the optimized scan in the kernel.  jn_exhaustive
+takes the first one whose target value proves a proposed refined endpoint;
+jn_exhaustive_extremal the largest target value C/N over all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import ceil, floor, gcd
 
 from .seifert import (
@@ -94,65 +93,65 @@ def grid_union(piece, family, spec=None):
     return lo, hi
 
 
-def _condition_slot(endpoint, in_j, side, b_num, n_value):
-    """Condition (2) for one constraint endpoint.
-
-    The high side is the low side applied to the fibre-reversed piece, so it
-    reads the fractional part of the negated endpoint: frac(-eta) is
-    1 - frac(eta) off the integers but 0 on them, which is what makes an
-    integral free endpoint kill the refinement on both sides."""
-    value = Fraction(b_num, n_value)
-    x = Fraction(endpoint if side == "low" else -endpoint)
-    f = x - floor(x)
-    return (1 - value) < f if in_j else (1 - value) <= f
-
-
-def _condition_cone(gamma, a_num, n_value, side):
-    value = Fraction(a_num, n_value)
-    if side == "low":
-        return (1 - value) < gamma
-    return value > gamma
-
-
-def _placements(n_value, a_value, slot_count):
-    """Every distribution of the multiset {A, N-A, 1, ..., 1} over
-    ``slot_count`` labelled slots, in a stable lexicographic order."""
-    if slot_count < 2:
-        return
-    seen = set()
-    for pos_a in range(slot_count):
-        for pos_b in range(slot_count):
-            if pos_b == pos_a:
-                continue
-            values = [1] * slot_count
-            values[pos_a] = a_value
-            values[pos_b] = n_value - a_value
-            key = tuple(values)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield values
+def _passing(checks, value, n_value):
+    """Whether value/n_value clears each check's threshold p/q, by
+    cross-multiplication; the target slot, last, has no condition."""
+    return [value * q > n_value * p if strict else value * q >= n_value * p
+            for p, q, strict in checks] + [True]
 
 
 def _certificates(piece, family, side, n_max):
     """Every certificate with N <= n_max whose cone and boundary values pass
     their conditions on ``side``, in (N, A, placement) lexicographic order;
-    the target takes the value left on the last slot."""
+    the target takes the value left on the last slot.
+
+    A placement puts A on slot pos_a, N-A on slot pos_b and 1 on every other
+    slot, over pos_a then pos_b; a placement whose value tuple was already
+    yielded is skipped."""
     intervals = _intervals(family)
     endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
     gammas = piece.gammas
     excluded = tuple(j for j, e in enumerate(endpoints)
                      if j in family.strong and Fraction(e).denominator == 1)
     bdry = [j for j in range(len(endpoints)) if j not in excluded]
-    checks = ([partial(_condition_cone, gamma, side=side) for gamma in gammas]
-              + [partial(_condition_slot, endpoints[j], j in family.strong, side)
-                 for j in bdry])
+    # Each check reads value/N > threshold, or >= where not strict.  Cone
+    # condition: 1 - value/N < gamma on the low side, value/N > gamma on the
+    # high side.  Slot condition (2): 1 - value/N < frac(x), or <= when the
+    # slot is not in J.  The high side is the low side applied to the
+    # fibre-reversed piece, so x is the negated endpoint there: frac(-eta)
+    # is 1 - frac(eta) off the integers but 0 on them, which is what makes
+    # an integral free endpoint kill the refinement on both sides.
+    thresholds = [(1 - gamma if side == "low" else gamma, True) for gamma in gammas]
+    for j in bdry:
+        x = Fraction(endpoints[j] if side == "low" else -endpoints[j])
+        thresholds.append((1 - (x - floor(x)), j in family.strong))
+    checks = [(t.numerator, t.denominator, strict) for t, strict in thresholds]
+    slots = len(checks) + 1
     for n_value in range(2, n_max + 1):
+        on_one = _passing(checks, 1, n_value)
+        fails_on_one = on_one.count(False)
         for a_value in range(1, n_value):
             if gcd(a_value, n_value) != 1:
                 continue
-            for values in _placements(n_value, a_value, len(checks) + 1):
-                if all(check(v, n_value) for check, v in zip(checks, values)):
+            b_value = n_value - a_value
+            on_a = _passing(checks, a_value, n_value)
+            on_b = _passing(checks, b_value, n_value)
+            seen = set()
+            for pos_a in range(slots):
+                for pos_b in range(slots):
+                    # Every slot but pos_a and pos_b holds 1.
+                    if (pos_b == pos_a or not on_a[pos_a] or not on_b[pos_b]
+                            or fails_on_one != (not on_one[pos_a]) + (not on_one[pos_b])):
+                        continue
+                    # A position holding 1 does not tell placements apart.
+                    key = (pos_a if a_value != 1 else None,
+                           pos_b if b_value != 1 else None)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    values = [1] * slots
+                    values[pos_a] = a_value
+                    values[pos_b] = b_value
                     yield JNCertificate(
                         n_value=n_value,
                         a_value=a_value,
@@ -184,16 +183,20 @@ def jn_exhaustive(piece, family, boundary_target, n_max):
     else:
         return None
     return next((cert for cert in _certificates(piece, family, side, n_max)
-                 if Fraction(cert.target_numerator, cert.n_value) == c_over_n), None)
+                 if cert.target_numerator * c_over_n.denominator
+                 == cert.n_value * c_over_n.numerator), None)
 
 
 def jn_exhaustive_extremal(piece, family, side, n_max):
     """Extremal refined endpoint found by pure enumeration: the minimal eta
     below c_min resp. maximal zeta above c_max over all certificates with
     N <= n_max, or None.  Used to cross-check the optimized scan."""
-    c_min, c_max = core_interval(piece, family)
-    gap = max((Fraction(cert.target_numerator, cert.n_value)
-               for cert in _certificates(piece, family, side, n_max)), default=None)
-    if gap is None:
+    best = None
+    for cert in _certificates(piece, family, side, n_max):
+        if best is None or cert.target_numerator * best[1] > best[0] * cert.n_value:
+            best = (cert.target_numerator, cert.n_value)
+    if best is None:
         return None
+    c_min, c_max = core_interval(piece, family)
+    gap = Fraction(*best)
     return c_min - gap if side == "low" else c_max + gap

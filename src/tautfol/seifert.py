@@ -111,7 +111,7 @@ class SeifertPiece:
     @property
     def b_eff(self):
         """Section obstruction once every beta_i is reduced into (0, a_i)."""
-        return self.b + sum(beta // a for a, beta in self.cones)
+        return self.b - sum(beta // a for a, beta in self.cones)
 
     @property
     def is_n2(self):

@@ -269,6 +269,42 @@ def test_oracle_check_random_trees(manifold_file, capsys):
         assert json.loads(out)["ok"] is True
 
 
+def test_unreduced_cones_report_as_their_reduction(manifold_file, capsys):
+    """A cone (a, beta + k a) with obstruction b is the cone (a, beta) with
+    b - k: every report but validate's warning equals the reduced graph's."""
+    import copy
+    import random
+
+    from conftest import rand_valid_closed, rand_valid_solid_tree
+    from tautfol import dump_manifold
+
+    rng = random.Random(2718)
+    shifted_cones = 0
+    for k in range(150):
+        closed = k % 3 == 0
+        graph = rand_valid_closed(rng, 3) if closed else rand_valid_solid_tree(rng, 3)
+        data = dump_manifold(graph)
+        unreduced = copy.deepcopy(data)
+        for piece in unreduced["pieces"]:
+            for cone in piece["cones"]:
+                shift = rng.choice([-2, -1, 1, 2])
+                cone[1] += shift * cone[0]
+                piece["b"] += shift
+                shifted_cones += 1
+        reduced_path = manifold_file(data, "reduced.json")
+        unreduced_path = manifold_file(unreduced, "unreduced.json")
+        commands = ("ctf", "oracle-check") if closed else ("longitude", "detect", "oracle-check")
+        for command in commands:
+            # The oracle's enumeration is quadratic in its bound; cap it.
+            flags = ("--format", "json") + (("--nmax", "24") if command == "oracle-check" else ())
+            want = run(capsys, command, reduced_path, *flags)[:2]
+            got = run(capsys, command, unreduced_path, *flags)[:2]
+            assert got == want, (command, unreduced)
+            if command == "oracle-check":
+                assert got[0] == 0 and json.loads(got[1])["ok"] is True, unreduced
+    assert shifted_cones > 150
+
+
 def _two_piece_torus(m):
     """A solid torus whose high refinement certificate has N = m."""
     return {

@@ -1,9 +1,12 @@
 """The brute-force cross-checkers themselves."""
 
 from fractions import Fraction
+from functools import partial
+from math import floor, gcd
 
-from tautfol import ConstraintFamily, SeifertPiece, core_interval
-from tautfol.oracle import GridSpec, grid_union, jn_exhaustive, jn_exhaustive_extremal
+from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval
+from tautfol.oracle import (GridSpec, _certificates, _intervals, grid_union, jn_exhaustive,
+                            jn_exhaustive_extremal)
 from tautfol import jn_refine_high, jn_refine_low
 from conftest import rand_horizontal_piece_and_family
 
@@ -103,3 +106,92 @@ def test_exhaustive_extremal_matches_per_gap_definition(rng):
                 piece, fam.arcs, side)
             found += expected is not None
     assert found
+
+
+def _condition_slot(endpoint, in_j, side, b_num, n_value):
+    value = Fraction(b_num, n_value)
+    x = Fraction(endpoint if side == "low" else -endpoint)
+    f = x - floor(x)
+    return (1 - value) < f if in_j else (1 - value) <= f
+
+
+def _condition_cone(gamma, a_num, n_value, side):
+    value = Fraction(a_num, n_value)
+    if side == "low":
+        return (1 - value) < gamma
+    return value > gamma
+
+
+def _placements(n_value, a_value, slot_count):
+    if slot_count < 2:
+        return
+    seen = set()
+    for pos_a in range(slot_count):
+        for pos_b in range(slot_count):
+            if pos_b == pos_a:
+                continue
+            values = [1] * slot_count
+            values[pos_a] = a_value
+            values[pos_b] = n_value - a_value
+            key = tuple(values)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield values
+
+
+def _fraction_certificates(piece, family, side, n_max):
+    """The certificate enumeration with every condition tested as a Fraction
+    on an explicit list of placements: the reference for _certificates'
+    integer thresholds."""
+    intervals = _intervals(family)
+    endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
+    gammas = piece.gammas
+    excluded = tuple(j for j, e in enumerate(endpoints)
+                     if j in family.strong and Fraction(e).denominator == 1)
+    bdry = [j for j in range(len(endpoints)) if j not in excluded]
+    checks = ([partial(_condition_cone, gamma, side=side) for gamma in gammas]
+              + [partial(_condition_slot, endpoints[j], j in family.strong, side)
+                 for j in bdry])
+    for n_value in range(2, n_max + 1):
+        for a_value in range(1, n_value):
+            if gcd(a_value, n_value) != 1:
+                continue
+            for values in _placements(n_value, a_value, len(checks) + 1):
+                if all(check(v, n_value) for check, v in zip(checks, values)):
+                    yield JNCertificate(
+                        n_value=n_value,
+                        a_value=a_value,
+                        side=side,
+                        cone_numerators=tuple(values[:len(gammas)]),
+                        boundary_numerators=tuple(zip(bdry, values[len(gammas):-1])),
+                        excluded=excluded,
+                        target_numerator=values[-1],
+                    )
+
+
+def test_certificates_match_the_fraction_enumeration(rng):
+    certs = 0
+    for i in range(3000):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
+                                                      a_max=6)
+        n_max = rng.randint(0, 24)
+        for side in ("low", "high"):
+            got = list(_certificates(piece, fam, side, n_max))
+            assert got == list(_fraction_certificates(piece, fam, side, n_max)), (
+                piece, fam.arcs, fam.strong, side, n_max)
+            certs += len(got)
+    assert certs > 5000
+    # Placements collapse where a value is 1: N = 2 puts 1 everywhere, and
+    # A = 1 or N - A = 1 leaves one position that tells them apart.
+    for cones, tau, side in (([(3, 1), (5, 1)], F(1, 3), "high"),
+                             ([(3, 2), (5, 4)], F(2, 3), "low")):
+        piece, fam = _piece(cones, r=2), _points(tau)
+        got = list(_certificates(piece, fam, side, 7))
+        assert got == list(_fraction_certificates(piece, fam, side, 7))
+        assert [(c.n_value, c.a_value, c.cone_numerators, c.boundary_numerators,
+                 c.target_numerator) for c in got] == [
+            (2, 1, (1, 1), ((0, 1),), 1),
+            (3, 1, (2, 1), ((0, 1),), 1),
+            (3, 2, (2, 1), ((0, 1),), 1),
+        ]

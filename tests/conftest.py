@@ -18,6 +18,7 @@ from tautfol import (
     PlumbingGraph,
     SeifertPiece,
     SlopeArc,
+    VERTICAL,
     homology,
     slope_of_tau,
     validate,
@@ -93,6 +94,40 @@ def rand_horizontal_piece_and_family(rng, den_max=12, r_max=4, n_max=4, a_max=5)
         piece = rand_orientable_piece(rng, r, n_max, a_max)
         if piece.n + r >= 3:
             return piece, rand_family(rng, r, den_max)
+
+
+def rand_vertical_arc(rng, den_max=12):
+    """An arc through the vertical slope: the vertical point, a ray either
+    side of it, a proper arc wrapping through it, or the full circle."""
+    x = rand_fraction(rng, den_max)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return SlopeArc.point(VERTICAL)
+    if kind == 1:
+        return SlopeArc.arc(VERTICAL, slope_of_tau(x))
+    if kind == 2:
+        return SlopeArc.arc(slope_of_tau(x), VERTICAL)
+    if kind == 3:
+        w = abs(rand_fraction(rng, den_max, 0, 2)) or Fraction(1, den_max)
+        return SlopeArc.arc(slope_of_tau(x + w), slope_of_tau(x))
+    return SlopeArc.full()
+
+
+def rand_vertical_piece_and_family(rng, den_max=12, r_max=4):
+    """A piece with n + r >= 3 and r >= 2, and a family in which one or more
+    free constraints contain the vertical slope: the vertical-arc and full
+    branches of the kernel."""
+    while True:
+        r = rng.randint(2, r_max)
+        piece = rand_orientable_piece(rng, r)
+        if piece.n + r >= 3:
+            break
+    family = rand_family(rng, r, den_max)
+    vertical = rng.sample(range(r - 1), rng.randint(1, r - 1))
+    arcs = list(family.arcs)
+    for j in vertical:
+        arcs[j] = rand_vertical_arc(rng, den_max)
+    return piece, ConstraintFamily(tuple(arcs), family.strong - set(vertical))
 
 
 def rand_solid_tree(rng, max_pieces=4, q_prob=0.25):

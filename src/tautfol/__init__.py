@@ -19,6 +19,7 @@ from .slopes import (
 )
 from .seifert import (
     ConstraintFamily,
+    DecisionError,
     DetectionResult,
     ExceptionalSlope,
     FamilyError,
@@ -29,6 +30,7 @@ from .seifert import (
     TauStats,
     core_interval,
     detect_relative,
+    detects,
     jn_refine_high,
     jn_refine_low,
     realize,
@@ -53,7 +55,6 @@ from .graph import (
 )
 from .decide import (
     CtfVerdict,
-    DecisionError,
     DegenerateReport,
     check_degenerate,
     classify_piece,

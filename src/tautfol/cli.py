@@ -9,9 +9,10 @@ Commands operate on a manifold JSON file (format documented in graph.py):
     tautfol oracle-check  FILE    closed form vs brute force cross-check
 
 Exit codes: 0 success (including a mathematical "admits = false"), 1
-malformed input or an unknown ``--split-edge``, 2 role mismatch, 3
-internal-consistency failure: an oracle-check mismatch, or a DecisionError
-raised by ctf.
+malformed input or an unknown ``--split-edge``, 2 role mismatch or a piece,
+constraint family or slope the kernel cannot take, 3 internal-consistency
+failure: an oracle-check mismatch, or a DecisionError (a witness that fails
+its check, or a certificate scan that its replay contradicts).
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ from .graph import (
 )
 from .oracle import GridSpec, grid_union, jn_exhaustive_extremal
 from .seifert import (
+    FamilyError,
+    PieceError,
     core_interval,
     default_n_bound,
     jn_refine_high,
     jn_refine_low,
     v_count,
 )
+from .slopes import SlopeError
 
 SCHEMA = 1
 EXIT_OK = 0
@@ -277,7 +281,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](graph, args)
-    except RoleError as exc:
+    except (RoleError, PieceError, FamilyError, SlopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROLE
     except DecisionError as exc:

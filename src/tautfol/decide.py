@@ -25,7 +25,6 @@ evaluation is kept on it and every question about it shares one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .graph import (
@@ -40,10 +39,12 @@ from .graph import (
 )
 from .seifert import (
     ConstraintFamily,
+    DecisionError,
     DetectionResult,
     ExceptionalSlope,
     Strength,
     detect_relative,
+    detects,
     merge_exceptions,
     product_transport,
     realize,
@@ -59,10 +60,6 @@ from .slopes import (
     simplest_slope,
     slope_of_tau,
 )
-
-
-class DecisionError(ValueError):
-    """Internal inconsistency between independent computations."""
 
 
 def _require_valid(graph):
@@ -174,8 +171,7 @@ def _longitude(piece, children):
         return VERTICAL if vertical == 0 else None
     if vertical:
         return VERTICAL if vertical == 1 else None
-    return slope_of_tau(piece.b - sum(Fraction(beta, a) for a, beta in piece.cones)
-                        - sum(lam.tau for lam in lams))
+    return slope_of_tau(piece.b_eff - sum(piece.gammas) - sum(lam.tau for lam in lams))
 
 
 def _detect(piece, via, children, n_max):
@@ -418,7 +414,9 @@ def _extract(root, target, n_max):
     """Top-down over the evaluated tree, in pre-order on an explicit stack:
     each piece realizes its own slope by constraint slopes in its children's
     arcs, read off the branch its kernel call took, and each child continues
-    from its slope."""
+    from its slope.  Each realized tuple is checked with seifert.detects,
+    which answers from the core interval when the slope lies in it and runs
+    the kernel only for a slope past the core or off the horizontal branch."""
     if not root.result.detected.contains(target):
         raise DecisionError(f"slope {target} is not detected")
     assignment = {}
@@ -433,7 +431,7 @@ def _extract(root, target, n_max):
         picks = realize(piece, node.family, node.result, slope, n_max)
         if node.family is not None:
             family = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
-            if not detect_relative(piece, family, n_max=n_max).detected.contains(slope):
+            if not detects(piece, family, slope, n_max=n_max):
                 raise DecisionError(
                     f"witness search failed at piece {piece.ident} "
                     f"(branch {node.result.branch}): the constraint tuple "
@@ -589,7 +587,6 @@ def revalidate_witness(graph, witness, n_max=None):
         for target_bdry in range(piece.boundary_count):
             arcs = tuple(SlopeArc.point(slopes[j])
                          for j in range(piece.boundary_count) if j != target_bdry)
-            rel = detect_relative(piece, ConstraintFamily(arcs), n_max=n_max)
-            if not rel.detected.contains(slopes[target_bdry]):
+            if not detects(piece, ConstraintFamily(arcs), slopes[target_bdry], n_max=n_max):
                 return False
     return True

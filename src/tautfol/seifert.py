@@ -50,13 +50,12 @@ class FamilyError(ValueError):
     """Constraint family violating the normalization assumptions."""
 
 
-def _frac(x):
-    x = Fraction(x)
-    return x - floor(x)
+class DecisionError(ValueError):
+    """Internal inconsistency between independent computations."""
 
 
 def _is_int(x):
-    return Fraction(x).denominator == 1
+    return x.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +97,13 @@ class SeifertPiece:
                 raise PieceError(f"cone pair ({a}, {beta}) not coprime")
             if beta % a == 0:
                 raise PieceError(f"cone pair ({a}, {beta}) has integral gamma")
+        # Normalized cone fractions gamma_i = beta_i/a_i mod 1, in (0, 1).
+        object.__setattr__(self, "gammas",
+                           tuple(Fraction(beta % a, a) for a, beta in self.cones))
 
     @property
     def n(self):
         return len(self.cones)
-
-    @property
-    def gammas(self):
-        """Normalized cone fractions gamma_i = beta_i/a_i mod 1, in (0, 1)."""
-        return tuple(Fraction(beta % a, a) for a, beta in self.cones)
 
     @property
     def b_eff(self):
@@ -289,14 +286,14 @@ class JNCertificate:
 def default_n_bound(piece, endpoints):
     """Search bound for the certificate hunt: twice the lcm of the cone
     orders times the largest endpoint denominator in play."""
-    dens = [Fraction(e).denominator for e in endpoints if e is not None]
+    dens = [e.denominator for e in endpoints if e is not None]
     bound = 2 * piece.cone_order_lcm * max(dens, default=1)
     return max(bound, 2)
 
 
 def _satisfies(value_num, n_value, threshold, strict):
-    lhs = Fraction(value_num, n_value)
-    return lhs > threshold if strict else lhs >= threshold
+    lhs, rhs = value_num * threshold.denominator, threshold.numerator * n_value
+    return lhs > rhs if strict else lhs >= rhs
 
 
 def _scan_certificates(slots, n_max):
@@ -324,7 +321,8 @@ def _scan_certificates(slots, n_max):
     """
     if not slots:
         return None
-    order = sorted(range(len(slots)), key=lambda i: (-slots[i][1], not slots[i][2]))
+    # Hardest first: the highest threshold, a strict one before a loose one.
+    order = sorted(range(len(slots)), key=lambda i: slots[i][1:], reverse=True)
     thresholds = [(slots[i][1], slots[i][2]) for i in order]
 
     def one_cutoff(threshold, strict):
@@ -448,7 +446,9 @@ def _build_assignment(slots, order, n_value, a_val, case):
                 placed = remaining.pop(k)
                 break
         if placed is None:
-            raise RuntimeError("certificate replay failed; scan is inconsistent")
+            raise DecisionError(
+                f"certificate replay failed at N = {n_value}, A = {a_val}: "
+                f"no value left for slot {tag} (threshold {threshold})")
         assign[tag] = placed
     return assign
 
@@ -461,7 +461,7 @@ def _side_reach(piece, ends, strong, side, n_max):
     ``ends`` are the side's extreme endpoints, one per constraint: zeta for
     low, eta for high.
     """
-    end = Fraction(_core_end(piece, ends, strong, side))
+    end = _core_end(piece, ends, strong, side)
     # Absence rule: an integral extreme endpoint on a free constraint makes
     # the extremal stratum integral, which kills the refinement.
     if any(j not in strong and _is_int(e) for j, e in enumerate(ends)):
@@ -474,8 +474,9 @@ def _side_reach(piece, ends, strong, side, n_max):
         if j in strong and _is_int(endpoint):
             excluded.append(j)
             continue
-        f = _frac(endpoint)
-        slots.append((("bdry", j), (1 - f) if side == "low" else f, j in strong))
+        n, d = endpoint.numerator, endpoint.denominator
+        slots.append((("bdry", j), Fraction(-n % d if side == "low" else n % d, d),
+                      j in strong))
     found = _scan_certificates(slots, n_max)
     if found is None:
         return end, None
@@ -532,7 +533,7 @@ class ExceptionalSlope:
 
 def _status_sort_key(exc):
     s = exc.slope
-    return (s.q == 0, Fraction(-s.p, s.q) if s.q else Fraction(0), s.p)
+    return (s.q == 0, s.tau if s.q else 0, s.p)
 
 
 @dataclass(frozen=True)
@@ -582,7 +583,8 @@ def merge_exceptions(entries):
         reason = old.reason if exc.reason in old.reason else f"{old.reason}; {exc.reason}"
         by_slope[key] = ExceptionalSlope(key, status, reason)
     out = [by_slope[k] for k in order]
-    out.sort(key=_status_sort_key)
+    if len(out) > 1:
+        out.sort(key=_status_sort_key)
     return tuple(out)
 
 
@@ -606,7 +608,7 @@ def solid_torus_meridian(piece):
     """Meridional slope of a fibred solid torus piece, in its boundary frame."""
     if not piece.is_solid_torus_piece:
         raise PieceError("piece is not a solid torus")
-    gamma = piece.gammas[0] if piece.n == 1 else Fraction(0)
+    gamma = piece.gammas[0] if piece.n == 1 else 0
     return slope_of_tau(piece.b_eff - gamma)
 
 
@@ -725,6 +727,25 @@ def detect_relative(piece, family, n_max=None):
                 end, Strength.INDETERMINATE,
                 "endpoint of an arc through the vertical slope"))
     return DetectionResult(detected, merge_exceptions(entries), branch="vertical-arc")
+
+
+def detects(piece, family, slope, n_max=None):
+    """Whether ``family`` detects ``slope``: the answer of
+    ``detect_relative(piece, family, n_max).detected.contains(slope)``.
+
+    On the horizontal branch the detected set is [c_min - C/N, c_max +
+    C'/N] + b_eff, which holds the core, so a slope whose normalized tau
+    lies in [c_min, c_max] is detected whatever the certificates are; only
+    the slopes past the core, and the other branches, need the kernel."""
+    if (piece.base_orientable and not piece.is_solid_torus_piece
+            and not piece.is_product_piece and not slope.is_vertical
+            and len(family) == piece.boundary_count - 1 and v_count(family) == 0):
+        zetas, etas = _horizontal_ends(piece, family)
+        t = slope.tau - piece.b_eff
+        if (_core_end(piece, zetas, family.strong, "low") <= t
+                <= _core_end(piece, etas, family.strong, "high")):
+            return True
+    return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def slope_of_tau(tau):
     int t the slope (-t.numerator, t.denominator)."""
     if tau is None:
         return VERTICAL
-    t = Fraction(tau)
-    return Slope(-t.numerator, t.denominator)
+    return Slope(-tau.numerator, tau.denominator)
 
 
 def _key(slope):
@@ -94,11 +93,19 @@ def _key(slope):
     return (0, slope.tau)
 
 
+def _before(a, b):
+    """_key(a) < _key(b), by cross-multiplying: tau(a) < tau(b) is
+    b.p * a.q < a.p * b.q, as both q are positive."""
+    if b.q == 0:
+        return a.q != 0
+    return a.q != 0 and b.p * a.q < a.p * b.q
+
+
 def _cyclically_between(a, x, b):
     """True when x lies strictly inside the arc from a to b (positive
     orientation), all three points distinct."""
-    ka, kx, kb = _key(a), _key(x), _key(b)
-    return (ka < kx < kb) or (kb < ka < kx) or (kx < kb < ka)
+    ax, xb, ba = _before(a, x), _before(x, b), _before(b, a)
+    return (ax and xb) or (ba and ax) or (xb and ba)
 
 
 class SlopeArc:
@@ -152,7 +159,6 @@ class SlopeArc:
     @staticmethod
     def from_tau_interval(lo, hi):
         """Closed arc of horizontal slopes with tau in [lo, hi], lo <= hi."""
-        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise SlopeError("tau interval endpoints out of order")
         return SlopeArc.arc(slope_of_tau(lo), slope_of_tau(hi))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tautfol import FamilyError, PieceError, SlopeError
 from tautfol.cli import main
 
 N2 = {
@@ -249,6 +250,25 @@ def test_oracle_mismatch_exit_3(manifold_file, capsys, monkeypatch):
                        "--format", "json")
     assert code == 3
     assert json.loads(out)["ok"] is False
+
+
+def test_kernel_errors_exit_2_and_a_failed_replay_exit_3(capsys, monkeypatch):
+    import tautfol.cli as cli
+    import tautfol.seifert as seifert
+
+    path = str(Path(__file__).resolve().parent / "golden" / "two_cone_torus.json")
+    for error in (PieceError, FamilyError, SlopeError):
+        def raising(graph, n_max=None, error=error):
+            raise error("out of scope")
+
+        monkeypatch.setattr(cli, "detect_tree", raising)
+        assert run(capsys, "detect", path) == (2, "", "error: out of scope\n")
+    monkeypatch.undo()
+    # A certificate replay that the scan contradicts: no value fits a slot.
+    monkeypatch.setattr(seifert, "_satisfies", lambda *args: False)
+    code, out, err = run(capsys, "detect", path)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal-consistency failure: certificate replay failed")
 
 
 def test_oracle_check_random_trees(manifold_file, capsys):

@@ -27,6 +27,7 @@ from tautfol import (
     decide_ctf,
     detect_relative,
     detect_tree,
+    detects,
     extract_witness,
     homology,
     load_manifold,
@@ -187,21 +188,31 @@ def plumbing_chain(k):
 
 
 def test_kernel_runs_once_per_piece(monkeypatch):
-    calls = []
+    calls, checks = [], []
 
     def counting(piece, family, n_max=None):
         calls.append(piece.ident)
         return detect_relative(piece, family, n_max=n_max)
 
-    monkeypatch.setattr(tautfol.decide, "detect_relative", counting)
+    def counting_checks(piece, family, slope, n_max=None):
+        checks.append(piece.ident)
+        return detects(piece, family, slope, n_max=n_max)
+
+    # Patched in seifert too, so a membership query that falls back to the
+    # kernel is counted.
+    for module in (tautfol.decide, tautfol.seifert):
+        monkeypatch.setattr(module, "detect_relative", counting)
+    monkeypatch.setattr(tautfol.decide, "detects", counting_checks)
     g = plumbing_chain(24)
     res = detect_tree(g)
     assert sorted(calls) == sorted(g.pieces)
     # The graph keeps its evaluation: extraction only rechecks each piece
-    # that has children, and the other questions call the kernel no more.
+    # that has children, by one membership query that the core interval
+    # answers, and the other questions call the kernel no more.
     calls.clear()
     extract_witness(g, simplest_slope(res.detected))
-    assert sorted(calls) == sorted(f"p{i}" for i in range(23))
+    assert calls == []
+    assert sorted(checks) == sorted(f"p{i}" for i in range(23))
     calls.clear()
     iter_piece_evaluations(g)
     check_degenerate(g)

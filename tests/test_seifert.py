@@ -2,6 +2,7 @@
 certificate search, and the full case analysis."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from tautfol import (
     VERTICAL,
     core_interval,
     detect_relative,
+    detects,
     jn_refine_high,
     jn_refine_low,
     realize,
@@ -38,6 +40,7 @@ from conftest import (
     rand_fraction,
     rand_horizontal_piece_and_family,
     rand_orientable_piece,
+    rand_vertical_piece_and_family,
 )
 
 F = Fraction
@@ -504,6 +507,61 @@ def test_detected_contains_core_always(rng):
         lo_end, hi_end = res.detected.endpoints()
         assert c_min - 1 < lo_end.tau - shift <= c_min
         assert c_max <= hi_end.tau - shift < c_max + 1
+
+
+def _membership_draw(rng, kind):
+    """A piece and family for the membership test: vertical-free (kind 0),
+    all points with no strong index, as witness extraction asks (kind 1),
+    through the vertical slope (kind 2), or any branch (kind 3)."""
+    if kind == 0:
+        return rand_horizontal_piece_and_family(rng, den_max=6)
+    if kind == 1:
+        piece, fam = rand_horizontal_piece_and_family(rng)
+        return piece, ConstraintFamily(tuple(SlopeArc.point(simplest_slope(a))
+                                             for a in fam.arcs))
+    if kind == 2:
+        return rand_vertical_piece_and_family(rng, den_max=6)
+    r = rng.randint(1, 4)
+    orientable = rng.random() < 0.8
+    piece = _piece(rand_cones(rng), b=rng.randint(-2, 2), r=r,
+                   orientable=orientable, crosscaps=0 if orientable else 1)
+    return piece, ConstraintFamily(tuple(_rand_arc(rng) for _ in range(r - 1)))
+
+
+def _membership_probes(piece, fam, res, rng):
+    """Slopes in the core, in each refinement zone, at each frontier, just
+    past it and past the zone, random slopes, and the vertical slope."""
+    taus = [rand_fraction(rng, 12, -6, 6) for _ in range(3)]
+    for end in res.detected.endpoints():
+        if not end.is_vertical:
+            taus += [end.tau + d for d in (0, F(1, 97), F(-1, 97), 1, -1)]
+    if res.branch == "horizontal-interval":
+        c_min, c_max = core_interval(piece, fam)
+        shift = piece.b_eff
+        left, right = (e.tau for e in res.detected.endpoints())
+        taus += [t + shift for t in (c_min, c_max, F(c_min + c_max, 2), c_min - 1, c_max + 1)]
+        taus += [(left + c_min + shift) / 2, (right + c_max + shift) / 2]
+    return [VERTICAL] + [slope_of_tau(t) for t in taus]
+
+
+def test_detects_matches_the_kernel():
+    """detects(piece, family, slope) is detect_relative(piece, family)
+    .detected.contains(slope) on every branch, under several bounds, and
+    answers most slopes of the horizontal branch from the core."""
+    in_core = probes = 0
+    for seed in range(3200):
+        rng = random.Random(f"detects-{seed}")
+        piece, fam = _membership_draw(rng, seed % 4)
+        n_max = rng.choice((None, None, 2, 6, 40))
+        res = detect_relative(piece, fam, n_max=n_max)
+        horizontal = res.branch == "horizontal-interval"
+        c_min, c_max = core_interval(piece, fam) if horizontal else (1, 0)
+        for slope in _membership_probes(piece, fam, res, rng):
+            want = res.detected.contains(slope)
+            assert detects(piece, fam, slope, n_max=n_max) == want, (piece, fam, slope, n_max)
+            probes += 1
+            in_core += not slope.is_vertical and c_min <= slope.tau - piece.b_eff <= c_max
+    assert probes > 40000 and in_core > 15000, (probes, in_core)
 
 
 def test_monotone_in_constraints(rng):

@@ -546,8 +546,8 @@ def _membership_probes(piece, fam, res, rng):
 
 def test_detects_matches_the_kernel():
     """detects(piece, family, slope) is detect_relative(piece, family)
-    .detected.contains(slope) on every branch, under several bounds, and
-    answers most slopes of the horizontal branch from the core."""
+    .detected.contains(slope) on every branch and under several bounds;
+    many probes lie in the core, which detects answers without the kernel."""
     in_core = probes = 0
     for seed in range(3200):
         rng = random.Random(f"detects-{seed}")

@@ -25,13 +25,11 @@ evaluation is kept on it and every question about it shares one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .graph import (
-    PlumbingGraph,
     RoleError,
     homology,
-    presentation,
     rational_longitude,
     split_at_edge,
     validate,
@@ -49,7 +47,6 @@ from .seifert import (
     product_transport,
     realize,
 )
-from .snf import rank
 from .slopes import (
     VERTICAL,
     Slope,
@@ -192,11 +189,14 @@ def _detect(piece, via, children, n_max):
     # A degenerate set {lambda} over an orientable base is strong; the n2 and
     # solid-torus branches carry no exceptions either.
     degenerate = rel.branch == "vertical-arc" and detected.is_point
-    entries = [] if degenerate else list(rel.exceptions)
-    entries.extend(_cable_exceptions(piece, children, detected))
-    entries.extend(_degenerate_fibration_exceptions(piece, via, children, detected))
+    # The kernel returns its exceptions merged and sorted already.
+    exceptions = () if degenerate else rel.exceptions
+    added = (_cable_exceptions(piece, children, detected)
+             + _degenerate_fibration_exceptions(piece, via, children, detected))
+    if added:
+        exceptions = merge_exceptions(list(exceptions) + added)
     return family, DetectionResult(
-        detected, merge_exceptions(entries), branch=rel.branch,
+        detected, exceptions, branch=rel.branch,
         low_certificate=rel.low_certificate, high_certificate=rel.high_certificate)
 
 
@@ -253,38 +253,34 @@ def _degenerate_fibration_exceptions(piece, via, children, detected):
         "torus once and the child slope is not strongly detected")]
 
 
-def _piece_free_images(piece):
-    """Free-quotient images of fibre and section classes for one piece."""
-    solved = presentation(PlumbingGraph([piece], [], "solid-torus")).solve()
-    v_h = solved.free_image({("h", piece.ident): 1})
-    v_d = [solved.free_image({("d", piece.ident, j): 1})
-           for j in range(piece.boundary_count)]
-    return v_h, v_d
-
-
 def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
     """Slope on the target torus completed by a horizontal fibration whose
     boundary on the child torus is ``child_slope``; also the number of times
-    the fibre meets the child torus.  None when no such fibration exists."""
-    v_h, v_d = _piece_free_images(piece)
-    p, q = child_slope.p, child_slope.q
-    v_c = tuple(p * v_h[i] - q * v_d[child_bdry][i] for i in range(len(v_h)))
-    if all(x == 0 for x in v_c):
+    the fibre meets the child torus.  None when no such fibration exists.
+
+    A fibration over the circle is a primitive class phi in H^1(piece; Z)
+    with phi(h) != 0; its boundary on torus j is the slope p/q whose class
+    p*h - q*d_j it kills, so phi(d_j) = -tau_j phi(h).  Over a
+    non-orientable base h is torsion, so phi(h) = 0 and there is none.  Over
+    a planar base the relations a_i x_i + beta_i h = 0 give phi(x_i) =
+    -beta_i phi(h) / a_i, and the section relation then ties the d_j by
+    sum phi(d_j) = -(b_eff - sum gamma_i) phi(h).  With two boundary tori
+    one horizontal child slope fixes phi up to scale: tau_t is tau_c on the
+    child torus itself and b_eff - sum gamma_i - tau_c on the other.  A
+    vertical child slope forces phi(h) = 0, and with one or three or more
+    boundary tori one slope does not fix phi.  phi is integral exactly when
+    phi(h) is a multiple of every a_i and of the denominator of tau_c (the
+    section relation then makes phi(d_t) integral), so the primitive phi has
+    phi(h) = M, their lcm, and the fibre meets the child torus
+    gcd(phi(h), phi(d_c)) = M / den(tau_c) times."""
+    if (not piece.base_orientable or piece.boundary_count != 2
+            or child_slope.is_vertical):
         return None
-    if len(v_c) != 2:
-        return None
-    u = (-v_c[1], v_c[0])
-    g = gcd(u[0], u[1])
-    u = (u[0] // g, u[1] // g)
-    phi_h = u[0] * v_h[0] + u[1] * v_h[1]
-    if phi_h == 0:
-        return None
-    phi_dc = u[0] * v_d[child_bdry][0] + u[1] * v_d[child_bdry][1]
-    phi_dt = u[0] * v_d[target_bdry][0] + u[1] * v_d[target_bdry][1]
-    child_div = gcd(abs(phi_h), abs(phi_dc))
-    # Kernel of phi on the target torus: p*phi_h - q*phi_dt = 0.
-    alpha = Slope(phi_dt, phi_h)
-    return alpha, child_div
+    tau_c = child_slope.tau
+    tau_t = tau_c if target_bdry == child_bdry else \
+        piece.b_eff - sum(piece.gammas) - tau_c
+    m = lcm(piece.cone_order_lcm, tau_c.denominator)
+    return slope_of_tau(tau_t), m // tau_c.denominator
 
 
 def _listed(slope, entries):
@@ -468,13 +464,13 @@ def classify_piece(piece, boundary_slopes):
 
 
 def _is_fibred_tuple(piece, slopes):
-    """A fibration completes the tuple exactly when some integral class
-    vanishes on every boundary slope but not on the fibre, that is, when v_h
-    lies outside the rational span of the boundary rows."""
-    v_h, v_d = _piece_free_images(piece)
-    rows = [[s.p * h - s.q * d for h, d in zip(v_h, v_d[j])]
-            for j, s in enumerate(slopes)]
-    return rank(rows + [list(v_h)]) > rank(rows)
+    """A fibration completes the horizontal tuple exactly when some class
+    phi with phi(h) != 0 kills every boundary slope.  That needs h of
+    infinite order, so a planar base, where phi(d_j) = -tau_j phi(h) must
+    sum to -(b_eff - sum gamma_i) phi(h) (see _fibration_slope): the
+    horizontal-surface condition sum tau_j = b_eff - sum gamma_i."""
+    return (piece.base_orientable
+            and sum(s.tau for s in slopes) == piece.b_eff - sum(piece.gammas))
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class Edge:
             return self.to_piece, self.to_bdry
         return self.from_piece, self.from_bdry
 
-    def touches(self, piece_id, bdry):
-        return (self.from_piece, self.from_bdry) == (piece_id, bdry) or \
-            (self.to_piece, self.to_bdry) == (piece_id, bdry)
-
 
 class PlumbingGraph:
     """A tree of Seifert pieces with GL(2,Z) edge gluings.
@@ -260,11 +256,12 @@ def rational_longitude(graph):
     if solved.betti != 1:
         raise RoleError(
             f"rational longitude needs betti = 1, got {solved.betti}")
-    fh = solved.free_image({("h", pid): 1})[0]
-    fd = solved.free_image({("d", pid, j): 1})[0]
+    (fh,) = solved.rational_image({("h", pid): 1})
+    (fd,) = solved.rational_image({("d", pid, j): 1})
     if fh == 0 and fd == 0:
         raise RoleError("boundary torus maps to torsion; not a rational homology solid torus")
-    # The class p*h - q*d is torsion iff p*fh - q*fd = 0.
+    # The class p*h - q*d is torsion iff p*fh - q*fd = 0; Slope reduces
+    # the common factor of the two pairings.
     slope = Slope(fd, fh)
     order = solved.element_order({("h", pid): slope.p, ("d", pid, j): -slope.q})
     return LongitudeResult(slope=slope, order=order)

@@ -1,4 +1,4 @@
-"""Smith normal form and finitely presented abelian groups over Z.
+"""Finitely presented abelian groups over Z.
 
 A group is presented as Z^g modulo the span of integer relations.  Solving a
 presentation first shrinks it by exact unimodular moves on the sparse
@@ -10,14 +10,19 @@ column are coprime are combined by the extended gcd to make one.
 The small residual R (k kept generators, rank r) is then solved without
 letting its entries grow.  One fraction-free Gauss-Jordan pass over the
 relations gives r, a nonzero r x r minor delta and a basis of the left kernel
-of R; the Smith normal form of that basis, which has only betti rows, turns
-it into the exact free map H_1 -> Z^betti.  The torsion comes from the Smith
-normal form of [R | delta I] computed modulo delta: its diagonal is
-d_1 | ... | d_r followed by betti copies of delta, and since delta kills the
-torsion subgroup T, T embeds in H_1 / delta H_1, so the order of a torsion
-element is read from its coordinates modulo that diagonal (Domich, Kannan
-and Trotter 1987).  An element of Z^g is first rewritten in the kept
-generators by the recorded substitutions.
+of R, betti integer functionals that vanish on every relation: they span the
+rational dual of H_1, so an element is torsion exactly when each of them
+pairs to zero with it.  The torsion comes from the Smith normal form of
+[R | delta I] computed modulo delta: its diagonal is d_1 | ... | d_r followed
+by betti copies of delta, and since delta kills the torsion subgroup T, T
+embeds in H_1 / delta H_1, so the order of a torsion element is read from
+its coordinates modulo that diagonal (Domich, Kannan and Trotter 1987).  An
+element of Z^g is first rewritten in the kept generators by the recorded
+substitutions.
+
+``smith_normal_form`` is the dense Smith normal form over the integers with
+its transforms.  The program does not call it; the tests use it as the
+reference that the reduced presentations are checked against.
 """
 
 from __future__ import annotations
@@ -270,12 +275,6 @@ def _fraction_free_rref(rows, width):
     return piv, prev
 
 
-def rank(rows):
-    """Rank over the rationals of a list of equal-length integer rows."""
-    rows = [list(r) for r in rows]
-    return len(_fraction_free_rref(rows, len(rows[0]) if rows else 0)[0])
-
-
 def _smith_mod(matrix, m):
     """Smith normal form of [matrix | m I] for a k-row ``matrix`` and m > 0
     a multiple of each of its nonzero invariant factors: returns the k
@@ -326,9 +325,9 @@ def _smith_mod(matrix, m):
 
 
 class SolvedPresentation:
-    """Reduced presentation with element queries: ``free_map`` gives the
-    free quotient exactly, ``u`` and ``orders`` the torsion (see the module
-    docstring)."""
+    """Reduced presentation with element queries: ``kernel`` spans the
+    rational dual of H_1, ``u`` and ``orders`` give the torsion (see the
+    module docstring)."""
 
     def __init__(self, pres):
         self.generators = pres.generators
@@ -340,23 +339,15 @@ class SolvedPresentation:
         reduced = [list(r) for r in rows]
         piv, last = _fraction_free_rref(reduced, k)
         self.rank = len(piv)
-        # A basis of the left kernel of R, one vector per non-pivot generator;
-        # the rows of U * K over the diagonal of its Smith normal form are a
-        # basis of its saturation, which is the exact free map.
-        kernel = []
+        # A basis of the left kernel of R, one vector per non-pivot generator.
+        self.kernel = []
         for n in range(k):
             if n not in piv:
                 y = [0] * k
                 y[n] = last
                 for i, c in enumerate(piv):
                     y[c] = -reduced[i][n]
-                kernel.append(y)
-        self.free_map = []
-        if kernel:
-            d, u, _v = smith_normal_form(kernel)
-            for ui, di in zip(u, d):
-                self.free_map.append([sum(a * row[j] for a, row in zip(ui, kernel)) // di
-                                      for j in range(k)])
+                self.kernel.append(y)
         matrix = [[r[i] for r in rows] for i in range(k)]
         self.orders, self.u = _smith_mod(matrix, abs(last) if piv else 1)
 
@@ -382,13 +373,15 @@ class SolvedPresentation:
                     vec[y] = vec.get(y, 0) + c * e
         return [vec.get(x, 0) for x in self.kept]
 
-    def free_image(self, coeffs):
-        """Image in the free quotient Z^betti."""
+    def rational_image(self, coeffs):
+        """The pairings of the element with the kernel basis: its image in
+        Q^betti, in coordinates that need not be a basis of the free
+        quotient over Z."""
         w = self.coordinates(coeffs)
-        return tuple(sum(a * b for a, b in zip(row, w)) for row in self.free_map)
+        return tuple(sum(a * b for a, b in zip(y, w)) for y in self.kernel)
 
     def is_torsion(self, coeffs):
-        return all(x == 0 for x in self.free_image(coeffs))
+        return all(x == 0 for x in self.rational_image(coeffs))
 
     def element_order(self, coeffs):
         """Order of the class, or 0 if infinite."""

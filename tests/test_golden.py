@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import tautfol.snf
 from tautfol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +38,19 @@ def test_golden_report(path, command, capsys):
     assert code == 0
     expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
     assert out == expected
+
+
+def test_reports_never_call_the_dense_smith_normal_form(monkeypatch, capsys):
+    """Every H_1 question is answered by the sparse elimination and the
+    modular Smith normal form; the dense ``smith_normal_form`` is the tests'
+    reference only, so the reports stay the same when it refuses to run."""
+    def refuse(matrix):
+        raise AssertionError("smith_normal_form called by the program")
+
+    monkeypatch.setattr(tautfol.snf, "smith_normal_form", refuse)
+    for case in _cases():
+        path, command = case.values
+        code = main([command, str(path), "--format", "json"])
+        out = capsys.readouterr().out
+        expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
+        assert (code, out) == (0, expected), case.id

@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from tautfol import VERTICAL, detect_relative, realize, slope_of_tau
+from tautfol.seifert import merge_exceptions
 
 from conftest import rand_horizontal_piece_and_family, rand_vertical_piece_and_family
 
@@ -54,6 +55,8 @@ def _targets(arc):
 
 def _record(piece, family, n_max):
     res = detect_relative(piece, family, n_max=n_max)
+    # decide._detect relies on the kernel's exceptions coming merged and sorted.
+    assert merge_exceptions(res.exceptions) == res.exceptions
     exceptions = [(str(e.slope), e.status.value, e.reason) for e in res.exceptions]
     parts = [res.branch, repr(res.detected), repr(exceptions),
              repr(res.low_certificate), repr(res.high_certificate)]

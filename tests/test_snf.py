@@ -15,7 +15,7 @@ from tautfol import (
     rational_longitude,
 )
 from tautfol.graph import presentation
-from tautfol.snf import Presentation, rank, smith_normal_form
+from tautfol.snf import Presentation, smith_normal_form
 from conftest import rand_cones, rand_valid_closed, rand_valid_solid_tree
 from test_decide import plumbing_chain
 
@@ -91,20 +91,6 @@ def test_against_minor_gcds():
         assert [abs(x) for x in d if x != 0] == expected
 
 
-def test_rank_matches_smith_normal_form():
-    rng = random.Random(13)
-    for _ in range(200):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        # Low-rank products as well as full random matrices.
-        k = rng.randint(1, min(rows, cols))
-        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
-        right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
-        matrix = _mm(left, right)
-        d, _u, _v = smith_normal_form(matrix)
-        assert rank(matrix) == sum(1 for x in d if x)
-    assert rank([]) == 0 and rank([[0, 0]]) == 0
-
-
 def test_presentation_cyclic():
     pres = Presentation(["x", "y"])
     pres.add_relation({"x": 2})
@@ -173,19 +159,20 @@ class _Dense:
         return order
 
 
-def _same_free_map(solved, dense, gens):
-    """The two free images of ``gens`` differ by an automorphism of Z^betti:
-    the reduced one is onto Z^betti and lies in the rational span of the
-    dense one, which is onto by construction."""
-    new = [list(solved.free_image({x: 1})) for x in gens]
+def _rank(matrix):
+    return sum(1 for x in smith_normal_form(matrix)[0] if x)
+
+
+def _same_rational_image(solved, dense, gens):
+    """The two images of ``gens`` in Q^betti differ by an automorphism of
+    Q^betti: the reduced one has rank betti, and side by side with the dense
+    free image it still has rank betti, so both span the same space."""
+    new = [list(solved.rational_image({x: 1})) for x in gens]
     old = [list(dense.free_image({x: 1})) for x in gens]
     b = len(old[0])
     if b == 0:
         return all(not row for row in new)
-    d_new, _u, _v = smith_normal_form(new)
-    d_both, _u, _v = smith_normal_form([x + y for x, y in zip(old, new)])
-    return ([abs(x) for x in d_new] == [1] * b
-            and sum(1 for x in d_both if x) == b)
+    return _rank(new) == b and _rank([x + y for x, y in zip(old, new)]) == b
 
 
 def _check_against_dense(pres, rng, extra=20):
@@ -200,7 +187,7 @@ def _check_against_dense(pres, rng, extra=20):
     for el in elements:
         assert solved.is_torsion(el) == all(x == 0 for x in dense.free_image(el))
         assert solved.element_order(el) == dense.element_order(el)
-    assert _same_free_map(solved, dense, gens)
+    assert _same_rational_image(solved, dense, gens)
     return solved
 
 
@@ -253,47 +240,84 @@ def _dense_piece_free_images(piece):
              for j in range(piece.boundary_count)])
 
 
+def _dense_is_fibred_tuple(piece, slopes):
+    """Reference: a fibration completes the tuple exactly when some integral
+    class vanishes on every boundary slope but not on the fibre, that is,
+    when v_h lies outside the rational span of the boundary rows."""
+    v_h, v_d = _dense_piece_free_images(piece)
+    rows = [[s.p * h - s.q * d for h, d in zip(v_h, v_d[j])]
+            for j, s in enumerate(slopes)]
+    return _rank(rows + [list(v_h)]) > _rank(rows)
+
+
+def _dense_fibration_slope(piece, target_bdry, child_bdry, child_slope):
+    """Reference: the primitive integral class u on the free quotient Z^2
+    that kills the child slope's class; its kernel on the target torus and
+    gcd(u(h), u(d_c))."""
+    v_h, v_d = _dense_piece_free_images(piece)
+    p, q = child_slope.p, child_slope.q
+    v_c = tuple(p * v_h[i] - q * v_d[child_bdry][i] for i in range(len(v_h)))
+    if all(x == 0 for x in v_c) or len(v_c) != 2:
+        return None
+    u = (-v_c[1], v_c[0])
+    g = gcd(u[0], u[1])
+    u = (u[0] // g, u[1] // g)
+    phi_h = u[0] * v_h[0] + u[1] * v_h[1]
+    if phi_h == 0:
+        return None
+    phi_dc = u[0] * v_d[child_bdry][0] + u[1] * v_d[child_bdry][1]
+    phi_dt = u[0] * v_d[target_bdry][0] + u[1] * v_d[target_bdry][1]
+    return Slope(phi_dt, phi_h), gcd(abs(phi_h), abs(phi_dc))
+
+
 def _rand_slope(rng):
     q = rng.randint(0, 5)
     return Slope(rng.randint(-7, 7), q) if q else Slope(1, 0)
 
 
-def test_piece_tags_and_fibrations_match_dense(monkeypatch):
+def test_piece_tags_and_fibrations_match_dense():
+    """The closed forms of decide against the free images of the dense
+    Smith normal form, on pieces with 1-3 boundary tori, crosscap bases,
+    vertical slopes, fibred tuples and target == child."""
     rng = random.Random(15)
-    cases = []
-    bettis = set()
-    for i in range(150):
+    tags, child_divs, bettis = set(), set(), set()
+    same_torus = vertical = crosscap = 0
+    for i in range(3000):
         r = rng.randint(1, 3)
         orientable = rng.random() < 0.7
         piece = SeifertPiece(base_orientable=orientable, cones=rand_cones(rng),
-                             b=rng.randint(-2, 2), boundary_count=r,
+                             b=rng.randint(-4, 4), boundary_count=r,
                              crosscaps=0 if orientable else 1, ident=f"q{i}")
         v_h, v_d = _dense_piece_free_images(piece)
-        bettis.add(len(v_h))
-        slopes = {j: _rand_slope(rng) for j in range(r)}
+        bettis.add((r, len(v_h)))
+        slopes = [_rand_slope(rng) for _ in range(r)]
         # Half the time, the boundary slopes of a fibration: the kernels of a
         # random functional u on the free quotient.
         u = [rng.randint(-3, 3) for _ in v_h]
         if rng.random() < 0.5 and sum(a * b for a, b in zip(u, v_h)):
-            slopes = {j: Slope(sum(a * b for a, b in zip(u, v_d[j])),
-                               sum(a * b for a, b in zip(u, v_h)))
-                      for j in range(r)}
+            slopes = [Slope(sum(a * b for a, b in zip(u, v_d[j])),
+                            sum(a * b for a, b in zip(u, v_h)))
+                      for j in range(r)]
         t, c = rng.randrange(r), rng.randrange(r)
-        cases.append((piece, slopes, t, c))
-    assert 2 in bettis
-
-    def answers():
-        return [(classify_piece(piece, slopes),
-                 tautfol.decide._fibration_slope(piece, t, c, slopes[c]))
-                for piece, slopes, t, c in cases]
-
-    reduced = answers()
-    assert {tag for tag, _fib in reduced} == {
-        tautfol.decide.TAG_VERTICAL, tautfol.decide.TAG_FIBRATION,
-        tautfol.decide.TAG_HORIZONTAL}
-    assert any(fib is not None for _tag, fib in reduced)
-    monkeypatch.setattr(tautfol.decide, "_piece_free_images", _dense_piece_free_images)
-    assert reduced == answers()
+        if any(s.is_vertical for s in slopes):
+            expect_tag = tautfol.decide.TAG_VERTICAL
+            vertical += 1
+        else:
+            fibred = _dense_is_fibred_tuple(piece, slopes)
+            assert tautfol.decide._is_fibred_tuple(piece, slopes) == fibred
+            expect_tag = (tautfol.decide.TAG_FIBRATION if fibred
+                          else tautfol.decide.TAG_HORIZONTAL)
+        assert classify_piece(piece, dict(enumerate(slopes))) == expect_tag
+        tags.add(expect_tag)
+        fib = _dense_fibration_slope(piece, t, c, slopes[c])
+        assert tautfol.decide._fibration_slope(piece, t, c, slopes[c]) == fib
+        if fib is not None:
+            child_divs.add(fib[1])
+            same_torus += t == c
+        crosscap += not orientable
+    assert len(tags) == 3 and same_torus and vertical and crosscap
+    assert {(1, 1), (2, 2), (3, 3)} <= bettis
+    assert child_divs - {1}
 
 
 def _det(matrix):

@@ -8,7 +8,6 @@ from .slopes import (
     Slope,
     SlopeArc,
     SlopeError,
-    SlopeSet,
     VERTICAL,
     act,
     act_arc,

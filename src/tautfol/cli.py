@@ -38,7 +38,7 @@ from .graph import (
     split_at_edge,
     validate,
 )
-from .oracle import GridSpec, grid_union, jn_exhaustive_extremal
+from .oracle import grid_union, jn_exhaustive_extremal
 from .seifert import (
     FamilyError,
     PieceError,
@@ -207,8 +207,7 @@ def _cmd_oracle_check(graph, args):
                 continue
             c_min, c_max = core_interval(piece, family)
             endpoints = [e for arc in family.arcs for e in arc.tau_pieces()[0][0]]
-            spec = GridSpec(denominator=max([args.grid] + [e.denominator for e in endpoints]))
-            lo, hi = grid_union(piece, family, spec)
+            lo, hi = grid_union(piece, family)
             row = {
                 "piece": str(piece.ident),
                 "core": [c_min, c_max],
@@ -258,8 +257,6 @@ def build_parser():
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--nmax", type=int, default=None,
                         help="certificate search bound (default derived from the data)")
-    parser.add_argument("--grid", type=int, default=24,
-                        help="oracle grid denominator (default 24)")
     parser.add_argument("--split-edge", default=None,
                         help="edge ident to split along for ctf (default e0)")
     return parser

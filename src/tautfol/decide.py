@@ -168,7 +168,7 @@ def _longitude(piece, children):
         return VERTICAL if vertical == 0 else None
     if vertical:
         return VERTICAL if vertical == 1 else None
-    return slope_of_tau(piece.b_eff - sum(piece.gammas) - sum(lam.tau for lam in lams))
+    return slope_of_tau(piece.horizontal_sum - sum(lam.tau for lam in lams))
 
 
 def _detect(piece, via, children, n_max):
@@ -205,13 +205,11 @@ def _cable_exceptions(piece, children, detected):
     with meridian not strongly detected in the child: status unknown."""
     if not piece.is_cable_space or not children:
         return []
-    gamma = piece.gammas[0]
-    shift = piece.b_eff
     out = []
     for exc in children[0].exceptions:
         if exc.slope.is_vertical:
             continue
-        t = shift - gamma - exc.slope.tau
+        t = piece.horizontal_sum - exc.slope.tau
         if t.denominator != 1:
             continue
         alpha = slope_of_tau(t)
@@ -277,8 +275,7 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
             or child_slope.is_vertical):
         return None
     tau_c = child_slope.tau
-    tau_t = tau_c if target_bdry == child_bdry else \
-        piece.b_eff - sum(piece.gammas) - tau_c
+    tau_t = tau_c if target_bdry == child_bdry else piece.horizontal_sum - tau_c
     m = lcm(piece.cone_order_lcm, tau_c.denominator)
     return slope_of_tau(tau_t), m // tau_c.denominator
 
@@ -470,7 +467,7 @@ def _is_fibred_tuple(piece, slopes):
     sum to -(b_eff - sum gamma_i) phi(h) (see _fibration_slope): the
     horizontal-surface condition sum tau_j = b_eff - sum gamma_i."""
     return (piece.base_orientable
-            and sum(s.tau for s in slopes) == piece.b_eff - sum(piece.gammas))
+            and sum(s.tau for s in slopes) == piece.horizontal_sum)
 
 
 @dataclass(frozen=True)
@@ -524,7 +521,7 @@ def decide_ctf(graph, split_edge=None, n_max=None):
             f"the longitudes at {edge.ident} give betti > 0, but H_1 has betti = 0")
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
-    if meet.is_empty:
+    if not meet:
         return CtfVerdict(False, {}, {}, NOTE_REFUSES, edge.ident)
     w = simplest_slope(meet)
     assign_u = _extract(u_root, w, n_max)
@@ -547,19 +544,25 @@ def _require_rational_sphere(graph):
         raise RoleError(f"not a rational homology sphere (betti = {betti})")
 
 
+def _boundary_slopes(graph, pid, witness):
+    """The witness's slope on each boundary torus of piece ``pid``, in the
+    piece's frame: an edge's slope is recorded in its from-side frame, and
+    the dangling torus reads ``witness[ROOT_KEY]``.  None when a slope is
+    missing."""
+    slopes = []
+    for j in range(graph.pieces[pid].boundary_count):
+        e = graph.edge_at(pid, j)
+        s = witness.get(ROOT_KEY if e is None else e.ident)
+        if s is None:
+            return None
+        slopes.append(s if e is None or (e.from_piece, e.from_bdry) == (pid, j)
+                      else act(e.matrix, s))
+    return slopes
+
+
 def _tag_pieces(graph, witness):
-    tags = {}
-    for pid, piece in graph.pieces.items():
-        slopes = {}
-        for j in range(piece.boundary_count):
-            e = graph.edge_at(pid, j)
-            s = witness[e.ident]
-            if (e.from_piece, e.from_bdry) == (pid, j):
-                slopes[j] = s
-            else:
-                slopes[j] = act(e.matrix, s)
-        tags[pid] = classify_piece(piece, slopes)
-    return tags
+    return {pid: classify_piece(piece, _boundary_slopes(graph, pid, witness))
+            for pid, piece in graph.pieces.items()}
 
 
 def revalidate_witness(graph, witness, n_max=None):
@@ -568,21 +571,11 @@ def revalidate_witness(graph, witness, n_max=None):
     graph the slope on the dangling torus is ``witness[ROOT_KEY]``, as
     extract_witness returns it."""
     for pid, piece in graph.pieces.items():
-        slopes = {}
-        for j in range(piece.boundary_count):
-            e = graph.edge_at(pid, j)
-            if e is None:
-                s = witness.get(ROOT_KEY)
-            else:
-                s = witness.get(e.ident)
-                if s is not None and (e.from_piece, e.from_bdry) != (pid, j):
-                    s = act(e.matrix, s)
-            if s is None:
-                return False
-            slopes[j] = s
-        for target_bdry in range(piece.boundary_count):
-            arcs = tuple(SlopeArc.point(slopes[j])
-                         for j in range(piece.boundary_count) if j != target_bdry)
-            if not detects(piece, ConstraintFamily(arcs), slopes[target_bdry], n_max=n_max):
+        slopes = _boundary_slopes(graph, pid, witness)
+        if slopes is None:
+            return False
+        for target_bdry, target in enumerate(slopes):
+            arcs = tuple(SlopeArc.point(s) for j, s in enumerate(slopes) if j != target_bdry)
+            if not detects(piece, ConstraintFamily(arcs), target, n_max=n_max):
                 return False
     return True

@@ -284,7 +284,7 @@ def normalize(graph):
     shifts = {}  # (piece id, bdry) -> integer frame shift
     for p in graph.pieces.values():
         cones = tuple((a, beta % a) for a, beta in p.cones)
-        b_eff = p.b - sum(beta // a for a, beta in p.cones)
+        b_eff = p.b_eff
         target = None
         for j in range(p.boundary_count):
             if graph.edge_at(p.ident, j) is not None:

@@ -3,9 +3,9 @@
 grid_union re-derives the core interval by enumerating constraint tuples
 over a finite rational grid and minimizing/maximizing the interval ends
 straight from their definitions; it must agree exactly with the closed-form
-core_interval once the grid is fine enough (the extrema sit at interval
-endpoints and just inside integer coordinates, so endpoints, integer points
-and integer +- 1/d offsets are always sampled).
+core_interval (the extrema sit at interval endpoints and just inside integer
+coordinates, so endpoints, integer points and integer +- 1/d offsets are
+always sampled).
 
 _certificates enumerates every (N, A, placement) triple in lexicographic
 order and yields those whose non-target values pass the cone and boundary
@@ -33,15 +33,14 @@ from .seifert import (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling plan: rationals of denominator <= ``denominator`` inside each
-    constraint interval, always including both endpoints, every integer
-    point, and the integer +- 1/denominator offsets.
+    """Sampling plan: both endpoints of each constraint interval, every
+    integer point in it, and the integer +- 1/denominator offsets.
 
     The denominator is clamped to >= 2: a denominator-1 grid contains no
     non-integral point at all, so it cannot sample the stratum where strong
     coordinates must avoid the integers."""
 
-    denominator: int = 24
+    denominator: int
 
     def __post_init__(self):
         object.__setattr__(self, "denominator", max(2, self.denominator))
@@ -71,12 +70,18 @@ def _intervals(family):
 
 def grid_union(piece, family, spec=None):
     """(min m0, max m1) over all sampled tuples with no integral strong
-    coordinate; the brute-force counterpart of core_interval."""
+    coordinate; the brute-force counterpart of core_interval.
+
+    Without a spec the denominator is the largest endpoint denominator, at
+    least 2.  Every denominator from 2 up gives the same answer: tau_stats
+    reads only the floor and the integrality of each coordinate, and the
+    endpoints, integers and offsets meet each such class of an interval."""
     if v_count(family) != 0:
         raise FamilyError("grid oracle needs a vertical-free family")
+    intervals = _intervals(family)
     if spec is None:
-        spec = GridSpec()
-    grids = [spec.samples(eta, zeta) for eta, zeta in _intervals(family)]
+        spec = GridSpec(max((e.denominator for ends in intervals for e in ends), default=2))
+    grids = [spec.samples(eta, zeta) for eta, zeta in intervals]
     lo = None
     hi = None
     for taus in itertools.product(*grids) if grids else [()]:

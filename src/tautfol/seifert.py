@@ -100,6 +100,8 @@ class SeifertPiece:
         # Normalized cone fractions gamma_i = beta_i/a_i mod 1, in (0, 1).
         object.__setattr__(self, "gammas",
                            tuple(Fraction(beta % a, a) for a, beta in self.cones))
+        # b - sum(beta_i/a_i): a horizontal surface's boundary taus sum to it.
+        object.__setattr__(self, "horizontal_sum", self.b_eff - sum(self.gammas))
 
     @property
     def n(self):
@@ -608,8 +610,7 @@ def solid_torus_meridian(piece):
     """Meridional slope of a fibred solid torus piece, in its boundary frame."""
     if not piece.is_solid_torus_piece:
         raise PieceError("piece is not a solid torus")
-    gamma = piece.gammas[0] if piece.n == 1 else 0
-    return slope_of_tau(piece.b_eff - gamma)
+    return slope_of_tau(piece.horizontal_sum)
 
 
 def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):

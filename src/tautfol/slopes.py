@@ -85,17 +85,10 @@ def slope_of_tau(tau):
     return Slope(-tau.numerator, tau.denominator)
 
 
-def _key(slope):
-    """Total order on circle points used for cyclic comparisons: rationals
-    by tau, the vertical slope strictly last."""
-    if slope.is_vertical:
-        return (1, Fraction(0))
-    return (0, slope.tau)
-
-
 def _before(a, b):
-    """_key(a) < _key(b), by cross-multiplying: tau(a) < tau(b) is
-    b.p * a.q < a.p * b.q, as both q are positive."""
+    """a < b in the order of increasing tau with the vertical slope last, by
+    cross-multiplying: tau(a) < tau(b) is b.p * a.q < a.p * b.q, as both q
+    are positive."""
     if b.q == 0:
         return a.q != 0
     return a.q != 0 and b.p * a.q < a.p * b.q
@@ -103,7 +96,7 @@ def _before(a, b):
 
 def _cyclically_between(a, x, b):
     """True when x lies strictly inside the arc from a to b (positive
-    orientation), all three points distinct."""
+    orientation); False when two of the three points coincide."""
     ax, xb, ba = _before(a, x), _before(x, b), _before(b, a)
     return (ax and xb) or (ba and ax) or (xb and ba)
 
@@ -239,114 +232,29 @@ class SlopeArc:
         return f"SlopeArc.{self.kind}()"
 
 
-def _le(a, b):
-    """a <= b on the extended line, None on the left = -oo, on the right = +oo."""
-    if a is None or b is None:
-        return True
-    return a <= b
-
-
-def _merge_pieces(pieces):
-    """Merge overlapping/touching closed linear intervals.  None endpoints
-    are -oo (first slot) and +oo (second slot)."""
-    def lo_key(piece):
-        lo = piece[0]
-        return (0, Fraction(0)) if lo is None else (1, lo)
-
-    merged = []
-    for lo, hi in sorted(pieces, key=lo_key):
-        if merged:
-            plo, phi = merged[-1]
-            touching = phi is None or lo is None or lo <= phi
-            if touching:
-                newhi = None if (phi is None or hi is None) else max(phi, hi)
-                merged[-1] = (plo, newhi)
-                continue
-        merged.append((lo, hi))
-    return merged
-
-
-def _assemble(pieces, has_vertical):
-    """Rebuild circle components from linear pieces plus the vertical flag."""
-    pieces = _merge_pieces(pieces)
-    if any(lo is None and hi is None for lo, hi in pieces):
-        if has_vertical:
-            return [SlopeArc.full()]
-        raise SlopeError("unbounded horizontal set without the vertical slope")
-    left = [p for p in pieces if p[0] is None]
-    right = [p for p in pieces if p[1] is None and p[0] is not None]
-    finite = [p for p in pieces if p[0] is not None and p[1] is not None]
-    comps = []
-    if has_vertical:
-        # A right ray, the vertical point and a left ray glue into one arc.
-        if left and right:
-            comps.append(SlopeArc.arc(slope_of_tau(right[0][0]),
-                                      slope_of_tau(left[0][1])))
-        elif left:
-            comps.append(SlopeArc.arc(VERTICAL, slope_of_tau(left[0][1])))
-        elif right:
-            comps.append(SlopeArc.arc(slope_of_tau(right[0][0]), VERTICAL))
-        else:
-            comps.append(SlopeArc.point(VERTICAL))
-    elif left or right:
-        raise SlopeError("unbounded horizontal set without the vertical slope")
-    for lo, hi in finite:
-        if lo == hi:
-            comps.append(SlopeArc.point(slope_of_tau(lo)))
-        else:
-            comps.append(SlopeArc.arc(slope_of_tau(lo), slope_of_tau(hi)))
-    comps.sort(key=lambda c: _key(c.start) if c.start is not None else (0, Fraction(0)))
-    return comps
-
-
-class SlopeSet:
-    """A finite disjoint union of closed arcs, with exact membership."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(c for c in components if not c.is_empty)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlopeSet is immutable")
-
-    @property
-    def is_empty(self):
-        return not self.components
-
-    def contains(self, slope):
-        return any(c.contains(slope) for c in self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, SlopeSet) and self.components == other.components
-
-    def __repr__(self):
-        return f"SlopeSet({list(self.components)!r})"
-
-
 def arc_intersect(a, b):
-    """Exact intersection of two closed arcs: a SlopeSet with 0, 1 or 2
-    components, each with rational frontier."""
-    pa, va = a.tau_pieces()
-    pb, vb = b.tau_pieces()
+    """Exact intersection of two closed arcs: a tuple of 0, 1 or 2 disjoint
+    closed arcs, points included.
+
+    Each component starts at the start of one arc that lies in the other arc
+    and runs forward to whichever of the two ends comes first."""
+    if a.is_empty or b.is_empty:
+        return ()
+    if a.is_full or b.is_full:
+        return (b if a.is_full else a,)
+    if a.is_point or b.is_point:
+        point, other = (a, b) if a.is_point else (b, a)
+        return (point,) if other.contains(point.start) else ()
     out = []
-    for lo1, hi1 in pa:
-        for lo2, hi2 in pb:
-            lo = lo1 if lo2 is None else lo2 if lo1 is None else max(lo1, lo2)
-            hi = hi1 if hi2 is None else hi2 if hi1 is None else min(hi1, hi2)
-            if _le(lo, hi):
-                out.append((lo, hi))
-    comps = _assemble(out, va and vb) if (out or (va and vb)) else []
-    if len(comps) > 2:
-        raise SlopeError("two arcs cannot intersect in more than 2 components")
-    return SlopeSet(comps)
+    for first, other in ((a, b), (b, a)):
+        s = first.start
+        if not other.contains(s) or any(c.start == s for c in out):
+            continue
+        # other.end comes first unless first.end lies strictly before it; a
+        # component that starts where other ends is that one point.
+        end = first.end if _cyclically_between(s, first.end, other.end) else other.end
+        out.append(SlopeArc.arc(s, end))
+    return tuple(out)
 
 
 class GluingMatrix:
@@ -418,7 +326,7 @@ def act_arc(g, arc):
 
 
 def simplest_slope(region, allow_vertical=True):
-    """The simplest rational slope in a non-empty SlopeArc or SlopeSet:
+    """The simplest rational slope in a non-empty SlopeArc or iterable of arcs:
     minimal q, then minimal |p|, then positive tau preferred.
 
     The vertical slope (q = 0) is the simplest of all when present and

@@ -1,8 +1,21 @@
-"""The brute-force cross-checkers themselves."""
+"""The brute-force cross-checkers themselves.
 
+The certificate enumeration ``_certificates`` is locked against a stored
+digest of what the Fraction reference ``_fraction_certificates`` yields on
+3,000 seeded draws, hashed in blocks of 100 draws in
+``tests/golden/oracle_digest.txt``; every 10th draw is also compared with the
+reference directly.  A deliberate change to the enumeration's answers
+rewrites the file in the same change:
+
+    PYTHONPATH=src:tests python tests/test_oracle.py > tests/golden/oracle_digest.txt
+"""
+
+import hashlib
+import random
 from fractions import Fraction
 from functools import partial
 from math import floor, gcd
+from pathlib import Path
 
 from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval
 from tautfol.oracle import (GridSpec, _certificates, _intervals, grid_union, jn_exhaustive,
@@ -11,6 +24,10 @@ from tautfol import jn_refine_high, jn_refine_low
 from conftest import rand_horizontal_piece_and_family
 
 F = Fraction
+DIGEST = Path(__file__).resolve().parent / "golden" / "oracle_digest.txt"
+DRAWS = 3000
+BLOCK = 100
+LIVE_EVERY = 10
 
 
 def _piece(cones, b=0, r=1):
@@ -170,18 +187,39 @@ def _fraction_certificates(piece, family, side, n_max):
                     )
 
 
-def test_certificates_match_the_fraction_enumeration(rng):
-    certs = 0
-    for i in range(3000):
+def _enumerations(enumerate_certificates):
+    """(draw, piece, family, side, n_max, certificates) for both sides of
+    each seeded draw, in order."""
+    rng = random.Random(0x5EED)  # the seed of the rng fixture
+    for i in range(DRAWS):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
                                                       a_max=6)
         n_max = rng.randint(0, 24)
         for side in ("low", "high"):
-            got = list(_certificates(piece, fam, side, n_max))
+            yield i, piece, fam, side, n_max, list(enumerate_certificates(
+                piece, fam, side, n_max))
+
+
+def digest_lines(records):
+    """One line per block of draws: first draw, count, sha256 of the
+    certificate lists."""
+    blocks = {}
+    for i, *_, certs in records:
+        blocks.setdefault(i - i % BLOCK, hashlib.sha256()).update(f"{certs!r}\n".encode())
+    return [f"{start} {BLOCK} {h.hexdigest()}" for start, h in blocks.items()]
+
+
+def test_certificates_match_the_fraction_enumeration():
+    records = list(_enumerations(_certificates))
+    for i, piece, fam, side, n_max, got in records:
+        if i % LIVE_EVERY == 0:
             assert got == list(_fraction_certificates(piece, fam, side, n_max)), (
                 piece, fam.arcs, fam.strong, side, n_max)
-            certs += len(got)
-    assert certs > 5000
+    assert sum(len(certs) for *_, certs in records) > 5000
+    expected = DIGEST.read_text(encoding="utf-8").splitlines()
+    got = digest_lines(records)
+    assert len(got) == len(expected)
+    assert [a for a, b in zip(got, expected) if a != b] == []
     # Placements collapse where a value is 1: N = 2 puts 1 everywhere, and
     # A = 1 or N - A = 1 leaves one position that tells them apart.
     for cones, tau, side in (([(3, 1), (5, 1)], F(1, 3), "high"),
@@ -195,3 +233,7 @@ def test_certificates_match_the_fraction_enumeration(rng):
             (3, 1, (2, 1), ((0, 1),), 1),
             (3, 2, (2, 1), ((0, 1),), 1),
         ]
+
+
+if __name__ == "__main__":
+    print("\n".join(digest_lines(_enumerations(_fraction_certificates))))

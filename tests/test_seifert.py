@@ -1,9 +1,20 @@
 """The relative detection kernel: tau statistics, the core interval, the
-certificate search, and the full case analysis."""
+certificate search, and the full case analysis.
 
+The certificate scan ``_scan_certificates`` is locked against a stored digest
+of what the loop over every N, ``_linear_scan``, answers on 40,000 seeded
+draws, hashed in blocks of 1,000 draws in ``tests/golden/scan_digest.txt``;
+every 10th draw is also compared with the loop directly.  A deliberate
+change to the scan's answers rewrites the file in the same change:
+
+    PYTHONPATH=src:tests python tests/test_seifert.py > tests/golden/scan_digest.txt
+"""
+
+import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +55,10 @@ from conftest import (
 )
 
 F = Fraction
+SCAN_DIGEST = Path(__file__).resolve().parent / "golden" / "scan_digest.txt"
+SCAN_DRAWS = 40000
+SCAN_BLOCK = 1000
+LIVE_EVERY = 10
 
 
 def _piece(cones, b=0, r=1, orientable=True, crosscaps=0):
@@ -320,10 +335,11 @@ def _placement(slots, n):
     return "all" if all(ok) else "hardest" if all(ok[1:]) else "pair"
 
 
-def test_certificate_scan_matches_the_linear_scan(rng):
+def _scan_answers(scan):
+    """(slots, n_max, answer of ``scan``) for each seeded draw, in order."""
+    rng = random.Random(0x5EED)  # the seed of the rng fixture
     dens = [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 17, 30, 97]
-    wins = {"all": 0, "hardest": 0, "pair": 0, None: 0}
-    for _ in range(40000):
+    for _ in range(SCAN_DRAWS):
         slots = []
         for i in range(rng.randint(1, 5)):
             d = rng.choice(dens)
@@ -343,10 +359,32 @@ def test_certificate_scan_matches_the_linear_scan(rng):
             excess = F(rng.randint(1, 3), rng.choice(dens)) if rng.random() < 0.5 else 0
             slots[j] = (j, 1 - slots[0][1] + excess, slots[j][2])
         n_max = rng.randint(0, rng.choice([12, 60, 300]))
-        found = _scan_certificates(slots, n_max)
-        assert found == _linear_scan(slots, n_max), (slots, n_max)
+        yield slots, n_max, scan(slots, n_max)
+
+
+def scan_digest_lines(answers):
+    """One line per block of draws: first draw, count, sha256 of the answers
+    (the assignment sorted by slot)."""
+    blocks = {}
+    for k, (_, _, found) in enumerate(answers):
+        if found is not None:
+            found = (*found[:3], sorted(found[3].items()), found[4])
+        blocks.setdefault(k - k % SCAN_BLOCK, hashlib.sha256()).update(f"{found!r}\n".encode())
+    return [f"{start} {SCAN_BLOCK} {h.hexdigest()}" for start, h in blocks.items()]
+
+
+def test_certificate_scan_matches_the_linear_scan():
+    answers = list(_scan_answers(_scan_certificates))
+    wins = {"all": 0, "hardest": 0, "pair": 0, None: 0}
+    for k, (slots, n_max, found) in enumerate(answers):
+        if k % LIVE_EVERY == 0:
+            assert found == _linear_scan(slots, n_max), (slots, n_max)
         wins[found and _placement(slots, found[1])] += 1
     assert min(wins.values()) > 1000, wins
+    expected = SCAN_DIGEST.read_text(encoding="utf-8").splitlines()
+    got = scan_digest_lines(answers)
+    assert len(got) == len(expected)
+    assert [a for a, b in zip(got, expected) if a != b] == []
 
 
 def test_certificate_scan_at_large_bounds():
@@ -737,3 +775,7 @@ def test_realize_in_refined_zones_under_the_point_bound(rng):
                 _assert_realizes(piece, family, slope_of_tau(t + shift))
                 targets += 1
     assert targets > 300 and smaller > 50, (targets, smaller)
+
+
+if __name__ == "__main__":
+    print("\n".join(scan_digest_lines(_scan_answers(_linear_scan))))

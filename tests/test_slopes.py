@@ -126,7 +126,7 @@ def test_arc_intersect_trivia():
     b = SlopeArc.from_tau_interval(1, 2)
     meet = arc_intersect(a, b)
     assert list(meet) == [SlopeArc.point(slope_of_tau(1))]
-    assert arc_intersect(a, SlopeArc.empty()).is_empty
+    assert arc_intersect(a, SlopeArc.empty()) == ()
 
 
 def test_arc_intersect_two_components():
@@ -139,31 +139,59 @@ def test_arc_intersect_two_components():
     meet2 = arc_intersect(a, c)
     assert len(meet2) == 2
     for x in GRID:
-        assert meet2.contains(x) == (a.contains(x) and c.contains(x))
+        assert any(m.contains(x) for m in meet2) == (a.contains(x) and c.contains(x))
+
+
+def _tau_arc(lo, hi):
+    return SlopeArc.arc(slope_of_tau(Fraction(lo)), slope_of_tau(Fraction(hi)))
 
 
 def test_arc_intersect_grid_oracle(rng):
-    slopes = [VERTICAL] + [slope_of_tau(Fraction(n, 4)) for n in range(-10, 11)]
+    slopes = [VERTICAL] + sorted({slope_of_tau(Fraction(n, d)) for d in range(1, 6)
+                                  for n in range(-3 * d, 3 * d + 1)}, key=lambda s: s.tau)
 
     def rand_arc():
         kind = rng.random()
-        if kind < 0.1:
+        if kind < 0.05:
+            return SlopeArc.empty()
+        if kind < 0.15:
             return SlopeArc.full()
-        if kind < 0.25:
+        if kind < 0.3:
             return SlopeArc.point(rng.choice(slopes))
         s, e = rng.sample(slopes, 2)
         return SlopeArc.arc(s, e)
 
-    for _ in range(150):
-        a, b = rand_arc(), rand_arc()
+    def check(a, b):
         meet = arc_intersect(a, b)
         assert len(meet) <= 2
+        for c in meet:
+            for end in c.endpoints():
+                assert a.contains(end) and b.contains(end), (a, b, c)
         for x in GRID:
-            assert meet.contains(x) == (a.contains(x) and b.contains(x)), (a, b, x)
+            hits = sum(c.contains(x) for c in meet)
+            assert hits <= 1, (a, b, x)  # the components are disjoint
+            assert bool(hits) == (a.contains(x) and b.contains(x)), (a, b, x)
         # commutativity
-        meet2 = arc_intersect(b, a)
-        for x in slopes:
-            assert meet.contains(x) == meet2.contains(x)
+        assert set(arc_intersect(b, a)) == set(meet)
+        return meet
+
+    for _ in range(600):
+        check(rand_arc(), rand_arc())
+    point = SlopeArc.point
+    # Arcs that only touch meet in their common end.
+    assert check(_tau_arc(0, 1), _tau_arc(1, 2)) == (point(slope_of_tau(1)),)
+    # Two arcs covering the circle meet in both ends.
+    assert set(check(_tau_arc(0, 1), _tau_arc(1, 0))) == {point(slope_of_tau(0)),
+                                                          point(slope_of_tau(1))}
+    for arc in (_tau_arc(0, 1), _tau_arc(1, -1), SlopeArc.arc(VERTICAL, slope_of_tau(2))):
+        assert check(arc, arc) == (arc,)                   # identical arcs
+    assert check(_tau_arc(-3, 3), _tau_arc(1, 2)) == (_tau_arc(1, 2),)     # nested
+    assert check(_tau_arc(1, -1), _tau_arc(2, -2)) == (_tau_arc(2, -2),)  # nested, wrapping
+    # Arcs that share a start run to the nearer end.
+    assert check(_tau_arc(0, 1), _tau_arc(0, 2)) == (_tau_arc(0, 1),)
+    assert check(_tau_arc(0, -1), _tau_arc(0, 2)) == (_tau_arc(0, 2),)
+    assert check(SlopeArc.point(VERTICAL), _tau_arc(1, -1)) == (SlopeArc.point(VERTICAL),)
+    assert check(SlopeArc.point(VERTICAL), _tau_arc(-1, 1)) == ()
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40),

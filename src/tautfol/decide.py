@@ -13,7 +13,8 @@ over an orientable base and not strong over a non-orientable one, and the
 two cable-space / degenerate-fibration situations downgrade finitely many
 slopes to an indeterminate status.
 
-The same pass gives each subtree's rational longitude in closed form, so
+The same pass gives each subtree's rational longitude and its order in
+closed form (graph.piece_longitude, the rule rational_longitude walks by), so
 no question here needs H_1 of the whole graph: decide_ctf splits a closed
 manifold along any JSJ torus, reads from the two longitudes there whether it
 is a rational homology sphere, intersects the two detected sets, and
@@ -30,7 +31,9 @@ from math import lcm
 from .graph import (
     RoleError,
     homology,
-    rational_longitude,
+    longitude_error,
+    piece_longitude,
+    post_order,
     split_at_edge,
     validate,
     errors_of,
@@ -77,7 +80,7 @@ class _Node:
     children: tuple      # _Child per other boundary, in boundary-index order
     family: object       # ConstraintFamily fed to the kernel; None on a product
     result: DetectionResult
-    longitude: object    # the subtree's rational longitude, None when b1 != 1
+    longitude: object    # the subtree's LongitudeResult, None when b1 != 1
 
 
 @dataclass(frozen=True)
@@ -91,31 +94,16 @@ class _Child:
 
 
 def _evaluate(graph, n_max):
-    """The nodes of the rooted tree in post-order (depth-first, children in
-    boundary-index order), the root last.  Each piece is evaluated once, from
-    its children's nodes.  The walk keeps its own stack, so the depth of the
-    tree is not limited by the interpreter's recursion limit."""
-    # Pre-order taking the children last-first; reversed, it is the post-order.
-    order = []
-    stack = [graph.root()]
-    while stack:
-        pid, via = stack.pop()
-        order.append((pid, via))
-        for j in range(graph.pieces[pid].boundary_count):
-            if j == via:
-                continue
-            edge = graph.edge_at(pid, j)
-            if edge is None:
-                raise RoleError(
-                    f"piece {pid} boundary {j} is dangling inside the tree")
-            stack.append(edge.other_side(pid, j))
+    """The nodes of the rooted tree in graph.post_order, the root last.  Each
+    piece is evaluated once, from its children's nodes."""
     nodes = {}
-    for pid, via in reversed(order):
+    for pid, via, links in post_order(graph):
         piece = graph.pieces[pid]
-        children = tuple(_child(graph, nodes, pid, j)
-                         for j in range(piece.boundary_count) if j != via)
-        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max),
-                           _longitude(piece, children))
+        children = tuple(_child(nodes[cid], j, edge, transport)
+                         for j, edge, cid, transport in links)
+        nodes[pid] = _Node(
+            piece, children, *_detect(piece, via, children, n_max),
+            piece_longitude(piece, [(c.transport, c.node.longitude) for c in children]))
     return tuple(nodes.values())
 
 
@@ -135,40 +123,11 @@ def _reevaluated(graph, n_max):
     return nodes
 
 
-def _child(graph, nodes, pid, j):
-    edge = graph.edge_at(pid, j)
-    cid, cbd = edge.other_side(pid, j)
-    node = nodes[cid]
-    g = edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd) \
-        else edge.matrix.inverse()
+def _child(node, j, edge, transport):
     moved = tuple(
-        ExceptionalSlope(act(g, e.slope), e.status, e.reason)
+        ExceptionalSlope(act(transport, e.slope), e.status, e.reason)
         for e in node.result.exceptions)
-    return _Child(j, edge, g, node, act_arc(g, node.result.detected), moved)
-
-
-def _longitude(piece, children):
-    """The subtree's rational longitude in its root frame, or None when the
-    subtree's first Betti number is not 1.
-
-    By Mayer-Vietoris, filling each child torus along the child's longitude
-    lambda_j leaves the subtree's rational homology, and b1 = 1 exactly when
-    every child has b1 = 1 and the lambda_j stay independent in H_1(piece; Q).
-    Over a planar base a horizontal lambda_j sets d_j = -tau(lambda_j) h and
-    a vertical one kills h, so two vertical ones are dependent; over a
-    crosscap-1 base h is torsion, so a vertical lambda_j is dependent and the
-    others kill their d_j, leaving the root's d free."""
-    lams = []
-    for c in children:
-        if c.node.longitude is None:
-            return None
-        lams.append(act(c.transport, c.node.longitude))
-    vertical = sum(1 for lam in lams if lam.is_vertical)
-    if not piece.base_orientable:
-        return VERTICAL if vertical == 0 else None
-    if vertical:
-        return VERTICAL if vertical == 1 else None
-    return slope_of_tau(piece.horizontal_sum - sum(lam.tau for lam in lams))
+    return _Child(j, edge, transport, node, act_arc(transport, node.result.detected), moved)
 
 
 def _detect(piece, via, children, n_max):
@@ -324,10 +283,9 @@ def check_degenerate(graph, n_max=None):
     root = _evaluated(graph, n_max)[-1]
     result = root.result
     direct = result.detected.is_point
-    lam = root.longitude
-    if lam is None:
-        rational_longitude(graph)  # raises, naming the Betti number
-        raise DecisionError("the tree has no rational longitude, but H_1 has betti = 1")
+    if root.longitude is None:
+        raise longitude_error(graph)
+    lam = root.longitude.slope
     piece, children = root.piece, root.children
     arcs = [c.arc for c in children]
     v = sum(1 for a in arcs if a.contains_vertical())
@@ -362,7 +320,7 @@ def check_degenerate(graph, n_max=None):
         explanation = "some child set is not degenerate"
         if v == 0 and all(a.is_point for a in arcs):
             # b1 = 1 here, so every child subtree has b1 = 1 and a longitude.
-            if all(act(c.transport, c.node.longitude) == c.arc.start
+            if all(act(c.transport, c.node.longitude.slope) == c.arc.start
                    for c in children):
                 # The root's kernel result is relative to exactly these arcs.
                 predicted = result.detected == SlopeArc.point(lam)
@@ -515,7 +473,7 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     # By Mayer-Vietoris, b1 = 0 exactly when both sides have b1 = 1 and
     # their longitudes are different slopes of the split torus.
     if (u_root.longitude is None or v_root.longitude is None
-            or u_root.longitude == act(edge.matrix.inverse(), v_root.longitude)):
+            or u_root.longitude.slope == act(edge.matrix.inverse(), v_root.longitude.slope)):
         _require_rational_sphere(graph)
         raise DecisionError(
             f"the longitudes at {edge.ident} give betti > 0, but H_1 has betti = 0")

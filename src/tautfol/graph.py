@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .snf import Presentation
-from .seifert import PieceError, SeifertPiece
-from .slopes import GluingMatrix, Slope
+from .seifert import DecisionError, PieceError, SeifertPiece
+from .slopes import VERTICAL, GluingMatrix, Slope, act, slope_of_tau
 
 SCHEMA_VERSION = 1
 
@@ -249,22 +250,113 @@ class LongitudeResult:
     order: int
 
 
+def post_order(graph):
+    """The pieces of a solid-torus tree in post-order (depth-first, children
+    in boundary-index order), the root last, as (piece id, boundary towards
+    the parent, children).  Each child is (boundary index, edge, child piece
+    id, transport), the transport taking the child's root frame to this
+    piece's frame.  The walk keeps its own stack, so the depth of the tree
+    is not limited by the interpreter's recursion limit; it raises RoleError
+    on a graph that is not a tree, which it may be handed unvalidated."""
+    # Pre-order taking the children last-first; reversed, it is the post-order.
+    order = []
+    stack = [graph.root()]
+    while stack:
+        pid, via = stack.pop()
+        children = []
+        for j in range(graph.pieces[pid].boundary_count):
+            if j == via:
+                continue
+            edge = graph.edge_at(pid, j)
+            if edge is None:
+                raise RoleError(
+                    f"piece {pid} boundary {j} is dangling inside the tree")
+            cid, cbd = edge.other_side(pid, j)
+            transport = (edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd)
+                         else edge.matrix.inverse())
+            children.append((j, edge, cid, transport))
+            stack.append((cid, cbd))
+        order.append((pid, via, children))
+        if len(order) > len(graph.pieces):
+            raise RoleError("underlying graph is not a tree")
+    if len(order) != len(graph.pieces):
+        raise RoleError("underlying graph is not a tree")
+    return reversed(order)
+
+
+def piece_longitude(piece, children):
+    """The rational longitude (slope and order) of the subtree rooted at
+    ``piece``, in the piece's frame on the boundary towards the parent, or
+    None when the subtree's first Betti number is not 1.  ``children`` holds
+    one (transport, LongitudeResult or None) per child subtree, the
+    transport taking the child's root frame to this piece's frame.
+
+    By Mayer-Vietoris, b1 = 1 exactly when every child has b1 = 1 and the
+    child longitudes lambda_j stay independent in H_1(piece; Q).  Over a
+    planar base a horizontal lambda_j sets d_j = -tau(lambda_j) h and a
+    vertical one kills h, so two vertical ones are dependent; over a
+    crosscap-1 base h is torsion, so a vertical lambda_j is dependent and
+    the others kill their d_j, leaving the root's d free.  A second crosscap
+    adds a free class.  The order is derived in rational_longitude."""
+    lams = []  # (slope in this piece's frame, order)
+    for transport, child in children:
+        if child is None:
+            return None
+        lams.append((act(transport, child.slope), child.order))
+    vertical = [order for lam, order in lams if lam.is_vertical]
+    if not piece.base_orientable:
+        return LongitudeResult(VERTICAL, 2) if not vertical and piece.crosscaps == 1 else None
+    if vertical:
+        return LongitudeResult(VERTICAL, vertical[0]) if len(vertical) == 1 else None
+    slope = slope_of_tau(piece.horizontal_sum - sum(lam.tau for lam, _ in lams))
+    q = slope.q
+    order = lcm(*(a // gcd(a, q) for a, _ in piece.cones))
+    for lam, o in lams:
+        m = o * lam.q
+        order = lcm(order, m // gcd(m, q))
+    return LongitudeResult(slope, order)
+
+
 def rational_longitude(graph):
-    """The primitive boundary class that is torsion in H_1, and its order."""
-    pid, j = graph.root()
-    solved = presentation(graph).solve()
-    if solved.betti != 1:
-        raise RoleError(
-            f"rational longitude needs betti = 1, got {solved.betti}")
-    (fh,) = solved.rational_image({("h", pid): 1})
-    (fd,) = solved.rational_image({("d", pid, j): 1})
-    if fh == 0 and fd == 0:
-        raise RoleError("boundary torus maps to torsion; not a rational homology solid torus")
-    # The class p*h - q*d is torsion iff p*fh - q*fd = 0; Slope reduces
-    # the common factor of the two pairings.
-    slope = Slope(fd, fh)
-    order = solved.element_order({("h", pid): slope.p, ("d", pid, j): -slope.q})
-    return LongitudeResult(slope=slope, order=order)
+    """The primitive boundary class that is torsion in H_1, and its order.
+
+    One post-order walk over the tree carries each subtree's (longitude,
+    order) to its parent (piece_longitude), with no H_1.  By Mayer-Vietoris,
+    the order in H_1(M_v) of a class on the root piece P_v of a subtree M_v
+    is the least n that puts n times the class into the span of the
+    relations of H_1(P_v) and the o_c lambda_c of every child c, since the
+    kernel of H_1(T_c) -> H_1(M_c) is Z o_c lambda_c, with lambda_c the
+    child's longitude and o_c its order.  These relations are linearly
+    independent, with pivots x_i, d_via and d_c, so the order of
+    lambda_v = p h - q d_via is the lcm of the denominators of its unique
+    rational coefficients in them:
+
+    * over a planar base with every lambda_c = (p_c, q_c) horizontal, the
+      lcm of a_i / gcd(a_i, q) over the cones (a_i, beta_i) and of
+      o_c q_c / gcd(o_c q_c, q) over the children;
+    * with one vertical lambda_c, lambda_v = h and the order is o_c;
+    * over a crosscap-1 base, lambda_v = h and 2h = 0 give the order 2.
+
+    When the walk finds b1 != 1, H_1 is solved only to name the Betti number
+    in the error."""
+    longitudes = {}
+    for pid, _, children in post_order(graph):
+        longitudes[pid] = piece_longitude(
+            graph.pieces[pid],
+            [(transport, longitudes[cid]) for _, _, cid, transport in children])
+    result = longitudes[pid]  # the root comes last
+    if result is None:
+        raise longitude_error(graph)
+    return result
+
+
+def longitude_error(graph):
+    """The error for a tree whose walk finds no rational longitude; H_1 is
+    solved to name the Betti number."""
+    betti = homology(graph).betti
+    if betti != 1:
+        return RoleError(f"rational longitude needs betti = 1, got {betti}")
+    return DecisionError("the tree has no rational longitude, but H_1 has betti = 1")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ its coordinates modulo that diagonal (Domich, Kannan and Trotter 1987).  An
 element of Z^g is first rewritten in the kept generators by the recorded
 substitutions.
 
+The program solves H_1 only on error paths, to name the Betti number of a
+graph whose tree walk finds no rational longitude or no rational homology
+sphere; the tests solve it as the reference for those walks.
 ``smith_normal_form`` is the dense Smith normal form over the integers with
 its transforms.  The program does not call it; the tests use it as the
 reference that the reduced presentations are checked against.

@@ -184,6 +184,27 @@ def rand_valid_closed(rng, max_pieces=4, min_pieces=2):
             return g
 
 
+def plumbing_chain(k):
+    """k pieces with cones (2,1), (3,1) and b = -2 glued end to end by
+    [[0,1],[1,0]]; p0 carries the dangling torus."""
+    pieces = [SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=-2,
+                           boundary_count=1 if i == k - 1 else 2, ident=f"p{i}")
+              for i in range(k)]
+    edges = [Edge(f"p{i + 1}", 0, f"p{i}", 1, GluingMatrix(0, 1, 1, 0), f"e{i}")
+             for i in range(k - 1)]
+    return PlumbingGraph(pieces, edges, "solid-torus")
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)
+
+
+if __name__ == "__main__":
+    # python tests/conftest.py K: the K-piece plumbing chain as manifold JSON.
+    import json
+    import sys
+
+    from tautfol.graph import dump_manifold
+
+    print(json.dumps(dump_manifold(plumbing_chain(int(sys.argv[1])))))

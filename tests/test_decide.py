@@ -37,8 +37,10 @@ from tautfol import (
     slope_of_tau,
 )
 from tautfol.decide import ROOT_KEY, _evaluate, iter_piece_evaluations
+from tautfol.graph import piece_longitude, post_order, presentation
 from tautfol.seifert import product_transport
 from conftest import (
+    plumbing_chain,
     rand_closed,
     rand_matrix,
     rand_solid_tree,
@@ -166,7 +168,9 @@ def test_tree_requires_valid_graph():
 
 
 def test_walk_rejects_a_cycle():
-    # Validation rejects the cycle before any walk starts.
+    # Validation rejects the cycle before any walk starts; the longitude's
+    # walk, which runs unvalidated, stops once it has visited more pieces
+    # than the graph has.
     swap = GluingMatrix(0, 1, 1, 0)
     g = PlumbingGraph(
         [piece("r", [(2, 1)], r=2), piece("x", [(2, 1)], r=3), piece("y", [(3, 1)], r=2)],
@@ -175,16 +179,8 @@ def test_walk_rejects_a_cycle():
         "solid-torus")
     with pytest.raises(RoleError):
         iter_piece_evaluations(g)
-
-
-def plumbing_chain(k):
-    """k pieces with cones (2,1), (3,1) and b = -2 glued end to end by
-    [[0,1],[1,0]]; p0 carries the dangling torus."""
-    pieces = [piece(f"p{i}", [(2, 1), (3, 1)], b=-2, r=1 if i == k - 1 else 2)
-              for i in range(k)]
-    edges = [Edge(f"p{i + 1}", 0, f"p{i}", 1, GluingMatrix(0, 1, 1, 0), f"e{i}")
-             for i in range(k - 1)]
-    return PlumbingGraph(pieces, edges, "solid-torus")
+    with pytest.raises(RoleError, match="not a tree"):
+        rational_longitude(g)
 
 
 def test_kernel_runs_once_per_piece(monkeypatch):
@@ -253,20 +249,51 @@ def test_deep_chain_needs_no_recursion():
     assert revalidate_witness(g, witness)
 
 
+def _h1_longitude(g):
+    """The rational longitude and its order read from H_1 of the whole
+    graph, or None when b1 != 1: the torsion class p*h - q*d on the root
+    torus has p*fh = q*fd for the pairings fh, fd with the free quotient."""
+    pid, j = g.root()
+    solved = presentation(g).solve()
+    if solved.betti != 1:
+        return None
+    (fh,) = solved.rational_image({("h", pid): 1})
+    (fd,) = solved.rational_image({("d", pid, j): 1})
+    slope = Slope(fd, fh)
+    return slope, solved.element_order({("h", pid): slope.p, ("d", pid, j): -slope.q})
+
+
 def test_tree_longitudes_match_homology():
-    """Each root node's longitude is the rational longitude from H_1, and
-    None exactly when the Betti number is not 1."""
+    """Each root node's longitude and order are the ones H_1 gives, and the
+    node holds None exactly when the Betti number is not 1; so does
+    rational_longitude, which reads the same walk, on 1,500 more trees."""
     checked = 0
     for seed in range(600):
         g = rand_solid_tree(random.Random(seed), max_pieces=8)
-        betti = homology(g).betti
+        expected = _h1_longitude(g)
         longitude = _evaluate(g, None)[-1].longitude
-        if betti == 1:
-            assert longitude == rational_longitude(g).slope, seed
-            checked += 1
-        else:
+        if expected is None:
             assert longitude is None, seed
+        else:
+            assert (longitude.slope, longitude.order) == expected, seed
+            checked += 1
     assert checked > 500
+    rng = random.Random(2026)
+    orders, crosscap_roots, vertical_children = 0, 0, 0
+    for draw in range(1500):
+        g = rand_valid_solid_tree(rng, max_pieces=6)
+        result = rational_longitude(g)
+        assert (result.slope, result.order) == _h1_longitude(g), draw
+        orders += result.order > 1
+        crosscap_roots += not g.pieces[g.root()[0]].base_orientable
+        # Every subtree of a b1 = 1 tree has a longitude; count the vertical
+        # ones in their parent's frame.
+        longitudes = {}
+        for pid, _, children in post_order(g):
+            moved = [(t, longitudes[cid]) for _, _, cid, t in children]
+            vertical_children += sum(act(t, lam.slope).is_vertical for t, lam in moved)
+            longitudes[pid] = piece_longitude(g.pieces[pid], moved)
+    assert orders > 500 and crosscap_roots > 100 and vertical_children > 20
 
 
 def test_betti_test_at_every_split_matches_homology(monkeypatch):

@@ -16,8 +16,7 @@ from tautfol import (
 )
 from tautfol.graph import presentation
 from tautfol.snf import Presentation, smith_normal_form
-from conftest import rand_cones, rand_valid_closed, rand_valid_solid_tree
-from test_decide import plumbing_chain
+from conftest import plumbing_chain, rand_cones, rand_valid_closed, rand_valid_solid_tree
 
 
 def _mm(x, y):

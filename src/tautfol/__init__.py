@@ -62,7 +62,7 @@ from .decide import (
     extract_witness,
     revalidate_witness,
 )
-from .oracle import GridSpec, grid_union, jn_exhaustive, jn_exhaustive_extremal
+from .oracle import grid_union, jn_exhaustive, jn_exhaustive_extremal
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -206,7 +206,7 @@ def _cmd_oracle_check(graph, args):
                     or piece.is_product_piece or v_count(family) != 0):
                 continue
             c_min, c_max = core_interval(piece, family)
-            endpoints = [e for arc in family.arcs for e in arc.tau_pieces()[0][0]]
+            endpoints = [(-s.p, s.q) for arc in family.arcs for s in (arc.start, arc.end) if s]
             lo, hi = grid_union(piece, family)
             row = {
                 "piece": str(piece.ident),

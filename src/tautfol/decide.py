@@ -168,10 +168,11 @@ def _cable_exceptions(piece, children, detected):
     for exc in children[0].exceptions:
         if exc.slope.is_vertical:
             continue
-        t = piece.horizontal_sum - exc.slope.tau
-        if t.denominator != 1:
+        s, total = exc.slope, piece.horizontal_sum  # total - tau(s) = num/den
+        num, den = total.numerator * s.q + s.p * total.denominator, total.denominator * s.q
+        if num % den:
             continue
-        alpha = slope_of_tau(t)
+        alpha = Slope(-(num // den), 1)
         if detected.contains(alpha) and not _listed(alpha, out):
             out.append(ExceptionalSlope(
                 alpha, Strength.INDETERMINATE,

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from .snf import Presentation
 from .seifert import DecisionError, PieceError, SeifertPiece
-from .slopes import VERTICAL, GluingMatrix, Slope, act, slope_of_tau
+from .slopes import VERTICAL, GluingMatrix, Slope, act
 
 SCHEMA_VERSION = 1
 
@@ -308,7 +308,10 @@ def piece_longitude(piece, children):
         return LongitudeResult(VERTICAL, 2) if not vertical and piece.crosscaps == 1 else None
     if vertical:
         return LongitudeResult(VERTICAL, vertical[0]) if len(vertical) == 1 else None
-    slope = slope_of_tau(piece.horizontal_sum - sum(lam.tau for lam, _ in lams))
+    num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
+    for lam, _ in lams:  # minus tau(lambda) = p/q, over a common denominator
+        num, den = num * lam.q + lam.p * den, den * lam.q
+    slope = Slope(-num, den)
     q = slope.q
     order = lcm(*(a // gcd(a, q) for a, _ in piece.cones))
     for lam, o in lams:

@@ -18,7 +18,6 @@ jn_exhaustive_extremal the largest target value C/N over all of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -31,31 +30,18 @@ from .seifert import (
 )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling plan: both endpoints of each constraint interval, every
-    integer point in it, and the integer +- 1/denominator offsets.
-
-    The denominator is clamped to >= 2: a denominator-1 grid contains no
-    non-integral point at all, so it cannot sample the stratum where strong
-    coordinates must avoid the integers."""
-
-    denominator: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "denominator", max(2, self.denominator))
-
-    def samples(self, eta, zeta):
-        d = self.denominator
-        points = {eta, zeta}
-        step = Fraction(1, d)
-        for k in range(ceil(eta), floor(zeta) + 1):
-            points.add(Fraction(k))
-            if eta <= k - step <= zeta:
-                points.add(k - step)
-            if eta <= k + step <= zeta:
-                points.add(k + step)
-        return sorted(points)
+def _samples(eta, zeta, d):
+    """Both endpoints of [eta, zeta], every integer point in it, and the
+    integer +- 1/d offsets."""
+    points = {eta, zeta}
+    step = Fraction(1, d)
+    for k in range(ceil(eta), floor(zeta) + 1):
+        points.add(Fraction(k))
+        if eta <= k - step <= zeta:
+            points.add(k - step)
+        if eta <= k + step <= zeta:
+            points.add(k + step)
+    return sorted(points)
 
 
 def _intervals(family):
@@ -68,20 +54,23 @@ def _intervals(family):
     return out
 
 
-def grid_union(piece, family, spec=None):
+def grid_union(piece, family, denominator=None):
     """(min m0, max m1) over all sampled tuples with no integral strong
     coordinate; the brute-force counterpart of core_interval.
 
-    Without a spec the denominator is the largest endpoint denominator, at
-    least 2.  Every denominator from 2 up gives the same answer: tau_stats
-    reads only the floor and the integrality of each coordinate, and the
-    endpoints, integers and offsets meet each such class of an interval."""
+    Each constraint interval is sampled at _samples with denominator d, by
+    default the largest endpoint denominator.  d is clamped to >= 2: a
+    denominator-1 grid holds no non-integral point, so it cannot sample the
+    stratum where strong coordinates must avoid the integers.  Every d from
+    2 up gives the same answer: tau_stats reads only the floor and the
+    integrality of each coordinate, and the endpoints, integers and offsets
+    meet each such class of an interval."""
     if v_count(family) != 0:
         raise FamilyError("grid oracle needs a vertical-free family")
     intervals = _intervals(family)
-    if spec is None:
-        spec = GridSpec(max((e.denominator for ends in intervals for e in ends), default=2))
-    grids = [spec.samples(eta, zeta) for eta, zeta in intervals]
+    if denominator is None:
+        denominator = max((e.denominator for ends in intervals for e in ends), default=2)
+    grids = [_samples(eta, zeta, max(2, denominator)) for eta, zeta in intervals]
     lo = None
     hi = None
     for taus in itertools.product(*grids) if grids else [()]:

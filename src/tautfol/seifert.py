@@ -20,6 +20,10 @@ coprime integers 0 < A < N distributing (A/N, 1-A/N, 1/N, ..., 1/N) over the
 cone points, the free constraint endpoints and the target torus subject to
 sharp fractional-part inequalities.  That search is performed here with a
 configurable bound on N; absence below the bound is reported as absence.
+
+Every tau endpoint is read off its arc's end slope (p, q) as the integer pair
+(-p, q); Fraction appears only at the public API (Slope.tau, gammas,
+horizontal_sum, jn_refine_low/high).
 """
 
 from __future__ import annotations
@@ -27,16 +31,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
 
 from .slopes import (
     VERTICAL,
     GluingMatrix,
     Slope,
     SlopeArc,
+    SlopeError,
     act,
     act_arc,
+    _before,
     _least_denominator,
+    _primitive,
     simplest_slope,
     slope_of_tau,
 )
@@ -54,8 +61,10 @@ class DecisionError(ValueError):
     """Internal inconsistency between independent computations."""
 
 
-def _is_int(x):
-    return x.denominator == 1
+def _slope_at(end, shift):
+    """The slope of tau = num/den + shift, for an end (num, den) in lowest terms."""
+    num, den = end
+    return _primitive(-num - shift * den, den)
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +106,19 @@ class SeifertPiece:
                 raise PieceError(f"cone pair ({a}, {beta}) not coprime")
             if beta % a == 0:
                 raise PieceError(f"cone pair ({a}, {beta}) has integral gamma")
-        # Normalized cone fractions gamma_i = beta_i/a_i mod 1, in (0, 1).
-        object.__setattr__(self, "gammas",
-                           tuple(Fraction(beta % a, a) for a, beta in self.cones))
-        # b - sum(beta_i/a_i): a horizontal surface's boundary taus sum to it.
-        object.__setattr__(self, "horizontal_sum", self.b_eff - sum(self.gammas))
+        # gamma_i = beta_i/a_i mod 1 in (0, 1); b_eff, the section obstruction
+        # with every beta_i reduced into (0, a_i); and b_eff - sum(gamma_i),
+        # over the lcm m of the a_i, which a horizontal surface's taus sum to.
+        m = lcm(*(a for a, _ in self.cones))
+        b_eff = self.b - sum(beta // a for a, beta in self.cones)
+        m_gammas = sum(beta % a * (m // a) for a, beta in self.cones)
+        self.__dict__.update(gammas=tuple(Fraction(beta % a, a) for a, beta in self.cones),
+                             b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m),
+                             cone_order_lcm=m)
 
     @property
     def n(self):
         return len(self.cones)
-
-    @property
-    def b_eff(self):
-        """Section obstruction once every beta_i is reduced into (0, a_i)."""
-        return self.b - sum(beta // a for a, beta in self.cones)
 
     @property
     def is_n2(self):
@@ -132,13 +140,6 @@ class SeifertPiece:
     def is_cable_space(self):
         """Annulus base with exactly one cone point."""
         return self.base_orientable and self.boundary_count == 2 and self.n == 1
-
-    @property
-    def cone_order_lcm(self):
-        out = 1
-        for a, _ in self.cones:
-            out = lcm(out, a)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +201,9 @@ def tau_stats(taus, strong, n_cones):
     """
     taus = [Fraction(t) for t in taus]
     r = len(taus) + 1
-    r1 = sum(1 for t in taus if not _is_int(t))
-    s0 = sum(1 for j, t in enumerate(taus) if _is_int(t) and j not in strong)
-    i0 = sum(1 for j, t in enumerate(taus) if _is_int(t) and j in strong)
+    r1 = sum(1 for t in taus if t.denominator != 1)
+    s0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j not in strong)
+    i0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j in strong)
     b0 = -sum(floor(t) for t in taus)
     m0 = b0 + i0 - (n_cones + r - 1)
     m1 = b0 + s0 - 1
@@ -210,9 +211,9 @@ def tau_stats(taus, strong, n_cones):
 
 
 def _horizontal_ends(piece, family):
-    """(zetas, etas): the upper and lower ends of the [eta_j, zeta_j]
-    tau-intervals of a vertical-free family, once the horizontal case's
-    preconditions are checked."""
+    """(zetas, etas): the upper and lower ends, as (num, den) pairs, of the
+    [eta_j, zeta_j] tau-intervals of a vertical-free family, once the
+    horizontal case's preconditions are checked."""
     if not piece.base_orientable:
         raise PieceError("core interval is defined over orientable bases")
     if v_count(family) != 0:
@@ -224,22 +225,21 @@ def _horizontal_ends(piece, family):
         raise PieceError("core interval needs n + r >= 3")
     zetas, etas = [], []
     for j, arc in enumerate(family.arcs):
-        pieces, has_vertical = arc.tau_pieces()
-        if has_vertical or len(pieces) != 1 or pieces[0][0] is None or pieces[0][1] is None:
+        lo, hi = arc.start, arc.end or arc.start
+        if hi is None or not lo.q or not hi.q or _before(hi, lo):
             raise FamilyError(f"constraint {j} is not a finite horizontal arc")
-        etas.append(pieces[0][0])
-        zetas.append(pieces[0][1])
+        etas.append((-lo.p, lo.q))
+        zetas.append((-hi.p, hi.q))
     return zetas, etas
 
 
 def _core_end(piece, ends, strong, side):
     """c_min from the zetas (side "low") or c_max from the etas ("high"):
     integral ends count on strong constraints below, on free ones above."""
-    count = sum(1 for j, e in enumerate(ends)
-                if _is_int(e) and (j in strong) == (side == "low"))
-    if side == "low":
-        return count - sum(floor(e) for e in ends) - (piece.n + piece.boundary_count - 1)
-    return count - 1 - sum(floor(e) for e in ends)
+    low = side == "low"
+    count = sum(1 for j, (_, den) in enumerate(ends) if den == 1 and (j in strong) == low)
+    floors = sum(num // den for num, den in ends)
+    return count - floors - (piece.n + piece.boundary_count - 1 if low else 1)
 
 
 def core_interval(piece, family):
@@ -287,23 +287,23 @@ class JNCertificate:
 
 def default_n_bound(piece, endpoints):
     """Search bound for the certificate hunt: twice the lcm of the cone
-    orders times the largest endpoint denominator in play."""
-    dens = [e.denominator for e in endpoints if e is not None]
-    bound = 2 * piece.cone_order_lcm * max(dens, default=1)
+    orders times the largest denominator of the (num, den) endpoints."""
+    bound = 2 * piece.cone_order_lcm * max((den for _, den in endpoints), default=1)
     return max(bound, 2)
 
 
 def _satisfies(value_num, n_value, threshold, strict):
-    lhs, rhs = value_num * threshold.denominator, threshold.numerator * n_value
+    lhs, rhs = value_num * threshold[1], threshold[0] * n_value
     return lhs > rhs if strict else lhs >= rhs
 
 
 def _scan_certificates(slots, n_max):
     """Maximize C/N over certificates whose non-target values satisfy the
     slot thresholds, with N <= n_max.  ``slots`` is a list of (tag,
-    threshold, strict).
+    threshold, strict), each threshold a pair (num, den) in lowest terms
+    with den > 0.
 
-    Returns (C/N, N, A, assignment dict tag -> numerator, C) or None.
+    Returns ((C, N), N, A, assignment dict tag -> numerator, C) or None.
 
     Every candidate C/N is in lowest terms: (N-1)/N, A/N or (N-A)/N with
     gcd(A, N) = 1, or 1/N.  So the largest C/N fixes its N, which is unique,
@@ -324,28 +324,29 @@ def _scan_certificates(slots, n_max):
     if not slots:
         return None
     # Hardest first: the highest threshold, a strict one before a loose one.
-    order = sorted(range(len(slots)), key=lambda i: slots[i][1:], reverse=True)
+    common = lcm(*(t[1] for _, t, _ in slots))
+    order = sorted(range(len(slots)), reverse=True,
+                   key=lambda i: (slots[i][1][0] * (common // slots[i][1][1]), slots[i][2]))
     thresholds = [(slots[i][1], slots[i][2]) for i in order]
 
     def one_cutoff(threshold, strict):
         # Largest N for which the value 1 satisfies the slot.
-        tn, td = threshold.numerator, threshold.denominator
+        tn, td = threshold
         if tn <= 0:
             return n_max
         return (td - 1) // tn if strict else td // tn
 
     cut1 = min((one_cutoff(t, s) for t, s in thresholds[1:]), default=n_max)
     cut2 = min((one_cutoff(t, s) for t, s in thresholds[2:]), default=n_max)
-    t0, strict0 = thresholds[0]
-    t0n, t0d = t0.numerator, t0.denominator
+    (t0n, t0d), strict0 = thresholds[0]
     # Up to cut1 only the hardest slot can refuse a 1/N; A/N < 1 - t0 and
     # (N-A)/N > t0 are the same condition, so cases 0 and 1 reach the same
     # C at every N, and where 1/N fits every slot that C is N - 1.
     best = _farey_below(t0d - t0n, t0d, strict0, min(cut1, n_max))
     case = None
     if len(thresholds) >= 2:
-        t1, strict1 = thresholds[1]
-        pair = (t0n, t0d, strict0, t1.numerator, t1.denominator, strict1)
+        (t1n, t1d), strict1 = thresholds[1]
+        pair = (t0n, t0d, strict0, t1n, t1d, strict1)
         n_value = _least_pair_denominator(pair)
         # A tie goes to cases 0 and 1: at N <= cut1 they reach C = 1 with A = 1.
         if (n_value is not None and n_value <= min(cut2, n_max)
@@ -361,7 +362,7 @@ def _scan_certificates(slots, n_max):
     else:
         a_val, case = n_value - c_num, 1
     assign = _build_assignment(slots, order, n_value, a_val, case)
-    return Fraction(c_num, n_value), n_value, a_val, assign, c_num
+    return (c_num, n_value), n_value, a_val, assign, c_num
 
 
 def _farey_below(num, den, strict, bound):
@@ -450,7 +451,7 @@ def _build_assignment(slots, order, n_value, a_val, case):
         if placed is None:
             raise DecisionError(
                 f"certificate replay failed at N = {n_value}, A = {a_val}: "
-                f"no value left for slot {tag} (threshold {threshold})")
+                f"no value left for slot {tag} (threshold {threshold[0]}/{threshold[1]})")
         assign[tag] = placed
     return assign
 
@@ -461,39 +462,38 @@ def _side_reach(piece, ends, strong, side, n_max):
     for the largest C/N certified with N <= n_max, or (core end, None).
 
     ``ends`` are the side's extreme endpoints, one per constraint: zeta for
-    low, eta for high.
+    low, eta for high.  Ends are (num, den) pairs in lowest terms.
     """
     end = _core_end(piece, ends, strong, side)
     # Absence rule: an integral extreme endpoint on a free constraint makes
     # the extremal stratum integral, which kills the refinement.
-    if any(j not in strong and _is_int(e) for j, e in enumerate(ends)):
-        return end, None
-    gammas = piece.gammas
-    slots = [(("cone", i), (1 - gamma) if side == "low" else gamma, True)
-             for i, gamma in enumerate(gammas)]
+    if any(den == 1 and j not in strong for j, (_, den) in enumerate(ends)):
+        return (end, 1), None
+    low = side == "low"
+    # Thresholds 1 - gamma_i (low) or gamma_i (high), gamma_i = (beta_i mod a_i)/a_i.
+    slots = [(("cone", i), (a - beta % a if low else beta % a, a), True)
+             for i, (a, beta) in enumerate(piece.cones)]
     excluded = []
-    for j, endpoint in enumerate(ends):
-        if j in strong and _is_int(endpoint):
+    for j, (num, den) in enumerate(ends):
+        if den == 1:  # on a strong constraint, by the absence rule
             excluded.append(j)
             continue
-        n, d = endpoint.numerator, endpoint.denominator
-        slots.append((("bdry", j), Fraction(-n % d if side == "low" else n % d, d),
-                      j in strong))
+        slots.append((("bdry", j), (-num % den if low else num % den, den), j in strong))
     found = _scan_certificates(slots, n_max)
     if found is None:
-        return end, None
-    c_over_n, n_value, a_val, assign, c_num = found
+        return (end, 1), None
+    (c_num, n_value), _, a_val, assign, _ = found
     cert = JNCertificate(
         n_value=n_value,
         a_value=a_val,
         side=side,
-        cone_numerators=tuple(assign[("cone", i)] for i in range(len(gammas))),
+        cone_numerators=tuple(assign[("cone", i)] for i in range(piece.n)),
         boundary_numerators=tuple(
             (j, assign[("bdry", j)]) for j in range(len(ends)) if ("bdry", j) in assign),
         excluded=tuple(excluded),
         target_numerator=c_num,
     )
-    return (end - c_over_n if side == "low" else end + c_over_n), cert
+    return (end * n_value - c_num if low else end * n_value + c_num, n_value), cert
 
 
 def _refine_family(piece, family, side, n_max):
@@ -501,7 +501,7 @@ def _refine_family(piece, family, side, n_max):
     zetas, etas = _horizontal_ends(piece, family)
     bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
     end, cert = _side_reach(piece, zetas if side == "low" else etas, family.strong, side, bound)
-    return None if cert is None else (end, cert)
+    return None if cert is None else (Fraction(*end), cert)
 
 
 def jn_refine_low(piece, family, n_max=None):
@@ -620,15 +620,17 @@ def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
     Returns (left, right): ``right`` is the supremum end of (-oo, right]
     coming from the [b_tau, +oo) ray, ``left`` the infimum of [left, +oo)
     coming from the (-oo, a_tau] ray; each is None when its ray is absent.
-    All values in the normalized (b = 0) frame.
+    The ray ends are slopes; the answers are (num, den) pairs in the
+    normalized (b = 0) frame.
     """
     # Each side's default bound counts only that side's extreme endpoints,
     # where the horizontal branch counts both sides': a larger bound can
     # certify a larger C/N, and recorded reports were made this way.
     def reach(ray_end, side):
-        k = 1 if side == "low" else 0
-        ends = [ray_end if j == j0 else arc.tau_pieces()[0][0][k]
-                for j, arc in enumerate(family.arcs)]
+        # The other arcs are finite: zeta below, eta above.
+        slopes = [ray_end if j == j0 else arc.start if side == "high" else arc.end or arc.start
+                  for j, arc in enumerate(family.arcs)]
+        ends = [(-s.p, s.q) for s in slopes]
         bound = n_max if n_max is not None else default_n_bound(piece, ends)
         return _side_reach(piece, ends, family.strong, side, bound)[0]
 
@@ -679,14 +681,13 @@ def detect_relative(piece, family, n_max=None):
         bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
         left, low = _side_reach(piece, zetas, family.strong, "low", bound)
         right, high = _side_reach(piece, etas, family.strong, "high", bound)
-        detected = SlopeArc.from_tau_interval(left + shift, right + shift)
-        exc = merge_exceptions([
-            ExceptionalSlope(slope_of_tau(left + shift), Strength.NOT_STRONG,
-                             "frontier of the detected interval"),
-            ExceptionalSlope(slope_of_tau(right + shift), Strength.NOT_STRONG,
-                             "frontier of the detected interval"),
-        ])
-        return DetectionResult(detected, exc, branch="horizontal-interval",
+        if left[0] * right[1] > right[0] * left[1]:
+            raise SlopeError("tau interval endpoints out of order")
+        lo, hi = _slope_at(left, shift), _slope_at(right, shift)
+        # The frontier slopes in tau order, one record when they coincide.
+        exc = tuple(ExceptionalSlope(s, Strength.NOT_STRONG, "frontier of the detected interval")
+                    for s in dict.fromkeys((lo, hi)))
+        return DetectionResult(SlopeArc.arc(lo, hi), exc, branch="horizontal-interval",
                                low_certificate=low, high_certificate=high)
 
     # v == 1: the detected set is a closed arc through the vertical slope.
@@ -697,31 +698,23 @@ def detect_relative(piece, family, n_max=None):
         exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical slope in a full circle"),)
         return DetectionResult(SlopeArc.full(), exc, branch="vertical-full")
-    pieces0, _ = family.arcs[j0].tau_pieces()
-    a_tau = None
-    b_tau = None
-    for lo, hi in pieces0:
-        if lo is None:
-            a_tau = hi
-        if hi is None:
-            b_tau = lo
-    left, right = _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max)
+    # The rays (-oo, a] and [b, +oo) of the arc through the vertical slope:
+    # a is its horizontal end, b its horizontal start.
+    a, b = family.arcs[j0].end, family.arcs[j0].start
+    left, right = _ray_side_bounds(piece, family, j0, a if a and a.q else None,
+                                   b if b.q else None, n_max)
     if left is None and right is None:
         exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical point detected through a vertical constraint"),)
         return DetectionResult(SlopeArc.point(VERTICAL), exc, branch="vertical-arc")
-    if left is not None and right is not None and left <= right:
+    if left is not None and right is not None and left[0] * right[1] <= right[0] * left[1]:
         exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical slope in a full circle"),)
         return DetectionResult(SlopeArc.full(), exc, branch="vertical-full")
     entries = [ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical slope inside the detected arc")]
-    if left is not None and right is not None:
-        detected = SlopeArc.arc(slope_of_tau(left + shift), slope_of_tau(right + shift))
-    elif right is not None:
-        detected = SlopeArc.arc(VERTICAL, slope_of_tau(right + shift))
-    else:
-        detected = SlopeArc.arc(slope_of_tau(left + shift), VERTICAL)
+    detected = SlopeArc.arc(VERTICAL if left is None else _slope_at(left, shift),
+                            VERTICAL if right is None else _slope_at(right, shift))
     for end in detected.endpoints():
         if not end.is_vertical:
             entries.append(ExceptionalSlope(
@@ -742,9 +735,9 @@ def detects(piece, family, slope, n_max=None):
             and not piece.is_product_piece and not slope.is_vertical
             and len(family) == piece.boundary_count - 1 and v_count(family) == 0):
         zetas, etas = _horizontal_ends(piece, family)
-        t = slope.tau - piece.b_eff
-        if (_core_end(piece, zetas, family.strong, "low") <= t
-                <= _core_end(piece, etas, family.strong, "high")):
+        q = slope.q  # the normalized tau is (-p - b_eff q)/q
+        if (_core_end(piece, zetas, family.strong, "low") * q <= -slope.p - piece.b_eff * q
+                <= _core_end(piece, etas, family.strong, "high") * q):
             return True
     return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
 
@@ -776,11 +769,12 @@ def realize(piece, family, result, target, n_max=None):
         return _vertical_or_simplest(arcs, vertical[:1])
     if result.branch == "full":
         return _vertical_or_simplest(arcs, vertical[:2])
-    # Horizontal target, at most one arc through the vertical slope.
-    t = target.tau - piece.b_eff
+    # Horizontal target of normalized tau -u/q; at most one vertical arc.
+    q = target.q
+    u = target.p + piece.b_eff * q
     r = piece.boundary_count
-    low, high = ceil(-t) - (piece.n + r - 1), floor(r - 2 - t)
-    pieces = [arc.tau_pieces()[0] for arc in arcs]
+    low, high = -(-u // q) - (piece.n + r - 1), r - 2 + u // q
+    pieces = [_tau_intervals(arc) for arc in arcs]
     if not vertical:
         return _floor_tuple([p[0] for p in pieces], low, high)[0]
     j0 = vertical[0]
@@ -798,8 +792,18 @@ def realize(piece, family, result, target, n_max=None):
     if result.detected.is_full:
         right = _ray_side_bounds(piece, family, j0, None, pieces[j0][1][0], n_max)[1]
     else:
-        right = result.detected.end.tau - piece.b_eff
-    return tuples[1] if t <= right else tuples[0]
+        end = result.detected.end
+        right = (-end.p - piece.b_eff * end.q, end.q)
+    return tuples[1] if -u * right[1] <= right[0] * q else tuples[0]
+
+
+def _tau_intervals(arc):
+    """tau_pieces as (lo, hi) end slopes, vertical for an unbounded end; a
+    vertical point, which holds no horizontal target, reads as the line."""
+    s, e = arc.start or VERTICAL, arc.end or arc.start or VERTICAL
+    if s.q and e.q and _before(e, s):  # wraps through the vertical slope
+        return [(VERTICAL, e), (s, VERTICAL)]
+    return [(s, e)]
 
 
 def _vertical_or_simplest(arcs, chosen):
@@ -811,8 +815,8 @@ def _vertical_or_simplest(arcs, chosen):
 
 
 def _floor_tuple(intervals, low, high):
-    """(slopes, in_core) for one closed tau-interval per constraint (None
-    unbounded).
+    """(slopes, in_core) for one closed tau-interval per constraint, given
+    by its end slopes (vertical unbounded).
 
     A point tuple tau_* puts the normalized target in its core interval
     exactly when sum(floor(tau_j)) >= low and sum(ceil(tau_j)) <= high.
@@ -824,14 +828,13 @@ def _floor_tuple(intervals, low, high):
     """
     spans, fixed = [], {}
     for j, (lo, hi) in enumerate(intervals):
-        a = None if lo is None else ceil(lo)
-        b = None if hi is None else floor(hi)
+        a = -(lo.p // lo.q) if lo.q else None  # ceil(tau(lo))
+        b = -hi.p // hi.q if hi.q else None  # floor(tau(hi))
         if a is None or b is None or a <= b:
             spans.append((a, b))
         else:  # inside (b, b + 1): floor b, ceiling b + 1
             spans.append((b, b))
-            fixed[j] = simplest_slope(SlopeArc.from_tau_interval(lo, hi),
-                                      allow_vertical=False)
+            fixed[j] = simplest_slope(SlopeArc.arc(lo, hi), allow_vertical=False)
             high -= 1
     floors = [_clamp(0, a, b) for a, b in spans]
     for j, (a, b) in enumerate(spans):
@@ -841,10 +844,10 @@ def _floor_tuple(intervals, low, high):
         elif total > high:
             floors[j] = _clamp(floors[j] + high - total, a, b)
     if sum(floors) < low:
-        return tuple(slope_of_tau(hi) for _, hi in intervals), False
+        return tuple(hi for _, hi in intervals), False
     if sum(floors) > high:
-        return tuple(slope_of_tau(lo) for lo, _ in intervals), False
-    return tuple(fixed.get(j, slope_of_tau(f)) for j, f in enumerate(floors)), True
+        return tuple(lo for lo, _ in intervals), False
+    return tuple(fixed.get(j) or Slope(-f, 1) for j, f in enumerate(floors)), True
 
 
 def _clamp(x, lo, hi):

@@ -32,12 +32,10 @@ class Slope:
         if p == 0 and q == 0:
             raise SlopeError("slope (0, 0) is not a point of the circle")
         g = gcd(p, q)
-        p //= g
-        q //= g
         if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+            g = -g
+        _SET_P(self, p // g)
+        _SET_Q(self, q // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Slope is immutable")
@@ -64,6 +62,21 @@ class Slope:
 
     def __str__(self):
         return f"{self.p}/{self.q}"
+
+
+# The slots' own setters, which the immutability guard in __setattr__ does not see.
+_SET_P, _SET_Q = Slope.p.__set__, Slope.q.__set__
+
+
+def _primitive(p, q):
+    """The slope of a pair (p, q) already known to be primitive: only the
+    sign is normalized, with no gcd."""
+    slope = object.__new__(Slope)
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    _SET_P(slope, p)
+    _SET_Q(slope, q)
+    return slope
 
 
 VERTICAL = Slope(1, 0)
@@ -308,8 +321,8 @@ IDENTITY = GluingMatrix(1, 0, 0, 1)
 
 
 def act(g, slope):
-    """Projective action of a unimodular matrix on a slope."""
-    return Slope(g.a * slope.p + g.b * slope.q, g.c * slope.p + g.d * slope.q)
+    """Projective action of a unimodular matrix on a slope (primitive image)."""
+    return _primitive(g.a * slope.p + g.b * slope.q, g.c * slope.p + g.d * slope.q)
 
 
 def act_arc(g, arc):

@@ -184,15 +184,18 @@ def rand_valid_closed(rng, max_pieces=4, min_pieces=2):
             return g
 
 
-def plumbing_chain(k):
+def plumbing_chain(k, role="solid-torus"):
     """k pieces with cones (2,1), (3,1) and b = -2 glued end to end by
-    [[0,1],[1,0]]; p0 carries the dangling torus."""
+    [[0,1],[1,0]]; in the solid-torus role p0 carries the dangling torus,
+    in the closed role (k >= 2) both ends have one boundary torus."""
+    ends = (0, k - 1) if role == "closed" else (k - 1,)
     pieces = [SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=-2,
-                           boundary_count=1 if i == k - 1 else 2, ident=f"p{i}")
+                           boundary_count=1 if i in ends else 2, ident=f"p{i}")
               for i in range(k)]
-    edges = [Edge(f"p{i + 1}", 0, f"p{i}", 1, GluingMatrix(0, 1, 1, 0), f"e{i}")
+    edges = [Edge(f"p{i + 1}", 0, f"p{i}", 0 if i == 0 and role == "closed" else 1,
+                  GluingMatrix(0, 1, 1, 0), f"e{i}")
              for i in range(k - 1)]
-    return PlumbingGraph(pieces, edges, "solid-torus")
+    return PlumbingGraph(pieces, edges, role)
 
 
 @pytest.fixture
@@ -201,10 +204,11 @@ def rng():
 
 
 if __name__ == "__main__":
-    # python tests/conftest.py K: the K-piece plumbing chain as manifold JSON.
+    # python tests/conftest.py K [closed]: the K-piece plumbing chain (in the
+    # solid-torus role unless "closed" is given) as manifold JSON.
     import json
     import sys
 
     from tautfol.graph import dump_manifold
 
-    print(json.dumps(dump_manifold(plumbing_chain(int(sys.argv[1])))))
+    print(json.dumps(dump_manifold(plumbing_chain(int(sys.argv[1]), *sys.argv[2:]))))

@@ -30,7 +30,7 @@ from tautfol import (
     revalidate_witness,
     slope_of_tau,
 )
-from tautfol.oracle import GridSpec, grid_union, jn_exhaustive_extremal
+from tautfol.oracle import grid_union, jn_exhaustive_extremal
 from tautfol.seifert import product_transport
 from conftest import (
     rand_horizontal_piece_and_family,
@@ -59,8 +59,7 @@ def test_criterion_1_core_equals_grid():
             pieces, _ = arc.tau_pieces()
             for lo, hi in pieces:
                 dens.extend([lo.denominator, hi.denominator])
-        spec = GridSpec(denominator=math.lcm(*dens))
-        assert core_interval(piece, family) == grid_union(piece, family, spec)
+        assert core_interval(piece, family) == grid_union(piece, family, math.lcm(*dens))
     elapsed = time.time() - start
     assert elapsed < 60
     _report("1 core interval vs grid oracle",

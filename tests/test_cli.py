@@ -350,7 +350,7 @@ def test_detect_certificate_at_a_64_bit_bound(manifold_file, capsys):
 
 def test_detect_certificate_pattern_matches_the_linear_scan(manifold_file, capsys,
                                                              monkeypatch):
-    from test_seifert import _linear_scan
+    from test_seifert import _linear_scan_on_pairs
 
     from tautfol import seifert
 
@@ -361,7 +361,7 @@ def test_detect_certificate_pattern_matches_the_linear_scan(manifold_file, capsy
         assert code == 0
         assert json.loads(out)["refinement_high"]["N"] == m
         with monkeypatch.context() as patch:
-            patch.setattr(seifert, "_scan_certificates", _linear_scan)
+            patch.setattr(seifert, "_scan_certificates", _linear_scan_on_pairs)
             assert run(capsys, "detect", path, "--format", "json") == (code, out, "")
 
 

@@ -18,7 +18,7 @@ from math import floor, gcd
 from pathlib import Path
 
 from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval
-from tautfol.oracle import (GridSpec, _certificates, _intervals, grid_union, jn_exhaustive,
+from tautfol.oracle import (_certificates, _intervals, _samples, grid_union, jn_exhaustive,
                             jn_exhaustive_extremal)
 from tautfol import jn_refine_high, jn_refine_low
 from conftest import rand_horizontal_piece_and_family
@@ -51,8 +51,7 @@ def test_grid_union_point_constraint():
 
 
 def test_grid_samples_include_endpoints_integers_offsets():
-    spec = GridSpec(denominator=6)
-    samples = spec.samples(F(-1, 3), F(5, 2))
+    samples = _samples(F(-1, 3), F(5, 2), 6)
     for required in (F(-1, 3), F(5, 2), 0, 1, 2,
                      F(-1, 6), F(1, 6), F(5, 6), F(7, 6), F(11, 6), F(13, 6)):
         assert F(required) in samples
@@ -63,7 +62,7 @@ def test_grid_same_answer_at_every_denominator(rng):
     the endpoints, integers and 1/d offsets meet for every d >= 2."""
     for _ in range(40):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=6)
-        answers = [grid_union(piece, fam, GridSpec(denominator=d)) for d in (2, 3, 6, 12)]
+        answers = [grid_union(piece, fam, denominator=d) for d in (2, 3, 6, 12)]
         assert answers.count(answers[0]) == 4, answers
 
 

@@ -38,7 +38,7 @@ from tautfol import (
     tau_stats,
     v_count,
 )
-from tautfol.oracle import GridSpec, grid_union, jn_exhaustive
+from tautfol.oracle import grid_union, jn_exhaustive
 from tautfol.seifert import (
     _build_assignment,
     _first_a_pair_fits,
@@ -159,8 +159,7 @@ def test_core_interval_matches_grid_oracle(rng):
             pieces, _ = arc.tau_pieces()
             for lo, hi in pieces:
                 dens.extend([lo.denominator, hi.denominator])
-        spec = GridSpec(denominator=math.lcm(*dens))
-        assert core_interval(piece, fam) == grid_union(piece, fam, spec)
+        assert core_interval(piece, fam) == grid_union(piece, fam, math.lcm(*dens))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +253,30 @@ def test_certificate_scan_finds_the_optimum(rng):
         if len(slots) >= 2 and rng.random() < 0.4:
             slots[1] = (1, 1 - slots[0][1], slots[1][2])
         n_max = rng.randint(2, 24)
-        found = _scan_certificates(slots, n_max)
+        found = _fraction_scan(slots, n_max)
         assert (found[:2] if found else None) == _best_c_over_n(slots, n_max), (slots, n_max)
     # Non-strict thresholds summing to exactly 1: only {5, 3} at N = 8 fits.
     slots = [(0, F(5, 8), False), (1, F(3, 8), False)]
-    assert _scan_certificates(slots, 14)[:2] == _best_c_over_n(slots, 14) == (F(1, 8), 8)
+    assert _fraction_scan(slots, 14)[:2] == _best_c_over_n(slots, 14) == (F(1, 8), 8)
+
+
+def _pair_slots(slots):
+    """Slots with Fraction thresholds as the kernel's (num, den) slots."""
+    return [(tag, (t.numerator, t.denominator), strict) for tag, t, strict in slots]
+
+
+def _fraction_scan(slots, n_max):
+    """_scan_certificates on slots with Fraction thresholds, answering C/N
+    as a Fraction."""
+    found = _scan_certificates(_pair_slots(slots), n_max)
+    return found and (F(*found[0]), *found[1:])
+
+
+def _linear_scan_on_pairs(slots, n_max):
+    """_linear_scan on the kernel's (num, den) slots, answering C/N as a
+    (C, N) pair: a stand-in for _scan_certificates."""
+    found = _linear_scan([(tag, F(*t), strict) for tag, t, strict in slots], n_max)
+    return found and ((found[0].numerator, found[0].denominator), *found[1:])
 
 
 def _linear_scan(slots, n_max):
@@ -324,7 +342,7 @@ def _linear_scan(slots, n_max):
         return None
     c_num, n_value, a_val, case = best
     return (F(c_num, n_value), n_value, a_val,
-            _build_assignment(slots, order, n_value, a_val, case), c_num)
+            _build_assignment(_pair_slots(slots), order, n_value, a_val, case), c_num)
 
 
 def _placement(slots, n):
@@ -374,7 +392,7 @@ def scan_digest_lines(answers):
 
 
 def test_certificate_scan_matches_the_linear_scan():
-    answers = list(_scan_answers(_scan_certificates))
+    answers = list(_scan_answers(_fraction_scan))
     wins = {"all": 0, "hardest": 0, "pair": 0, None: 0}
     for k, (slots, n_max, found) in enumerate(answers):
         if k % LIVE_EVERY == 0:
@@ -392,13 +410,13 @@ def test_certificate_scan_at_large_bounds():
     # 499999/999999 at k = 10^6.
     for k in (10**6, 10**40):
         slots = [(0, F(1, 2), True), (1, F(1, k), True)]
-        c_over_n, n_value, a_val, assign, c_num = _scan_certificates(slots, k)
+        c_over_n, n_value, a_val, assign, c_num = _fraction_scan(slots, k)
         assert (c_over_n, n_value, c_num) == (F((k - 2) // 2, k - 1), k - 1, (k - 2) // 2)
         assert assign == {0: k // 2, 1: 1} and a_val == (k - 2) // 2
     # The slowest scan of a census member: found at N = 3 under a bound of
     # 822,871,550.
     slots = [(("cone", 0), F(3, 5), True), (("bdry", 0), F(24636223, 82287155), False)]
-    assert _scan_certificates(slots, 822871550)[:3] == (F(1, 3), 3, 1)
+    assert _fraction_scan(slots, 822871550)[:3] == (F(1, 3), 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -768,8 +786,9 @@ def test_realize_in_refined_zones_under_the_point_bound(rng):
         if res.high_certificate is not None:
             zones.append(("high", right, c_max))
         for side, reach, core in zones:
-            ends = [hi if side == "low" else lo for lo, hi in pairs]
-            all_ends = [e for pair in pairs for e in pair]
+            ends = [(e.numerator, e.denominator)
+                    for e in (hi if side == "low" else lo for lo, hi in pairs)]
+            all_ends = [(e.numerator, e.denominator) for pair in pairs for e in pair]
             smaller += default_n_bound(piece, ends) < default_n_bound(piece, all_ends)
             for t in (reach, (reach + core) / 2):
                 _assert_realizes(piece, family, slope_of_tau(t + shift))

@@ -78,6 +78,26 @@ def test_act_preserves_primitivity(rng):
         assert gcd(image.p, image.q) == 1
 
 
+def test_act_matches_the_canonicalizing_constructor(rng):
+    """act takes no gcd, as a det +-1 image of a primitive pair is primitive;
+    it must still give what Slope(a p + b q, c p + d q) canonicalizes to,
+    also when the raw image has q < 0, or q = 0 and p < 0."""
+    seen = {"det +1": 0, "det -1": 0, "vertical input": 0, "q < 0": 0, "q = 0, p < 0": 0}
+    for _ in range(4000):
+        g = rand_unimodular(rng)
+        s = VERTICAL if rng.random() < 0.1 else Slope(rng.randint(-20, 20) or 3,
+                                                      rng.randint(-20, 20))
+        p, q = g.a * s.p + g.b * s.q, g.c * s.p + g.d * s.q
+        image, expected = act(g, s), Slope(p, q)
+        assert (image.p, image.q) == (expected.p, expected.q), (g, s)
+        assert image == expected and hash(image) == hash(expected)
+        seen["det +1" if g.det == 1 else "det -1"] += 1
+        seen["vertical input"] += s == VERTICAL
+        seen["q < 0"] += q < 0
+        seen["q = 0, p < 0"] += q == 0 and p < 0
+    assert min(seen.values()) > 20, seen
+
+
 def test_act_is_group_action(rng):
     for _ in range(100):
         g = rand_unimodular(rng)

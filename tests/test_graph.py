@@ -250,3 +250,111 @@ def test_duplicate_boundary_use_rejected():
     with pytest.raises(ManifoldFormatError):
         PlumbingGraph([a, b, c], [Edge("A", 0, "B", 0, m, "e0"),
                                   Edge("A", 0, "C", 0, m, "e1")], "closed")
+
+
+READER_BASE = {
+    "role": "closed",
+    "pieces": [
+        {"id": "A", "base": {"orientable": True, "crosscaps": 0},
+         "cones": [[2, 1], [3, 1]], "b": 0, "boundary": 1},
+        {"id": "M", "base": {"orientable": True, "crosscaps": 0},
+         "cones": [[2, 1], [3, 1]], "b": -1, "boundary": 2},
+        {"id": "B", "base": {"orientable": True, "crosscaps": 0},
+         "cones": [[2, 1], [2, 1]], "b": 0, "boundary": 1},
+    ],
+    "edges": [
+        {"from": ["A", 0], "to": ["M", 0], "matrix": [[0, 1], [1, 0]]},
+        {"from": ["M", 1], "to": ["B", 0], "matrix": [[1, -3], [0, -1]]},
+    ],
+}
+
+
+def _set(path, value):
+    """A mutation of READER_BASE that sets data[path[0]]...[path[-1]]."""
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _pop(path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
+
+
+READER_ERRORS = [
+    # manifold level
+    (lambda d: ["not", "an", "object"], "manifold: expected an object"),
+    (_set(("extra",), 1), "manifold: unknown keys ['extra']"),
+    (_pop(("edges",)), "manifold: missing keys ['edges']"),
+    (lambda d: (d.pop("role"), d.update(zz=1)), "manifold: unknown keys ['zz']"),
+    (_set(("role",), "open"), "role must be 'closed' or 'solid-torus', got 'open'"),
+    (_set(("pieces",), []), "pieces must be a non-empty list"),
+    (_set(("pieces",), {}), "pieces must be a non-empty list"),
+    (_set(("edges",), {}), "edges must be a list"),
+    # piece level
+    (_set(("pieces", 1), 5), "pieces[1]: expected an object"),
+    (_set(("pieces", 1, "color"), "blue"), "pieces[1]: unknown keys ['color']"),
+    (lambda d: (d["pieces"][1].pop("b"), d["pieces"][1].pop("cones")),
+     "pieces[1]: missing keys ['b', 'cones']"),
+    (_set(("pieces", 1, "id"), True), "pieces[1]: id must be a string or integer"),
+    (_set(("pieces", 1, "id"), 1.5), "pieces[1]: id must be a string or integer"),
+    (_set(("pieces", 1, "base"), []), "pieces[1].base: expected an object"),
+    (_set(("pieces", 1, "base", "genus"), 0), "pieces[1].base: unknown keys ['genus']"),
+    (_pop(("pieces", 1, "base", "crosscaps")), "pieces[1].base: missing keys ['crosscaps']"),
+    (_set(("pieces", 1, "base", "orientable"), 1),
+     "pieces[1].base.orientable must be a boolean"),
+    (_set(("pieces", 1, "base", "crosscaps"), "0"),
+     "pieces[1].base.crosscaps: expected an integer"),
+    (_set(("pieces", 1, "base", "crosscaps"), False),
+     "pieces[1].base.crosscaps: expected an integer"),
+    (_set(("pieces", 1, "cones"), {}), "pieces[1].cones must be a list"),
+    (_set(("pieces", 1, "cones", 1), [2]), "pieces[1].cones[1] must be [a, beta]"),
+    (_set(("pieces", 1, "cones", 1), "2,1"), "pieces[1].cones[1] must be [a, beta]"),
+    (_set(("pieces", 1, "cones", 1, 0), 3.0), "pieces[1].cones[1][0]: expected an integer"),
+    (_set(("pieces", 1, "cones", 1, 1), None), "pieces[1].cones[1][1]: expected an integer"),
+    (_set(("pieces", 1, "b"), "0"), "pieces[1].b: expected an integer"),
+    (_set(("pieces", 1, "boundary"), 2.0), "pieces[1].boundary: expected an integer"),
+    (lambda d: d["pieces"][1].update(b=None, boundary=None), "pieces[1].b: expected an integer"),
+    (_set(("pieces", 1, "cones", 1), [1, 1]), "pieces[1]: cone order 1 < 2"),
+    (_set(("pieces", 1, "cones", 1), [4, 2]), "pieces[1]: cone pair (4, 2) not coprime"),
+    (_set(("pieces", 1, "base", "crosscaps"), 1),
+     "pieces[1]: orientable base cannot carry crosscaps"),
+    # edge level
+    (_set(("edges", 1), None), "edges[1]: expected an object"),
+    (_set(("edges", 1, "label"), "x"), "edges[1]: unknown keys ['label']"),
+    (_pop(("edges", 1, "matrix")), "edges[1]: missing keys ['matrix']"),
+    (_set(("edges", 1, "from"), ["M"]), "edges[1].from must be [piece id, boundary index]"),
+    (_set(("edges", 1, "to"), "B"), "edges[1].to must be [piece id, boundary index]"),
+    (_set(("edges", 1, "from", 1), "1"), "edges[1].from[1]: expected an integer"),
+    (_set(("edges", 1, "to", 1), True), "edges[1].to[1]: expected an integer"),
+    (_set(("edges", 1, "matrix"), [[1, -3]]), "edges[1].matrix must be a 2x2 integer matrix"),
+    (_set(("edges", 1, "matrix", 1), 7), "edges[1].matrix must be a 2x2 integer matrix"),
+    (_set(("edges", 1, "matrix", 1, 0), 0.5), "edges[1].matrix[1][0]: expected an integer"),
+    (_set(("edges", 1, "matrix"), [[2, 0], [0, 1]]),
+     "edges[1]: gluing matrix must have determinant +-1"),
+    # graph level
+    (_set(("pieces", 2, "id"), "A"), "duplicate piece ids"),
+    (_set(("edges", 1, "from"), ["A", 0]), "boundary ('A', 0) used by two edges"),
+]
+
+
+def test_reader_base_parses():
+    assert dump_manifold(parse_manifold(READER_BASE)) == READER_BASE
+
+
+@pytest.mark.parametrize("mutate,message", READER_ERRORS,
+                         ids=[message for _, message in READER_ERRORS])
+def test_reader_error_messages(mutate, message):
+    """Every raise site of parse_manifold keeps its exact message."""
+    data = json.loads(json.dumps(READER_BASE))
+    replaced = mutate(data)
+    if isinstance(replaced, list):
+        data = replaced
+    with pytest.raises(ManifoldFormatError) as excinfo:
+        parse_manifold(data)
+    assert str(excinfo.value) == message

@@ -250,9 +250,7 @@ def build_parser():
         prog="tautfol",
         description="Foliation-detected slope sets and taut-foliation "
                     "decisions for graph manifolds.")
-    parser.add_argument("command",
-                        choices=["validate", "longitude", "detect", "ctf",
-                                 "oracle-check"])
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", help="manifold JSON file")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--nmax", type=int, default=None,
@@ -262,22 +260,26 @@ def build_parser():
     return parser
 
 
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "longitude": _cmd_longitude,
+    "detect": _cmd_detect,
+    "ctf": _cmd_ctf,
+    "oracle-check": _cmd_oracle_check,
+}
+# parse_args leaves the parser unchanged, so one serves every call of main.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         graph = load_manifold(args.input)
     except ManifoldFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    handlers = {
-        "validate": _cmd_validate,
-        "longitude": _cmd_longitude,
-        "detect": _cmd_detect,
-        "ctf": _cmd_ctf,
-        "oracle-check": _cmd_oracle_check,
-    }
     try:
-        return handlers[args.command](graph, args)
+        return _HANDLERS[args.command](graph, args)
     except (RoleError, PieceError, FamilyError, SlopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROLE

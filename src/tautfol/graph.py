@@ -445,26 +445,34 @@ def split_at_edge(graph, edge):
 # ---------------------------------------------------------------------------
 
 
-def _expect_keys(obj, keys, where):
+_MANIFOLD_KEYS = frozenset(("role", "pieces", "edges"))
+_PIECE_KEYS = frozenset(("id", "base", "cones", "b", "boundary"))
+_BASE_KEYS = frozenset(("orientable", "crosscaps"))
+_EDGE_KEYS = frozenset(("from", "to", "matrix"))
+
+
+def _expect_keys(obj, keys, where, *args):
+    """Require a dict keyed by ``keys``; ``where.format(*args)`` only to raise."""
+    if isinstance(obj, dict) and obj.keys() == keys:
+        return
+    where = where.format(*args)
     if not isinstance(obj, dict):
         raise ManifoldFormatError(f"{where}: expected an object")
-    unknown = set(obj) - set(keys)
+    unknown = obj.keys() - keys
     if unknown:
         raise ManifoldFormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(keys) - set(obj)
-    if missing:
-        raise ManifoldFormatError(f"{where}: missing keys {sorted(missing)}")
+    raise ManifoldFormatError(f"{where}: missing keys {sorted(keys - obj.keys())}")
 
 
-def _int(value, where):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ManifoldFormatError(f"{where}: expected an integer")
-    return value
+def _int(value, where, *args):
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ManifoldFormatError(f"{where.format(*args)}: expected an integer")
 
 
 def parse_manifold(data):
     """Build a PlumbingGraph from a decoded JSON object (strict)."""
-    _expect_keys(data, ("role", "pieces", "edges"), "manifold")
+    _expect_keys(data, _MANIFOLD_KEYS, "manifold")
     role = data["role"]
     if role not in ("closed", "solid-torus"):
         raise ManifoldFormatError(f"role must be 'closed' or 'solid-torus', got {role!r}")
@@ -474,51 +482,50 @@ def parse_manifold(data):
         raise ManifoldFormatError("edges must be a list")
     pieces = []
     for k, raw in enumerate(data["pieces"]):
-        where = f"pieces[{k}]"
-        _expect_keys(raw, ("id", "base", "cones", "b", "boundary"), where)
+        _expect_keys(raw, _PIECE_KEYS, "pieces[{}]", k)
         if not isinstance(raw["id"], (str, int)) or isinstance(raw["id"], bool):
-            raise ManifoldFormatError(f"{where}: id must be a string or integer")
-        _expect_keys(raw["base"], ("orientable", "crosscaps"), f"{where}.base")
+            raise ManifoldFormatError(f"pieces[{k}]: id must be a string or integer")
+        _expect_keys(raw["base"], _BASE_KEYS, "pieces[{}].base", k)
         if not isinstance(raw["base"]["orientable"], bool):
-            raise ManifoldFormatError(f"{where}.base.orientable must be a boolean")
-        crosscaps = _int(raw["base"]["crosscaps"], f"{where}.base.crosscaps")
+            raise ManifoldFormatError(f"pieces[{k}].base.orientable must be a boolean")
+        crosscaps = _int(raw["base"]["crosscaps"], "pieces[{}].base.crosscaps", k)
         if not isinstance(raw["cones"], list):
-            raise ManifoldFormatError(f"{where}.cones must be a list")
+            raise ManifoldFormatError(f"pieces[{k}].cones must be a list")
         cones = []
         for t, pair in enumerate(raw["cones"]):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ManifoldFormatError(f"{where}.cones[{t}] must be [a, beta]")
-            cones.append((_int(pair[0], f"{where}.cones[{t}][0]"),
-                          _int(pair[1], f"{where}.cones[{t}][1]")))
+                raise ManifoldFormatError(f"pieces[{k}].cones[{t}] must be [a, beta]")
+            cones.append((_int(pair[0], "pieces[{}].cones[{}][0]", k, t),
+                          _int(pair[1], "pieces[{}].cones[{}][1]", k, t)))
         try:
             pieces.append(SeifertPiece(
                 base_orientable=raw["base"]["orientable"],
                 cones=tuple(cones),
-                b=_int(raw["b"], f"{where}.b"),
-                boundary_count=_int(raw["boundary"], f"{where}.boundary"),
+                b=_int(raw["b"], "pieces[{}].b", k),
+                boundary_count=_int(raw["boundary"], "pieces[{}].boundary", k),
                 crosscaps=crosscaps,
                 ident=raw["id"]))
         except PieceError as exc:
-            raise ManifoldFormatError(f"{where}: {exc}") from exc
+            raise ManifoldFormatError(f"pieces[{k}]: {exc}") from exc
     edges = []
     for k, raw in enumerate(data["edges"]):
-        where = f"edges[{k}]"
-        _expect_keys(raw, ("from", "to", "matrix"), where)
+        _expect_keys(raw, _EDGE_KEYS, "edges[{}]", k)
         ends = []
         for side in ("from", "to"):
             pair = raw[side]
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ManifoldFormatError(f"{where}.{side} must be [piece id, boundary index]")
-            ends.append((pair[0], _int(pair[1], f"{where}.{side}[1]")))
+                raise ManifoldFormatError(f"edges[{k}].{side} must be [piece id, boundary index]")
+            ends.append((pair[0], _int(pair[1], "edges[{}].{}[1]", k, side)))
         m = raw["matrix"]
         if (not isinstance(m, list) or len(m) != 2
                 or any(not isinstance(row, list) or len(row) != 2 for row in m)):
-            raise ManifoldFormatError(f"{where}.matrix must be a 2x2 integer matrix")
-        entries = [_int(m[i][j], f"{where}.matrix[{i}][{j}]") for i in range(2) for j in range(2)]
+            raise ManifoldFormatError(f"edges[{k}].matrix must be a 2x2 integer matrix")
+        entries = [_int(m[i][j], "edges[{}].matrix[{}][{}]", k, i, j)
+                   for i in range(2) for j in range(2)]
         try:
             matrix = GluingMatrix(*entries)
         except ValueError as exc:
-            raise ManifoldFormatError(f"{where}: {exc}") from exc
+            raise ManifoldFormatError(f"edges[{k}]: {exc}") from exc
         edges.append(Edge(ends[0][0], ends[0][1], ends[1][0], ends[1][1],
                           matrix, f"e{k}"))
     try:
@@ -531,7 +538,8 @@ def load_manifold(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: undecodable bytes or bad JSON; RecursionError: too deeply nested.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ManifoldFormatError(f"cannot read manifold file: {exc}") from exc
     return parse_manifold(data)
 

@@ -106,15 +106,19 @@ class SeifertPiece:
                 raise PieceError(f"cone pair ({a}, {beta}) not coprime")
             if beta % a == 0:
                 raise PieceError(f"cone pair ({a}, {beta}) has integral gamma")
-        # gamma_i = beta_i/a_i mod 1 in (0, 1); b_eff, the section obstruction
-        # with every beta_i reduced into (0, a_i); and b_eff - sum(gamma_i),
-        # over the lcm m of the a_i, which a horizontal surface's taus sum to.
+        # b_eff, the section obstruction with every beta_i reduced into
+        # (0, a_i); and b_eff - sum(gamma_i), over the lcm m of the a_i,
+        # which a horizontal surface's taus sum to.
         m = lcm(*(a for a, _ in self.cones))
         b_eff = self.b - sum(beta // a for a, beta in self.cones)
         m_gammas = sum(beta % a * (m // a) for a, beta in self.cones)
-        self.__dict__.update(gammas=tuple(Fraction(beta % a, a) for a, beta in self.cones),
-                             b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m),
+        self.__dict__.update(b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m),
                              cone_order_lcm=m)
+
+    @property
+    def gammas(self):
+        """gamma_i = beta_i/a_i mod 1 in (0, 1), computed on read (for the oracle)."""
+        return tuple(Fraction(beta % a, a) for a, beta in self.cones)
 
     @property
     def n(self):

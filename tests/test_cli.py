@@ -1,12 +1,18 @@
 """The command line front end: commands, formats, exit codes, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tautfol import FamilyError, PieceError, SlopeError
 from tautfol.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 N2 = {
     "role": "solid-torus",
@@ -369,9 +375,64 @@ def test_every_command_ends_in_an_exit_code(manifold_file, capsys):
     """No command ends in a traceback on the samples or on a graph whose
     edge names a boundary its piece does not have."""
     bad = manifold_file(EDGE_OUT_OF_RANGE)
-    samples = sorted(str(p) for p in (Path(__file__).resolve().parent.parent
-                                      / "samples").glob("*.json"))
+    samples = sorted(str(p) for p in (ROOT / "samples").glob("*.json"))
     for path in samples + [bad]:
         for command in ("validate", "longitude", "detect", "ctf", "oracle-check"):
             code, _, _ = run(capsys, command, path, "--format", "json")
             assert code in (0, 1, 2, 3), (path, command)
+
+
+def _fresh_process(*argv):
+    """Run ``python -m tautfol.cli ARGV`` in a new interpreter, so that an
+    uncaught exception would show as a traceback on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tautfol.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["undecodable", "too-deeply-nested"])
+def test_unreadable_file_exit_1(content, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    proc = _fresh_process("detect", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read manifold file:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys,
+                                                           monkeypatch):
+    """Repeated main calls in one process build no argument parser, the
+    flags of one call do not reach the next, and a usage error leaves the
+    next report byte-identical."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    half = manifold_file(HALFTHIRD)
+    five = str(ROOT / "tests" / "golden" / "closed_five.json")
+    five_ctf = (ROOT / "tests" / "golden" / "reports" / "closed_five.ctf.json").read_text(
+        encoding="utf-8")
+    detect = run(capsys, "detect", half, "--format", "json")
+    assert detect[0] == 0
+    for _ in range(3):
+        code, out, _ = run(capsys, "detect", half, "--format", "json", "--nmax", "3")
+        assert code == 0 and out != detect[1]
+        assert run(capsys, "detect", half, "--format", "json") == detect
+        code, out, _ = run(capsys, "ctf", five, "--format", "json", "--nmax", "3",
+                           "--split-edge", "e1")
+        assert code == 0 and json.loads(out)["split_edge"] == "e1"
+        assert run(capsys, "ctf", five, "--format", "json") == (0, five_ctf, "")
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate", half])
+        assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        assert run(capsys, "detect", half, "--format", "json") == detect
+    assert built == []

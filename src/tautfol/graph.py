@@ -513,7 +513,7 @@ def parse_manifold(data):
         ends = []
         for side in ("from", "to"):
             pair = raw[side]
-            if not isinstance(pair, list) or len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], (list, dict)):
                 raise ManifoldFormatError(f"edges[{k}].{side} must be [piece id, boundary index]")
             ends.append((pair[0], _int(pair[1], "edges[{}].{}[1]", k, side)))
         m = raw["matrix"]

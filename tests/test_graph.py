@@ -358,3 +358,14 @@ def test_reader_error_messages(mutate, message):
     with pytest.raises(ManifoldFormatError) as excinfo:
         parse_manifold(data)
     assert str(excinfo.value) == message
+
+
+def test_parse_rejects_an_unhashable_edge_end():
+    """A list or object where an edge names its piece is a shape error, not
+    a TypeError from the boundary index."""
+    for end in (["M"], {"id": "M"}):
+        data = json.loads(json.dumps(READER_BASE))
+        data["edges"][1]["from"][0] = end
+        with pytest.raises(ManifoldFormatError) as excinfo:
+            parse_manifold(data)
+        assert str(excinfo.value) == "edges[1].from must be [piece id, boundary index]"

@@ -111,10 +111,12 @@ def _detection_json(result):
 
 
 def _emit(report, fmt, text_lines):
+    """Print the report as JSON, or the lines that ``text_lines()`` builds
+    for ``--format text``; only the printed form is built."""
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -122,8 +124,7 @@ def _cmd_validate(graph, args):
     diags = validate(graph)
     report = {"schema": SCHEMA, "command": "validate", "diagnostics": diags,
               "clean": not diags}
-    lines = ["validation: clean"] if not diags else diags
-    _emit(report, args.format, lines)
+    _emit(report, args.format, lambda: ["validation: clean"] if not diags else diags)
     return EXIT_OK
 
 
@@ -137,9 +138,9 @@ def _cmd_longitude(graph, args):
         "longitude": _slope_json(result.slope),
         "order": result.order,
     }
-    lines = [f"rational longitude: {result.slope} (tau = "
-             f"{_fraction_str(result.slope.tau)}), order {result.order} in H_1"]
-    _emit(report, args.format, lines)
+    _emit(report, args.format, lambda: [
+        f"rational longitude: {result.slope} (tau = "
+        f"{_fraction_str(result.slope.tau)}), order {result.order} in H_1"])
     return EXIT_OK
 
 
@@ -147,18 +148,21 @@ def _cmd_detect(graph, args):
     result = detect_tree(graph, n_max=args.nmax)
     report = {"schema": SCHEMA, "command": "detect"}
     report.update(_detection_json(result))
-    arc = result.detected
-    lines = [f"detected set: {arc.kind}"]
-    if arc.is_point:
-        lines.append(f"  point {arc.start} (tau = {_fraction_str(arc.start.tau)})")
-    elif arc.kind == "arc":
-        lines.append(f"  from {arc.start} (tau = {_fraction_str(arc.start.tau)})")
-        lines.append(f"  to   {arc.end} (tau = {_fraction_str(arc.end.tau)})")
-    for e in result.exceptions:
-        lines.append(f"  {e.status.value}: {e.slope} "
-                     f"(tau = {_fraction_str(e.slope.tau)}) - {e.reason}")
-    if not result.exceptions:
-        lines.append("  every detected rational slope is strongly detected")
+
+    def lines():
+        arc = result.detected
+        yield f"detected set: {arc.kind}"
+        if arc.is_point:
+            yield f"  point {arc.start} (tau = {_fraction_str(arc.start.tau)})"
+        elif arc.kind == "arc":
+            yield f"  from {arc.start} (tau = {_fraction_str(arc.start.tau)})"
+            yield f"  to   {arc.end} (tau = {_fraction_str(arc.end.tau)})"
+        for e in result.exceptions:
+            yield (f"  {e.status.value}: {e.slope} "
+                   f"(tau = {_fraction_str(e.slope.tau)}) - {e.reason}")
+        if not result.exceptions:
+            yield "  every detected rational slope is strongly detected"
+
     _emit(report, args.format, lines)
     return EXIT_OK
 
@@ -180,12 +184,15 @@ def _cmd_ctf(graph, args):
         "lspace_note": verdict.note,
         "split_edge": verdict.split_edge,
     }
-    lines = [f"admits co-oriented taut foliation: {verdict.admits}",
-             f"note: {verdict.note}"]
-    for key, s in sorted(verdict.witness.items()):
-        lines.append(f"  witness slope on {key}: {s} (tau = {_fraction_str(s.tau)})")
-    for k, v in sorted(verdict.piece_tags.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"  piece {k}: {v}")
+
+    def lines():
+        yield f"admits co-oriented taut foliation: {verdict.admits}"
+        yield f"note: {verdict.note}"
+        for key, s in sorted(verdict.witness.items()):
+            yield f"  witness slope on {key}: {s} (tau = {_fraction_str(s.tau)})"
+        for k, v in sorted(verdict.piece_tags.items(), key=lambda kv: str(kv[0])):
+            yield f"  piece {k}: {v}"
+
     _emit(report, args.format, lines)
     return EXIT_OK
 
@@ -237,11 +244,8 @@ def _cmd_oracle_check(graph, args):
         })
         ok = ok and degenerate.consistent
     report = {"schema": SCHEMA, "command": "oracle-check", "ok": ok, "rows": rows}
-    lines = []
-    for row in rows:
-        lines.append(json.dumps(row, sort_keys=True))
-    lines.append(f"oracle-check: {'ok' if ok else 'MISMATCH'}")
-    _emit(report, args.format, lines)
+    _emit(report, args.format, lambda: [json.dumps(row, sort_keys=True) for row in rows]
+          + [f"oracle-check: {'ok' if ok else 'MISMATCH'}"])
     return EXIT_OK if ok else EXIT_ORACLE
 
 

@@ -107,23 +107,24 @@ class PlumbingGraph:
                 return e
         raise KeyError(f"no edge {ident!r}")
 
-    def dangling(self):
-        """Boundary tori not used by any edge, as (piece id, index) pairs."""
-        out = []
-        for p in self.pieces.values():
-            for j in range(p.boundary_count):
-                if (p.ident, j) not in self._by_boundary:
-                    out.append((p.ident, j))
-        return out
+    def dangling_count(self):
+        """How many boundary tori no edge uses: the declared boundary counts
+        less the in-range edge ends, so a huge declared count costs nothing."""
+        used = sum(1 for pid, j in self._by_boundary
+                   if pid in self.pieces and 0 <= j < self.pieces[pid].boundary_count)
+        return sum(p.boundary_count for p in self.pieces.values()) - used
 
     def root(self):
-        """The unique dangling torus of a solid-torus-role graph."""
+        """The unique dangling torus of a solid-torus-role graph.  With one
+        dangling torus the declared boundary counts add up to at most one
+        more than twice the number of edges, which bounds the walk."""
         if self.role != "solid-torus":
             raise RoleError("only solid-torus graphs have a root torus")
-        d = self.dangling()
-        if len(d) != 1:
-            raise RoleError(f"expected one dangling torus, found {len(d)}")
-        return d[0]
+        count = self.dangling_count()
+        if count != 1:
+            raise RoleError(f"expected one dangling torus, found {count}")
+        return next((p.ident, j) for p in self.pieces.values()
+                    for j in range(p.boundary_count) if (p.ident, j) not in self._by_boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def validate(graph):
     components = {find(i) for i in ids}
     if cycle or len(components) > 1 or len(graph.edges) != len(ids) - 1:
         out.append("error: underlying graph is not a tree")
-    dangling = len(graph.dangling())
+    dangling = graph.dangling_count()
     if graph.role == "closed" and dangling != 0:
         out.append(f"error: closed role but {dangling} dangling boundary tori")
     if graph.role == "solid-torus" and dangling != 1:

@@ -7,11 +7,14 @@ core_interval (the extrema sit at interval endpoints and just inside integer
 coordinates, so endpoints, integer points and integer +- 1/d offsets are
 always sampled).
 
-_certificates enumerates every (N, A, placement) triple in lexicographic
-order and yields those whose non-target values pass the cone and boundary
-conditions, each tested as an integer threshold built from its definition,
-sharing no search logic with the optimized scan in the kernel.  jn_exhaustive
-takes the first one whose target value proves a proposed refined endpoint;
+_certificates yields every (N, A, placement) triple whose non-target values
+pass the cone and boundary conditions, in lexicographic order, each
+condition an integer threshold built from its definition, sharing no search
+logic with the optimized scan in the kernel.  A condition only gets easier
+as the value grows, so each N has one least passing value per slot; the
+enumeration skips the N where more than two slots fail on 1 and, at the
+others, the A outside every allowed placement's range.  jn_exhaustive takes
+the first one whose target value proves a proposed refined endpoint;
 jn_exhaustive_extremal the largest target value C/N over all of them.
 """
 
@@ -87,24 +90,13 @@ def grid_union(piece, family, denominator=None):
     return lo, hi
 
 
-def _passing(checks, value, n_value):
-    """Whether value/n_value clears each check's threshold p/q, by
-    cross-multiplication; the target slot, last, has no condition."""
-    return [value * q > n_value * p if strict else value * q >= n_value * p
-            for p, q, strict in checks] + [True]
-
-
-def _certificates(piece, family, side, n_max):
-    """Every certificate with N <= n_max whose cone and boundary values pass
-    their conditions on ``side``, in (N, A, placement) lexicographic order;
-    the target takes the value left on the last slot.
-
-    A placement puts A on slot pos_a, N-A on slot pos_b and 1 on every other
-    slot, over pos_a then pos_b; a placement whose value tuple was already
-    yielded is skipped."""
+def _thresholds(piece, family, side):
+    """The cone and boundary conditions on ``side`` as integer thresholds
+    (p, q, strict), the cones first, a value v at N passing by v*q > N*p (or
+    >= where not strict); with the boundary slots' constraint indices and
+    the excluded ones."""
     intervals = _intervals(family)
     endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
-    gammas = piece.gammas
     excluded = tuple(j for j, e in enumerate(endpoints)
                      if j in family.strong and Fraction(e).denominator == 1)
     bdry = [j for j in range(len(endpoints)) if j not in excluded]
@@ -115,27 +107,56 @@ def _certificates(piece, family, side, n_max):
     # fibre-reversed piece, so x is the negated endpoint there: frac(-eta)
     # is 1 - frac(eta) off the integers but 0 on them, which is what makes
     # an integral free endpoint kill the refinement on both sides.
-    thresholds = [(1 - gamma if side == "low" else gamma, True) for gamma in gammas]
+    thresholds = [(1 - gamma if side == "low" else gamma, True) for gamma in piece.gammas]
     for j in bdry:
         x = Fraction(endpoints[j] if side == "low" else -endpoints[j])
         thresholds.append((1 - (x - floor(x)), j in family.strong))
     checks = [(t.numerator, t.denominator, strict) for t, strict in thresholds]
+    return checks, bdry, excluded
+
+
+def _placements(checks, n_max):
+    """Every (N, A, values) with 2 <= N <= n_max whose values pass their
+    checks, in (N, A, placement) lexicographic order; values holds one
+    numerator per check and the target's, last, which has no condition.
+
+    A placement puts A on slot pos_a, N-A on slot pos_b and 1 on every other
+    slot, over pos_a then pos_b; a placement whose value tuple was already
+    yielded is skipped.  A check only gets easier as the value grows, so at
+    each N it passes exactly the values from its least passing one up: the
+    slots whose least value exceeds 1 must be pos_a and pos_b, and each
+    allowed (pos_a, pos_b) passes on one range of A.  Only the A in those
+    ranges are visited."""
     slots = len(checks) + 1
     for n_value in range(2, n_max + 1):
-        on_one = _passing(checks, 1, n_value)
-        fails_on_one = on_one.count(False)
-        for a_value in range(1, n_value):
-            if gcd(a_value, n_value) != 1:
-                continue
-            b_value = n_value - a_value
-            on_a = _passing(checks, a_value, n_value)
-            on_b = _passing(checks, b_value, n_value)
-            seen = set()
-            for pos_a in range(slots):
-                for pos_b in range(slots):
-                    # Every slot but pos_a and pos_b holds 1.
-                    if (pos_b == pos_a or not on_a[pos_a] or not on_b[pos_b]
-                            or fails_on_one != (not on_one[pos_a]) + (not on_one[pos_b])):
+        least = [n_value * p // q + 1 if strict else -(-n_value * p // q)
+                 for p, q, strict in checks] + [1]
+        failing = sum(v > 1 for v in least)
+        if failing > 2:
+            continue
+        # Every slot but pos_a and pos_b holds 1; A passes on pos_a from its
+        # least value, N - A on pos_b from its.
+        pairs = []
+        for pos_a in range(slots):
+            for pos_b in range(slots):
+                lo, hi = max(least[pos_a], 1), n_value - max(least[pos_b], 1)
+                if (pos_b != pos_a and lo <= hi
+                        and failing == (least[pos_a] > 1) + (least[pos_b] > 1)):
+                    pairs.append((lo, hi, pos_a, pos_b))
+        spans = []
+        for lo, hi, _, _ in sorted(pairs):
+            if spans and lo <= spans[-1][1] + 1:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        for lo, hi in spans:
+            for a_value in range(lo, hi + 1):
+                if gcd(a_value, n_value) != 1:
+                    continue
+                b_value = n_value - a_value
+                seen = set()
+                for lo_a, hi_a, pos_a, pos_b in pairs:
+                    if not lo_a <= a_value <= hi_a:
                         continue
                     # A position holding 1 does not tell placements apart.
                     key = (pos_a if a_value != 1 else None,
@@ -146,15 +167,27 @@ def _certificates(piece, family, side, n_max):
                     values = [1] * slots
                     values[pos_a] = a_value
                     values[pos_b] = b_value
-                    yield JNCertificate(
-                        n_value=n_value,
-                        a_value=a_value,
-                        side=side,
-                        cone_numerators=tuple(values[:len(gammas)]),
-                        boundary_numerators=tuple(zip(bdry, values[len(gammas):-1])),
-                        excluded=excluded,
-                        target_numerator=values[-1],
-                    )
+                    yield n_value, a_value, values
+
+
+def _certificates(piece, family, side, n_max):
+    """Every certificate with N <= n_max whose cone and boundary values pass
+    their conditions on ``side``, in (N, A, placement) lexicographic order;
+    the target takes the value left on the last slot.  The placements come
+    from _placements, which skips the (N, A) pairs that no placement can
+    pass by each N's least passing values."""
+    checks, bdry, excluded = _thresholds(piece, family, side)
+    cones = piece.n
+    for n_value, a_value, values in _placements(checks, n_max):
+        yield JNCertificate(
+            n_value=n_value,
+            a_value=a_value,
+            side=side,
+            cone_numerators=tuple(values[:cones]),
+            boundary_numerators=tuple(zip(bdry, values[cones:-1])),
+            excluded=excluded,
+            target_numerator=values[-1],
+        )
 
 
 def jn_exhaustive(piece, family, boundary_target, n_max):

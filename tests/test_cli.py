@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -382,14 +383,61 @@ def test_every_command_ends_in_an_exit_code(manifold_file, capsys):
             assert code in (0, 1, 2, 3), (path, command)
 
 
-def _fresh_process(*argv):
-    """Run ``python -m tautfol.cli ARGV`` in a new interpreter, so that an
-    uncaught exception would show as a traceback on stderr."""
+def _source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "tautfol.cli", *argv], env=env,
+    return env
+
+
+def _fresh_process(*argv):
+    """Run ``python -m tautfol.cli ARGV`` in a new interpreter, so that an
+    uncaught exception would show as a traceback on stderr."""
+    return subprocess.run([sys.executable, "-m", "tautfol.cli", *argv], env=_source_env(),
                           capture_output=True, text=True, timeout=60)
+
+
+# Runs each command named after FILE through main and prints
+# {command: [exit code, stdout, stderr]} as JSON.
+_EACH_COMMAND = """
+import contextlib, io, json, sys
+from tautfol.cli import main
+results = {}
+for command in sys.argv[2:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, sys.argv[1]])
+    results[command] = [code, out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("role", ["solid-torus", "closed"])
+def test_a_huge_boundary_count_fails_at_once(role, manifold_file):
+    """Counting the dangling tori reads only the edges, so a declared
+    boundary count of 10**9 is refused with the usual message, in a process
+    capped at 1 GiB and 20 s, instead of walking every index."""
+    data = {"role": role, "pieces": [dict(HALFTHIRD["pieces"][0], boundary=10**9)],
+            "edges": []}
+    invalid = f"error: {role} role but 1000000000 dangling boundary tori\n"
+    no_root = ("error: expected one dangling torus, found 1000000000\n"
+               if role == "solid-torus" else "error: only solid-torus graphs have a root torus\n")
+    expected = {
+        "validate": [0, invalid, ""],
+        "longitude": [2, "", no_root],
+        "detect": [2, "", invalid],
+        "ctf": [2, "", invalid],
+        "oracle-check": [2, "", invalid],
+    }
+    cap = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-c", _EACH_COMMAND, manifold_file(data), *expected],
+        env=_source_env(),
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == expected
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],

@@ -8,6 +8,11 @@ reference directly.  A deliberate change to the enumeration's answers
 rewrites the file in the same change:
 
     PYTHONPATH=src:tests python tests/test_oracle.py > tests/golden/oracle_digest.txt
+
+The placements themselves, ``tautfol.oracle._placements``, which visit
+only the (N, A) pairs that some placement can pass, are compared with
+``_every_placement``, the loop over every N, A and placement, at bounds past
+the digest's and on hand-built thresholds at the edges.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ from math import floor, gcd
 from pathlib import Path
 
 from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval
+import tautfol.oracle
 from tautfol.oracle import (_certificates, _intervals, _samples, grid_union, jn_exhaustive,
                             jn_exhaustive_extremal)
 from tautfol import jn_refine_high, jn_refine_low
@@ -183,6 +189,103 @@ def _fraction_certificates(piece, family, side, n_max):
                         excluded=excluded,
                         target_numerator=values[-1],
                     )
+
+
+def _passing(checks, value, n_value):
+    """Whether value/n_value clears each check's threshold p/q, by
+    cross-multiplication; the target slot, last, has no condition."""
+    return [value * q > n_value * p if strict else value * q >= n_value * p
+            for p, q, strict in checks] + [True]
+
+
+def _every_placement(checks, n_max):
+    """The loop over every N, every A coprime to it and every placement that
+    _placements replaces, testing each slot's check on 1, A and N - A: the
+    reference for which (N, A) pairs _placements may skip."""
+    slots = len(checks) + 1
+    for n_value in range(2, n_max + 1):
+        on_one = _passing(checks, 1, n_value)
+        fails_on_one = on_one.count(False)
+        for a_value in range(1, n_value):
+            if gcd(a_value, n_value) != 1:
+                continue
+            b_value = n_value - a_value
+            on_a = _passing(checks, a_value, n_value)
+            on_b = _passing(checks, b_value, n_value)
+            seen = set()
+            for pos_a in range(slots):
+                for pos_b in range(slots):
+                    # Every slot but pos_a and pos_b holds 1.
+                    if (pos_b == pos_a or not on_a[pos_a] or not on_b[pos_b]
+                            or fails_on_one != (not on_one[pos_a]) + (not on_one[pos_b])):
+                        continue
+                    # A position holding 1 does not tell placements apart.
+                    key = (pos_a if a_value != 1 else None,
+                           pos_b if b_value != 1 else None)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    values = [1] * slots
+                    values[pos_a] = a_value
+                    values[pos_b] = b_value
+                    yield n_value, a_value, values
+
+
+def test_certificates_match_every_placement_past_the_digest_bounds(monkeypatch):
+    """Seeded draws at bounds 25-120, where the digest's draws stop at 24."""
+    rng = random.Random(0x5EED + 1)
+    cases = []
+    for i in range(70):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
+                                                      a_max=6)
+        n_max = rng.randint(25, 120)
+        for side in ("low", "high"):
+            cases.append((piece, fam, side, n_max,
+                          list(_certificates(piece, fam, side, n_max))))
+    assert sum(len(certs) for *_, certs in cases) > 5000
+    monkeypatch.setattr(tautfol.oracle, "_placements", _every_placement)
+    for piece, fam, side, n_max, got in cases:
+        assert got == list(_certificates(piece, fam, side, n_max)), (
+            piece, fam.arcs, fam.strong, side, n_max)
+
+
+# Thresholds (p, q, strict): 1/40 passes on 1 up to N = 40 and fails past
+# it; 1/4, 1/3 and 1/2 fail on 1 from N = 2 to 4 and hit their least value
+# exactly at some N, where strict and non-strict part; 1 strict has the least
+# value N + 1 and 1 non-strict N, beyond every A; 0 and -1/2 pass everything.
+EASY = (1, 40, False)
+QUARTER_OR_EQUAL = (1, 4, False)
+THIRD = (1, 3, True)
+HALF = (1, 2, True)
+HALF_OR_EQUAL = (1, 2, False)
+EDGE_CHECKS = {
+    "no checks": [],
+    "0 failing": [EASY, EASY, (0, 1, True), (-1, 2, False)],
+    "1 failing": [EASY, HALF, EASY],
+    "1 failing, non-strict": [HALF_OR_EQUAL, EASY],
+    "2 failing": [THIRD, EASY, HALF_OR_EQUAL],
+    "2 failing, both non-strict": [QUARTER_OR_EQUAL, HALF_OR_EQUAL, EASY],
+    "3 failing": [THIRD, QUARTER_OR_EQUAL, HALF],
+    "strict 1": [(1, 1, True), EASY],
+    "non-strict 1": [(1, 1, False), EASY],
+    "strict and non-strict 1": [(1, 1, True), (1, 1, False)],
+}
+
+
+def test_placements_match_every_placement_at_the_threshold_edges():
+    found = {}
+    for name, checks in EDGE_CHECKS.items():
+        got = list(tautfol.oracle._placements(checks, 60))
+        assert got == list(_every_placement(checks, 60)), name
+        found[name] = len(got)
+    # A threshold of 1 leaves its slot no value below N, and three slots
+    # failing on 1 leave two positions for them.
+    assert [name for name, count in found.items() if count == 0] == [
+        "no checks", "3 failing", "strict 1", "non-strict 1", "strict and non-strict 1"]
+    # Past N = 40 the easy threshold fails on 1 as well, which leaves
+    # "2 failing" three failing slots and no placement.
+    assert max(n_value for n_value, _, _ in tautfol.oracle._placements(
+        EDGE_CHECKS["2 failing"], 60)) == 40
 
 
 def _enumerations(enumerate_certificates):

@@ -38,15 +38,12 @@ from .seifert import (
 )
 from .graph import (
     Edge,
-    HomologySummary,
     LongitudeResult,
     ManifoldFormatError,
     PlumbingGraph,
     RoleError,
     dump_manifold,
-    homology,
     load_manifold,
-    normalize,
     parse_manifold,
     rational_longitude,
     split_at_edge,

@@ -12,13 +12,16 @@ Exit codes: 0 success (including a mathematical "admits = false"), 1
 malformed input or an unknown ``--split-edge``, 2 role mismatch or a piece,
 constraint family or slope the kernel cannot take, 3 internal-consistency
 failure: an oracle-check mismatch, or a DecisionError (a witness that fails
-its check, or a certificate scan that its replay contradicts).
+its check, or a certificate scan that its replay contradicts), 141 standard
+output closed before the report was written (as for a process that SIGPIPE
+ends, 128 + 13; no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -55,6 +58,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_ROLE = 2
 EXIT_ORACLE = 3
+EXIT_PIPE = 141
 
 
 def _fraction_str(value):
@@ -283,13 +287,22 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     try:
-        return _HANDLERS[args.command](graph, args)
+        code = _HANDLERS[args.command](graph, args)
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
     except (RoleError, PieceError, FamilyError, SlopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ROLE
     except DecisionError as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's own flush at
+        # exit does not fail on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

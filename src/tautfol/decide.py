@@ -13,14 +13,14 @@ over an orientable base and not strong over a non-orientable one, and the
 two cable-space / degenerate-fibration situations downgrade finitely many
 slopes to an indeterminate status.
 
-The same pass gives each subtree's rational longitude and its order in
-closed form (graph.piece_longitude, the rule rational_longitude walks by), so
-no question here needs H_1 of the whole graph: decide_ctf splits a closed
-manifold along any JSJ torus, reads from the two longitudes there whether it
-is a rational homology sphere, intersects the two detected sets, and
-certifies a co-oriented taut foliation by a gluing coherent slope assignment
-when the intersection is non-empty.  A graph is read-only, so its
-evaluation is kept on it and every question about it shares one.
+The same pass gives each subtree's Betti number, rational longitude and its
+order in closed form (graph.piece_longitude, the rule rational_longitude walks
+by), so no question here needs H_1 of the whole graph: decide_ctf splits a
+closed manifold along any JSJ torus, reads the Betti number from the two
+sides there, intersects the two detected sets, and certifies a co-oriented
+taut foliation by a gluing coherent slope assignment when the intersection
+is non-empty.  A graph is read-only, so its evaluation is kept on it and
+every question about it shares one.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from math import lcm
 
 from .graph import (
     RoleError,
-    homology,
     longitude_error,
     piece_longitude,
     post_order,
     split_at_edge,
+    subtree_longitude,
     validate,
     errors_of,
 )
@@ -80,7 +80,7 @@ class _Node:
     children: tuple      # _Child per other boundary, in boundary-index order
     family: object       # ConstraintFamily fed to the kernel; None on a product
     result: DetectionResult
-    longitude: object    # the subtree's LongitudeResult, None when b1 != 1
+    longitude: object    # the subtree's SubtreeLongitude: b1, longitude, order
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,8 @@ def check_degenerate(graph, n_max=None):
     root = _evaluated(graph, n_max)[-1]
     result = root.result
     direct = result.detected.is_point
-    if root.longitude is None:
-        raise longitude_error(graph)
+    if root.longitude.betti != 1:
+        raise longitude_error(root.longitude.betti)
     lam = root.longitude.slope
     piece, children = root.piece, root.children
     arcs = [c.arc for c in children]
@@ -460,7 +460,10 @@ def decide_ctf(graph, split_edge=None, n_max=None):
         try:
             edge = graph.edge_by_ident(split_edge)
         except KeyError:
-            _require_rational_sphere(graph)
+            # The Betti error comes first, read off the longitudes alone.
+            first = graph.edges[0]
+            _require_rational_sphere(
+                first, *map(subtree_longitude, split_at_edge(graph, first)))
             raise RoleError(
                 f"no edge {split_edge!r}; the edges are: "
                 f"{', '.join(e.ident for e in graph.edges)}") from None
@@ -471,13 +474,7 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     u_side, v_side = split_at_edge(graph, edge)
     u_root = _evaluate(u_side, n_max)[-1]
     v_root = _evaluate(v_side, n_max)[-1]
-    # By Mayer-Vietoris, b1 = 0 exactly when both sides have b1 = 1 and
-    # their longitudes are different slopes of the split torus.
-    if (u_root.longitude is None or v_root.longitude is None
-            or u_root.longitude.slope == act(edge.matrix.inverse(), v_root.longitude.slope)):
-        _require_rational_sphere(graph)
-        raise DecisionError(
-            f"the longitudes at {edge.ident} give betti > 0, but H_1 has betti = 0")
+    _require_rational_sphere(edge, u_root.longitude, v_root.longitude)
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
     if not meet:
@@ -495,10 +492,12 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     return CtfVerdict(True, witness, tags, NOTE_ADMITS, edge.ident)
 
 
-def _require_rational_sphere(graph):
-    """Raise, naming the Betti number, unless b1 = 0; only the error paths
-    of decide_ctf solve H_1."""
-    betti = homology(graph).betti
+def _require_rational_sphere(edge, u, v):
+    """Raise, naming the Betti number, unless b1 = 0.  ``u`` and ``v`` are
+    the SubtreeLongitudes of the two sides of a split at ``edge``, U on its
+    from-side.  By Mayer-Vietoris each side adds b1 - 1, and the split torus
+    one more when the two longitudes are the same slope on it."""
+    betti = u.betti + v.betti - 2 + (u.slope == act(edge.matrix.inverse(), v.slope))
     if betti != 0:
         raise RoleError(f"not a rational homology sphere (betti = {betti})")
 

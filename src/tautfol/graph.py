@@ -33,9 +33,10 @@ import json
 from dataclasses import dataclass
 from math import gcd, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .snf import Presentation
-from .seifert import DecisionError, PieceError, SeifertPiece
+from .snf import Presentation, smith_normal_form
+from .seifert import PieceError, SeifertPiece
 from .slopes import VERTICAL, GluingMatrix, Slope, act
 
 SCHEMA_VERSION = 1
@@ -238,10 +239,15 @@ def presentation(graph):
 
 
 def homology(graph):
-    solved = presentation(graph).solve()
+    """The Betti number and torsion invariant factors of H_1, read from the
+    dense Smith normal form of the whole presentation.  No command calls
+    it: the tree walk reads the Betti number off the longitudes
+    (piece_longitude), and the tests check the walk against this."""
+    pres = presentation(graph)
+    diagonal = [abs(x) for x in smith_normal_form(pres.relations)[0] if x]
     return HomologySummary(
-        betti=solved.betti,
-        invariant_factors=tuple(solved.invariant_factors()),
+        betti=len(pres.generators) - len(diagonal),
+        invariant_factors=tuple(x for x in diagonal if x > 1),
     )
 
 
@@ -249,6 +255,16 @@ def homology(graph):
 class LongitudeResult:
     slope: Slope
     order: int
+
+
+class SubtreeLongitude(NamedTuple):
+    """What the tree walk carries up from a subtree: its first Betti number,
+    its rational longitude (the boundary slope that dies in H_1 with
+    rational coefficients, whatever the Betti number) and the longitude's
+    order in H_1, None unless betti = 1."""
+    betti: int
+    slope: Slope
+    order: int | None
 
 
 def post_order(graph):
@@ -286,52 +302,71 @@ def post_order(graph):
 
 
 def piece_longitude(piece, children):
-    """The rational longitude (slope and order) of the subtree rooted at
-    ``piece``, in the piece's frame on the boundary towards the parent, or
-    None when the subtree's first Betti number is not 1.  ``children`` holds
-    one (transport, LongitudeResult or None) per child subtree, the
-    transport taking the child's root frame to this piece's frame.
+    """The SubtreeLongitude of the subtree rooted at ``piece``: its first
+    Betti number b1, its rational longitude in the piece's frame on the
+    boundary towards the parent, and the longitude's order when b1 = 1.
+    ``children`` holds one (transport, SubtreeLongitude) per child subtree,
+    the transport taking the child's root frame to this piece's frame.
 
-    By Mayer-Vietoris, b1 = 1 exactly when every child has b1 = 1 and the
-    child longitudes lambda_j stay independent in H_1(piece; Q).  Over a
-    planar base a horizontal lambda_j sets d_j = -tau(lambda_j) h and a
-    vertical one kills h, so two vertical ones are dependent; over a
-    crosscap-1 base h is torsion, so a vertical lambda_j is dependent and
-    the others kill their d_j, leaving the root's d free.  A second crosscap
-    adds a free class.  The order is derived in rational_longitude."""
-    lams = []  # (slope in this piece's frame, order)
-    for transport, child in children:
-        if child is None:
-            return None
-        lams.append((act(transport, child.slope), child.order))
+    By Mayer-Vietoris each child subtree adds b1_c - 1, and the piece adds
+    the dimension of H_1(piece; Q) modulo the child longitudes lambda_c: for
+    a subtree with one boundary torus, the kernel of H_1(T; Q) -> H_1(M; Q)
+    is one line, lambda, whatever b1(M) is.  Over a planar base h and the
+    d_j span H_1(piece; Q) under one relation; a horizontal lambda_c sets
+    d_c = -tau(lambda_c) h and a vertical one kills h, so with V vertical
+    lambda_c the quotient has dimension max(1, V), and the class on the
+    parent torus that dies in it is the fibre when V >= 1 and the
+    horizontal slope below otherwise.  Over a base with c crosscaps h is
+    torsion, so a vertical lambda_c is dependent and the others kill their
+    d_c: the dimension is c + V and the fibre dies.  So b1 = 1 exactly when
+    every child has b1 = 1 and at most one lambda_c is vertical over a
+    planar base, or none over a crosscap-1 base.  The order is derived in
+    rational_longitude."""
+    lams = [(act(transport, child.slope), child.order) for transport, child in children]
+    excess = sum(child.betti for _, child in children) - len(children)
     vertical = [order for lam, order in lams if lam.is_vertical]
     if not piece.base_orientable:
-        return LongitudeResult(VERTICAL, 2) if not vertical and piece.crosscaps == 1 else None
+        betti = piece.crosscaps + len(vertical) + excess
+        return SubtreeLongitude(betti, VERTICAL, 2 if betti == 1 else None)
     if vertical:
-        return LongitudeResult(VERTICAL, vertical[0]) if len(vertical) == 1 else None
+        betti = len(vertical) + excess
+        return SubtreeLongitude(betti, VERTICAL, vertical[0] if betti == 1 else None)
     num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
     for lam, _ in lams:  # minus tau(lambda) = p/q, over a common denominator
         num, den = num * lam.q + lam.p * den, den * lam.q
     slope = Slope(-num, den)
+    if excess:
+        return SubtreeLongitude(1 + excess, slope, None)
     q = slope.q
     order = lcm(*(a // gcd(a, q) for a, _ in piece.cones))
     for lam, o in lams:
         m = o * lam.q
         order = lcm(order, m // gcd(m, q))
-    return LongitudeResult(slope, order)
+    return SubtreeLongitude(1, slope, order)
+
+
+def subtree_longitude(graph):
+    """The SubtreeLongitude of a solid-torus tree, carried up one post-order
+    walk by piece_longitude, with no H_1."""
+    longitudes = {}
+    for pid, _, children in post_order(graph):
+        longitudes[pid] = piece_longitude(
+            graph.pieces[pid],
+            [(transport, longitudes[cid]) for _, _, cid, transport in children])
+    return longitudes[pid]  # the root comes last
 
 
 def rational_longitude(graph):
     """The primitive boundary class that is torsion in H_1, and its order.
 
-    One post-order walk over the tree carries each subtree's (longitude,
-    order) to its parent (piece_longitude), with no H_1.  By Mayer-Vietoris,
-    the order in H_1(M_v) of a class on the root piece P_v of a subtree M_v
-    is the least n that puts n times the class into the span of the
-    relations of H_1(P_v) and the o_c lambda_c of every child c, since the
-    kernel of H_1(T_c) -> H_1(M_c) is Z o_c lambda_c, with lambda_c the
-    child's longitude and o_c its order.  These relations are linearly
-    independent, with pivots x_i, d_via and d_c, so the order of
+    One post-order walk over the tree carries each subtree's Betti number,
+    longitude and order to its parent (subtree_longitude), with no H_1.  By
+    Mayer-Vietoris, the order in H_1(M_v) of a class on the root piece P_v
+    of a subtree M_v is the least n that puts n times the class into the
+    span of the relations of H_1(P_v) and the o_c lambda_c of every child
+    c, since the kernel of H_1(T_c) -> H_1(M_c) is Z o_c lambda_c, with
+    lambda_c the child's longitude and o_c its order.  These relations are
+    linearly independent, with pivots x_i, d_via and d_c, so the order of
     lambda_v = p h - q d_via is the lcm of the denominators of its unique
     rational coefficients in them:
 
@@ -341,70 +376,16 @@ def rational_longitude(graph):
     * with one vertical lambda_c, lambda_v = h and the order is o_c;
     * over a crosscap-1 base, lambda_v = h and 2h = 0 give the order 2.
 
-    When the walk finds b1 != 1, H_1 is solved only to name the Betti number
-    in the error."""
-    longitudes = {}
-    for pid, _, children in post_order(graph):
-        longitudes[pid] = piece_longitude(
-            graph.pieces[pid],
-            [(transport, longitudes[cid]) for _, _, cid, transport in children])
-    result = longitudes[pid]  # the root comes last
-    if result is None:
-        raise longitude_error(graph)
-    return result
+    The walk's Betti number names the error when it is not 1."""
+    root = subtree_longitude(graph)
+    if root.betti != 1:
+        raise longitude_error(root.betti)
+    return LongitudeResult(root.slope, root.order)
 
 
-def longitude_error(graph):
-    """The error for a tree whose walk finds no rational longitude; H_1 is
-    solved to name the Betti number."""
-    betti = homology(graph).betti
-    if betti != 1:
-        return RoleError(f"rational longitude needs betti = 1, got {betti}")
-    return DecisionError("the tree has no rational longitude, but H_1 has betti = 1")
-
-
-# ---------------------------------------------------------------------------
-# Normalization
-# ---------------------------------------------------------------------------
-
-
-def normalize(graph):
-    """Reduce every cone pair into (0, a) and absorb each piece's section
-    obstruction into an edge-adjacent boundary frame where one exists.
-
-    Homology, longitudes and all detection outputs are invariant; the
-    dangling frame is never re-framed, so a piece whose only boundary is the
-    dangling torus keeps its b.
-    """
-    new_pieces = []
-    shifts = {}  # (piece id, bdry) -> integer frame shift
-    for p in graph.pieces.values():
-        cones = tuple((a, beta % a) for a, beta in p.cones)
-        b_eff = p.b_eff
-        target = None
-        for j in range(p.boundary_count):
-            if graph.edge_at(p.ident, j) is not None:
-                target = j
-                break
-        if target is not None and b_eff != 0:
-            shifts[(p.ident, target)] = b_eff
-            b_eff = 0
-        new_pieces.append(SeifertPiece(
-            base_orientable=p.base_orientable, cones=cones, b=b_eff,
-            boundary_count=p.boundary_count, crosscaps=p.crosscaps,
-            ident=p.ident))
-    new_edges = []
-    for e in graph.edges:
-        m = e.matrix
-        bf = shifts.get((e.from_piece, e.from_bdry), 0)
-        bt = shifts.get((e.to_piece, e.to_bdry), 0)
-        if bf:
-            m = m.compose(GluingMatrix(1, -bf, 0, 1))
-        if bt:
-            m = GluingMatrix(1, bt, 0, 1).compose(m)
-        new_edges.append(Edge(e.from_piece, e.from_bdry, e.to_piece, e.to_bdry,
-                              m, e.ident))
-    return PlumbingGraph(new_pieces, new_edges, graph.role)
+def longitude_error(betti):
+    """The error for a tree whose Betti number is not 1."""
+    return RoleError(f"rational longitude needs betti = 1, got {betti}")
 
 
 # ---------------------------------------------------------------------------

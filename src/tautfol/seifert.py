@@ -276,18 +276,6 @@ class JNCertificate:
     excluded: tuple  # strong indices with integral extreme endpoint
     target_numerator: int
 
-    def distributed_multiset(self):
-        vals = sorted(
-            list(self.cone_numerators)
-            + [v for _, v in self.boundary_numerators]
-            + [self.target_numerator]
-        )
-        return vals
-
-    def expected_multiset(self):
-        count = len(self.cone_numerators) + len(self.boundary_numerators) + 1
-        return sorted([self.a_value, self.n_value - self.a_value] + [1] * (count - 2))
-
 
 def default_n_bound(piece, endpoints):
     """Search bound for the certificate hunt: twice the lcm of the cone

@@ -19,10 +19,10 @@ from tautfol import (
     SeifertPiece,
     SlopeArc,
     VERTICAL,
-    homology,
     slope_of_tau,
     validate,
 )
+from tautfol.graph import homology, subtree_longitude
 
 
 def rand_fraction(rng, den_max=12, lo=-3, hi=3):
@@ -147,11 +147,13 @@ def rand_solid_tree(rng, max_pieces=4, q_prob=0.25):
 
 
 def rand_valid_solid_tree(rng, max_pieces=4, q_prob=0.25):
+    """A valid solid tree of b1 = 1, the Betti number read off the tree walk
+    (test_tree_longitudes_match_homology checks it against H_1)."""
     while True:
         g = rand_solid_tree(rng, max_pieces, q_prob)
         if any(d.startswith("error:") for d in validate(g)):
             continue
-        if homology(g).betti == 1:
+        if subtree_longitude(g).betti == 1:
             return g
 
 
@@ -184,17 +186,28 @@ def rand_valid_closed(rng, max_pieces=4, min_pieces=2):
             return g
 
 
-def plumbing_chain(k, role="solid-torus"):
+def plumbing_chain(k, role="solid-torus", leaves=False):
     """k pieces with cones (2,1), (3,1) and b = -2 glued end to end by
     [[0,1],[1,0]]; in the solid-torus role p0 carries the dangling torus,
-    in the closed role (k >= 2) both ends have one boundary torus."""
+    in the closed role (k >= 2) both ends have one boundary torus.  With
+    ``leaves``, the last piece has two more boundary tori, and on them two
+    crosscap-1 leaves k1, k2 (no cones, one boundary torus) are glued by
+    [[1,0],[0,-1]]: the leaves' longitudes are both that piece's fibre, so
+    the Betti number is 2 in the solid-torus role and 1 in the closed one."""
     ends = (0, k - 1) if role == "closed" else (k - 1,)
     pieces = [SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=-2,
-                           boundary_count=1 if i in ends else 2, ident=f"p{i}")
+                           boundary_count=(1 if i in ends else 2) + 2 * (leaves and i == k - 1),
+                           ident=f"p{i}")
               for i in range(k)]
     edges = [Edge(f"p{i + 1}", 0, f"p{i}", 0 if i == 0 and role == "closed" else 1,
                   GluingMatrix(0, 1, 1, 0), f"e{i}")
              for i in range(k - 1)]
+    if leaves:
+        for j in (1, 2):
+            pieces.append(SeifertPiece(base_orientable=False, crosscaps=1, cones=(), b=0,
+                                       boundary_count=1, ident=f"k{j}"))
+            edges.append(Edge(f"k{j}", 0, f"p{k - 1}", j, GluingMatrix(1, 0, 0, -1),
+                              f"e{len(edges)}"))
     return PlumbingGraph(pieces, edges, role)
 
 
@@ -204,11 +217,14 @@ def rng():
 
 
 if __name__ == "__main__":
-    # python tests/conftest.py K [closed]: the K-piece plumbing chain (in the
-    # solid-torus role unless "closed" is given) as manifold JSON.
+    # python tests/conftest.py K [closed] [leaves]: the K-piece plumbing chain
+    # (in the solid-torus role unless "closed" is given, with the two
+    # crosscap-1 leaves if "leaves" is given) as manifold JSON.
     import json
     import sys
 
     from tautfol.graph import dump_manifold
 
-    print(json.dumps(dump_manifold(plumbing_chain(int(sys.argv[1]), *sys.argv[2:]))))
+    words = sys.argv[2:]
+    role = "closed" if "closed" in words else "solid-torus"
+    print(json.dumps(dump_manifold(plumbing_chain(int(sys.argv[1]), role, "leaves" in words))))

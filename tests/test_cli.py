@@ -451,6 +451,24 @@ def test_unreadable_file_exit_1(content, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_closed_stdout_ends_without_a_traceback(fmt):
+    """A reader that has gone before the report is written (as with
+    ``| head -c 20``) ends the run with exit 141 and nothing on stderr.  The
+    read end of the pipe is closed before the process starts, so every
+    write meets a broken pipe."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tautfol.cli", "ctf",
+             str(ROOT / "samples" / "closed_admits.json"), "--format", fmt],
+            env=_source_env(), stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys,
                                                            monkeypatch):
     """Repeated main calls in one process build no argument parser, the

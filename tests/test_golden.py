@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import tautfol.graph
 import tautfol.snf
 from conftest import plumbing_chain
 from tautfol.cli import main
@@ -42,61 +43,69 @@ def test_golden_report(path, command, capsys):
     assert out == expected
 
 
-def test_reports_never_call_the_dense_smith_normal_form(monkeypatch, capsys):
-    """Every H_1 question is answered by the sparse elimination and the
-    modular Smith normal form; the dense ``smith_normal_form`` is the tests'
-    reference only, so the reports stay the same when it refuses to run."""
-    def refuse(matrix):
-        raise AssertionError("smith_normal_form called by the program")
+# Two crosscap-1 children whose longitudes are both the root piece's fibre:
+# b1 = 2.
+_KB = {"base": {"orientable": False, "crosscaps": 1}, "cones": [], "b": 0, "boundary": 1}
+TWO_VERTICAL_CHILDREN = {
+    "role": "solid-torus",
+    "pieces": [
+        {"id": "root", "base": {"orientable": True, "crosscaps": 0}, "cones": [],
+         "b": 0, "boundary": 3},
+        {"id": "k1", **_KB},
+        {"id": "k2", **_KB},
+    ],
+    "edges": [
+        {"from": ["k1", 0], "to": ["root", 1], "matrix": [[1, 0], [0, -1]]},
+        {"from": ["k2", 0], "to": ["root", 2], "matrix": [[1, 0], [0, -1]]},
+    ],
+}
+LONGITUDE_BETTI_2 = "error: rational longitude needs betti = 1, got 2\n"
 
-    monkeypatch.setattr(tautfol.snf, "smith_normal_form", refuse)
-    for case in _cases():
-        path, command = case.values
+
+def _write(tmp_path, stem, manifold):
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(manifold), encoding="utf-8")
+    return path
+
+
+def test_no_command_reaches_h1(monkeypatch, capsys, tmp_path):
+    """No command solves H_1: with graph.homology, graph.presentation and
+    snf.smith_normal_form made to raise, every golden report stays the
+    same, also on a chain far deeper than the interpreter's recursion
+    limit, and the Betti errors, which the tree walk names, keep their exit
+    code and text, also on the 1,002-piece two-leaf chains."""
+    def refuse(*args):
+        raise AssertionError("H_1 solved by a command")
+
+    for module, name in ((tautfol.graph, "homology"), (tautfol.graph, "presentation"),
+                         (tautfol.graph, "smith_normal_form"),
+                         (tautfol.snf, "smith_normal_form")):
+        monkeypatch.setattr(module, name, refuse)
+    chain = _write(tmp_path, "plumbing_chain_1000", dump_manifold(plumbing_chain(1000)))
+    for path, command in [case.values for case in _cases()] + [(chain, "longitude")]:
         code = main([command, str(path), "--format", "json"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
-        assert (code, out) == (0, expected), case.id
-
-
-def test_longitude_never_solves_h1(monkeypatch, capsys, tmp_path):
-    """``longitude`` reads the rational longitude and its order off one walk
-    of the tree: the reports stay the same when H_1 refuses to be solved,
-    also on a chain far deeper than the interpreter's recursion limit."""
-    def refuse(self):
-        raise AssertionError("Presentation.solve called by longitude")
-
-    monkeypatch.setattr(tautfol.snf.Presentation, "solve", refuse)
-    chain = tmp_path / "plumbing_chain_1000.json"
-    chain.write_text(json.dumps(dump_manifold(plumbing_chain(1000))), encoding="utf-8")
-    cases = [(path, path.stem) for path, command in (c.values for c in _cases())
-             if command == "longitude"]
-    for path, stem in cases + [(chain, "plumbing_chain_1000")]:
-        code = main(["longitude", str(path), "--format", "json"])
-        out = capsys.readouterr().out
-        expected = (GOLDEN / "reports" / f"{stem}.longitude.json").read_text(encoding="utf-8")
-        assert (code, out) == (0, expected), stem
+        assert (code, captured.out, captured.err) == (0, expected, ""), (path.stem, command)
+    closed = plumbing_chain(1000, "closed", leaves=True)
+    unknown = f"error: no edge 'e9999'; the edges are: {', '.join(e.ident for e in closed.edges)}\n"
+    leaves = str(_write(tmp_path, "leaves", dump_manifold(plumbing_chain(1000, leaves=True))))
+    closed = str(_write(tmp_path, "closed", dump_manifold(closed)))
+    three = str(_write(tmp_path, "three", TWO_VERTICAL_CHILDREN))
+    for argv, code, err in [
+        (["longitude", three], 2, LONGITUDE_BETTI_2),
+        (["longitude", leaves], 2, LONGITUDE_BETTI_2),
+        (["ctf", closed], 2, "error: not a rational homology sphere (betti = 1)\n"),
+        (["ctf", closed, "--split-edge", "e9999"], 1, unknown),
+    ]:
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == ("", err), argv
 
 
 def test_longitude_betti_error_still_names_the_betti_number(capsys, tmp_path):
     """Two crosscap-1 children whose longitudes are both the root piece's
-    fibre leave b1 = 2; H_1 is solved to name it."""
-    kb = {"base": {"orientable": False, "crosscaps": 1}, "cones": [], "b": 0, "boundary": 1}
-    manifold = {
-        "role": "solid-torus",
-        "pieces": [
-            {"id": "root", "base": {"orientable": True, "crosscaps": 0}, "cones": [],
-             "b": 0, "boundary": 3},
-            {"id": "k1", **kb},
-            {"id": "k2", **kb},
-        ],
-        "edges": [
-            {"from": ["k1", 0], "to": ["root", 1], "matrix": [[1, 0], [0, -1]]},
-            {"from": ["k2", 0], "to": ["root", 2], "matrix": [[1, 0], [0, -1]]},
-        ],
-    }
-    path = tmp_path / "two_vertical_children.json"
-    path.write_text(json.dumps(manifold), encoding="utf-8")
-    code = main(["longitude", str(path)])
+    fibre leave b1 = 2, which the tree walk names."""
+    code = main(["longitude", str(_write(tmp_path, "two_vertical_children", TWO_VERTICAL_CHILDREN))])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: rational longitude needs betti = 1, got 2\n"
+    assert captured.err == LONGITUDE_BETTI_2

@@ -1,4 +1,4 @@
-"""Plumbing graphs: validation, homology, longitudes, normalization, JSON."""
+"""Plumbing graphs: validation, homology, longitudes, gauge shifts, JSON."""
 
 import json
 from fractions import Fraction
@@ -15,12 +15,11 @@ from tautfol import (
     VERTICAL,
     detect_tree,
     dump_manifold,
-    homology,
-    normalize,
     parse_manifold,
     rational_longitude,
     validate,
 )
+from tautfol.graph import homology
 from conftest import rand_matrix, rand_valid_solid_tree
 
 
@@ -134,26 +133,8 @@ def test_longitude_order_divides_torsion(rng):
 
 
 # ---------------------------------------------------------------------------
-# Normalization
+# Gauge shifts
 # ---------------------------------------------------------------------------
-
-
-def test_normalize_idempotent_and_invariant(rng):
-    for _ in range(25):
-        g = rand_valid_solid_tree(rng)
-        ng = normalize(g)
-        for p in ng.pieces.values():
-            for a, beta in p.cones:
-                assert 0 < beta < a
-            has_edge = any(ng.edge_at(p.ident, j) for j in range(p.boundary_count))
-            if has_edge:
-                assert p.b == 0
-        again = normalize(ng)
-        assert dump_manifold(again) == dump_manifold(ng)
-        assert homology(ng).betti == homology(g).betti
-        assert homology(ng).invariant_factors == homology(g).invariant_factors
-        assert rational_longitude(ng).slope == rational_longitude(g).slope
-        assert detect_tree(ng).detected == detect_tree(g).detected
 
 
 def test_normalize_gauge_shift():

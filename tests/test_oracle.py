@@ -28,6 +28,7 @@ from tautfol.oracle import (_certificates, _intervals, _samples, grid_union, jn_
                             jn_exhaustive_extremal)
 from tautfol import jn_refine_high, jn_refine_low
 from conftest import rand_horizontal_piece_and_family
+from helpers import assert_multiset_distributed
 
 F = Fraction
 DIGEST = Path(__file__).resolve().parent / "golden" / "oracle_digest.txt"
@@ -90,7 +91,7 @@ def test_exhaustive_finds_and_revalidates():
     cert = jn_exhaustive(piece, fam, F(-4, 5), 10)
     assert cert is not None
     assert cert.side == "high"
-    assert cert.distributed_multiset() == cert.expected_multiset()
+    assert_multiset_distributed(cert)
     assert Fraction(cert.target_numerator, cert.n_value) == F(1, 5)
 
 

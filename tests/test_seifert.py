@@ -53,6 +53,7 @@ from conftest import (
     rand_orientable_piece,
     rand_vertical_piece_and_family,
 )
+from helpers import assert_multiset_distributed
 
 F = Fraction
 SCAN_DIGEST = Path(__file__).resolve().parent / "golden" / "scan_digest.txt"
@@ -209,7 +210,7 @@ def test_certificates_revalidate(rng):
             if got is None:
                 continue
             endpoint, cert = got
-            assert cert.distributed_multiset() == cert.expected_multiset()
+            assert_multiset_distributed(cert)
             # Independent condition checker accepts the same endpoint.
             assert jn_exhaustive(piece, fam, endpoint, cert.n_value) is not None
             c_min, c_max = core_interval(piece, fam)

@@ -68,12 +68,10 @@ def _write(tmp_path, stem, manifold):
     return path
 
 
-def test_no_command_reaches_h1(monkeypatch, capsys, tmp_path):
-    """No command solves H_1: with graph.homology, graph.presentation and
-    snf.smith_normal_form made to raise, every golden report stays the
-    same, also on a chain far deeper than the interpreter's recursion
-    limit, and the Betti errors, which the tree walk names, keep their exit
-    code and text, also on the 1,002-piece two-leaf chains."""
+@pytest.fixture
+def refuse_h1(monkeypatch):
+    """Make graph.homology, graph.presentation and snf.smith_normal_form
+    raise, so a command that solves H_1 fails."""
     def refuse(*args):
         raise AssertionError("H_1 solved by a command")
 
@@ -81,12 +79,29 @@ def test_no_command_reaches_h1(monkeypatch, capsys, tmp_path):
                          (tautfol.graph, "smith_normal_form"),
                          (tautfol.snf, "smith_normal_form")):
         monkeypatch.setattr(module, name, refuse)
-    chain = _write(tmp_path, "plumbing_chain_1000", dump_manifold(plumbing_chain(1000)))
-    for path, command in [case.values for case in _cases()] + [(chain, "longitude")]:
+
+
+def test_reports_never_call_the_dense_smith_normal_form(refuse_h1, capsys):
+    """No command solves H_1: with every H_1 entry point made to raise, every
+    golden report stays the same, with nothing on stderr."""
+    for case in _cases():
+        path, command = case.values
         code = main([command, str(path), "--format", "json"])
         captured = capsys.readouterr()
         expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
-        assert (code, captured.out, captured.err) == (0, expected, ""), (path.stem, command)
+        assert (code, captured.out, captured.err) == (0, expected, ""), case.id
+
+
+def test_longitude_never_solves_h1(refuse_h1, capsys, tmp_path):
+    """With every H_1 entry point made to raise, ``longitude`` reproduces the
+    stored report of a chain far deeper than the interpreter's recursion
+    limit, and the Betti errors, which the tree walk names, keep their exit
+    code and text, also on the 1,002-piece two-leaf chains."""
+    chain = _write(tmp_path, "plumbing_chain_1000", dump_manifold(plumbing_chain(1000)))
+    code = main(["longitude", str(chain), "--format", "json"])
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "reports" / "plumbing_chain_1000.longitude.json").read_text(encoding="utf-8")
+    assert (code, captured.out, captured.err) == (0, expected, "")
     closed = plumbing_chain(1000, "closed", leaves=True)
     unknown = f"error: no edge 'e9999'; the edges are: {', '.join(e.ident for e in closed.edges)}\n"
     leaves = str(_write(tmp_path, "leaves", dump_manifold(plumbing_chain(1000, leaves=True))))

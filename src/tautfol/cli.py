@@ -9,7 +9,8 @@ Commands operate on a manifold JSON file (format documented in graph.py):
     tautfol oracle-check  FILE    closed form vs brute force cross-check
 
 Exit codes: 0 success (including a mathematical "admits = false"), 1
-malformed input or an unknown ``--split-edge``, 2 role mismatch or a piece,
+malformed input or an unknown ``--split-edge``, 2 a usage error (as
+argparse's, also for an ``--nmax`` below 1), a role mismatch or a piece,
 constraint family or slope the kernel cannot take, 3 internal-consistency
 failure: an oracle-check mismatch, or a DecisionError (a witness that fails
 its check, or a certificate scan that its replay contradicts), 141 standard
@@ -281,6 +282,8 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
+    if args.nmax is not None and args.nmax < 1:
+        _PARSER.error(f"argument --nmax: must be at least 1, got {args.nmax}")
     try:
         graph = load_manifold(args.input)
     except ManifoldFormatError as exc:

@@ -7,15 +7,19 @@ core_interval (the extrema sit at interval endpoints and just inside integer
 coordinates, so endpoints, integer points and integer +- 1/d offsets are
 always sampled).
 
-_certificates yields every (N, A, placement) triple whose non-target values
-pass the cone and boundary conditions, in lexicographic order, each
-condition an integer threshold built from its definition, sharing no search
-logic with the optimized scan in the kernel.  A condition only gets easier
-as the value grows, so each N has one least passing value per slot; the
-enumeration skips the N where more than two slots fail on 1 and, at the
-others, the A outside every allowed placement's range.  jn_exhaustive takes
-the first one whose target value proves a proposed refined endpoint;
-jn_exhaustive_extremal the largest target value C/N over all of them.
+Each certificate condition becomes an integer threshold built from its
+definition, sharing no search logic with the optimized scan in the kernel.
+A condition only gets easier as the value grows, so each N has one least
+passing value per slot, and _allowed_pairs turns those into the placements
+that can pass at N: none when more than two slots fail on 1, else each
+allowed (pos_a, pos_b) with the one range of A on which it passes.
+
+_certificates yields every passing (N, A, placement) triple in
+lexicographic order, visiting only the A in those ranges; jn_exhaustive
+takes the first one whose target value proves a proposed refined endpoint.
+jn_exhaustive_extremal needs only the largest target value C/N, so it
+builds no certificate: it visits every N up to the bound and reads each
+allowed pair's best C straight from its range, one step per N and pair.
 """
 
 from __future__ import annotations
@@ -115,6 +119,29 @@ def _thresholds(piece, family, side):
     return checks, bdry, excluded
 
 
+def _allowed_pairs(checks, n_value):
+    """The placements that can pass at N = n_value, as (lo, hi, pos_a,
+    pos_b) in (pos_a, pos_b) order: A on slot pos_a and N - A on slot pos_b
+    pass their checks exactly when lo <= A <= hi, and every other slot holds
+    1 and passes its check.  The target's slot, last, has no condition.
+
+    A check only gets easier as the value grows, so at each N it passes
+    exactly the values from its least passing one up: the slots whose least
+    value exceeds 1 must be pos_a and pos_b, and when more than two of them
+    do, no placement passes."""
+    # Every value is at least 1, so a least value below 1 counts as 1.
+    least = [max(n_value * p // q + 1 if strict else -(-n_value * p // q), 1)
+             for p, q, strict in checks] + [1]
+    failing = len(least) - least.count(1)
+    if failing > 2:
+        return []
+    slots = range(len(least))
+    return [(least[pos_a], n_value - least[pos_b], pos_a, pos_b)
+            for pos_a in slots for pos_b in slots
+            if pos_b != pos_a and least[pos_a] + least[pos_b] <= n_value
+            and failing == (least[pos_a] > 1) + (least[pos_b] > 1)]
+
+
 def _placements(checks, n_max):
     """Every (N, A, values) with 2 <= N <= n_max whose values pass their
     checks, in (N, A, placement) lexicographic order; values holds one
@@ -122,27 +149,11 @@ def _placements(checks, n_max):
 
     A placement puts A on slot pos_a, N-A on slot pos_b and 1 on every other
     slot, over pos_a then pos_b; a placement whose value tuple was already
-    yielded is skipped.  A check only gets easier as the value grows, so at
-    each N it passes exactly the values from its least passing one up: the
-    slots whose least value exceeds 1 must be pos_a and pos_b, and each
-    allowed (pos_a, pos_b) passes on one range of A.  Only the A in those
-    ranges are visited."""
+    yielded is skipped.  Only the A in the ranges of _allowed_pairs are
+    visited."""
     slots = len(checks) + 1
     for n_value in range(2, n_max + 1):
-        least = [n_value * p // q + 1 if strict else -(-n_value * p // q)
-                 for p, q, strict in checks] + [1]
-        failing = sum(v > 1 for v in least)
-        if failing > 2:
-            continue
-        # Every slot but pos_a and pos_b holds 1; A passes on pos_a from its
-        # least value, N - A on pos_b from its.
-        pairs = []
-        for pos_a in range(slots):
-            for pos_b in range(slots):
-                lo, hi = max(least[pos_a], 1), n_value - max(least[pos_b], 1)
-                if (pos_b != pos_a and lo <= hi
-                        and failing == (least[pos_a] > 1) + (least[pos_b] > 1)):
-                    pairs.append((lo, hi, pos_a, pos_b))
+        pairs = _allowed_pairs(checks, n_value)
         spans = []
         for lo, hi, _, _ in sorted(pairs):
             if spans and lo <= spans[-1][1] + 1:
@@ -217,11 +228,26 @@ def jn_exhaustive(piece, family, boundary_target, n_max):
 def jn_exhaustive_extremal(piece, family, side, n_max):
     """Extremal refined endpoint found by pure enumeration: the minimal eta
     below c_min resp. maximal zeta above c_max over all certificates with
-    N <= n_max, or None.  Used to cross-check the optimized scan."""
+    N <= n_max, or None.  Used to cross-check the optimized scan.
+
+    Every N is visited, and each allowed pair gives its best target value C
+    from its range of A at once: N minus the least A coprime to N when the
+    target is pos_b, else 1 when some A in range is coprime to N.  A target
+    on pos_a is read off the mirrored pair (pos_b, pos_a), which passes on
+    the range of N - A."""
+    checks, _, _ = _thresholds(piece, family, side)
+    target = len(checks)
     best = None
-    for cert in _certificates(piece, family, side, n_max):
-        if best is None or cert.target_numerator * best[1] > best[0] * cert.n_value:
-            best = (cert.target_numerator, cert.n_value)
+    for n_value in range(2, n_max + 1):
+        for lo, hi, pos_a, pos_b in _allowed_pairs(checks, n_value):
+            if pos_a == target:
+                continue
+            a_value = next((a for a in range(lo, hi + 1) if gcd(a, n_value) == 1), None)
+            if a_value is None:
+                continue
+            c_value = n_value - a_value if pos_b == target else 1
+            if best is None or c_value * best[1] > best[0] * n_value:
+                best = (c_value, n_value)
     if best is None:
         return None
     c_min, c_max = core_interval(piece, family)

@@ -30,9 +30,9 @@ def rand_fraction(rng, den_max=12, lo=-3, hi=3):
     return Fraction(rng.randint(lo * d, hi * d), d)
 
 
-def rand_cones(rng, n_max=3, a_max=5):
+def rand_cones(rng, n_max=3, a_max=5, n_min=0):
     out = []
-    for _ in range(rng.randint(0, n_max)):
+    for _ in range(rng.randint(n_min, n_max)):
         a = rng.randint(2, a_max)
         out.append((a, rng.choice([x for x in range(1, a) if math.gcd(a, x) == 1])))
     return tuple(out)

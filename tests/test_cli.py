@@ -451,6 +451,30 @@ def test_unreadable_file_exit_1(content, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,value,message", [
+    ("detect", "0", "must be at least 1, got 0"),
+    ("ctf", "-3", "must be at least 1, got -3"),
+    ("oracle-check", "0", "must be at least 1, got 0"),
+    ("detect", "abc", "invalid int value: 'abc'"),
+])
+def test_a_bound_below_1_is_a_usage_error(command, value, message):
+    """``--nmax`` below 1 would switch every refinement off and still print
+    a normal report; it is refused as argparse refuses a non-integer, with
+    the usage, exit 2 and no report."""
+    stem = "samples/closed_admits" if command == "ctf" else "tests/golden/two_cone_torus"
+    proc = _fresh_process(command, str(ROOT / f"{stem}.json"), f"--nmax={value}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: tautfol ")
+    assert proc.stderr.endswith(f"\ntautfol: error: argument --nmax: {message}\n")
+
+
+def test_a_bound_of_1_is_accepted(capsys):
+    path = str(ROOT / "tests" / "golden" / "two_cone_torus.json")
+    code, out, err = run(capsys, "oracle-check", path, "--format", "json", "--nmax", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["exhaustive_high"] is None
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_closed_stdout_ends_without_a_traceback(fmt):
     """A reader that has gone before the report is written (as with

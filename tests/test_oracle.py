@@ -13,6 +13,10 @@ The placements themselves, ``tautfol.oracle._placements``, which visit
 only the (N, A) pairs that some placement can pass, are compared with
 ``_every_placement``, the loop over every N, A and placement, at bounds past
 the digest's and on hand-built thresholds at the edges.
+``jn_exhaustive_extremal``, which reads each allowed pair's best target
+value instead of walking the certificates, is compared with the largest C/N
+over ``_certificates`` on the same kinds of input, and with the kernel's scan
+at the bounds the commands use.
 """
 
 import hashlib
@@ -27,7 +31,8 @@ import tautfol.oracle
 from tautfol.oracle import (_certificates, _intervals, _samples, grid_union, jn_exhaustive,
                             jn_exhaustive_extremal)
 from tautfol import jn_refine_high, jn_refine_low
-from conftest import rand_horizontal_piece_and_family
+from tautfol.seifert import default_n_bound
+from conftest import rand_cones, rand_horizontal_piece_and_family
 from helpers import assert_multiset_distributed
 
 F = Fraction
@@ -287,6 +292,74 @@ def test_placements_match_every_placement_at_the_threshold_edges():
     # "2 failing" three failing slots and no placement.
     assert max(n_value for n_value, _, _ in tautfol.oracle._placements(
         EDGE_CHECKS["2 failing"], 60)) == 40
+
+
+def _extremal_by_certificates(piece, fam, side, n_max):
+    """The refined endpoint of the largest C/N over every certificate that
+    _certificates yields: the reference for jn_exhaustive_extremal, which
+    reads the best C of each allowed pair's range of A instead."""
+    gaps = [F(c.target_numerator, c.n_value) for c in _certificates(piece, fam, side, n_max)]
+    if not gaps:
+        return None
+    c_min, c_max = core_interval(piece, fam)
+    return c_min - max(gaps) if side == "low" else c_max + max(gaps)
+
+
+def test_exhaustive_extremal_matches_the_certificates_past_the_digest_bounds():
+    rng = random.Random(0x5EED + 3)
+    found = 0
+    for i in range(100):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
+                                                      a_max=6)
+        n_max = rng.randint(25, 120)
+        for side in ("low", "high"):
+            expected = _extremal_by_certificates(piece, fam, side, n_max)
+            assert jn_exhaustive_extremal(piece, fam, side, n_max) == expected, (
+                piece, fam.arcs, fam.strong, side, n_max)
+            found += expected is not None
+    assert found >= 20
+
+
+def test_exhaustive_extremal_matches_the_certificates_at_the_threshold_edges(monkeypatch):
+    """Each EDGE_CHECKS set stands in for the thresholds of a piece, so the
+    target, last, sits beside 0-3 slots that fail on 1."""
+    piece, fam = _piece([(2, 1), (2, 1)]), ConstraintFamily(())
+    found = {}
+    for name, checks in EDGE_CHECKS.items():
+        monkeypatch.setattr(tautfol.oracle, "_thresholds",
+                            lambda *_, checks=checks: (checks, list(range(len(checks))), ()))
+        for side in ("low", "high"):
+            expected = _extremal_by_certificates(piece, fam, side, 60)
+            assert jn_exhaustive_extremal(piece, fam, side, 60) == expected, (name, side)
+        found[name] = expected
+    # With no slot failing on 1 the target takes N - 1 up to N = 40, past
+    # which the easy slots fail on 1 and must hold A and N - A.  Beside the
+    # strict half, the target takes 19 at N = 39, below A = 20; beside two
+    # failing slots it holds 1, best at N = 2.  The core is [-2, -1].
+    assert found["0 failing"] == -1 + F(39, 40)
+    assert found["1 failing"] == -1 + F(19, 39)
+    assert found["2 failing"] == -1 + F(1, 2)
+    assert [name for name, gap in found.items() if gap is None] == [
+        "no checks", "3 failing", "strict 1", "non-strict 1", "strict and non-strict 1"]
+
+
+def test_exhaustive_extremal_agrees_with_refine_at_the_default_bounds():
+    """One-piece solid tori with 2-3 cones of order up to 40: the kernel's
+    scan and the brute force over every N agree at the bound the commands
+    use, 2 lcm(cone orders), from 48 to about 30,000 here."""
+    rng = random.Random(0x5EED + 2)
+    found = 0
+    for _ in range(48):
+        piece = SeifertPiece(base_orientable=True, cones=rand_cones(rng, 3, 40, n_min=2),
+                             b=rng.randint(-3, 2), boundary_count=1)
+        fam = ConstraintFamily(())
+        n_bound = default_n_bound(piece, [])
+        for side, refine in (("low", jn_refine_low), ("high", jn_refine_high)):
+            got = refine(piece, fam, n_max=n_bound)
+            expected = jn_exhaustive_extremal(piece, fam, side, n_bound)
+            assert (got[0] if got else None) == expected, (piece.cones, piece.b, side)
+            found += expected is not None
+    assert found >= 25
 
 
 def _enumerations(enumerate_certificates):

@@ -41,7 +41,6 @@ from .slopes import (
     SlopeError,
     act,
     act_arc,
-    _before,
     _least_denominator,
     _primitive,
     simplest_slope,
@@ -72,6 +71,11 @@ def _slope_at(end, shift):
 # ---------------------------------------------------------------------------
 
 
+def _require_int(value, field, *args):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PieceError(f"{field.format(*args)} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SeifertPiece:
     """One Seifert-fibred piece.
@@ -92,7 +96,13 @@ class SeifertPiece:
     ident: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "cones", tuple((int(a), int(beta)) for a, beta in self.cones))
+        object.__setattr__(self, "cones", tuple((a, beta) for a, beta in self.cones))
+        _require_int(self.b, "b")
+        _require_int(self.boundary_count, "boundary_count")
+        _require_int(self.crosscaps, "crosscaps")
+        for t, (a, beta) in enumerate(self.cones):
+            _require_int(a, "cones[{}][0]", t)
+            _require_int(beta, "cones[{}][1]", t)
         if self.boundary_count < 1:
             raise PieceError("a piece needs at least one boundary torus")
         if self.base_orientable and self.crosscaps != 0:
@@ -228,10 +238,8 @@ def _horizontal_ends(piece, family):
     if piece.n + r < 3:
         raise PieceError("core interval needs n + r >= 3")
     zetas, etas = [], []
-    for j, arc in enumerate(family.arcs):
+    for arc in family.arcs:
         lo, hi = arc.start, arc.end or arc.start
-        if hi is None or not lo.q or not hi.q or _before(hi, lo):
-            raise FamilyError(f"constraint {j} is not a finite horizontal arc")
         etas.append((-lo.p, lo.q))
         zetas.append((-hi.p, hi.q))
     return zetas, etas
@@ -766,7 +774,8 @@ def realize(piece, family, result, target, n_max=None):
     u = target.p + piece.b_eff * q
     r = piece.boundary_count
     low, high = -(-u // q) - (piece.n + r - 1), r - 2 + u // q
-    pieces = [_tau_intervals(arc) for arc in arcs]
+    # A vertical point holds no horizontal target: it reads as the line.
+    pieces = [arc.tau_intervals()[0] or [(VERTICAL, VERTICAL)] for arc in arcs]
     if not vertical:
         return _floor_tuple([p[0] for p in pieces], low, high)[0]
     j0 = vertical[0]
@@ -789,19 +798,10 @@ def realize(piece, family, result, target, n_max=None):
     return tuples[1] if -u * right[1] <= right[0] * q else tuples[0]
 
 
-def _tau_intervals(arc):
-    """tau_pieces as (lo, hi) end slopes, vertical for an unbounded end; a
-    vertical point, which holds no horizontal target, reads as the line."""
-    s, e = arc.start or VERTICAL, arc.end or arc.start or VERTICAL
-    if s.q and e.q and _before(e, s):  # wraps through the vertical slope
-        return [(VERTICAL, e), (s, VERTICAL)]
-    return [(s, e)]
-
-
 def _vertical_or_simplest(arcs, chosen):
     """The vertical slope on the arcs in ``chosen`` and on arcs holding no
     other slope; the simplest horizontal slope on the rest."""
-    return tuple(VERTICAL if j in chosen or not arc.tau_pieces()[0]
+    return tuple(VERTICAL if j in chosen or not arc.tau_intervals()[0]
                  else simplest_slope(arc, allow_vertical=False)
                  for j, arc in enumerate(arcs))
 

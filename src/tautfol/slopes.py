@@ -16,7 +16,7 @@ Everything here is exact: no floats, ever.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 
 
 class SlopeError(ValueError):
@@ -84,10 +84,11 @@ VERTICAL = Slope(1, 0)
 
 def slope_from_string(text):
     """Parse a "p/q" string back into a slope."""
-    parts = text.strip().split("/")
-    if len(parts) != 2:
-        raise SlopeError(f"malformed slope string {text!r}")
-    return Slope(int(parts[0]), int(parts[1]))
+    try:
+        p, q = map(int, text.strip().split("/"))
+    except ValueError:
+        raise SlopeError(f"malformed slope string {text!r}") from None
+    return Slope(p, q)
 
 
 def slope_of_tau(tau):
@@ -204,31 +205,29 @@ class SlopeArc:
     def contains_vertical(self):
         return self.contains(VERTICAL)
 
-    def tau_pieces(self):
-        """The horizontal part as closed linear tau-intervals, plus whether
-        the vertical slope belongs to the set.
+    def tau_intervals(self):
+        """The horizontal part as closed tau-intervals, plus whether the
+        vertical slope belongs to the set.
 
-        Returns (pieces, has_vertical) where each piece is a pair
-        (lo, hi) of Fractions with None meaning -oo resp. +oo.
+        Returns (intervals, has_vertical) where each interval is a pair
+        (lo, hi) of end slopes, VERTICAL meaning -oo for lo resp. +oo for hi.
+        An arc wrapping through the vertical slope gives two rays, the one
+        up to its end first.
         """
         if self.kind == SlopeArc.EMPTY:
             return [], False
-        if self.kind == SlopeArc.FULL:
-            return [(None, None)], True
-        if self.kind == SlopeArc.POINT:
-            if self.start.is_vertical:
-                return [], True
-            t = self.start.tau
-            return [(t, t)], False
-        s, e = self.start, self.end
-        if s.is_vertical:
-            return [(None, e.tau)], True
-        if e.is_vertical:
-            return [(s.tau, None)], True
-        ts, te = s.tau, e.tau
-        if ts <= te:
-            return [(ts, te)], False
-        return [(None, te), (ts, None)], True
+        s, e = self.start or VERTICAL, self.end or self.start or VERTICAL
+        if not (s.q and e.q):
+            return ([] if self.kind == SlopeArc.POINT else [(s, e)]), True
+        if _before(e, s):
+            return [(VERTICAL, e), (s, VERTICAL)], True
+        return [(s, e)], False
+
+    def tau_pieces(self):
+        """tau_intervals with each end slope read as its tau: Fractions, None
+        for an unbounded end."""
+        intervals, has_vertical = self.tau_intervals()
+        return [(lo.tau, hi.tau) for lo, hi in intervals], has_vertical
 
     def __eq__(self, other):
         return (isinstance(other, SlopeArc) and self.kind == other.kind
@@ -351,33 +350,33 @@ def simplest_slope(region, allow_vertical=True):
         arcs = list(region)
     if not arcs or all(a.is_empty for a in arcs):
         raise SlopeError("cannot pick a slope from the empty set")
-    pieces = []
+    intervals = []
     has_vertical = False
     for a in arcs:
-        ps, v = a.tau_pieces()
-        pieces.extend(ps)
+        ivs, v = a.tau_intervals()
+        intervals.extend(ivs)
         has_vertical = has_vertical or v
     if allow_vertical and has_vertical:
         return VERTICAL
-    if not pieces:
+    if not intervals:
         raise SlopeError("no rational slope found; malformed region")
-    tau = min((_simplest_in(lo, hi) for lo, hi in pieces),
-              key=lambda t: (t.denominator, abs(t.numerator), -t.numerator))
-    return slope_of_tau(tau)
+    return min((_simplest_in(lo, hi) for lo, hi in intervals),
+               key=lambda s: (s.q, abs(s.p), s.p))
 
 
 def _simplest_in(lo, hi):
-    """The simplest tau in [lo, hi] (None unbounded): the integer nearest 0
-    when the interval holds one, else its unique tau of least denominator."""
+    """The simplest slope with tau in the closed interval between the end
+    slopes lo and hi (VERTICAL unbounded): the integer nearest 0 when the
+    interval holds one, else its unique slope of least q."""
     k = 0
-    if lo is not None and lo > 0:
-        k = ceil(lo)
-    elif hi is not None and hi < 0:
-        k = floor(hi)
-    if (lo is None or lo <= k) and (hi is None or k <= hi):
-        return Fraction(k)
-    p, q = _least_denominator(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return Fraction(p, q)
+    if lo.q and lo.p < 0:  # tau(lo) > 0: its ceiling
+        k = -(lo.p // lo.q)
+    elif hi.q and hi.p > 0:  # tau(hi) < 0: its floor
+        k = -hi.p // hi.q
+    if (not lo.q or -lo.p <= k * lo.q) and (not hi.q or k * hi.q <= -hi.p):
+        return _primitive(-k, 1)
+    p, q = _least_denominator(-lo.p, lo.q, -hi.p, hi.q)
+    return _primitive(-p, q)
 
 
 def _least_denominator(lo_num, lo_den, hi_num, hi_den, lo_open=False, hi_open=False):

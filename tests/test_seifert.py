@@ -456,6 +456,26 @@ def test_crosscaps_two_rejected():
         detect_relative(piece, ConstraintFamily(()))
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(cones=((F(5, 2), 1),)), "cones[0][0] must be an integer, got Fraction(5, 2)"),
+    (dict(cones=((2, 1), (3, 1.9))), "cones[1][1] must be an integer, got 1.9"),
+    (dict(cones=((True, 1),)), "cones[0][0] must be an integer, got True"),
+    (dict(b=F(1, 2)), "b must be an integer, got Fraction(1, 2)"),
+    (dict(b=0.5), "b must be an integer, got 0.5"),
+    (dict(b=False), "b must be an integer, got False"),
+    (dict(boundary_count=1.0), "boundary_count must be an integer, got 1.0"),
+    (dict(boundary_count=True), "boundary_count must be an integer, got True"),
+    (dict(base_orientable=False, crosscaps=1.0), "crosscaps must be an integer, got 1.0"),
+    (dict(base_orientable=False, crosscaps=True), "crosscaps must be an integer, got True"),
+], ids=["cone-fraction", "cone-float", "cone-bool", "b-fraction", "b-float", "b-bool",
+        "boundary-float", "boundary-bool", "crosscaps-float", "crosscaps-bool"])
+def test_piece_refuses_non_integer_fields(fields, message):
+    # Coercing these would build a different manifold with no error.
+    with pytest.raises(PieceError) as excinfo:
+        SeifertPiece(**{"base_orientable": True, "cones": (), **fields})
+    assert str(excinfo.value) == message
+
+
 def test_solid_torus_meridian():
     piece = _piece([(3, 2)], b=1, r=1)
     res = detect_relative(piece, ConstraintFamily(()))

@@ -58,6 +58,12 @@ def test_slope_strings():
     assert str(Slope(-3, 2)) == "-3/2"
     assert slope_from_string("-3/2") == Slope(-3, 2)
     assert slope_from_string("1/0") == VERTICAL
+    for text in ("1/2/3", "3", "x/1", "1.5/2"):
+        with pytest.raises(SlopeError) as excinfo:
+            slope_from_string(text)
+        assert str(excinfo.value) == f"malformed slope string {text!r}"
+    with pytest.raises(SlopeError, match=r"^slope \(0, 0\) is not a point of the circle$"):
+        slope_from_string("0/0")
 
 
 def test_act_examples():
@@ -231,6 +237,40 @@ def test_arc_membership_against_cyclic_order(p1, q1, p2, q2):
         assert both == (x in (s, e))
 
 
+def _tau_between(lo, x, hi):
+    """tau(lo) <= tau(x) <= tau(hi) by cross-multiplying, VERTICAL ends
+    unbounded: tau(a) <= tau(b) is b.p * a.q <= a.p * b.q."""
+    return (not lo.q or x.p * lo.q <= lo.p * x.q) and (not hi.q or hi.p * x.q <= x.p * hi.q)
+
+
+def test_tau_intervals_cover_the_arc():
+    ends = GRID[::5]
+    arcs = [SlopeArc.empty(), SlopeArc.full()]
+    arcs += [SlopeArc.point(x) for x in GRID]
+    arcs += [SlopeArc.arc(s, e) for s in ends for e in ends if s != e]
+    kinds = set()
+    for arc in arcs:
+        intervals, has_vertical = arc.tau_intervals()
+        for x in GRID:
+            held = (has_vertical if x.is_vertical
+                    else any(_tau_between(lo, x, hi) for lo, hi in intervals))
+            assert held == arc.contains(x), (arc, x)
+        for lo, hi in intervals:
+            assert not (lo.q and hi.q) or _tau_between(lo, hi, hi)  # lo <= hi
+        if arc.kind == SlopeArc.ARC and arc.start.q and arc.end.q:
+            wraps = arc.start.p * arc.end.q < arc.end.p * arc.start.q  # tau(start) > tau(end)
+            kinds.add("wrap" if wraps else "finite")
+            if wraps:
+                assert intervals == [(VERTICAL, arc.end), (arc.start, VERTICAL)]
+        elif arc.kind == SlopeArc.ARC:
+            kinds.add("ray")
+        assert arc.tau_pieces() == ([(lo.tau, hi.tau) for lo, hi in intervals], has_vertical)
+    assert kinds == {"wrap", "finite", "ray"}
+    assert SlopeArc.point(VERTICAL).tau_intervals() == ([], True)
+    assert SlopeArc.full().tau_intervals() == ([(VERTICAL, VERTICAL)], True)
+    assert SlopeArc.empty().tau_intervals() == ([], False)
+
+
 def test_simplest_slope():
     assert simplest_slope(SlopeArc.full()) == VERTICAL
     assert simplest_slope(SlopeArc.full(), allow_vertical=False) == Slope(0, 1)
@@ -276,6 +316,26 @@ def test_simplest_slope_between_integers(rng):
                 arcs.append(SlopeArc.from_tau_interval(-hi, -lo))
         pieces = [p for arc in arcs for p in arc.tau_pieces()[0]]
         assert simplest_slope(arcs) == _simplest_by_scan(pieces)
+    # Rays and arcs through the vertical slope: a ray's simplest horizontal
+    # slope is its integer nearest 0, so the scan runs on each piece clipped
+    # to a finite window from that integer.
+    for _ in range(300):
+        arcs = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.choice([5, 12, 97, 1000, 4099])
+            s, e = sorted(rng.randint(-6, 6) + Fraction(rng.randrange(d), d) for _ in range(2))
+            arcs.append(rng.choice([SlopeArc.arc(slope_of_tau(s), VERTICAL),
+                                    SlopeArc.arc(VERTICAL, slope_of_tau(e)),
+                                    SlopeArc.arc(slope_of_tau(e), slope_of_tau(s)),
+                                    SlopeArc.from_tau_interval(s, e)]))
+        pieces, has_vertical = [], False
+        for arc in arcs:
+            ps, v = arc.tau_pieces()
+            has_vertical = has_vertical or v
+            pieces += [(min(0, floor(hi)) if lo is None else lo,
+                        max(0, ceil(lo)) if hi is None else hi) for lo, hi in ps]
+        assert simplest_slope(arcs, allow_vertical=False) == _simplest_by_scan(pieces)
+        assert (simplest_slope(arcs) == VERTICAL) == has_vertical
     assert simplest_slope(SlopeArc.from_tau_interval(1, 10**6)) == Slope(-1, 1)
     assert simplest_slope(SlopeArc.from_tau_interval(-10**6, -1)) == Slope(1, 1)
     arcs = [SlopeArc.from_tau_interval(Fraction(-5, 2), Fraction(-3, 2)),
@@ -287,6 +347,25 @@ def test_simplest_slope_between_integers(rng):
     assert simplest_slope(arcs) == Slope(-1, 2)
     point = SlopeArc.point(Slope(-355, 113))
     assert simplest_slope(point) == Slope(-355, 113)
+
+
+def test_simplest_slope_builds_no_fraction(rng, monkeypatch):
+    regions = [SlopeArc.full(), SlopeArc.point(Slope(-355, 113)),
+               SlopeArc.arc(slope_of_tau(2), slope_of_tau(-2)),
+               SlopeArc.arc(VERTICAL, Slope(7, 3)), SlopeArc.arc(Slope(-7, 3), VERTICAL)]
+    for _ in range(100):
+        lo = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+        hi = lo + Fraction(rng.randint(0, 20), rng.randint(1, 30))
+        regions.append(SlopeArc.from_tau_interval(lo, hi))
+        regions.append(SlopeArc.arc(slope_of_tau(hi), slope_of_tau(lo)))
+    expected = [(simplest_slope(r), simplest_slope(r, allow_vertical=False)) for r in regions]
+
+    def no_fraction(*args):
+        raise AssertionError("simplest_slope built a Fraction")
+
+    monkeypatch.setattr("tautfol.slopes.Fraction", no_fraction)
+    assert [(simplest_slope(r), simplest_slope(r, allow_vertical=False))
+            for r in regions] == expected
 
 
 def test_simplest_slope_in_members(rng):

@@ -25,7 +25,7 @@ every question about it shares one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .graph import (
@@ -58,7 +58,6 @@ from .slopes import (
     act_arc,
     arc_intersect,
     simplest_slope,
-    slope_of_tau,
 )
 
 
@@ -73,24 +72,23 @@ def _require_valid(graph):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One piece evaluated as seen from the boundary towards the root."""
-    piece: object        # SeifertPiece
-    children: tuple      # _Child per other boundary, in boundary-index order
-    family: object       # ConstraintFamily fed to the kernel; None on a product
-    result: DetectionResult
-    longitude: object    # the subtree's SubtreeLongitude: b1, longitude, order
+class _Node(namedtuple("_Node", "piece children family result longitude")):
+    """One piece evaluated as seen from the boundary towards the root: the
+    SeifertPiece, a _Child per other boundary in boundary-index order, the
+    ConstraintFamily fed to the kernel (None on a product), its
+    DetectionResult, and the subtree's SubtreeLongitude (b1, longitude,
+    order)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Child:
-    bdry: int            # boundary index on the parent piece
-    edge: object
-    transport: object    # GluingMatrix: child root frame -> parent frame
-    node: _Node          # the child subtree's own evaluation
-    arc: SlopeArc        # transported detected arc
-    exceptions: tuple    # transported exceptional slopes
+class _Child(namedtuple("_Child", "bdry edge transport node arc exceptions")):
+    """One child subtree seen from its parent: the boundary index on the
+    parent piece, the edge, the GluingMatrix taking the child root frame to
+    the parent frame, the child's own _Node, and its detected arc and
+    exceptional slopes transported by it."""
+
+    __slots__ = ()
 
 
 def _evaluate(graph, n_max):
@@ -234,10 +232,12 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
     if (not piece.base_orientable or piece.boundary_count != 2
             or child_slope.is_vertical):
         return None
-    tau_c = child_slope.tau
-    tau_t = tau_c if target_bdry == child_bdry else piece.horizontal_sum - tau_c
-    m = lcm(piece.cone_order_lcm, tau_c.denominator)
-    return slope_of_tau(tau_t), m // tau_c.denominator
+    p, q = child_slope.p, child_slope.q  # tau_c = -p/q in lowest terms
+    slope = child_slope
+    if target_bdry != child_bdry:  # tau_t = horizontal_sum + p/q
+        num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
+        slope = Slope(-(num * q + p * den), den * q)
+    return slope, lcm(piece.cone_order_lcm, q) // q
 
 
 def _listed(slope, entries):
@@ -266,15 +266,9 @@ def iter_piece_evaluations(graph, n_max=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegenerateReport:
-    is_degenerate: bool
-    predicted: bool
-    consistent: bool
-    branch: str
-    explanation: str
-    result: DetectionResult
-    longitude: Slope
+class DegenerateReport(namedtuple("DegenerateReport", "is_degenerate predicted consistent "
+                                   "branch explanation result longitude")):
+    __slots__ = ()
 
 
 def check_degenerate(graph, n_max=None):
@@ -425,17 +419,21 @@ def _is_fibred_tuple(piece, slopes):
     infinite order, so a planar base, where phi(d_j) = -tau_j phi(h) must
     sum to -(b_eff - sum gamma_i) phi(h) (see _fibration_slope): the
     horizontal-surface condition sum tau_j = b_eff - sum gamma_i."""
-    return (piece.base_orientable
-            and sum(s.tau for s in slopes) == piece.horizontal_sum)
+    if not piece.base_orientable:
+        return False
+    # horizontal_sum minus sum tau_j = horizontal_sum + sum p_j/q_j, over a
+    # common denominator, as in graph.piece_longitude.
+    num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
+    for s in slopes:
+        num, den = num * s.q + s.p * den, den * s.q
+    return num == 0
 
 
-@dataclass(frozen=True)
-class CtfVerdict:
-    admits: bool
-    witness: dict          # torus ident -> Slope (from-side frame), or {}
-    piece_tags: dict       # piece ident -> tag
-    note: str
-    split_edge: str
+class CtfVerdict(namedtuple("CtfVerdict", "admits witness piece_tags note split_edge")):
+    """``witness`` maps torus ident -> Slope (from-side frame), or is {};
+    ``piece_tags`` maps piece ident -> tag."""
+
+    __slots__ = ()
 
 
 NOTE_ADMITS = ("admits a co-oriented taut foliation; the manifold is not a "

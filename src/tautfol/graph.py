@@ -30,10 +30,9 @@ pinned by the requirement that rational longitudes land inside detected sets.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .snf import Presentation, smith_normal_form
 from .seifert import PieceError, SeifertPiece
@@ -50,14 +49,12 @@ class RoleError(ValueError):
     """Operation applied to a graph with the wrong role."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    from_piece: object
-    from_bdry: int
-    to_piece: object
-    to_bdry: int
-    matrix: GluingMatrix
-    ident: str = ""
+class Edge(namedtuple("Edge", "from_piece from_bdry to_piece to_bdry matrix ident",
+                      defaults=("",))):
+    """A JSJ torus: boundary ``from_bdry`` of piece ``from_piece`` glued to
+    boundary ``to_bdry`` of ``to_piece`` by the GluingMatrix ``matrix``."""
+
+    __slots__ = ()
 
     def other_side(self, piece_id, bdry):
         if (self.from_piece, self.from_bdry) == (piece_id, bdry):
@@ -194,10 +191,8 @@ def errors_of(diagnostics):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologySummary:
-    betti: int
-    invariant_factors: tuple
+class HomologySummary(namedtuple("HomologySummary", "betti invariant_factors")):
+    __slots__ = ()
 
 
 def _hom_matrix(matrix):
@@ -251,20 +246,15 @@ def homology(graph):
     )
 
 
-@dataclass(frozen=True)
-class LongitudeResult:
-    slope: Slope
-    order: int
+class LongitudeResult(namedtuple("LongitudeResult", "slope order")):
+    __slots__ = ()
 
 
-class SubtreeLongitude(NamedTuple):
-    """What the tree walk carries up from a subtree: its first Betti number,
-    its rational longitude (the boundary slope that dies in H_1 with
-    rational coefficients, whatever the Betti number) and the longitude's
-    order in H_1, None unless betti = 1."""
-    betti: int
-    slope: Slope
-    order: int | None
+# What the tree walk carries up from a subtree: its first Betti number, its
+# rational longitude (the boundary slope that dies in H_1 with rational
+# coefficients, whatever the Betti number) and the longitude's order in H_1,
+# None unless betti = 1.
+SubtreeLongitude = namedtuple("SubtreeLongitude", "betti slope order")
 
 
 def post_order(graph):

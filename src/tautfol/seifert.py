@@ -28,7 +28,7 @@ horizontal_sum, jn_refine_low/high).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from math import floor, gcd, lcm
@@ -43,6 +43,7 @@ from .slopes import (
     act_arc,
     _least_denominator,
     _primitive,
+    _simplest_in,
     simplest_slope,
     slope_of_tau,
 )
@@ -76,8 +77,8 @@ def _require_int(value, field, *args):
         raise PieceError(f"{field.format(*args)} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SeifertPiece:
+class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_count "
+                               "crosscaps ident", defaults=(0, 1, 0, None))):
     """One Seifert-fibred piece.
 
     The base orbifold is a planar orientable surface or a once-punctured-or-
@@ -86,44 +87,63 @@ class SeifertPiece:
     ``cones`` (pairs (a_i, beta_i), gcd = 1, a_i >= 2, gamma_i = beta_i/a_i).
     ``b`` is the integer obstruction in the section relation
     sum(x_i) + sum(d_j) + b*h = 0.
+
+    The derived ``b_eff``, ``horizontal_sum`` and ``cone_order_lcm`` are
+    written once into the instance dict, which a tuple subclass needs in
+    place of slots; assignment is refused, as on Slope.
     """
 
-    base_orientable: bool
-    cones: tuple
-    b: int = 0
-    boundary_count: int = 1
-    crosscaps: int = 0
-    ident: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "cones", tuple((a, beta) for a, beta in self.cones))
-        _require_int(self.b, "b")
-        _require_int(self.boundary_count, "boundary_count")
-        _require_int(self.crosscaps, "crosscaps")
-        for t, (a, beta) in enumerate(self.cones):
+    def __new__(cls, base_orientable, cones, b=0, boundary_count=1, crosscaps=0, ident=None):
+        if not isinstance(base_orientable, bool):
+            raise PieceError(f"base_orientable must be a boolean, got {base_orientable!r}")
+        try:
+            cones = tuple(cones)
+        except TypeError:
+            raise PieceError(f"cones must be a sequence of pairs, got {cones!r}") from None
+        for t, cone in enumerate(cones):
+            if not isinstance(cone, (tuple, list)) or len(cone) != 2:
+                raise PieceError(f"cones[{t}] must be a pair (a, beta), got {cone!r}")
+        cones = tuple((a, beta) for a, beta in cones)
+        _require_int(b, "b")
+        _require_int(boundary_count, "boundary_count")
+        _require_int(crosscaps, "crosscaps")
+        for t, (a, beta) in enumerate(cones):
             _require_int(a, "cones[{}][0]", t)
             _require_int(beta, "cones[{}][1]", t)
-        if self.boundary_count < 1:
+        if boundary_count < 1:
             raise PieceError("a piece needs at least one boundary torus")
-        if self.base_orientable and self.crosscaps != 0:
+        if base_orientable and crosscaps != 0:
             raise PieceError("orientable base cannot carry crosscaps")
-        if not self.base_orientable and self.crosscaps < 1:
+        if not base_orientable and crosscaps < 1:
             raise PieceError("non-orientable base needs crosscap number >= 1")
-        for a, beta in self.cones:
+        for a, beta in cones:
             if a < 2:
                 raise PieceError(f"cone order {a} < 2")
             if gcd(a, beta) != 1:
                 raise PieceError(f"cone pair ({a}, {beta}) not coprime")
             if beta % a == 0:
                 raise PieceError(f"cone pair ({a}, {beta}) has integral gamma")
+        self = super().__new__(cls, base_orientable, cones, b, boundary_count, crosscaps, ident)
         # b_eff, the section obstruction with every beta_i reduced into
         # (0, a_i); and b_eff - sum(gamma_i), over the lcm m of the a_i,
         # which a horizontal surface's taus sum to.
-        m = lcm(*(a for a, _ in self.cones))
-        b_eff = self.b - sum(beta // a for a, beta in self.cones)
-        m_gammas = sum(beta % a * (m // a) for a, beta in self.cones)
+        m = lcm(*(a for a, _ in cones))
+        b_eff = b - sum(beta // a for a, beta in cones)
+        m_gammas = sum(beta % a * (m // a) for a, beta in cones)
         self.__dict__.update(b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m),
                              cone_order_lcm=m)
+        return self
+
+    # _replace builds through _make: through __new__, so it is checked too.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeifertPiece is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SeifertPiece is immutable")
 
     @property
     def gammas(self):
@@ -161,29 +181,34 @@ class SeifertPiece:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstraintFamily:
-    """Arcs S_1, ..., S_{r-1} (0-indexed here) plus the strong index set J."""
+class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(frozenset(),))):
+    """Arcs S_1, ..., S_{r-1} (0-indexed here) plus the strong index set J.
+    Its length is the number of arcs."""
 
-    arcs: tuple
-    strong: frozenset = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "strong", frozenset(self.strong))
-        for j in self.strong:
-            if not 0 <= j < len(self.arcs):
+    def __new__(cls, arcs, strong=frozenset()):
+        arcs, strong = tuple(arcs), frozenset(strong)
+        for j in strong:
+            if not 0 <= j < len(arcs):
                 raise FamilyError(f"strong index {j} out of range")
-        for j, arc in enumerate(self.arcs):
+        for j, arc in enumerate(arcs):
             if arc.is_empty:
                 raise FamilyError(f"constraint {j} is empty")
-            if j in self.strong:
+            if j in strong:
                 if arc.contains_vertical():
                     raise FamilyError(
                         f"constraint {j} is strong but contains the vertical slope")
                 if arc.is_point:
                     raise FamilyError(
                         f"constraint {j} is strong but is a single slope")
+        return super().__new__(cls, arcs, strong)
+
+    # _replace builds through _make: through __new__, so it is checked too,
+    # and the tuple's own length check would count arcs, not fields.
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def __len__(self):
         return len(self.arcs)
@@ -194,16 +219,10 @@ def v_count(family):
     return sum(1 for arc in family.arcs if arc.contains_vertical())
 
 
-@dataclass(frozen=True)
-class TauStats:
+class TauStats(namedtuple("TauStats", "r1 s0 i0 b0 m0 m1")):
     """The integral/non-integral bookkeeping of one constraint tuple."""
 
-    r1: int
-    s0: int
-    i0: int
-    b0: int
-    m0: int
-    m1: int
+    __slots__ = ()
 
 
 def tau_stats(taus, strong, n_cones):
@@ -266,23 +285,19 @@ def core_interval(piece, family):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JNCertificate:
+class JNCertificate(namedtuple("JNCertificate", "n_value a_value side cone_numerators "
+                                "boundary_numerators excluded target_numerator")):
     """Witness that the detected set extends past the core interval.
 
     The multiset (A/N, 1-A/N, 1/N, ..., 1/N) is distributed over the cone
     points (values A_i/N), the non-excluded constraint tori (values B_j/N)
     and the target torus (value C/N); all values are stored as numerators
-    over ``n_value``.
+    over ``n_value``.  ``side`` is "low" or "high"; ``boundary_numerators``
+    holds pairs (constraint index, numerator); ``excluded`` the strong
+    indices with an integral extreme endpoint.
     """
 
-    n_value: int
-    a_value: int
-    side: str  # "low" | "high"
-    cone_numerators: tuple
-    boundary_numerators: tuple  # pairs (constraint index, numerator)
-    excluded: tuple  # strong indices with integral extreme endpoint
-    target_numerator: int
+    __slots__ = ()
 
 
 def default_n_bound(piece, endpoints):
@@ -526,11 +541,10 @@ class Strength(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class ExceptionalSlope:
-    slope: Slope
-    status: Strength
-    reason: str
+class ExceptionalSlope(namedtuple("ExceptionalSlope", "slope status reason")):
+    """A detected slope whose Strength is not STRONG, and why."""
+
+    __slots__ = ()
 
 
 def _status_sort_key(exc):
@@ -538,19 +552,18 @@ def _status_sort_key(exc):
     return (s.q == 0, s.tau if s.q else 0, s.p)
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Detected arc plus the finite list of detected-but-not-strong slopes.
+class DetectionResult(namedtuple("DetectionResult", "detected exceptions branch "
+                                  "low_certificate high_certificate",
+                                  defaults=((), "", None, None))):
+    """Detected arc (a SlopeArc) plus the finite list of detected-but-not-
+    strong slopes (ExceptionalSlope), the kernel branch that answered, and
+    the JNCertificate of each side the horizontal branch extended.
 
     Every rational slope of ``detected`` not listed in ``exceptions`` is
     strongly detected.
     """
 
-    detected: SlopeArc
-    exceptions: tuple = ()
-    branch: str = ""
-    low_certificate: JNCertificate = None
-    high_certificate: JNCertificate = None
+    __slots__ = ()
 
     def strong_status(self, slope):
         if not self.detected.contains(slope):
@@ -826,7 +839,7 @@ def _floor_tuple(intervals, low, high):
             spans.append((a, b))
         else:  # inside (b, b + 1): floor b, ceiling b + 1
             spans.append((b, b))
-            fixed[j] = simplest_slope(SlopeArc.arc(lo, hi), allow_vertical=False)
+            fixed[j] = _simplest_in(lo, hi)
             high -= 1
     floors = [_clamp(0, a, b) for a, b in spans]
     for j, (a, b) in enumerate(spans):

@@ -398,6 +398,19 @@ def _fresh_process(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+def test_import_loads_no_dataclasses_or_typing():
+    """Each command is a fresh process, and importing ``dataclasses`` (with
+    ``inspect``, ``ast``) or ``typing`` would cost more than a decision.
+    -S keeps site from loading any of them first."""
+    code = ("import sys; before = set(sys.modules); import tautfol; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_source_env(),
+                          capture_output=True, text=True, timeout=60)
+    added = set(proc.stdout.split())
+    assert proc.returncode == 0 and "tautfol.decide" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "typing", "ast"})
+
+
 # Runs each command named after FILE through main and prints
 # {command: [exit code, stdout, stderr]} as JSON.
 _EACH_COMMAND = """

@@ -13,6 +13,7 @@ from tautfol import (
     DecisionError,
     Edge,
     GluingMatrix,
+    PieceError,
     PlumbingGraph,
     RoleError,
     SeifertPiece,
@@ -34,6 +35,7 @@ from tautfol import (
     revalidate_witness,
     simplest_slope,
     slope_of_tau,
+    tau_stats,
 )
 from tautfol.decide import ROOT_KEY, _evaluate, iter_piece_evaluations
 from tautfol.graph import homology, piece_longitude, post_order, presentation
@@ -238,6 +240,52 @@ def test_evaluation_is_kept_on_its_own_graph():
         g.edges = ()
     with pytest.raises(AttributeError):
         g.role = "closed"
+
+
+def _records():
+    """One of each record the library answers with, built by the calls that
+    return them."""
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    piece = SeifertPiece(True, ((2, 1), (3, 1)), boundary_count=2)
+    family = ConstraintFamily((SlopeArc.from_tau_interval(Fraction(1, 5), Fraction(2, 5)),))
+    result = detect_relative(piece, family)
+    closed = load_manifold(samples / "closed_admits.json")
+    tree = load_manifold(samples / "two_piece_tree.json")
+    return [piece, family, tau_stats([Fraction(1, 2)], set(), 2), result,
+            result.high_certificate, result.exceptions[0], closed.edges[0],
+            rational_longitude(tree), check_degenerate(tree), decide_ctf(closed)]
+
+
+def test_records_are_read_only_values():
+    records = _records()
+    assert [type(r).__name__ for r in records] == [
+        "SeifertPiece", "ConstraintFamily", "TauStats", "DetectionResult", "JNCertificate",
+        "ExceptionalSlope", "Edge", "LongitudeResult", "DegenerateReport", "CtfVerdict"]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    # The derived values a graph's kept evaluation depends on.
+    piece = records[0]
+    for name in ("b_eff", "horizontal_sum", "cone_order_lcm"):
+        before = getattr(piece, name)
+        with pytest.raises(AttributeError):
+            setattr(piece, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(piece, name)
+        assert getattr(piece, name) == before
+    with pytest.raises(AttributeError):
+        piece.extra = 1
+    # Values: equal when built apart from equal fields, also to the plain tuple.
+    again = SeifertPiece(True, [[2, 1], [3, 1]], boundary_count=2)
+    assert again == piece and hash(again) == hash(piece)
+    assert piece == (True, ((2, 1), (3, 1)), 0, 2, 0, None)
+    assert piece != SeifertPiece(True, ((2, 1), (3, 1)), boundary_count=2, ident="x")
+    assert len(records[1]) == 1  # a family's length counts its arcs
+    # _replace builds through the checks and derives afresh.
+    assert piece._replace(b=3).b_eff == 3
+    with pytest.raises(PieceError):
+        piece._replace(cones=((2, 2),))
 
 
 def test_deep_chain_needs_no_recursion():

@@ -467,10 +467,18 @@ def test_crosscaps_two_rejected():
     (dict(boundary_count=True), "boundary_count must be an integer, got True"),
     (dict(base_orientable=False, crosscaps=1.0), "crosscaps must be an integer, got 1.0"),
     (dict(base_orientable=False, crosscaps=True), "crosscaps must be an integer, got True"),
+    (dict(cones=((2,),)), "cones[0] must be a pair (a, beta), got (2,)"),
+    (dict(cones=((3, 1), (2, 1, 5))), "cones[1] must be a pair (a, beta), got (2, 1, 5)"),
+    (dict(cones=(2,)), "cones[0] must be a pair (a, beta), got 2"),
+    (dict(cones=5), "cones must be a sequence of pairs, got 5"),
+    (dict(base_orientable="no"), "base_orientable must be a boolean, got 'no'"),
+    (dict(base_orientable=1), "base_orientable must be a boolean, got 1"),
 ], ids=["cone-fraction", "cone-float", "cone-bool", "b-fraction", "b-float", "b-bool",
-        "boundary-float", "boundary-bool", "crosscaps-float", "crosscaps-bool"])
+        "boundary-float", "boundary-bool", "crosscaps-float", "crosscaps-bool",
+        "cone-single", "cone-triple", "cone-bare", "cones-int", "base-str", "base-int"])
 def test_piece_refuses_non_integer_fields(fields, message):
-    # Coercing these would build a different manifold with no error.
+    # Coercing these would build a different manifold with no error, and
+    # unpacking a malformed cone would fail without naming the field.
     with pytest.raises(PieceError) as excinfo:
         SeifertPiece(**{"base_orientable": True, "cones": (), **fields})
     assert str(excinfo.value) == message

@@ -305,6 +305,11 @@ READER_ERRORS = [
     (_set(("pieces", 1, "cones", 1), [4, 2]), "pieces[1]: cone pair (4, 2) not coprime"),
     (_set(("pieces", 1, "base", "crosscaps"), 1),
      "pieces[1]: orientable base cannot carry crosscaps"),
+    (lambda d: d["pieces"][1]["base"].update(orientable=False, crosscaps=0),
+     "pieces[1]: non-orientable base needs crosscap number >= 1"),
+    (lambda d: d["pieces"][1]["base"].update(orientable=False, crosscaps=-1),
+     "pieces[1]: non-orientable base needs crosscap number >= 1"),
+    (_set(("pieces", 1, "boundary"), 0), "pieces[1]: a piece needs at least one boundary torus"),
     # edge level
     (_set(("edges", 1), None), "edges[1]: expected an object"),
     (_set(("edges", 1, "label"), "x"), "edges[1]: unknown keys ['label']"),

@@ -484,6 +484,40 @@ def test_piece_refuses_non_integer_fields(fields, message):
     assert str(excinfo.value) == message
 
 
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(boundary_count=0), "a piece needs at least one boundary torus"),
+    (dict(base_orientable=False, crosscaps=0), "non-orientable base needs crosscap number >= 1"),
+    (dict(base_orientable=False, crosscaps=-1), "non-orientable base needs crosscap number >= 1"),
+], ids=["boundary-0", "nonorientable-crosscaps-0", "nonorientable-crosscaps-negative"])
+def test_piece_refusal_messages(fields, message):
+    with pytest.raises(PieceError) as excinfo:
+        SeifertPiece(**{"base_orientable": True, "cones": (), **fields})
+    assert str(excinfo.value) == message
+
+
+def test_piece_accepts_exactly_the_documented_pieces():
+    """SeifertPiece accepts a piece exactly when README's rules hold: at least
+    one boundary torus, no crosscaps over an orientable base and at least one
+    over a non-orientable base, and every cone (a, beta) with a >= 2 and
+    gcd(a, beta) = 1.  Checked on every small integer field value around the
+    limits, with no cone or one."""
+    cone_choices = [()] + [((a, beta),) for a in range(-1, 7) for beta in range(-3, 8)]
+    for orientable in (True, False):
+        for crosscaps in range(-1, 3):
+            for boundary in range(-1, 3):
+                for cones in cone_choices:
+                    rules = (boundary >= 1
+                             and (crosscaps == 0 if orientable else crosscaps >= 1)
+                             and all(a >= 2 and math.gcd(a, beta) == 1 for a, beta in cones))
+                    try:
+                        SeifertPiece(orientable, cones, 0, boundary, crosscaps)
+                    except PieceError:
+                        accepted = False
+                    else:
+                        accepted = True
+                    assert accepted == rules, (orientable, crosscaps, boundary, cones)
+
 def test_solid_torus_meridian():
     piece = _piece([(3, 2)], b=1, r=1)
     res = detect_relative(piece, ConstraintFamily(()))

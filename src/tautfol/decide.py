@@ -138,23 +138,22 @@ def _detect(piece, via, children, n_max):
             act_arc(k, child.arc),
             tuple(ExceptionalSlope(act(k, e.slope), e.status, e.reason)
                   for e in child.exceptions),
-            branch="product",
-        )
+            "product")
     family = ConstraintFamily(tuple(c.arc for c in children))
-    rel = detect_relative(piece, family, n_max=n_max)
+    rel = detect_relative(piece, family, n_max)
     detected = rel.detected
     # A degenerate set {lambda} over an orientable base is strong; the n2 and
     # solid-torus branches carry no exceptions either.
     degenerate = rel.branch == "vertical-arc" and detected.is_point
-    # The kernel returns its exceptions merged and sorted already.
-    exceptions = () if degenerate else rel.exceptions
     added = (_cable_exceptions(piece, children, detected)
              + _degenerate_fibration_exceptions(piece, via, children, detected))
+    if not (added or degenerate):
+        return family, rel
+    # The kernel returns its exceptions merged and sorted already.
+    exceptions = () if degenerate else rel.exceptions
     if added:
         exceptions = merge_exceptions(list(exceptions) + added)
-    return family, DetectionResult(
-        detected, exceptions, branch=rel.branch,
-        low_certificate=rel.low_certificate, high_certificate=rel.high_certificate)
+    return family, rel._replace(exceptions=exceptions)
 
 
 def _cable_exceptions(piece, children, detected):

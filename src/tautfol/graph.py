@@ -312,9 +312,13 @@ def piece_longitude(piece, children):
     every child has b1 = 1 and at most one lambda_c is vertical over a
     planar base, or none over a crosscap-1 base.  The order is derived in
     rational_longitude."""
-    lams = [(act(transport, child.slope), child.order) for transport, child in children]
-    excess = sum(child.betti for _, child in children) - len(children)
-    vertical = [order for lam, order in lams if lam.is_vertical]
+    lams, vertical, excess = [], [], 0
+    for transport, child in children:
+        lam = act(transport, child.slope)
+        lams.append((lam, child.order))
+        if lam.is_vertical:
+            vertical.append(child.order)
+        excess += child.betti - 1
     if not piece.base_orientable:
         betti = piece.crosscaps + len(vertical) + excess
         return SubtreeLongitude(betti, VERTICAL, 2 if betti == 1 else None)
@@ -327,8 +331,9 @@ def piece_longitude(piece, children):
     slope = Slope(-num, den)
     if excess:
         return SubtreeLongitude(1 + excess, slope, None)
-    q = slope.q
-    order = lcm(*(a // gcd(a, q) for a, _ in piece.cones))
+    q, order = slope.q, 1
+    for a, _ in piece.cones:
+        order = lcm(order, a // gcd(a, q))
     for lam, o in lams:
         m = o * lam.q
         order = lcm(order, m // gcd(m, q))
@@ -437,13 +442,55 @@ def _expect_keys(obj, keys, where, *args):
 
 
 def _int(value, where, *args):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ManifoldFormatError(f"{where.format(*args)}: expected an integer")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ManifoldFormatError(f"{where.format(*args)}: expected an integer")
+
+
+def _check_piece(raw, k):
+    """The checks of one piece object field by field, in order: the first
+    fault is named."""
+    _expect_keys(raw, _PIECE_KEYS, "pieces[{}]", k)
+    if not isinstance(raw["id"], (str, int)) or isinstance(raw["id"], bool):
+        raise ManifoldFormatError(f"pieces[{k}]: id must be a string or integer")
+    _expect_keys(raw["base"], _BASE_KEYS, "pieces[{}].base", k)
+    if not isinstance(raw["base"]["orientable"], bool):
+        raise ManifoldFormatError(f"pieces[{k}].base.orientable must be a boolean")
+    _int(raw["base"]["crosscaps"], "pieces[{}].base.crosscaps", k)
+    if not isinstance(raw["cones"], list):
+        raise ManifoldFormatError(f"pieces[{k}].cones must be a list")
+    for t, pair in enumerate(raw["cones"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ManifoldFormatError(f"pieces[{k}].cones[{t}] must be [a, beta]")
+        _int(pair[0], "pieces[{}].cones[{}][0]", k, t)
+        _int(pair[1], "pieces[{}].cones[{}][1]", k, t)
+    _int(raw["b"], "pieces[{}].b", k)
+    _int(raw["boundary"], "pieces[{}].boundary", k)
+
+
+def _check_edge(raw, k):
+    """The checks of one edge object field by field, in order: the first
+    fault is named."""
+    _expect_keys(raw, _EDGE_KEYS, "edges[{}]", k)
+    for side in ("from", "to"):
+        pair = raw[side]
+        if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], (list, dict)):
+            raise ManifoldFormatError(f"edges[{k}].{side} must be [piece id, boundary index]")
+        _int(pair[1], "edges[{}].{}[1]", k, side)
+    m = raw["matrix"]
+    if (not isinstance(m, list) or len(m) != 2
+            or any(not isinstance(row, list) or len(row) != 2 for row in m)):
+        raise ManifoldFormatError(f"edges[{k}].matrix must be a 2x2 integer matrix")
+    for i in range(2):
+        for j in range(2):
+            _int(m[i][j], "edges[{}].matrix[{}][{}]", k, i, j)
 
 
 def parse_manifold(data):
-    """Build a PlumbingGraph from a decoded JSON object (strict)."""
+    """Build a PlumbingGraph from a decoded JSON object (strict).
+
+    Each piece and edge object is tested for its well-formed shape in one
+    expression; only an object failing it goes through the field-by-field
+    checks (_check_piece, _check_edge), which name the fault."""
     _expect_keys(data, _MANIFOLD_KEYS, "manifold")
     role = data["role"]
     if role not in ("closed", "solid-torus"):
@@ -454,52 +501,39 @@ def parse_manifold(data):
         raise ManifoldFormatError("edges must be a list")
     pieces = []
     for k, raw in enumerate(data["pieces"]):
-        _expect_keys(raw, _PIECE_KEYS, "pieces[{}]", k)
-        if not isinstance(raw["id"], (str, int)) or isinstance(raw["id"], bool):
-            raise ManifoldFormatError(f"pieces[{k}]: id must be a string or integer")
-        _expect_keys(raw["base"], _BASE_KEYS, "pieces[{}].base", k)
-        if not isinstance(raw["base"]["orientable"], bool):
-            raise ManifoldFormatError(f"pieces[{k}].base.orientable must be a boolean")
-        crosscaps = _int(raw["base"]["crosscaps"], "pieces[{}].base.crosscaps", k)
-        if not isinstance(raw["cones"], list):
-            raise ManifoldFormatError(f"pieces[{k}].cones must be a list")
-        cones = []
-        for t, pair in enumerate(raw["cones"]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ManifoldFormatError(f"pieces[{k}].cones[{t}] must be [a, beta]")
-            cones.append((_int(pair[0], "pieces[{}].cones[{}][0]", k, t),
-                          _int(pair[1], "pieces[{}].cones[{}][1]", k, t)))
+        if not (type(raw) is dict and raw.keys() == _PIECE_KEYS
+                and type(raw["id"]) in (str, int)
+                and type(base := raw["base"]) is dict and base.keys() == _BASE_KEYS
+                and type(base["orientable"]) is bool and type(base["crosscaps"]) is int
+                and type(cones := raw["cones"]) is list
+                and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                        and type(pair[1]) is int for pair in cones)
+                and type(raw["b"]) is int and type(raw["boundary"]) is int):
+            _check_piece(raw, k)
+            base, cones = raw["base"], raw["cones"]
         try:
-            pieces.append(SeifertPiece(
-                base_orientable=raw["base"]["orientable"],
-                cones=tuple(cones),
-                b=_int(raw["b"], "pieces[{}].b", k),
-                boundary_count=_int(raw["boundary"], "pieces[{}].boundary", k),
-                crosscaps=crosscaps,
-                ident=raw["id"]))
+            pieces.append(SeifertPiece(base["orientable"], tuple(map(tuple, cones)), raw["b"],
+                                       raw["boundary"], base["crosscaps"], raw["id"]))
         except PieceError as exc:
             raise ManifoldFormatError(f"pieces[{k}]: {exc}") from exc
     edges = []
     for k, raw in enumerate(data["edges"]):
-        _expect_keys(raw, _EDGE_KEYS, "edges[{}]", k)
-        ends = []
-        for side in ("from", "to"):
-            pair = raw[side]
-            if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], (list, dict)):
-                raise ManifoldFormatError(f"edges[{k}].{side} must be [piece id, boundary index]")
-            ends.append((pair[0], _int(pair[1], "edges[{}].{}[1]", k, side)))
-        m = raw["matrix"]
-        if (not isinstance(m, list) or len(m) != 2
-                or any(not isinstance(row, list) or len(row) != 2 for row in m)):
-            raise ManifoldFormatError(f"edges[{k}].matrix must be a 2x2 integer matrix")
-        entries = [_int(m[i][j], "edges[{}].matrix[{}][{}]", k, i, j)
-                   for i in range(2) for j in range(2)]
+        if not (type(raw) is dict and raw.keys() == _EDGE_KEYS
+                and type(end := raw["from"]) is list and len(end) == 2
+                and type(end[0]) in (str, int) and type(end[1]) is int
+                and type(end := raw["to"]) is list and len(end) == 2
+                and type(end[0]) in (str, int) and type(end[1]) is int
+                and type(m := raw["matrix"]) is list and len(m) == 2
+                and all(type(row) is list and len(row) == 2 and type(row[0]) is int
+                        and type(row[1]) is int for row in m)):
+            _check_edge(raw, k)
+        (from_piece, from_bdry), (to_piece, to_bdry), (a, b), (c, d) = (
+            raw["from"], raw["to"], *raw["matrix"])
         try:
-            matrix = GluingMatrix(*entries)
+            matrix = GluingMatrix(a, b, c, d)
         except ValueError as exc:
             raise ManifoldFormatError(f"edges[{k}]: {exc}") from exc
-        edges.append(Edge(ends[0][0], ends[0][1], ends[1][0], ends[1][1],
-                          matrix, f"e{k}"))
+        edges.append(Edge(from_piece, from_bdry, to_piece, to_bdry, matrix, f"e{k}"))
     try:
         return PlumbingGraph(pieces, edges, role)
     except ValueError as exc:

@@ -88,50 +88,50 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
     ``b`` is the integer obstruction in the section relation
     sum(x_i) + sum(d_j) + b*h = 0.
 
-    The derived ``b_eff``, ``horizontal_sum`` and ``cone_order_lcm`` are
-    written once into the instance dict, which a tuple subclass needs in
-    place of slots; assignment is refused, as on Slope.
+    The derived ``b_eff``, ``horizontal_sum``, ``cone_order_lcm``, ``n``
+    (the number of cones) and the shape predicates are written once into
+    the instance dict, which a tuple subclass needs in place of slots;
+    assignment is refused, as on Slope.  The predicates: ``is_n2``, the
+    twisted I-bundle over the Klein bottle, presented over the Moebius band
+    (crosscap 1, no cones, one boundary); ``is_solid_torus_piece``;
+    ``is_product_piece``, S^1 x S^1 x I (annulus base, no cones); and
+    ``is_cable_space``, an annulus base with one cone point.
     """
 
     def __new__(cls, base_orientable, cones, b=0, boundary_count=1, crosscaps=0, ident=None):
-        if not isinstance(base_orientable, bool):
-            raise PieceError(f"base_orientable must be a boolean, got {base_orientable!r}")
-        try:
-            cones = tuple(cones)
-        except TypeError:
-            raise PieceError(f"cones must be a sequence of pairs, got {cones!r}") from None
-        for t, cone in enumerate(cones):
-            if not isinstance(cone, (tuple, list)) or len(cone) != 2:
-                raise PieceError(f"cones[{t}] must be a pair (a, beta), got {cone!r}")
-        cones = tuple((a, beta) for a, beta in cones)
-        _require_int(b, "b")
-        _require_int(boundary_count, "boundary_count")
-        _require_int(crosscaps, "crosscaps")
-        for t, (a, beta) in enumerate(cones):
-            _require_int(a, "cones[{}][0]", t)
-            _require_int(beta, "cones[{}][1]", t)
+        if not (type(base_orientable) is bool and type(b) is int
+                and type(boundary_count) is int and type(crosscaps) is int
+                and type(cones) is tuple
+                and all(type(cone) is tuple and len(cone) == 2 and type(cone[0]) is int
+                        and type(cone[1]) is int for cone in cones)):
+            cones = _check_field_types(base_orientable, cones, b, boundary_count, crosscaps)
         if boundary_count < 1:
             raise PieceError("a piece needs at least one boundary torus")
         if base_orientable and crosscaps != 0:
             raise PieceError("orientable base cannot carry crosscaps")
         if not base_orientable and crosscaps < 1:
             raise PieceError("non-orientable base needs crosscap number >= 1")
+        # b_eff, the section obstruction with every beta_i reduced into
+        # (0, a_i); and b_eff - sum(gamma_i), over the lcm m of the a_i,
+        # which a horizontal surface's taus sum to.  With a >= 2 and
+        # gcd(a, beta) = 1, a does not divide beta: gamma is never integral.
+        m, m_gammas, reduced = 1, 0, 0
         for a, beta in cones:
             if a < 2:
                 raise PieceError(f"cone order {a} < 2")
             if gcd(a, beta) != 1:
                 raise PieceError(f"cone pair ({a}, {beta}) not coprime")
-            if beta % a == 0:
-                raise PieceError(f"cone pair ({a}, {beta}) has integral gamma")
+            step = lcm(m, a)
+            m, m_gammas = step, m_gammas * (step // m) + beta % a * (step // a)
+            reduced += beta // a
         self = super().__new__(cls, base_orientable, cones, b, boundary_count, crosscaps, ident)
-        # b_eff, the section obstruction with every beta_i reduced into
-        # (0, a_i); and b_eff - sum(gamma_i), over the lcm m of the a_i,
-        # which a horizontal surface's taus sum to.
-        m = lcm(*(a for a, _ in cones))
-        b_eff = b - sum(beta // a for a, beta in cones)
-        m_gammas = sum(beta % a * (m // a) for a, beta in cones)
-        self.__dict__.update(b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m),
-                             cone_order_lcm=m)
+        b_eff, n = b - reduced, len(cones)
+        annulus = base_orientable and boundary_count == 2
+        self.__dict__.update(
+            b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m), cone_order_lcm=m,
+            n=n, is_n2=not base_orientable and crosscaps == 1 and n == 0 and boundary_count == 1,
+            is_solid_torus_piece=base_orientable and boundary_count == 1 and n <= 1,
+            is_product_piece=annulus and n == 0, is_cable_space=annulus and n == 1)
         return self
 
     # _replace builds through _make: through __new__, so it is checked too.
@@ -150,30 +150,27 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
         """gamma_i = beta_i/a_i mod 1 in (0, 1), computed on read (for the oracle)."""
         return tuple(Fraction(beta % a, a) for a, beta in self.cones)
 
-    @property
-    def n(self):
-        return len(self.cones)
 
-    @property
-    def is_n2(self):
-        """The twisted I-bundle over the Klein bottle, presented over the
-        Moebius band (crosscap 1, no cones, one boundary)."""
-        return (not self.base_orientable and self.crosscaps == 1
-                and self.n == 0 and self.boundary_count == 1)
-
-    @property
-    def is_solid_torus_piece(self):
-        return self.base_orientable and self.boundary_count == 1 and self.n <= 1
-
-    @property
-    def is_product_piece(self):
-        """S^1 x S^1 x I: orientable annulus base, no cone points."""
-        return self.base_orientable and self.boundary_count == 2 and self.n == 0
-
-    @property
-    def is_cable_space(self):
-        """Annulus base with exactly one cone point."""
-        return self.base_orientable and self.boundary_count == 2 and self.n == 1
+def _check_field_types(base_orientable, cones, b, boundary_count, crosscaps):
+    """The field type checks of SeifertPiece one by one, in order, to name
+    the first field at fault; the cones as a tuple of pairs when none is."""
+    if not isinstance(base_orientable, bool):
+        raise PieceError(f"base_orientable must be a boolean, got {base_orientable!r}")
+    try:
+        cones = tuple(cones)
+    except TypeError:
+        raise PieceError(f"cones must be a sequence of pairs, got {cones!r}") from None
+    for t, cone in enumerate(cones):
+        if not isinstance(cone, (tuple, list)) or len(cone) != 2:
+            raise PieceError(f"cones[{t}] must be a pair (a, beta), got {cone!r}")
+    cones = tuple((a, beta) for a, beta in cones)
+    _require_int(b, "b")
+    _require_int(boundary_count, "boundary_count")
+    _require_int(crosscaps, "crosscaps")
+    for t, (a, beta) in enumerate(cones):
+        _require_int(a, "cones[{}][0]", t)
+        _require_int(beta, "cones[{}][1]", t)
+    return cones
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +178,25 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
 # ---------------------------------------------------------------------------
 
 
-class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(frozenset(),))):
+_NO_STRONG = frozenset()
+
+
+class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_NO_STRONG,))):
     """Arcs S_1, ..., S_{r-1} (0-indexed here) plus the strong index set J.
-    Its length is the number of arcs."""
+    Its length is the number of arcs.  A strong index is an ``int`` (not a
+    ``bool``) naming an arc."""
 
     __slots__ = ()
 
-    def __new__(cls, arcs, strong=frozenset()):
-        arcs, strong = tuple(arcs), frozenset(strong)
-        for j in strong:
-            if not 0 <= j < len(arcs):
-                raise FamilyError(f"strong index {j} out of range")
+    def __new__(cls, arcs, strong=_NO_STRONG):
+        arcs = tuple(arcs)
+        if strong is not _NO_STRONG:
+            strong = frozenset(strong)
+            for j in strong:
+                if not isinstance(j, int) or isinstance(j, bool):
+                    raise FamilyError(f"strong index {j!r} is not an integer")
+                if not 0 <= j < len(arcs):
+                    raise FamilyError(f"strong index {j} out of range")
         for j, arc in enumerate(arcs):
             if arc.is_empty:
                 raise FamilyError(f"constraint {j} is empty")
@@ -244,9 +249,7 @@ def tau_stats(taus, strong, n_cones):
 
 
 def _horizontal_ends(piece, family):
-    """(zetas, etas): the upper and lower ends, as (num, den) pairs, of the
-    [eta_j, zeta_j] tau-intervals of a vertical-free family, once the
-    horizontal case's preconditions are checked."""
+    """_arc_ends, once the horizontal case's preconditions are checked."""
     if not piece.base_orientable:
         raise PieceError("core interval is defined over orientable bases")
     if v_count(family) != 0:
@@ -256,6 +259,12 @@ def _horizontal_ends(piece, family):
         raise FamilyError("family size must be boundary count minus one")
     if piece.n + r < 3:
         raise PieceError("core interval needs n + r >= 3")
+    return _arc_ends(family)
+
+
+def _arc_ends(family):
+    """(zetas, etas): the upper and lower ends, as (num, den) pairs, of the
+    [eta_j, zeta_j] tau-intervals of a vertical-free family."""
     zetas, etas = [], []
     for arc in family.arcs:
         lo, hi = arc.start, arc.end or arc.start
@@ -340,19 +349,14 @@ def _scan_certificates(slots, n_max):
         return None
     # Hardest first: the highest threshold, a strict one before a loose one.
     common = lcm(*(t[1] for _, t, _ in slots))
-    order = sorted(range(len(slots)), reverse=True,
-                   key=lambda i: (slots[i][1][0] * (common // slots[i][1][1]), slots[i][2]))
+    keys = [(tn * (common // td), strict) for _, (tn, td), strict in slots]
+    order = sorted(range(len(slots)), key=keys.__getitem__, reverse=True)
     thresholds = [(slots[i][1], slots[i][2]) for i in order]
-
-    def one_cutoff(threshold, strict):
-        # Largest N for which the value 1 satisfies the slot.
-        tn, td = threshold
-        if tn <= 0:
-            return n_max
-        return (td - 1) // tn if strict else td // tn
-
-    cut1 = min((one_cutoff(t, s) for t, s in thresholds[1:]), default=n_max)
-    cut2 = min((one_cutoff(t, s) for t, s in thresholds[2:]), default=n_max)
+    # The largest N for which the value 1 satisfies each slot.
+    cutoffs = [n_max if tn <= 0 else (td - 1) // tn if strict else td // tn
+               for (tn, td), strict in thresholds]
+    cut1 = min(cutoffs[1:], default=n_max)
+    cut2 = min(cutoffs[2:], default=n_max)
     (t0n, t0d), strict0 = thresholds[0]
     # Up to cut1 only the hardest slot can refuse a 1/N; A/N < 1 - t0 and
     # (N-A)/N > t0 are the same condition, so cases 0 and 1 reach the same
@@ -480,34 +484,27 @@ def _side_reach(piece, ends, strong, side, n_max):
     low, eta for high.  Ends are (num, den) pairs in lowest terms.
     """
     end = _core_end(piece, ends, strong, side)
-    # Absence rule: an integral extreme endpoint on a free constraint makes
-    # the extremal stratum integral, which kills the refinement.
-    if any(den == 1 and j not in strong for j, (_, den) in enumerate(ends)):
-        return (end, 1), None
     low = side == "low"
     # Thresholds 1 - gamma_i (low) or gamma_i (high), gamma_i = (beta_i mod a_i)/a_i.
     slots = [(("cone", i), (a - beta % a if low else beta % a, a), True)
              for i, (a, beta) in enumerate(piece.cones)]
     excluded = []
     for j, (num, den) in enumerate(ends):
-        if den == 1:  # on a strong constraint, by the absence rule
+        if den != 1:
+            slots.append((("bdry", j), (-num % den if low else num % den, den), j in strong))
+        elif j in strong:
             excluded.append(j)
-            continue
-        slots.append((("bdry", j), (-num % den if low else num % den, den), j in strong))
+        else:
+            # Absence rule: an integral extreme endpoint on a free constraint
+            # makes the extremal stratum integral, which kills the refinement.
+            return (end, 1), None
     found = _scan_certificates(slots, n_max)
     if found is None:
         return (end, 1), None
     (c_num, n_value), _, a_val, assign, _ = found
     cert = JNCertificate(
-        n_value=n_value,
-        a_value=a_val,
-        side=side,
-        cone_numerators=tuple(assign[("cone", i)] for i in range(piece.n)),
-        boundary_numerators=tuple(
-            (j, assign[("bdry", j)]) for j in range(len(ends)) if ("bdry", j) in assign),
-        excluded=tuple(excluded),
-        target_numerator=c_num,
-    )
+        n_value, a_val, side, tuple(assign[tag] for tag, _, _ in slots[:piece.n]),
+        tuple((tag[1], assign[tag]) for tag, _, _ in slots[piece.n:]), tuple(excluded), c_num)
     return (end * n_value - c_num if low else end * n_value + c_num, n_value), cert
 
 
@@ -690,7 +687,7 @@ def detect_relative(piece, family, n_max=None):
         return DetectionResult(SlopeArc.full(), exc, branch="full")
 
     if v == 0:
-        zetas, etas = _horizontal_ends(piece, family)
+        zetas, etas = _arc_ends(family)
         bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
         left, low = _side_reach(piece, zetas, family.strong, "low", bound)
         right, high = _side_reach(piece, etas, family.strong, "high", bound)
@@ -699,9 +696,8 @@ def detect_relative(piece, family, n_max=None):
         lo, hi = _slope_at(left, shift), _slope_at(right, shift)
         # The frontier slopes in tau order, one record when they coincide.
         exc = tuple(ExceptionalSlope(s, Strength.NOT_STRONG, "frontier of the detected interval")
-                    for s in dict.fromkeys((lo, hi)))
-        return DetectionResult(SlopeArc.arc(lo, hi), exc, branch="horizontal-interval",
-                               low_certificate=low, high_certificate=high)
+                    for s in ((lo,) if lo == hi else (lo, hi)))
+        return DetectionResult(SlopeArc.arc(lo, hi), exc, "horizontal-interval", low, high)
 
     # v == 1: the detected set is a closed arc through the vertical slope.
     j0 = next(j for j, arc in enumerate(family.arcs) if arc.contains_vertical())
@@ -747,7 +743,7 @@ def detects(piece, family, slope, n_max=None):
     if (piece.base_orientable and not piece.is_solid_torus_piece
             and not piece.is_product_piece and not slope.is_vertical
             and len(family) == piece.boundary_count - 1 and v_count(family) == 0):
-        zetas, etas = _horizontal_ends(piece, family)
+        zetas, etas = _arc_ends(family)
         q = slope.q  # the normalized tau is (-p - b_eff q)/q
         if (_core_end(piece, zetas, family.strong, "low") * q <= -slope.p - piece.b_eff * q
                 <= _core_end(piece, etas, family.strong, "high") * q):

@@ -138,9 +138,9 @@ class SlopeArc:
             end = None
         if kind in (SlopeArc.EMPTY, SlopeArc.FULL):
             start = end = None
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        _SET_KIND(self, kind)
+        _SET_START(self, start)
+        _SET_END(self, end)
 
     def __setattr__(self, name, value):
         raise AttributeError("SlopeArc is immutable")
@@ -244,6 +244,10 @@ class SlopeArc:
         return f"SlopeArc.{self.kind}()"
 
 
+_SET_KIND, _SET_START, _SET_END = (SlopeArc.kind.__set__, SlopeArc.start.__set__,
+                                   SlopeArc.end.__set__)
+
+
 def arc_intersect(a, b):
     """Exact intersection of two closed arcs: a tuple of 0, 1 or 2 disjoint
     closed arcs, points included.
@@ -278,10 +282,10 @@ class GluingMatrix:
     def __init__(self, a, b, c, d):
         if a * d - b * c not in (1, -1):
             raise SlopeError("gluing matrix must have determinant +-1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_C(self, c)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GluingMatrix is immutable")
@@ -316,6 +320,8 @@ class GluingMatrix:
         return f"GluingMatrix({self.a}, {self.b}, {self.c}, {self.d})"
 
 
+_SET_A, _SET_B, _SET_C, _SET_D = (GluingMatrix.a.__set__, GluingMatrix.b.__set__,
+                                  GluingMatrix.c.__set__, GluingMatrix.d.__set__)
 IDENTITY = GluingMatrix(1, 0, 0, 1)
 
 

@@ -267,7 +267,8 @@ def test_records_are_read_only_values():
                 setattr(record, name, None)
     # The derived values a graph's kept evaluation depends on.
     piece = records[0]
-    for name in ("b_eff", "horizontal_sum", "cone_order_lcm"):
+    for name in ("b_eff", "horizontal_sum", "cone_order_lcm", "n", "is_n2",
+                 "is_solid_torus_piece", "is_product_piece", "is_cable_space"):
         before = getattr(piece, name)
         with pytest.raises(AttributeError):
             setattr(piece, name, 5)

@@ -501,7 +501,8 @@ def test_piece_accepts_exactly_the_documented_pieces():
     one boundary torus, no crosscaps over an orientable base and at least one
     over a non-orientable base, and every cone (a, beta) with a >= 2 and
     gcd(a, beta) = 1.  Checked on every small integer field value around the
-    limits, with no cone or one."""
+    limits, with no cone or one; an accepted piece's shape predicates are
+    checked against their definitions."""
     cone_choices = [()] + [((a, beta),) for a in range(-1, 7) for beta in range(-3, 8)]
     for orientable in (True, False):
         for crosscaps in range(-1, 3):
@@ -511,12 +512,18 @@ def test_piece_accepts_exactly_the_documented_pieces():
                              and (crosscaps == 0 if orientable else crosscaps >= 1)
                              and all(a >= 2 and math.gcd(a, beta) == 1 for a, beta in cones))
                     try:
-                        SeifertPiece(orientable, cones, 0, boundary, crosscaps)
+                        piece = SeifertPiece(orientable, cones, 0, boundary, crosscaps)
                     except PieceError:
-                        accepted = False
-                    else:
-                        accepted = True
-                    assert accepted == rules, (orientable, crosscaps, boundary, cones)
+                        assert not rules, (orientable, crosscaps, boundary, cones)
+                        continue
+                    assert rules, (orientable, crosscaps, boundary, cones)
+                    n = len(cones)
+                    assert (piece.n, piece.is_n2, piece.is_solid_torus_piece,
+                            piece.is_product_piece, piece.is_cable_space) == (
+                        n, not orientable and crosscaps == 1 and n == 0 and boundary == 1,
+                        orientable and boundary == 1 and n <= 1,
+                        orientable and boundary == 2 and n == 0,
+                        orientable and boundary == 2 and n == 1)
 
 def test_solid_torus_meridian():
     piece = _piece([(3, 2)], b=1, r=1)
@@ -608,6 +615,24 @@ def test_strong_constraints_must_avoid_vertical():
     with pytest.raises(FamilyError):
         ConstraintFamily((SlopeArc.point(slope_of_tau(1)),), frozenset({0}))
 
+
+
+@pytest.mark.parametrize("index, message", [
+    (0.5, "strong index 0.5 is not an integer"),
+    (1.0, "strong index 1.0 is not an integer"),
+    (True, "strong index True is not an integer"),
+    ("0", "strong index '0' is not an integer"),
+    (2, "strong index 2 out of range"),
+], ids=["half", "float-one", "bool", "string", "out-of-range"])
+def test_strong_index_must_be_an_arc_index(index, message):
+    # A float equal to an index, or True, would otherwise stand for it, and
+    # 0.5 would be ignored.
+    arcs = (SlopeArc.from_tau_interval(F(1, 3), F(1, 2)),
+            SlopeArc.from_tau_interval(F(1, 5), F(1, 4)))
+    with pytest.raises(FamilyError) as excinfo:
+        ConstraintFamily(arcs, {index})
+    assert str(excinfo.value) == message
+    assert ConstraintFamily(arcs, {1}).strong == {1}
 
 def test_family_size_checked():
     piece = _piece([(2, 1)], r=3)

@@ -519,10 +519,10 @@ def parse_manifold(data):
     edges = []
     for k, raw in enumerate(data["edges"]):
         if not (type(raw) is dict and raw.keys() == _EDGE_KEYS
-                and type(end := raw["from"]) is list and len(end) == 2
-                and type(end[0]) in (str, int) and type(end[1]) is int
-                and type(end := raw["to"]) is list and len(end) == 2
-                and type(end[0]) in (str, int) and type(end[1]) is int
+                and type(src := raw["from"]) is list and len(src) == 2
+                and type(src[0]) in (str, int) and type(src[1]) is int
+                and type(dst := raw["to"]) is list and len(dst) == 2
+                and type(dst[0]) in (str, int) and type(dst[1]) is int
                 and type(m := raw["matrix"]) is list and len(m) == 2
                 and all(type(row) is list and len(row) == 2 and type(row[0]) is int
                         and type(row[1]) is int for row in m)):

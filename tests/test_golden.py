@@ -1,10 +1,11 @@
-"""Byte-for-byte regression of the ``--format json`` reports.
+"""Byte-for-byte regression of the reports, in both formats.
 
 Every command that applies to a file's role is run on each ``samples/`` file
 and on the fixed trees in ``tests/golden/``; the output must equal the stored
 report in ``tests/golden/reports/STEM.COMMAND.json``, which was written by
-``tautfol COMMAND FILE --format json``.  A deliberate change to a report
-(a correctness fix) replaces the stored file in the same change.
+``tautfol COMMAND FILE --format json``, and in ``STEM.COMMAND.txt``, written
+by ``tautfol COMMAND FILE`` (the default text format).  A deliberate change
+to a report (a correctness fix) replaces the stored file in the same change.
 """
 
 import json
@@ -40,6 +41,15 @@ def test_golden_report(path, command, capsys):
     out = capsys.readouterr().out
     assert code == 0
     expected = (GOLDEN / "reports" / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
+    assert out == expected
+
+
+@pytest.mark.parametrize("path,command", list(_cases()))
+def test_golden_text_report(path, command, capsys):
+    code = main([command, str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = (GOLDEN / "reports" / f"{path.stem}.{command}.txt").read_text(encoding="utf-8")
     assert out == expected
 
 
@@ -94,13 +104,17 @@ def test_reports_never_call_the_dense_smith_normal_form(refuse_h1, capsys):
 
 def test_longitude_never_solves_h1(refuse_h1, capsys, tmp_path):
     """With every H_1 entry point made to raise, ``longitude`` reproduces the
-    stored report of a chain far deeper than the interpreter's recursion
-    limit, and the Betti errors, which the tree walk names, keep their exit
+    stored reports (both formats) of a chain far deeper than the
+    interpreter's recursion limit, and the Betti errors, which the tree walk names, keep their exit
     code and text, also on the 1,002-piece two-leaf chains."""
     chain = _write(tmp_path, "plumbing_chain_1000", dump_manifold(plumbing_chain(1000)))
     code = main(["longitude", str(chain), "--format", "json"])
     captured = capsys.readouterr()
     expected = (GOLDEN / "reports" / "plumbing_chain_1000.longitude.json").read_text(encoding="utf-8")
+    assert (code, captured.out, captured.err) == (0, expected, "")
+    code = main(["longitude", str(chain)])
+    captured = capsys.readouterr()
+    expected = (GOLDEN / "reports" / "plumbing_chain_1000.longitude.txt").read_text(encoding="utf-8")
     assert (code, captured.out, captured.err) == (0, expected, "")
     closed = plumbing_chain(1000, "closed", leaves=True)
     unknown = f"error: no edge 'e9999'; the edges are: {', '.join(e.ident for e in closed.edges)}\n"

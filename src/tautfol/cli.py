@@ -207,8 +207,6 @@ def _cmd_oracle_check(graph, args):
     ok = True
     if graph.role == "closed":
         _require_valid(graph)  # the split edge too, not only the two sides
-        if not graph.edges:
-            raise RoleError("oracle-check on a closed graph needs a JSJ torus")
         sides = split_at_edge(graph, graph.edges[0])
     else:
         sides = (graph,)

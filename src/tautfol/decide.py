@@ -52,7 +52,6 @@ from .seifert import (
 )
 from .slopes import (
     VERTICAL,
-    Slope,
     SlopeArc,
     act,
     act_arc,
@@ -122,10 +121,14 @@ def _reevaluated(graph, n_max):
 
 
 def _child(node, j, edge, transport):
-    moved = tuple(
-        ExceptionalSlope(act(transport, e.slope), e.status, e.reason)
-        for e in node.result.exceptions)
-    return _Child(j, edge, transport, node, act_arc(transport, node.result.detected), moved)
+    return _Child(j, edge, transport, node, act_arc(transport, node.result.detected),
+                  _moved(transport, node.result.exceptions))
+
+
+def _moved(transport, exceptions):
+    """The exceptional slopes carried through the GluingMatrix ``transport``."""
+    return tuple(ExceptionalSlope(act(transport, e.slope), e.status, e.reason)
+                 for e in exceptions)
 
 
 def _detect(piece, via, children, n_max):
@@ -134,11 +137,8 @@ def _detect(piece, via, children, n_max):
     if piece.is_product_piece:
         k = product_transport(piece)
         child = children[0]
-        return None, DetectionResult(
-            act_arc(k, child.arc),
-            tuple(ExceptionalSlope(act(k, e.slope), e.status, e.reason)
-                  for e in child.exceptions),
-            "product")
+        return None, DetectionResult(act_arc(k, child.arc), _moved(k, child.exceptions),
+                                     "product")
     family = ConstraintFamily(tuple(c.arc for c in children))
     rel = detect_relative(piece, family, n_max)
     detected = rel.detected
@@ -165,12 +165,9 @@ def _cable_exceptions(piece, children, detected):
     for exc in children[0].exceptions:
         if exc.slope.is_vertical:
             continue
-        s, total = exc.slope, piece.horizontal_sum  # total - tau(s) = num/den
-        num, den = total.numerator * s.q + s.p * total.denominator, total.denominator * s.q
-        if num % den:
-            continue
-        alpha = Slope(-(num // den), 1)
-        if detected.contains(alpha) and not _listed(alpha, out):
+        # The filling slope; integral (distance one from the fibre) when q = 1.
+        alpha = piece.horizontal_completion((exc.slope,))
+        if alpha.q == 1 and detected.contains(alpha) and not _listed(alpha, out):
             out.append(ExceptionalSlope(
                 alpha, Strength.INDETERMINATE,
                 "filling here makes the cable space a solid torus whose "
@@ -221,21 +218,20 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
     -beta_i phi(h) / a_i, and the section relation then ties the d_j by
     sum phi(d_j) = -(b_eff - sum gamma_i) phi(h).  With two boundary tori
     one horizontal child slope fixes phi up to scale: tau_t is tau_c on the
-    child torus itself and b_eff - sum gamma_i - tau_c on the other.  A
-    vertical child slope forces phi(h) = 0, and with one or three or more
-    boundary tori one slope does not fix phi.  phi is integral exactly when
-    phi(h) is a multiple of every a_i and of the denominator of tau_c (the
-    section relation then makes phi(d_t) integral), so the primitive phi has
-    phi(h) = M, their lcm, and the fibre meets the child torus
-    gcd(phi(h), phi(d_c)) = M / den(tau_c) times."""
+    child torus itself and b_eff - sum gamma_i - tau_c on the other (the
+    piece's horizontal_completion).  A vertical child slope forces phi(h) =
+    0, and with one or three or more boundary tori one slope does not fix
+    phi.  phi is integral exactly when phi(h) is a multiple of every a_i and
+    of the denominator of tau_c (the section relation then makes phi(d_t)
+    integral), so the primitive phi has phi(h) = M, their lcm, and the fibre
+    meets the child torus gcd(phi(h), phi(d_c)) = M / den(tau_c) times."""
     if (not piece.base_orientable or piece.boundary_count != 2
             or child_slope.is_vertical):
         return None
-    p, q = child_slope.p, child_slope.q  # tau_c = -p/q in lowest terms
     slope = child_slope
-    if target_bdry != child_bdry:  # tau_t = horizontal_sum + p/q
-        num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
-        slope = Slope(-(num * q + p * den), den * q)
+    if target_bdry != child_bdry:
+        slope = piece.horizontal_completion((child_slope,))
+    q = child_slope.q
     return slope, lcm(piece.cone_order_lcm, q) // q
 
 
@@ -417,15 +413,9 @@ def _is_fibred_tuple(piece, slopes):
     phi with phi(h) != 0 kills every boundary slope.  That needs h of
     infinite order, so a planar base, where phi(d_j) = -tau_j phi(h) must
     sum to -(b_eff - sum gamma_i) phi(h) (see _fibration_slope): the
-    horizontal-surface condition sum tau_j = b_eff - sum gamma_i."""
-    if not piece.base_orientable:
-        return False
-    # horizontal_sum minus sum tau_j = horizontal_sum + sum p_j/q_j, over a
-    # common denominator, as in graph.piece_longitude.
-    num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
-    for s in slopes:
-        num, den = num * s.q + s.p * den, den * s.q
-    return num == 0
+    horizontal-surface condition sum tau_j = b_eff - sum gamma_i, which holds
+    exactly when the first slope completes the others."""
+    return piece.base_orientable and slopes[0] == piece.horizontal_completion(slopes[1:])
 
 
 class CtfVerdict(namedtuple("CtfVerdict", "admits witness piece_tags note split_edge")):
@@ -447,10 +437,6 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     _require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
-    if not graph.edges:
-        raise RoleError(
-            "Seifert manifolds without JSJ tori are out of scope; fill a "
-            "one-piece solid torus and test membership with detect instead")
     if split_edge is None:
         edge = graph.edges[0]
     elif isinstance(split_edge, str):

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from .snf import Presentation, smith_normal_form
 from .seifert import PieceError, SeifertPiece
-from .slopes import VERTICAL, GluingMatrix, Slope, act
+from .slopes import VERTICAL, GluingMatrix, act
 
 SCHEMA_VERSION = 1
 
@@ -92,9 +92,6 @@ class PlumbingGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("PlumbingGraph is read-only")
-
-    def piece(self, ident):
-        return self.pieces[ident]
 
     def edge_at(self, piece_id, bdry):
         return self._by_boundary.get((piece_id, bdry))
@@ -264,14 +261,20 @@ def post_order(graph):
     id, transport), the transport taking the child's root frame to this
     piece's frame.  The walk keeps its own stack, so the depth of the tree
     is not limited by the interpreter's recursion limit; it raises RoleError
-    on a graph that is not a tree, which it may be handed unvalidated."""
+    on a graph that is not a tree, or whose edge names an unknown piece,
+    which it may be handed unvalidated."""
     # Pre-order taking the children last-first; reversed, it is the post-order.
     order = []
     stack = [graph.root()]
     while stack:
         pid, via = stack.pop()
+        try:
+            count = graph.pieces[pid].boundary_count
+        except KeyError:  # only an edge leads to a piece that is not the root
+            raise RoleError(f"edge {graph.edge_at(pid, via).ident} references "
+                            f"unknown piece {pid!r}") from None
         children = []
-        for j in range(graph.pieces[pid].boundary_count):
+        for j in range(count):
             if j == via:
                 continue
             edge = graph.edge_at(pid, j)
@@ -305,8 +308,9 @@ def piece_longitude(piece, children):
     d_j span H_1(piece; Q) under one relation; a horizontal lambda_c sets
     d_c = -tau(lambda_c) h and a vertical one kills h, so with V vertical
     lambda_c the quotient has dimension max(1, V), and the class on the
-    parent torus that dies in it is the fibre when V >= 1 and the
-    horizontal slope below otherwise.  Over a base with c crosscaps h is
+    parent torus that dies in it is the fibre when V >= 1, and otherwise
+    the slope completing a horizontal surface with the lambda_c
+    (SeifertPiece.horizontal_completion).  Over a base with c crosscaps h is
     torsion, so a vertical lambda_c is dependent and the others kill their
     d_c: the dimension is c + V and the fibre dies.  So b1 = 1 exactly when
     every child has b1 = 1 and at most one lambda_c is vertical over a
@@ -315,7 +319,7 @@ def piece_longitude(piece, children):
     lams, vertical, excess = [], [], 0
     for transport, child in children:
         lam = act(transport, child.slope)
-        lams.append((lam, child.order))
+        lams.append(lam)
         if lam.is_vertical:
             vertical.append(child.order)
         excess += child.betti - 1
@@ -325,17 +329,14 @@ def piece_longitude(piece, children):
     if vertical:
         betti = len(vertical) + excess
         return SubtreeLongitude(betti, VERTICAL, vertical[0] if betti == 1 else None)
-    num, den = piece.horizontal_sum.numerator, piece.horizontal_sum.denominator
-    for lam, _ in lams:  # minus tau(lambda) = p/q, over a common denominator
-        num, den = num * lam.q + lam.p * den, den * lam.q
-    slope = Slope(-num, den)
+    slope = piece.horizontal_completion(lams)
     if excess:
         return SubtreeLongitude(1 + excess, slope, None)
     q, order = slope.q, 1
     for a, _ in piece.cones:
         order = lcm(order, a // gcd(a, q))
-    for lam, o in lams:
-        m = o * lam.q
+    for lam, (_, child) in zip(lams, children):
+        m = child.order * lam.q
         order = lcm(order, m // gcd(m, q))
     return SubtreeLongitude(1, slope, order)
 

@@ -24,6 +24,10 @@ configurable bound on N; absence below the bound is reported as absence.
 Every tau endpoint is read off its arc's end slope (p, q) as the integer pair
 (-p, q); Fraction appears only at the public API (Slope.tau, gammas,
 horizontal_sum, jn_refine_low/high).
+
+A horizontal surface in a piece meets its boundary tori in slopes whose taus
+sum to b_eff - sum(gamma_i); SeifertPiece.horizontal_completion is the one
+home of that rule.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .slopes import (
     _primitive,
     _simplest_in,
     simplest_slope,
-    slope_of_tau,
 )
 
 
@@ -144,6 +147,17 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
 
     def __delattr__(self, name):
         raise AttributeError("SeifertPiece is immutable")
+
+    def horizontal_completion(self, slopes):
+        """The slope on the remaining boundary torus that completes a
+        horizontal surface with the horizontal ``slopes`` on the others:
+        tau = b_eff - sum(gamma_i) - sum(tau_j), folded over integers as
+        horizontal_sum plus each p_j/q_j over a common denominator."""
+        total = self.horizontal_sum
+        num, den = total.numerator, total.denominator
+        for s in slopes:
+            num, den = num * s.q + s.p * den, den * s.q
+        return Slope(-num, den)
 
     @property
     def gammas(self):
@@ -544,9 +558,9 @@ class ExceptionalSlope(namedtuple("ExceptionalSlope", "slope status reason")):
     __slots__ = ()
 
 
-def _status_sort_key(exc):
-    s = exc.slope
-    return (s.q == 0, s.tau if s.q else 0, s.p)
+# The one exception of every full detected circle.
+_VERTICAL_IN_FULL = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
+                                      "vertical slope in a full circle"),)
 
 
 class DetectionResult(namedtuple("DetectionResult", "detected exceptions branch "
@@ -596,7 +610,7 @@ def merge_exceptions(entries):
         by_slope[key] = ExceptionalSlope(key, status, reason)
     out = [by_slope[k] for k in order]
     if len(out) > 1:
-        out.sort(key=_status_sort_key)
+        out.sort(key=lambda e: e.slope)  # increasing tau, vertical last
     return tuple(out)
 
 
@@ -620,7 +634,7 @@ def solid_torus_meridian(piece):
     """Meridional slope of a fibred solid torus piece, in its boundary frame."""
     if not piece.is_solid_torus_piece:
         raise PieceError("piece is not a solid torus")
-    return slope_of_tau(piece.horizontal_sum)
+    return piece.horizontal_completion(())
 
 
 def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
@@ -668,9 +682,7 @@ def detect_relative(piece, family, n_max=None):
                                     "vertical point over a non-orientable base"),)
             return DetectionResult(SlopeArc.point(VERTICAL), exc,
                                    branch="nonorientable-point")
-        exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
-                                "vertical slope in a full circle"),)
-        return DetectionResult(SlopeArc.full(), exc, branch="nonorientable-full")
+        return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="nonorientable-full")
 
     if piece.is_solid_torus_piece:
         return DetectionResult(SlopeArc.point(solid_torus_meridian(piece)),
@@ -682,9 +694,7 @@ def detect_relative(piece, family, n_max=None):
 
     # General orientable case: n + r >= 3 from here on.
     if v >= 2:
-        exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
-                                "vertical slope in a full circle"),)
-        return DetectionResult(SlopeArc.full(), exc, branch="full")
+        return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="full")
 
     if v == 0:
         zetas, etas = _arc_ends(family)
@@ -704,9 +714,7 @@ def detect_relative(piece, family, n_max=None):
     if j0 in family.strong:
         raise FamilyError("strong constraints may not contain the vertical slope")
     if family.arcs[j0].is_full:
-        exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
-                                "vertical slope in a full circle"),)
-        return DetectionResult(SlopeArc.full(), exc, branch="vertical-full")
+        return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="vertical-full")
     # The rays (-oo, a] and [b, +oo) of the arc through the vertical slope:
     # a is its horizontal end, b its horizontal start.
     a, b = family.arcs[j0].end, family.arcs[j0].start
@@ -717,9 +725,7 @@ def detect_relative(piece, family, n_max=None):
                                 "vertical point detected through a vertical constraint"),)
         return DetectionResult(SlopeArc.point(VERTICAL), exc, branch="vertical-arc")
     if left is not None and right is not None and left[0] * right[1] <= right[0] * left[1]:
-        exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
-                                "vertical slope in a full circle"),)
-        return DetectionResult(SlopeArc.full(), exc, branch="vertical-full")
+        return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="vertical-full")
     entries = [ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical slope inside the detected arc")]
     detected = SlopeArc.arc(VERTICAL if left is None else _slope_at(left, shift),

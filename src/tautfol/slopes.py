@@ -108,6 +108,9 @@ def _before(a, b):
     return a.q != 0 and b.p * a.q < a.p * b.q
 
 
+Slope.__lt__ = _before  # so slopes sort in that order
+
+
 def _cyclically_between(a, x, b):
     """True when x lies strictly inside the arc from a to b (positive
     orientation); False when two of the three points coincide."""

@@ -10,6 +10,7 @@ from tautfol import (
     GluingMatrix,
     ManifoldFormatError,
     PlumbingGraph,
+    RoleError,
     SeifertPiece,
     Slope,
     VERTICAL,
@@ -58,6 +59,35 @@ def test_validate_cycle():
     g = PlumbingGraph([a, b], [Edge("A", 0, "B", 0, m, "e0"),
                                Edge("A", 1, "B", 1, m, "e1")], "closed")
     assert any("not a tree" in d for d in validate(g))
+
+
+def test_an_unknown_piece_is_a_role_error():
+    """An unvalidated tree whose edge leads to a piece that does not exist:
+    the walk names the edge and the piece, as validate does."""
+    a = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=2,
+                     ident="A")
+    g = PlumbingGraph([a], [Edge("A", 1, "Z", 0, GluingMatrix(0, 1, 1, 0), "e0")],
+                      "solid-torus")
+    message = "edge e0 references unknown piece 'Z'"
+    with pytest.raises(RoleError, match=f"^{message}$"):
+        rational_longitude(g)
+    with pytest.raises(RoleError, match=f"^{message}; "):
+        detect_tree(g)
+
+
+def test_an_unreachable_cycle_is_not_a_tree():
+    """A root piece plus two pieces glued to each other twice: one dangling
+    torus, but the walk from the root reaches one piece of three."""
+    a = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=1,
+                     ident="A")
+    b, c = (SeifertPiece(base_orientable=True, cones=((2, 1),), b=0, boundary_count=2,
+                         ident=i) for i in "BC")
+    m = GluingMatrix(0, 1, 1, 0)
+    g = PlumbingGraph([a, b, c], [Edge("B", 0, "C", 0, m, "e0"),
+                                  Edge("B", 1, "C", 1, m, "e1")], "solid-torus")
+    assert g.root() == ("A", 0)
+    with pytest.raises(RoleError, match="^underlying graph is not a tree$"):
+        rational_longitude(g)
 
 
 def test_validate_orientation():

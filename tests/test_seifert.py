@@ -536,6 +536,22 @@ def test_solid_torus_meridian():
         SlopeArc.point(slope_of_tau(0))
 
 
+def test_horizontal_completion_sums_the_taus_to_b_eff_minus_the_gammas(rng):
+    """The completed tau and the given ones sum to b_eff - sum(gamma_i),
+    read off the raw cones; with no slopes it is the solid torus meridian."""
+    for _ in range(300):
+        cones = [(a, rng.choice([x for x in range(-2 * a, 2 * a) if math.gcd(a, x) == 1]))
+                 for a in (rng.randint(2, 7) for _ in range(rng.randint(0, 3)))]
+        piece = _piece(cones, b=rng.randint(-3, 3), r=rng.randint(1, 4))
+        target = piece.b - sum(Fraction(beta, a) for a, beta in cones)
+        others = [slope_of_tau(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                  for _ in range(piece.boundary_count - 1)]
+        completion = piece.horizontal_completion(others)
+        assert completion.tau + sum(s.tau for s in others) == target
+    meridian = _piece([(3, 2)], b=1).horizontal_completion(())
+    assert meridian == slope_of_tau(Fraction(1, 3))
+
+
 def test_product_piece_transport():
     piece = _piece([], b=0, r=2)
     arc = SlopeArc.from_tau_interval(F(1, 3), F(5, 2))

@@ -54,6 +54,14 @@ def test_tau_round_trip():
         assert slope_of_tau(s.tau) == s
 
 
+def test_slopes_sort_by_tau_with_the_vertical_slope_last():
+    slopes = [Slope(p, q) for q in range(6) for p in range(-9, 10) if gcd(p, q) == 1
+              and (q or p == 1)]
+    ordered = sorted(slopes, key=lambda s: (s.q == 0, s.tau if s.q else 0, s.p))
+    assert sorted(reversed(slopes)) == sorted(slopes) == ordered
+    assert ordered[-1] == VERTICAL and not VERTICAL < VERTICAL
+
+
 def test_slope_strings():
     assert str(Slope(-3, 2)) == "-3/2"
     assert slope_from_string("-3/2") == Slope(-3, 2)

@@ -81,11 +81,12 @@ class _Node(namedtuple("_Node", "piece children family result longitude")):
     __slots__ = ()
 
 
-class _Child(namedtuple("_Child", "bdry edge transport node arc exceptions")):
+class _Child(namedtuple("_Child", "bdry edge transport node arc")):
     """One child subtree seen from its parent: the boundary index on the
     parent piece, the edge, the GluingMatrix taking the child root frame to
-    the parent frame, the child's own _Node, and its detected arc and
-    exceptional slopes transported by it."""
+    the parent frame, the child's own _Node, and its detected arc
+    transported by it.  The child's exceptions stay in its own frame, in
+    ``node.result``, for the few branches that read them."""
 
     __slots__ = ()
 
@@ -96,8 +97,9 @@ def _evaluate(graph, n_max):
     nodes = {}
     for pid, via, links in post_order(graph):
         piece = graph.pieces[pid]
-        children = tuple(_child(nodes[cid], j, edge, transport)
-                         for j, edge, cid, transport in links)
+        children = tuple(
+            _Child(j, edge, transport, nodes[cid], act_arc(transport, nodes[cid].result.detected))
+            for j, edge, cid, transport in links)
         nodes[pid] = _Node(
             piece, children, *_detect(piece, via, children, n_max),
             piece_longitude(piece, [(c.transport, c.node.longitude) for c in children]))
@@ -106,23 +108,14 @@ def _evaluate(graph, n_max):
 
 def _evaluated(graph, n_max):
     """The nodes of a valid graph, read from the graph when an evaluation at
-    this bound is kept there, else evaluated and kept."""
-    nodes = graph.evaluations.get(n_max)
-    return _reevaluated(graph, n_max) if nodes is None else nodes
-
-
-def _reevaluated(graph, n_max):
-    """Evaluate the graph afresh and keep the nodes on it; the graph is
+    this bound is kept there, else evaluated and kept; the graph is
     validated on its first evaluation only, since it cannot change."""
-    if not graph.evaluations:
-        _require_valid(graph)
-    nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
+    nodes = graph.evaluations.get(n_max)
+    if nodes is None:
+        if not graph.evaluations:
+            _require_valid(graph)
+        nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
     return nodes
-
-
-def _child(node, j, edge, transport):
-    return _Child(j, edge, transport, node, act_arc(transport, node.result.detected),
-                  _moved(transport, node.result.exceptions))
 
 
 def _moved(transport, exceptions):
@@ -137,8 +130,9 @@ def _detect(piece, via, children, n_max):
     if piece.is_product_piece:
         k = product_transport(piece)
         child = children[0]
-        return None, DetectionResult(act_arc(k, child.arc), _moved(k, child.exceptions),
-                                     "product")
+        return None, DetectionResult(
+            act_arc(k, child.arc),
+            _moved(k.compose(child.transport), child.node.result.exceptions), "product")
     family = ConstraintFamily(tuple(c.arc for c in children))
     rel = detect_relative(piece, family, n_max)
     detected = rel.detected
@@ -159,15 +153,19 @@ def _detect(piece, via, children, n_max):
 def _cable_exceptions(piece, children, detected):
     """Slopes whose distance-one filling of a cable space is a solid torus
     with meridian not strongly detected in the child: status unknown."""
-    if not piece.is_cable_space or not children:
+    if not piece.is_cable_space:
         return []
+    # Two boundary tori, one towards the parent: exactly one child.
+    child = children[0]
     out = []
-    for exc in children[0].exceptions:
-        if exc.slope.is_vertical:
+    for exc in child.node.result.exceptions:
+        slope = act(child.transport, exc.slope)
+        if slope.is_vertical:
             continue
         # The filling slope; integral (distance one from the fibre) when q = 1.
-        alpha = piece.horizontal_completion((exc.slope,))
-        if alpha.q == 1 and detected.contains(alpha) and not _listed(alpha, out):
+        alpha = piece.horizontal_completion((slope,))
+        if (alpha.q == 1 and detected.contains(alpha)
+                and all(e.slope != alpha for e in out)):
             out.append(ExceptionalSlope(
                 alpha, Strength.INDETERMINATE,
                 "filling here makes the cable space a solid torus whose "
@@ -181,22 +179,15 @@ def _degenerate_fibration_exceptions(piece, via, children, detected):
     completing the fibration has unknown strong status."""
     if piece.boundary_count != 2 or not piece.base_orientable or piece.n == 0:
         return []
-    if len(children) != 1:
-        return []
+    # Two boundary tori, one towards the parent: exactly one child.
     child = children[0]
     if not child.arc.is_point or child.arc.start.is_vertical:
         return []
-    c = child.arc.start
-    status = Strength.STRONG
-    for exc in child.exceptions:
-        if exc.slope == c:
-            status = exc.status
-    if status == Strength.STRONG:
+    # A point's status does not depend on the frame it is read in.
+    own = child.node.result
+    if own.strong_status(own.detected.start) == Strength.STRONG:
         return []
-    fib = _fibration_slope(piece, via, child.bdry, c)
-    if fib is None:
-        return []
-    alpha, child_div = fib
+    alpha, child_div = _fibration_slope(piece, via, child.bdry, child.arc.start)
     if child_div != 1 or not detected.contains(alpha):
         return []
     return [ExceptionalSlope(
@@ -235,17 +226,12 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
     return slope, lcm(piece.cone_order_lcm, q) // q
 
 
-def _listed(slope, entries):
-    return any(e.slope == slope for e in entries)
-
-
 def detect_tree(graph, n_max=None):
-    """DetectionResult on the dangling torus of a solid-torus-role graph.
-
-    Each call evaluates the tree, so timing or tracing it always measures
-    the kernel's work; the evaluation is kept on the graph, where
-    extract_witness, iter_piece_evaluations and check_degenerate read it."""
-    return _reevaluated(graph, n_max)[-1].result
+    """DetectionResult on the dangling torus of a solid-torus-role graph,
+    read from the tree evaluation kept on the graph (evaluated and kept on
+    the first question at this bound), which extract_witness,
+    iter_piece_evaluations and check_degenerate share."""
+    return _evaluated(graph, n_max)[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):
@@ -378,11 +364,12 @@ def _extract(root, target, n_max):
                     f"(branch {node.result.branch}): the constraint tuple "
                     f"({', '.join(map(str, picks))}) does not detect {slope}")
         for c, s in reversed(list(zip(node.children, picks))):
-            child_slope = act(c.transport.inverse(), s)
             # An edge's slope is recorded in its from-side frame.
-            parent_is_from = (c.edge.from_piece, c.edge.from_bdry) == (piece.ident, c.bdry)
-            stack.append((c.node, c.edge.ident, s if parent_is_from else child_slope,
-                          child_slope))
+            if (c.edge.from_piece, c.edge.from_bdry) == (piece.ident, c.bdry):
+                stack.append((c.node, c.edge.ident, s, act(c.edge.matrix, s)))
+            else:
+                child_slope = act(c.edge.matrix.inverse(), s)
+                stack.append((c.node, c.edge.ident, child_slope, child_slope))
     return assignment
 
 
@@ -437,21 +424,15 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     _require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
-    if split_edge is None:
-        edge = graph.edges[0]
-    elif isinstance(split_edge, str):
-        try:
-            edge = graph.edge_by_ident(split_edge)
-        except KeyError:
-            # The Betti error comes first, read off the longitudes alone.
-            first = graph.edges[0]
-            _require_rational_sphere(
-                first, *map(subtree_longitude, split_at_edge(graph, first)))
-            raise RoleError(
-                f"no edge {split_edge!r}; the edges are: "
-                f"{', '.join(e.ident for e in graph.edges)}") from None
-    else:
-        edge = split_edge
+    # An edge ident, or an Edge equal to the graph's own edge.
+    edge = graph.edges[0] if split_edge is None else next(
+        (e for e in graph.edges if split_edge in (e.ident, e)), None)
+    if edge is None:
+        # The Betti error comes first, read off the longitudes alone.
+        first = graph.edges[0]
+        _require_rational_sphere(first, *map(subtree_longitude, split_at_edge(graph, first)))
+        raise RoleError(f"no edge {split_edge!r}; the edges are: "
+                        f"{', '.join(e.ident for e in graph.edges)}")
     # The sides of a valid closed tree are valid solid trees: each is
     # evaluated once, for detection and for extraction alike.
     u_side, v_side = split_at_edge(graph, edge)
@@ -465,12 +446,8 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     w = simplest_slope(meet)
     assign_u = _extract(u_root, w, n_max)
     assign_v = _extract(v_root, act(edge.matrix, w), n_max)
-    witness = {edge.ident: w}
-    for src in (assign_u, assign_v):
-        for key, slope in src.items():
-            if key == ROOT_KEY:
-                continue
-            witness[key] = slope
+    witness = {edge.ident: w, **assign_u, **assign_v}
+    del witness[ROOT_KEY]
     tags = _tag_pieces(graph, witness)
     return CtfVerdict(True, witness, tags, NOTE_ADMITS, edge.ident)
 
@@ -480,7 +457,7 @@ def _require_rational_sphere(edge, u, v):
     the SubtreeLongitudes of the two sides of a split at ``edge``, U on its
     from-side.  By Mayer-Vietoris each side adds b1 - 1, and the split torus
     one more when the two longitudes are the same slope on it."""
-    betti = u.betti + v.betti - 2 + (u.slope == act(edge.matrix.inverse(), v.slope))
+    betti = u.betti + v.betti - 2 + (act(edge.matrix, u.slope) == v.slope)
     if betti != 0:
         raise RoleError(f"not a rational homology sphere (betti = {betti})")
 

@@ -67,9 +67,10 @@ class PlumbingGraph:
 
     A graph is read-only once built (``pieces`` is a read-only mapping), so
     ``evaluations``, which maps n_max to the validated tree evaluation of
-    ``decide``, cannot go stale: each graph is validated once, the questions
-    asked after ``detect_tree`` read its evaluation instead of walking the
-    tree again, and the records live as long as the graph does.
+    ``decide``, cannot go stale: each graph is validated once, the first
+    question at a bound evaluates the tree and every later one reads that
+    evaluation instead of walking the tree again, and the records live as
+    long as the graph does.
     """
 
     __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations")
@@ -95,12 +96,6 @@ class PlumbingGraph:
 
     def edge_at(self, piece_id, bdry):
         return self._by_boundary.get((piece_id, bdry))
-
-    def edge_by_ident(self, ident):
-        for e in self.edges:
-            if e.ident == ident:
-                return e
-        raise KeyError(f"no edge {ident!r}")
 
     def dangling_count(self):
         """How many boundary tori no edge uses: the declared boundary counts
@@ -279,8 +274,9 @@ def post_order(graph):
                 continue
             edge = graph.edge_at(pid, j)
             if edge is None:
-                raise RoleError(
-                    f"piece {pid} boundary {j} is dangling inside the tree")
+                # The only dangling torus is the root's: the walk came back
+                # to the root piece.
+                raise RoleError("underlying graph is not a tree")
             cid, cbd = edge.other_side(pid, j)
             transport = (edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd)
                          else edge.matrix.inverse())

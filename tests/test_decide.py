@@ -169,6 +169,11 @@ def test_tree_requires_valid_graph():
         detect_tree(bad)
 
 
+def test_check_degenerate_needs_betti_one():
+    with pytest.raises(RoleError, match="^rational longitude needs betti = 1, got 2$"):
+        check_degenerate(plumbing_chain(4, leaves=True))
+
+
 def test_walk_rejects_a_cycle():
     # Validation rejects the cycle before any walk starts; the longitude's
     # walk, which runs unvalidated, stops once it has visited more pieces
@@ -215,10 +220,9 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     iter_piece_evaluations(g)
     check_degenerate(g)
     assert calls == []
-    # detect_tree itself evaluates the tree on every call.
+    # detect_tree reads the kept evaluation too; another bound evaluates anew.
     assert detect_tree(g) == res
-    assert len(calls) == 24
-    calls.clear()
+    assert calls == []
     iter_piece_evaluations(g, n_max=5)
     check_degenerate(g, n_max=5)
     assert len(calls) == 24
@@ -513,6 +517,22 @@ def test_ctf_unknown_split_edge_names_the_edges():
     g = closed_two(GluingMatrix(1, 1, 0, -1))
     with pytest.raises(RoleError, match="no edge 'e9'; the edges are: e0"):
         decide_ctf(g, split_edge="e9")
+
+
+def test_ctf_refuses_a_foreign_edge():
+    """An Edge is taken only when it equals the graph's edge of that ident:
+    another graph's e0 carries another gluing matrix."""
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    g = load_manifold(samples / "closed_admits.json")
+    foreign = load_manifold(samples / "closed_refuses.json").edges[0]
+    assert foreign.ident == "e0" and foreign != g.edges[0]
+    assert decide_ctf(g, split_edge=g.edges[0]).admits
+    assert decide_ctf(g, split_edge=load_manifold(samples / "closed_admits.json").edges[0]).admits
+    with pytest.raises(RoleError, match=r"^no edge Edge\(.*\); the edges are: e0$"):
+        decide_ctf(g, split_edge=foreign)
+    # The Betti error comes first, as for an unknown ident.
+    with pytest.raises(RoleError, match="betti = 1"):
+        decide_ctf(plumbing_chain(3, "closed", leaves=True), split_edge=foreign)
 
 
 def test_ctf_splitting_invariance(rng):

@@ -90,6 +90,21 @@ def test_an_unreachable_cycle_is_not_a_tree():
         rational_longitude(g)
 
 
+def test_a_walk_back_to_the_root_piece_is_not_a_tree():
+    """Two edges between the root piece and one other: the only dangling
+    torus is the root's, so a missing edge met on the walk means the walk
+    came back to the root piece."""
+    a = SeifertPiece(base_orientable=True, cones=((2, 1),), b=0, boundary_count=3, ident="A")
+    b = SeifertPiece(base_orientable=True, cones=((3, 1),), b=0, boundary_count=2, ident="B")
+    m = GluingMatrix(0, 1, 1, 0)
+    g = PlumbingGraph([a, b], [Edge("A", 1, "B", 0, m, "e0"), Edge("A", 2, "B", 1, m, "e1")],
+                      "solid-torus")
+    assert g.root() == ("A", 0)
+    assert "error: underlying graph is not a tree" in validate(g)
+    with pytest.raises(RoleError, match="^underlying graph is not a tree$"):
+        rational_longitude(g)
+
+
 def test_validate_orientation():
     g = two_piece_closed([[1, 0], [0, 1]])
     assert any("orientation-incompatible" in d for d in validate(g))
@@ -361,6 +376,20 @@ READER_ERRORS = [
 
 def test_reader_base_parses():
     assert dump_manifold(parse_manifold(READER_BASE)) == READER_BASE
+
+
+def test_reader_accepts_int_subclasses():
+    """An int subclass fails the one-expression shape test (``type(x) is
+    int``) and is accepted by the field-by-field checks."""
+    class Integer(int):
+        pass
+
+    data = json.loads(json.dumps(READER_BASE))
+    data["pieces"][1]["b"] = Integer(-1)
+    data["edges"][1]["matrix"][0][1] = Integer(-3)
+    dumped = dump_manifold(parse_manifold(data))
+    assert dumped == READER_BASE
+    assert json.dumps(dumped) == json.dumps(READER_BASE)
 
 
 @pytest.mark.parametrize("mutate,message", READER_ERRORS,

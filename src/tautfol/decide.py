@@ -106,11 +106,12 @@ def _evaluate(graph, n_max):
     return tuple(nodes.values())
 
 
-def _evaluated(graph, n_max):
+def _evaluated(graph, n_max, fresh=False):
     """The nodes of a valid graph, read from the graph when an evaluation at
-    this bound is kept there, else evaluated and kept; the graph is
-    validated on its first evaluation only, since it cannot change."""
-    nodes = graph.evaluations.get(n_max)
+    this bound is kept there and ``fresh`` is false, else evaluated and
+    kept; the graph is validated on its first evaluation only, since it
+    cannot change."""
+    nodes = None if fresh else graph.evaluations.get(n_max)
     if nodes is None:
         if not graph.evaluations:
             _require_valid(graph)
@@ -227,11 +228,12 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
 
 
 def detect_tree(graph, n_max=None):
-    """DetectionResult on the dangling torus of a solid-torus-role graph,
-    read from the tree evaluation kept on the graph (evaluated and kept on
-    the first question at this bound), which extract_witness,
-    iter_piece_evaluations and check_degenerate share."""
-    return _evaluated(graph, n_max)[-1].result
+    """DetectionResult on the dangling torus of a solid-torus-role graph.
+
+    Each call evaluates the tree, so timing or tracing it always measures
+    the kernel's work; the evaluation is kept on the graph, where
+    extract_witness, iter_piece_evaluations and check_degenerate read it."""
+    return _evaluated(graph, n_max, fresh=True)[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):

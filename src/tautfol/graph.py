@@ -67,10 +67,9 @@ class PlumbingGraph:
 
     A graph is read-only once built (``pieces`` is a read-only mapping), so
     ``evaluations``, which maps n_max to the validated tree evaluation of
-    ``decide``, cannot go stale: each graph is validated once, the first
-    question at a bound evaluates the tree and every later one reads that
-    evaluation instead of walking the tree again, and the records live as
-    long as the graph does.
+    ``decide``, cannot go stale: each graph is validated once, the questions
+    asked after ``detect_tree`` read its evaluation instead of walking the
+    tree again, and the records live as long as the graph does.
     """
 
     __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations")

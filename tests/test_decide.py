@@ -220,9 +220,10 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     iter_piece_evaluations(g)
     check_degenerate(g)
     assert calls == []
-    # detect_tree reads the kept evaluation too; another bound evaluates anew.
+    # detect_tree itself evaluates the tree on every call.
     assert detect_tree(g) == res
-    assert calls == []
+    assert len(calls) == 24
+    calls.clear()
     iter_piece_evaluations(g, n_max=5)
     check_degenerate(g, n_max=5)
     assert len(calls) == 24

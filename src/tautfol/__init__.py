@@ -26,14 +26,12 @@ from .seifert import (
     PieceError,
     SeifertPiece,
     Strength,
-    TauStats,
     core_interval,
     detect_relative,
     detects,
     jn_refine_high,
     jn_refine_low,
     realize,
-    tau_stats,
     v_count,
 )
 from .graph import (
@@ -59,7 +57,7 @@ from .decide import (
     extract_witness,
     revalidate_witness,
 )
-from .oracle import grid_union, jn_exhaustive, jn_exhaustive_extremal
+from .oracle import grid_union, jn_exhaustive_extremal
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

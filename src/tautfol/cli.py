@@ -287,6 +287,12 @@ def main(argv=None):
     except ManifoldFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    # A report prints every integer in full, so the interpreter's limit on
+    # int-to-str conversion (Python 3.10.7 on; 0 is none) guards only the
+    # reader above and is lifted while the command runs.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code = _HANDLERS[args.command](graph, args)
         sys.stdout.flush()  # a reader that has gone is met here, not at exit
@@ -303,6 +309,9 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

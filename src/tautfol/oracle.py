@@ -5,7 +5,8 @@ over a finite rational grid and minimizing/maximizing the interval ends
 straight from their definitions; it must agree exactly with the closed-form
 core_interval (the extrema sit at interval endpoints and just inside integer
 coordinates, so endpoints, integer points and integer +- 1/d offsets are
-always sampled).
+always sampled).  Each tuple's ends come from _tuple_ends, written here
+from the definition, so the check shares no code with the kernel's core.
 
 Each certificate condition becomes an integer threshold built from its
 definition, sharing no search logic with the optimized scan in the kernel.
@@ -13,10 +14,6 @@ A condition only gets easier as the value grows, so each N has one least
 passing value per slot, and _allowed_pairs turns those into the placements
 that can pass at N: none when more than two slots fail on 1, else each
 allowed (pos_a, pos_b) with the one range of A on which it passes.
-
-_certificates yields every passing (N, A, placement) triple in
-lexicographic order, visiting only the A in those ranges; jn_exhaustive
-takes the first one whose target value proves a proposed refined endpoint.
 jn_exhaustive_extremal needs only the largest target value C/N, so it
 builds no certificate: it visits every N up to the bound and reads each
 allowed pair's best C straight from its range, one step per N and pair.
@@ -28,13 +25,7 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .seifert import (
-    FamilyError,
-    JNCertificate,
-    core_interval,
-    tau_stats,
-    v_count,
-)
+from .seifert import FamilyError, core_interval, v_count
 
 
 def _samples(eta, zeta, d):
@@ -61,6 +52,18 @@ def _intervals(family):
     return out
 
 
+def _tuple_ends(taus, strong, n_cones):
+    """(m0, m1) of one finite tau tuple on the r - 1 constraint tori, from
+    the definition: with b0 = -(floor(tau_1) + ... + floor(tau_{r-1})), i0
+    the integral strong coordinates and s0 the integral free ones,
+    m0 = b0 + i0 - (n + r - 1) and m1 = b0 + s0 - 1."""
+    r = len(taus) + 1
+    b0 = -sum(floor(t) for t in taus)
+    i0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j in strong)
+    s0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j not in strong)
+    return b0 + i0 - (n_cones + r - 1), b0 + s0 - 1
+
+
 def grid_union(piece, family, denominator=None):
     """(min m0, max m1) over all sampled tuples with no integral strong
     coordinate; the brute-force counterpart of core_interval.
@@ -69,7 +72,7 @@ def grid_union(piece, family, denominator=None):
     default the largest endpoint denominator.  d is clamped to >= 2: a
     denominator-1 grid holds no non-integral point, so it cannot sample the
     stratum where strong coordinates must avoid the integers.  Every d from
-    2 up gives the same answer: tau_stats reads only the floor and the
+    2 up gives the same answer: _tuple_ends reads only the floor and the
     integrality of each coordinate, and the endpoints, integers and offsets
     meet each such class of an interval."""
     if v_count(family) != 0:
@@ -81,14 +84,13 @@ def grid_union(piece, family, denominator=None):
     lo = None
     hi = None
     for taus in itertools.product(*grids) if grids else [()]:
-        if any(Fraction(t).denominator == 1 and j in family.strong
-               for j, t in enumerate(taus)):
+        if any(t.denominator == 1 and j in family.strong for j, t in enumerate(taus)):
             continue
-        stats = tau_stats(taus, family.strong, piece.n)
-        if lo is None or stats.m0 < lo:
-            lo = stats.m0
-        if hi is None or stats.m1 > hi:
-            hi = stats.m1
+        m0, m1 = _tuple_ends(taus, family.strong, piece.n)
+        if lo is None or m0 < lo:
+            lo = m0
+        if hi is None or m1 > hi:
+            hi = m1
     if lo is None:
         raise FamilyError("no admissible grid tuple; strong point constraints?")
     return lo, hi
@@ -97,13 +99,10 @@ def grid_union(piece, family, denominator=None):
 def _thresholds(piece, family, side):
     """The cone and boundary conditions on ``side`` as integer thresholds
     (p, q, strict), the cones first, a value v at N passing by v*q > N*p (or
-    >= where not strict); with the boundary slots' constraint indices and
-    the excluded ones."""
+    >= where not strict).  A boundary slot is a constraint whose endpoint
+    on ``side`` is not an integral strong one."""
     intervals = _intervals(family)
     endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
-    excluded = tuple(j for j, e in enumerate(endpoints)
-                     if j in family.strong and Fraction(e).denominator == 1)
-    bdry = [j for j in range(len(endpoints)) if j not in excluded]
     # Each check reads value/N > threshold, or >= where not strict.  Cone
     # condition: 1 - value/N < gamma on the low side, value/N > gamma on the
     # high side.  Slot condition (2): 1 - value/N < frac(x), or <= when the
@@ -112,11 +111,12 @@ def _thresholds(piece, family, side):
     # is 1 - frac(eta) off the integers but 0 on them, which is what makes
     # an integral free endpoint kill the refinement on both sides.
     thresholds = [(1 - gamma if side == "low" else gamma, True) for gamma in piece.gammas]
-    for j in bdry:
-        x = Fraction(endpoints[j] if side == "low" else -endpoints[j])
+    for j, e in enumerate(endpoints):
+        if j in family.strong and e.denominator == 1:
+            continue
+        x = e if side == "low" else -e
         thresholds.append((1 - (x - floor(x)), j in family.strong))
-    checks = [(t.numerator, t.denominator, strict) for t, strict in thresholds]
-    return checks, bdry, excluded
+    return [(t.numerator, t.denominator, strict) for t, strict in thresholds]
 
 
 def _allowed_pairs(checks, n_value):
@@ -142,89 +142,6 @@ def _allowed_pairs(checks, n_value):
             and failing == (least[pos_a] > 1) + (least[pos_b] > 1)]
 
 
-def _placements(checks, n_max):
-    """Every (N, A, values) with 2 <= N <= n_max whose values pass their
-    checks, in (N, A, placement) lexicographic order; values holds one
-    numerator per check and the target's, last, which has no condition.
-
-    A placement puts A on slot pos_a, N-A on slot pos_b and 1 on every other
-    slot, over pos_a then pos_b; a placement whose value tuple was already
-    yielded is skipped.  Only the A in the ranges of _allowed_pairs are
-    visited."""
-    slots = len(checks) + 1
-    for n_value in range(2, n_max + 1):
-        pairs = _allowed_pairs(checks, n_value)
-        spans = []
-        for lo, hi, _, _ in sorted(pairs):
-            if spans and lo <= spans[-1][1] + 1:
-                spans[-1][1] = max(spans[-1][1], hi)
-            else:
-                spans.append([lo, hi])
-        for lo, hi in spans:
-            for a_value in range(lo, hi + 1):
-                if gcd(a_value, n_value) != 1:
-                    continue
-                b_value = n_value - a_value
-                seen = set()
-                for lo_a, hi_a, pos_a, pos_b in pairs:
-                    if not lo_a <= a_value <= hi_a:
-                        continue
-                    # A position holding 1 does not tell placements apart.
-                    key = (pos_a if a_value != 1 else None,
-                           pos_b if b_value != 1 else None)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    values = [1] * slots
-                    values[pos_a] = a_value
-                    values[pos_b] = b_value
-                    yield n_value, a_value, values
-
-
-def _certificates(piece, family, side, n_max):
-    """Every certificate with N <= n_max whose cone and boundary values pass
-    their conditions on ``side``, in (N, A, placement) lexicographic order;
-    the target takes the value left on the last slot.  The placements come
-    from _placements, which skips the (N, A) pairs that no placement can
-    pass by each N's least passing values."""
-    checks, bdry, excluded = _thresholds(piece, family, side)
-    cones = piece.n
-    for n_value, a_value, values in _placements(checks, n_max):
-        yield JNCertificate(
-            n_value=n_value,
-            a_value=a_value,
-            side=side,
-            cone_numerators=tuple(values[:cones]),
-            boundary_numerators=tuple(zip(bdry, values[cones:-1])),
-            excluded=excluded,
-            target_numerator=values[-1],
-        )
-
-
-def jn_exhaustive(piece, family, boundary_target, n_max):
-    """First certificate, in (N, A, placement) lexicographic order, proving
-    the proposed refined endpoint ``boundary_target``; None when no
-    certificate with N <= n_max exists.
-
-    The side is inferred from whether the target sits in (c_min - 1, c_min)
-    or (c_max, c_max + 1); targets in neither gap cannot satisfy the
-    endpoint equation and yield None.
-    """
-    target = Fraction(boundary_target)
-    c_min, c_max = core_interval(piece, family)
-    if c_min - 1 < target < c_min:
-        side = "low"
-        c_over_n = c_min - target
-    elif c_max < target < c_max + 1:
-        side = "high"
-        c_over_n = target - c_max
-    else:
-        return None
-    return next((cert for cert in _certificates(piece, family, side, n_max)
-                 if cert.target_numerator * c_over_n.denominator
-                 == cert.n_value * c_over_n.numerator), None)
-
-
 def jn_exhaustive_extremal(piece, family, side, n_max):
     """Extremal refined endpoint found by pure enumeration: the minimal eta
     below c_min resp. maximal zeta above c_max over all certificates with
@@ -235,7 +152,7 @@ def jn_exhaustive_extremal(piece, family, side, n_max):
     target is pos_b, else 1 when some A in range is coprime to N.  A target
     on pos_a is read off the mirrored pair (pos_b, pos_a), which passes on
     the range of N - A."""
-    checks, _, _ = _thresholds(piece, family, side)
+    checks = _thresholds(piece, family, side)
     target = len(checks)
     best = None
     for n_value in range(2, n_max + 1):

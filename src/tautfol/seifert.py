@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 from .slopes import (
     VERTICAL,
@@ -188,7 +188,7 @@ def _check_field_types(base_orientable, cones, b, boundary_count, crosscaps):
 
 
 # ---------------------------------------------------------------------------
-# Constraint families and tau statistics
+# Constraint families
 # ---------------------------------------------------------------------------
 
 
@@ -236,30 +236,6 @@ class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_
 def v_count(family):
     """Number of constraint arcs containing the vertical slope."""
     return sum(1 for arc in family.arcs if arc.contains_vertical())
-
-
-class TauStats(namedtuple("TauStats", "r1 s0 i0 b0 m0 m1")):
-    """The integral/non-integral bookkeeping of one constraint tuple."""
-
-    __slots__ = ()
-
-
-def tau_stats(taus, strong, n_cones):
-    """Statistics of a finite tau-tuple relative to the strong set.
-
-    ``taus`` are the coordinates on the r-1 constraint tori (all finite);
-    ``strong`` the set of indices required strong; ``n_cones`` the number of
-    cone points of the piece.
-    """
-    taus = [Fraction(t) for t in taus]
-    r = len(taus) + 1
-    r1 = sum(1 for t in taus if t.denominator != 1)
-    s0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j not in strong)
-    i0 = sum(1 for j, t in enumerate(taus) if t.denominator == 1 and j in strong)
-    b0 = -sum(floor(t) for t in taus)
-    m0 = b0 + i0 - (n_cones + r - 1)
-    m1 = b0 + s0 - 1
-    return TauStats(r1=r1, s0=s0, i0=i0, b0=b0, m0=m0, m1=m1)
 
 
 def _horizontal_ends(piece, family):
@@ -583,12 +559,6 @@ class DetectionResult(namedtuple("DetectionResult", "detected exceptions branch 
             if exc.slope == slope:
                 return exc.status
         return Strength.STRONG
-
-    def exception_for(self, slope):
-        for exc in self.exceptions:
-            if exc.slope == slope:
-                return exc
-        return None
 
 
 def merge_exceptions(entries):

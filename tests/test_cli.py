@@ -10,7 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from tautfol import FamilyError, PieceError, SlopeError
+from tautfol import (
+    Edge,
+    FamilyError,
+    GluingMatrix,
+    PieceError,
+    PlumbingGraph,
+    SeifertPiece,
+    SlopeError,
+    detect_tree,
+    dump_manifold,
+    rational_longitude,
+)
 from tautfol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -539,3 +550,49 @@ def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys
         assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
         assert run(capsys, "detect", half, "--format", "json") == detect
     assert built == []
+
+
+def _long_slope_chain():
+    """A 3-piece solid chain glued by [[x, x + 1], [1, 1]] twice, x = 10^2500,
+    onto a crosscap-1 leaf: every input integer is under the interpreter's
+    4,300-digit limit on int-to-str conversion, but the longitude and the
+    detected set's upper end are over it."""
+    x = 10 ** 2500
+    matrix = GluingMatrix(x, x + 1, 1, 1)
+    pieces = [SeifertPiece(True, ((3, 1),), b=-1, boundary_count=2, ident="p0"),
+              SeifertPiece(True, ((2, 1), (3, 1)), b=-2, boundary_count=2, ident="p1"),
+              SeifertPiece(False, (), boundary_count=1, crosscaps=1, ident="q")]
+    edges = [Edge("p1", 0, "p0", 1, matrix, "e0"), Edge("q", 0, "p1", 1, matrix, "e1")]
+    return PlumbingGraph(pieces, edges, "solid-torus")
+
+
+def test_reports_print_integers_past_the_conversion_limit(tmp_path, capsys):
+    """The report prints every slope exactly; the limit still refuses an
+    over-long input integer, and is back in place after each command."""
+    graph = _long_slope_chain()
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dump_manifold(graph)), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        slopes = {"longitude": str(rational_longitude(graph).slope),
+                  "detect": str(detect_tree(graph).detected.end)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert min(len(slope) for slope in slopes.values()) > 5000
+    for command, slope in slopes.items():
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        assert f" {slope} (tau = " in out
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        got = report["longitude"] if command == "longitude" else report["detected"]["end"]
+        assert got["slope"] == slope
+        assert sys.get_int_max_str_digits() == limit
+    too_long = tmp_path / "too_long.json"
+    too_long.write_text(json.dumps(HALFHALF).replace('"b": 0', '"b": 1' + "0" * 4300),
+                        encoding="utf-8")
+    code, out, err = run(capsys, "longitude", str(too_long))
+    assert (code, out) == (1, "") and err.startswith("error: cannot read manifold file")
+    assert sys.get_int_max_str_digits() == limit

@@ -1,22 +1,20 @@
 """The brute-force cross-checkers themselves.
 
-The certificate enumeration ``_certificates`` is locked against a stored
-digest of what the Fraction reference ``_fraction_certificates`` yields on
-3,000 seeded draws, hashed in blocks of 100 draws in
-``tests/golden/oracle_digest.txt``; every 10th draw is also compared with the
-reference directly.  A deliberate change to the enumeration's answers
-rewrites the file in the same change:
+The oracle's certificate thresholds, ``tautfol.oracle._thresholds``, are
+locked against a stored digest: ``_certificates`` here runs
+``_every_placement``, the loop over every N, A and placement, on them, and
+what it yields on 3,000 seeded draws is hashed in blocks of 100 draws in
+``tests/golden/oracle_digest.txt``; every 10th draw is also compared with
+the Fraction reference ``_fraction_certificates`` directly.  A deliberate
+change to the thresholds' answers rewrites the file in the same change:
 
     PYTHONPATH=src:tests python tests/test_oracle.py > tests/golden/oracle_digest.txt
 
-The placements themselves, ``tautfol.oracle._placements``, which visit
-only the (N, A) pairs that some placement can pass, are compared with
-``_every_placement``, the loop over every N, A and placement, at bounds past
-the digest's and on hand-built thresholds at the edges.
 ``jn_exhaustive_extremal``, which reads each allowed pair's best target
 value instead of walking the certificates, is compared with the largest C/N
-over ``_certificates`` on the same kinds of input, and with the kernel's scan
-at the bounds the commands use.
+over that enumeration, and with the kernel's scan at the bounds the
+commands use.  ``grid_union`` is compared with the tuple statistic written
+out here, and still answers with the kernel's core made to raise.
 """
 
 import hashlib
@@ -26,10 +24,11 @@ from functools import partial
 from math import floor, gcd
 from pathlib import Path
 
-from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval
+import pytest
+
+from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval, seifert
 import tautfol.oracle
-from tautfol.oracle import (_certificates, _intervals, _samples, grid_union, jn_exhaustive,
-                            jn_exhaustive_extremal)
+from tautfol.oracle import _intervals, _samples, grid_union, jn_exhaustive_extremal
 from tautfol import jn_refine_high, jn_refine_low
 from tautfol.seifert import default_n_bound
 from conftest import rand_cones, rand_horizontal_piece_and_family
@@ -62,6 +61,46 @@ def test_grid_union_point_constraint():
     assert grid_union(piece, _points(F(1, 2))) == (-2, -1)
 
 
+def test_grid_union_hand_values_on_point_families():
+    """A point family samples the one tuple: m0 = b0 - (n + r - 1) and
+    m1 = b0 + s0 - 1, b0 the negated sum of floors and s0 the integral
+    coordinates."""
+    assert grid_union(_piece([(2, 1), (3, 1)], r=2), _points(F(1, 2))) == (-3, -1)
+    assert grid_union(_piece([], r=2), _points(0)) == (-1, 0)
+    assert grid_union(_piece([(2, 1)], r=3), _points(F(-3, 2), 2)) == (-3, 0)
+
+
+def test_grid_union_on_random_point_families(rng):
+    for _ in range(100):
+        r = rng.randint(1, 5)
+        taus = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(r - 1)]
+        n = rng.randint(0, 4)
+        b0 = -sum(floor(t) for t in taus)
+        s0 = sum(t.denominator == 1 for t in taus)
+        piece = _piece([(2, 1)] * n, r=r)
+        assert grid_union(piece, _points(*taus)) == (b0 - (n + r - 1), b0 + s0 - 1), taus
+
+
+def _raise(*_args, **_kwargs):
+    raise AssertionError("the grid oracle reached the kernel")
+
+
+def test_grid_union_needs_no_kernel_core(rng, monkeypatch):
+    """With the kernel's core, refinement scan and core_interval made to
+    raise, grid_union still gives the core intervals read beforehand."""
+    cases = []
+    for _ in range(40):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=6)
+        cases.append((piece, fam, core_interval(piece, fam)))
+    for name in ("_core_end", "_side_reach", "_scan_certificates", "core_interval"):
+        monkeypatch.setattr(seifert, name, _raise)
+    monkeypatch.setattr(tautfol.oracle, "core_interval", _raise)
+    for piece, fam, expected in cases:
+        assert grid_union(piece, fam) == expected, (piece, fam.arcs, fam.strong)
+    with pytest.raises(AssertionError):
+        seifert.core_interval(*cases[0][:2])
+
+
 def test_grid_samples_include_endpoints_integers_offsets():
     samples = _samples(F(-1, 3), F(5, 2), 6)
     for required in (F(-1, 3), F(5, 2), 0, 1, 2,
@@ -79,25 +118,28 @@ def test_grid_same_answer_at_every_denominator(rng):
 
 
 def test_exhaustive_absent_cases():
+    """The twisted I-bundle over the Klein bottle, over the disk, has no
+    certificate on either side up to N = 16."""
     piece = _piece([(2, 1), (2, 1)])
     fam = ConstraintFamily(())
-    c_min, c_max = core_interval(piece, fam)
-    for c, n in ((1, 2), (1, 3), (2, 3), (3, 4)):
-        assert jn_exhaustive(piece, fam, c_min - F(c, n), 16) is None
-    # Targets outside the refinement gaps violate the endpoint equation.
-    assert jn_exhaustive(piece, fam, c_min, 16) is None
-    assert jn_exhaustive(piece, fam, c_min - 2, 16) is None
-    assert jn_exhaustive(piece, fam, F(2 * c_min + 2 * c_max, 4), 16) is None
+    for side in ("low", "high"):
+        assert jn_exhaustive_extremal(piece, fam, side, 16) is None
+        assert list(_certificates(piece, fam, side, 16)) == []
 
 
 def test_exhaustive_finds_and_revalidates():
+    """Cones (2,1), (3,1): the high side reaches c_max + 1/5 from N = 5 on,
+    and every certificate that proves it distributes its multiset."""
     piece = _piece([(2, 1), (3, 1)])
     fam = ConstraintFamily(())
-    cert = jn_exhaustive(piece, fam, F(-4, 5), 10)
-    assert cert is not None
-    assert cert.side == "high"
-    assert_multiset_distributed(cert)
-    assert Fraction(cert.target_numerator, cert.n_value) == F(1, 5)
+    c_max = core_interval(piece, fam)[1]
+    assert jn_exhaustive_extremal(piece, fam, "high", 4) is None
+    assert jn_exhaustive_extremal(piece, fam, "high", 10) == c_max + F(1, 5) == F(-4, 5)
+    proofs = [c for c in _certificates(piece, fam, "high", 10)
+              if F(c.target_numerator, c.n_value) == F(1, 5)]
+    assert proofs
+    for cert in proofs:
+        assert_multiset_distributed(cert)
 
 
 def test_exhaustive_extremal_agrees_with_refine(rng):
@@ -111,14 +153,16 @@ def test_exhaustive_extremal_agrees_with_refine(rng):
 
 
 def _extremal_by_gaps(piece, fam, side, n_max):
-    """The per-gap definition: the largest c/n with n <= n_max for which
-    jn_exhaustive proves the refined endpoint."""
+    """The per-gap definition: the largest c/n with n <= n_max that the
+    target value C/N of some certificate of the Fraction enumeration equals,
+    as a refined endpoint."""
+    proved = {F(c.target_numerator, c.n_value)
+              for c in _fraction_certificates(piece, fam, side, n_max)}
     c_min, c_max = core_interval(piece, fam)
     for gap in sorted({F(c, n) for n in range(2, n_max + 1) for c in range(1, n)},
                       reverse=True):
-        target = c_min - gap if side == "low" else c_max + gap
-        if jn_exhaustive(piece, fam, target, n_max) is not None:
-            return target
+        if gap in proved:
+            return c_min - gap if side == "low" else c_max + gap
     return None
 
 
@@ -167,16 +211,24 @@ def _placements(n_value, a_value, slot_count):
             yield values
 
 
-def _fraction_certificates(piece, family, side, n_max):
-    """The certificate enumeration with every condition tested as a Fraction
-    on an explicit list of placements: the reference for _certificates'
-    integer thresholds."""
+def _slots(family, side):
+    """The constraint endpoints on ``side``, the constraint indices of the
+    boundary slots, and the excluded ones: strong with an integral
+    endpoint."""
     intervals = _intervals(family)
     endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
-    gammas = piece.gammas
     excluded = tuple(j for j, e in enumerate(endpoints)
-                     if j in family.strong and Fraction(e).denominator == 1)
+                     if j in family.strong and e.denominator == 1)
     bdry = [j for j in range(len(endpoints)) if j not in excluded]
+    return endpoints, bdry, excluded
+
+
+def _fraction_certificates(piece, family, side, n_max):
+    """The certificate enumeration with every condition tested as a Fraction
+    on an explicit list of placements: the reference for the oracle's
+    integer thresholds."""
+    endpoints, bdry, excluded = _slots(family, side)
+    gammas = piece.gammas
     checks = ([partial(_condition_cone, gamma, side=side) for gamma in gammas]
               + [partial(_condition_slot, endpoints[j], j in family.strong, side)
                  for j in bdry])
@@ -205,9 +257,11 @@ def _passing(checks, value, n_value):
 
 
 def _every_placement(checks, n_max):
-    """The loop over every N, every A coprime to it and every placement that
-    _placements replaces, testing each slot's check on 1, A and N - A: the
-    reference for which (N, A) pairs _placements may skip."""
+    """Every (N, A, values) with 2 <= N <= n_max whose values pass their
+    checks, in (N, A, placement) order: the loop over every N, every A
+    coprime to it and every placement, testing each slot's check on 1, A
+    and N - A.  values holds one numerator per check and the target's, last;
+    a placement puts A on slot pos_a, N - A on slot pos_b and 1 elsewhere."""
     slots = len(checks) + 1
     for n_value in range(2, n_max + 1):
         on_one = _passing(checks, 1, n_value)
@@ -237,22 +291,18 @@ def _every_placement(checks, n_max):
                     yield n_value, a_value, values
 
 
-def test_certificates_match_every_placement_past_the_digest_bounds(monkeypatch):
-    """Seeded draws at bounds 25-120, where the digest's draws stop at 24."""
-    rng = random.Random(0x5EED + 1)
-    cases = []
-    for i in range(70):
-        piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
-                                                      a_max=6)
-        n_max = rng.randint(25, 120)
-        for side in ("low", "high"):
-            cases.append((piece, fam, side, n_max,
-                          list(_certificates(piece, fam, side, n_max))))
-    assert sum(len(certs) for *_, certs in cases) > 5000
-    monkeypatch.setattr(tautfol.oracle, "_placements", _every_placement)
-    for piece, fam, side, n_max, got in cases:
-        assert got == list(_certificates(piece, fam, side, n_max)), (
-            piece, fam.arcs, fam.strong, side, n_max)
+def _certificates(piece, family, side, n_max):
+    """Every certificate with N <= n_max that passes the oracle's integer
+    thresholds on ``side``, found by _every_placement; the values go to the
+    cones, the boundary slots and the target, in that order."""
+    _, bdry, excluded = _slots(family, side)
+    cones = piece.n
+    for n_value, a_value, values in _every_placement(
+            tautfol.oracle._thresholds(piece, family, side), n_max):
+        yield JNCertificate(n_value=n_value, a_value=a_value, side=side,
+                            cone_numerators=tuple(values[:cones]),
+                            boundary_numerators=tuple(zip(bdry, values[cones:-1])),
+                            excluded=excluded, target_numerator=values[-1])
 
 
 # Thresholds (p, q, strict): 1/40 passes on 1 up to N = 40 and fails past
@@ -278,27 +328,13 @@ EDGE_CHECKS = {
 }
 
 
-def test_placements_match_every_placement_at_the_threshold_edges():
-    found = {}
-    for name, checks in EDGE_CHECKS.items():
-        got = list(tautfol.oracle._placements(checks, 60))
-        assert got == list(_every_placement(checks, 60)), name
-        found[name] = len(got)
-    # A threshold of 1 leaves its slot no value below N, and three slots
-    # failing on 1 leave two positions for them.
-    assert [name for name, count in found.items() if count == 0] == [
-        "no checks", "3 failing", "strict 1", "non-strict 1", "strict and non-strict 1"]
-    # Past N = 40 the easy threshold fails on 1 as well, which leaves
-    # "2 failing" three failing slots and no placement.
-    assert max(n_value for n_value, _, _ in tautfol.oracle._placements(
-        EDGE_CHECKS["2 failing"], 60)) == 40
-
-
 def _extremal_by_certificates(piece, fam, side, n_max):
-    """The refined endpoint of the largest C/N over every certificate that
-    _certificates yields: the reference for jn_exhaustive_extremal, which
-    reads the best C of each allowed pair's range of A instead."""
-    gaps = [F(c.target_numerator, c.n_value) for c in _certificates(piece, fam, side, n_max)]
+    """The refined endpoint of the largest C/N over every placement that
+    passes the oracle's thresholds: the reference for
+    jn_exhaustive_extremal, which reads the best C of each allowed pair's
+    range of A instead."""
+    gaps = [F(values[-1], n_value) for n_value, _, values in _every_placement(
+        tautfol.oracle._thresholds(piece, fam, side), n_max)]
     if not gaps:
         return None
     c_min, c_max = core_interval(piece, fam)
@@ -327,7 +363,7 @@ def test_exhaustive_extremal_matches_the_certificates_at_the_threshold_edges(mon
     found = {}
     for name, checks in EDGE_CHECKS.items():
         monkeypatch.setattr(tautfol.oracle, "_thresholds",
-                            lambda *_, checks=checks: (checks, list(range(len(checks))), ()))
+                            lambda *_, checks=checks: checks)
         for side in ("low", "high"):
             expected = _extremal_by_certificates(piece, fam, side, 60)
             assert jn_exhaustive_extremal(piece, fam, side, 60) == expected, (name, side)

@@ -1,5 +1,5 @@
-"""The relative detection kernel: tau statistics, the core interval, the
-certificate search, and the full case analysis.
+"""The relative detection kernel: the core interval, the certificate
+search, and the full case analysis.
 
 The certificate scan ``_scan_certificates`` is locked against a stored digest
 of what the loop over every N, ``_linear_scan``, answers on 40,000 seeded
@@ -35,10 +35,9 @@ from tautfol import (
     realize,
     simplest_slope,
     slope_of_tau,
-    tau_stats,
     v_count,
 )
-from tautfol.oracle import grid_union, jn_exhaustive
+from tautfol.oracle import grid_union, jn_exhaustive_extremal
 from tautfol.seifert import (
     _build_assignment,
     _first_a_pair_fits,
@@ -79,7 +78,7 @@ def _interval_family(*pairs, strong=()):
 
 
 # ---------------------------------------------------------------------------
-# v_count and tau statistics
+# v_count
 # ---------------------------------------------------------------------------
 
 
@@ -94,32 +93,6 @@ def test_v_count():
         SlopeArc.from_tau_interval(0, 1),
     ))
     assert v_count(fam3) == sum(a.contains_vertical() for a in fam3.arcs) == 2
-
-
-def test_tau_stats_hand_values():
-    s = tau_stats([F(1, 2)], frozenset(), 2)
-    assert (s.b0, s.s0, s.i0, s.m0, s.m1) == (0, 0, 0, -3, -1)
-    s = tau_stats([F(0)], frozenset(), 0)
-    assert (s.b0, s.s0, s.m1) == (0, 1, 0)
-    s = tau_stats([], frozenset(), 2)
-    assert (s.m0, s.m1) == (-2, -1)
-    s = tau_stats([F(-3, 2), F(2)], frozenset({1}), 1)
-    assert s.r1 == 1 and s.s0 == 0 and s.i0 == 1
-    assert s.b0 == -(-2 + 2) == 0
-    assert s.m0 == 0 + 1 - (1 + 3 - 1) == -2
-    assert s.m1 == 0 + 0 - 1 == -1
-
-
-def test_tau_stats_identities(rng):
-    for _ in range(100):
-        r = rng.randint(1, 5)
-        taus = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(r - 1)]
-        strong = frozenset(j for j in range(r - 1) if rng.random() < 0.4)
-        n = rng.randint(0, 4)
-        s = tau_stats(taus, strong, n)
-        assert s.r1 + s.s0 + s.i0 == r - 1
-        assert s.m0 == s.b0 + s.i0 - (n + r - 1)
-        assert s.m1 == s.b0 + s.s0 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +184,9 @@ def test_certificates_revalidate(rng):
                 continue
             endpoint, cert = got
             assert_multiset_distributed(cert)
-            # Independent condition checker accepts the same endpoint.
-            assert jn_exhaustive(piece, fam, endpoint, cert.n_value) is not None
+            # The brute force over every N up to the certificate's finds
+            # the same extremal endpoint.
+            assert jn_exhaustive_extremal(piece, fam, cert.side, cert.n_value) == endpoint
             c_min, c_max = core_interval(piece, fam)
             if cert.side == "low":
                 assert c_min - 1 < endpoint < c_min

@@ -131,6 +131,21 @@ def test_longitude_never_solves_h1(refuse_h1, capsys, tmp_path):
         assert capsys.readouterr() == ("", err), argv
 
 
+@pytest.mark.parametrize("stem,role,command", [
+    ("plumbing_chain_1000", "solid-torus", "detect"),
+    ("closed_chain_1000", "closed", "ctf"),
+])
+def test_chain_reports_never_solve_h1(stem, role, command, refuse_h1, capsys, tmp_path):
+    """With every H_1 entry point made to raise, ``detect`` on the 1,000-piece
+    chain and ``ctf`` on the closed one reproduce their stored reports, in
+    both formats."""
+    path = str(_write(tmp_path, stem, dump_manifold(plumbing_chain(1000, role))))
+    for flags, suffix in ((["--format", "json"], "json"), ([], "txt")):
+        code = main([command, path, *flags])
+        expected = (GOLDEN / "reports" / f"{stem}.{command}.{suffix}").read_text(encoding="utf-8")
+        assert (code, *capsys.readouterr()) == (0, expected, ""), suffix
+
+
 def test_longitude_betti_error_still_names_the_betti_number(capsys, tmp_path):
     """Two crosscap-1 children whose longitudes are both the root piece's
     fibre leave b1 = 2, which the tree walk names."""

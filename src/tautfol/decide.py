@@ -13,14 +13,14 @@ over an orientable base and not strong over a non-orientable one, and the
 two cable-space / degenerate-fibration situations downgrade finitely many
 slopes to an indeterminate status.
 
-The same pass gives each subtree's Betti number, rational longitude and its
-order in closed form (graph.piece_longitude, the rule rational_longitude walks
-by), so no question here needs H_1 of the whole graph: decide_ctf splits a
-closed manifold along any JSJ torus, reads the Betti number from the two
-sides there, intersects the two detected sets, and certifies a co-oriented
-taut foliation by a gluing coherent slope assignment when the intersection
-is non-empty.  A graph is read-only, so its evaluation is kept on it and
-every question about it shares one.
+The evaluation computes no longitudes.  Those come from their own walk,
+graph.subtree_longitudes, in closed form, so no question here needs H_1 of
+the whole graph: decide_ctf splits a closed manifold along any JSJ torus,
+reads the Betti number from the two sides' longitudes there before it
+evaluates either side, intersects the two detected sets, and certifies a
+co-oriented taut foliation by a gluing coherent slope assignment when the
+intersection is non-empty.  A graph is read-only, so its evaluation is kept
+on it and every question about it shares one.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from math import lcm
 from .graph import (
     RoleError,
     longitude_error,
-    piece_longitude,
     post_order,
     split_at_edge,
-    subtree_longitude,
+    subtree_longitudes,
     validate,
     errors_of,
 )
@@ -71,12 +70,11 @@ def _require_valid(graph):
 # ---------------------------------------------------------------------------
 
 
-class _Node(namedtuple("_Node", "piece children family result longitude")):
+class _Node(namedtuple("_Node", "piece children family result")):
     """One piece evaluated as seen from the boundary towards the root: the
     SeifertPiece, a _Child per other boundary in boundary-index order, the
-    ConstraintFamily fed to the kernel (None on a product), its
-    DetectionResult, and the subtree's SubtreeLongitude (b1, longitude,
-    order)."""
+    ConstraintFamily fed to the kernel (None on a product) and its
+    DetectionResult."""
 
     __slots__ = ()
 
@@ -100,9 +98,7 @@ def _evaluate(graph, n_max):
         children = tuple(
             _Child(j, edge, transport, nodes[cid], act_arc(transport, nodes[cid].result.detected))
             for j, edge, cid, transport in links)
-        nodes[pid] = _Node(
-            piece, children, *_detect(piece, via, children, n_max),
-            piece_longitude(piece, [(c.transport, c.node.longitude) for c in children]))
+        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max))
     return tuple(nodes.values())
 
 
@@ -257,13 +253,15 @@ class DegenerateReport(namedtuple("DegenerateReport", "is_degenerate predicted c
 def check_degenerate(graph, n_max=None):
     """Is the detected set a single point (necessarily the rational
     longitude)?  Cross-checks the branch conditions against the direct
-    computation and reports any disagreement."""
+    computation and reports any disagreement.  The Betti number is read
+    from the longitude walk before the tree is evaluated."""
+    longitudes = subtree_longitudes(graph)
+    *_, (betti, lam, _) = longitudes.values()
+    if betti != 1:
+        raise longitude_error(betti)
     root = _evaluated(graph, n_max)[-1]
     result = root.result
     direct = result.detected.is_point
-    if root.longitude.betti != 1:
-        raise longitude_error(root.longitude.betti)
-    lam = root.longitude.slope
     piece, children = root.piece, root.children
     arcs = [c.arc for c in children]
     v = sum(1 for a in arcs if a.contains_vertical())
@@ -298,8 +296,8 @@ def check_degenerate(graph, n_max=None):
         explanation = "some child set is not degenerate"
         if v == 0 and all(a.is_point for a in arcs):
             # b1 = 1 here, so every child subtree has b1 = 1 and a longitude.
-            if all(act(c.transport, c.node.longitude.slope) == c.arc.start
-                   for c in children):
+            if all(act(c.transport, longitudes[c.node.piece.ident].slope)
+                   == c.arc.start for c in children):
                 # The root's kernel result is relative to exactly these arcs.
                 predicted = result.detected == SlopeArc.point(lam)
                 explanation = (
@@ -426,21 +424,17 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     _require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
-    # An edge ident, or an Edge equal to the graph's own edge.
-    edge = graph.edges[0] if split_edge is None else next(
-        (e for e in graph.edges if split_edge in (e.ident, e)), None)
+    # An edge ident, or an Edge equal to the graph's own edge.  An unknown
+    # one is named after the Betti number, which is read at the first edge.
+    edge = next((e for e in graph.edges if split_edge in (None, e.ident, e)), None)
+    sides = split_at_edge(graph, edge or graph.edges[0])
+    _require_rational_sphere(edge or graph.edges[0], *sides)
     if edge is None:
-        # The Betti error comes first, read off the longitudes alone.
-        first = graph.edges[0]
-        _require_rational_sphere(first, *map(subtree_longitude, split_at_edge(graph, first)))
         raise RoleError(f"no edge {split_edge!r}; the edges are: "
                         f"{', '.join(e.ident for e in graph.edges)}")
     # The sides of a valid closed tree are valid solid trees: each is
     # evaluated once, for detection and for extraction alike.
-    u_side, v_side = split_at_edge(graph, edge)
-    u_root = _evaluate(u_side, n_max)[-1]
-    v_root = _evaluate(v_side, n_max)[-1]
-    _require_rational_sphere(edge, u_root.longitude, v_root.longitude)
+    u_root, v_root = (_evaluate(side, n_max)[-1] for side in sides)
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
     if not meet:
@@ -454,11 +448,13 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     return CtfVerdict(True, witness, tags, NOTE_ADMITS, edge.ident)
 
 
-def _require_rational_sphere(edge, u, v):
-    """Raise, naming the Betti number, unless b1 = 0.  ``u`` and ``v`` are
-    the SubtreeLongitudes of the two sides of a split at ``edge``, U on its
-    from-side.  By Mayer-Vietoris each side adds b1 - 1, and the split torus
-    one more when the two longitudes are the same slope on it."""
+def _require_rational_sphere(edge, u_side, v_side):
+    """Raise, naming the Betti number, unless b1 = 0, reading the longitude
+    walk of the two sides of a split at ``edge``, U on its from-side.  By
+    Mayer-Vietoris each side adds b1 - 1, and the split torus one more when
+    the two longitudes are the same slope on it."""
+    *_, u = subtree_longitudes(u_side).values()
+    *_, v = subtree_longitudes(v_side).values()
     betti = u.betti + v.betti - 2 + (act(edge.matrix, u.slope) == v.slope)
     if betti != 0:
         raise RoleError(f"not a rational homology sphere (betti = {betti})")

@@ -227,8 +227,8 @@ def presentation(graph):
 def homology(graph):
     """The Betti number and torsion invariant factors of H_1, read from the
     dense Smith normal form of the whole presentation.  No command calls
-    it: the tree walk reads the Betti number off the longitudes
-    (piece_longitude), and the tests check the walk against this."""
+    it: the longitude walk (subtree_longitudes) reads the Betti number
+    off the pieces, and the tests check the walk against this."""
     pres = presentation(graph)
     diagonal = [abs(x) for x in smith_normal_form(pres.relations)[0] if x]
     return HomologySummary(
@@ -241,10 +241,10 @@ class LongitudeResult(namedtuple("LongitudeResult", "slope order")):
     __slots__ = ()
 
 
-# What the tree walk carries up from a subtree: its first Betti number, its
-# rational longitude (the boundary slope that dies in H_1 with rational
-# coefficients, whatever the Betti number) and the longitude's order in H_1,
-# None unless betti = 1.
+# What subtree_longitudes carries up from each subtree: its first Betti
+# number, its rational longitude (the boundary slope that dies in H_1 with
+# rational coefficients, whatever the Betti number) and the longitude's
+# order in H_1, None unless betti = 1.
 SubtreeLongitude = namedtuple("SubtreeLongitude", "betti slope order")
 
 
@@ -336,22 +336,24 @@ def piece_longitude(piece, children):
     return SubtreeLongitude(1, slope, order)
 
 
-def subtree_longitude(graph):
-    """The SubtreeLongitude of a solid-torus tree, carried up one post-order
-    walk by piece_longitude, with no H_1."""
+def subtree_longitudes(graph):
+    """The SubtreeLongitude of every subtree of a solid-torus tree, by the id
+    of its root piece, the whole tree's last: carried up one post-order walk
+    by piece_longitude, with no H_1.  This walk is the only one that computes
+    longitudes; the detection walk of ``decide`` computes none."""
     longitudes = {}
     for pid, _, children in post_order(graph):
         longitudes[pid] = piece_longitude(
             graph.pieces[pid],
             [(transport, longitudes[cid]) for _, _, cid, transport in children])
-    return longitudes[pid]  # the root comes last
+    return longitudes
 
 
 def rational_longitude(graph):
     """The primitive boundary class that is torsion in H_1, and its order.
 
     One post-order walk over the tree carries each subtree's Betti number,
-    longitude and order to its parent (subtree_longitude), with no H_1.  By
+    longitude and order to its parent (subtree_longitudes), with no H_1.  By
     Mayer-Vietoris, the order in H_1(M_v) of a class on the root piece P_v
     of a subtree M_v is the least n that puts n times the class into the
     span of the relations of H_1(P_v) and the o_c lambda_c of every child
@@ -368,7 +370,7 @@ def rational_longitude(graph):
     * over a crosscap-1 base, lambda_v = h and 2h = 0 give the order 2.
 
     The walk's Betti number names the error when it is not 1."""
-    root = subtree_longitude(graph)
+    *_, root = subtree_longitudes(graph).values()
     if root.betti != 1:
         raise longitude_error(root.betti)
     return LongitudeResult(root.slope, root.order)

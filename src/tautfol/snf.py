@@ -8,9 +8,9 @@ and column Hermite forms, each taken in one row at a time and kept reduced,
 then makes the diagonal divisible by 2 x 2 gcd/lcm moves, so its entries stay
 bounded by minors of the input.
 
-No command solves H_1: the tree walk reads the Betti number and the rational
-longitude off the pieces (graph.piece_longitude).  graph.homology reads H_1
-from this Smith normal form, and the tests check the walk against it.
+No command solves H_1: a walk of the tree (graph.subtree_longitudes) reads
+the Betti number and the rational longitude off the pieces.  graph.homology
+reads H_1 from this Smith normal form, and the tests check the walk against it.
 """
 
 from __future__ import annotations

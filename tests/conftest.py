@@ -22,7 +22,7 @@ from tautfol import (
     slope_of_tau,
     validate,
 )
-from tautfol.graph import homology, subtree_longitude
+from tautfol.graph import homology, subtree_longitudes
 
 
 def rand_fraction(rng, den_max=12, lo=-3, hi=3):
@@ -153,7 +153,8 @@ def rand_valid_solid_tree(rng, max_pieces=4, q_prob=0.25):
         g = rand_solid_tree(rng, max_pieces, q_prob)
         if any(d.startswith("error:") for d in validate(g)):
             continue
-        if subtree_longitude(g).betti == 1:
+        *_, root = subtree_longitudes(g).values()
+        if root.betti == 1:
             return g
 
 

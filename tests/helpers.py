@@ -1,6 +1,6 @@
 """Test-side references shared by several test modules: H_1 of a
-presentation solved by the dense Smith normal form alone, and the multiset
-check of a refinement certificate."""
+presentation solved by the dense Smith normal form alone, the multiset
+check of a refinement certificate, and a solid tree of b1 = 2."""
 
 from math import gcd
 
@@ -52,3 +52,21 @@ def assert_multiset_distributed(cert):
                     + [cert.target_numerator])
     expected = sorted([cert.a_value, cert.n_value - cert.a_value] + [1] * (len(values) - 2))
     assert values == expected, cert
+
+
+# Two crosscap-1 children whose longitudes are both the root piece's fibre:
+# b1 = 2.
+_KB = {"base": {"orientable": False, "crosscaps": 1}, "cones": [], "b": 0, "boundary": 1}
+TWO_VERTICAL_CHILDREN = {
+    "role": "solid-torus",
+    "pieces": [
+        {"id": "root", "base": {"orientable": True, "crosscaps": 0}, "cones": [],
+         "b": 0, "boundary": 3},
+        {"id": "k1", **_KB},
+        {"id": "k2", **_KB},
+    ],
+    "edges": [
+        {"from": ["k1", 0], "to": ["root", 1], "matrix": [[1, 0], [0, -1]]},
+        {"from": ["k2", 0], "to": ["root", 2], "matrix": [[1, 0], [0, -1]]},
+    ],
+}

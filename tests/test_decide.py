@@ -36,8 +36,8 @@ from tautfol import (
     simplest_slope,
     slope_of_tau,
 )
-from tautfol.decide import ROOT_KEY, _evaluate, iter_piece_evaluations
-from tautfol.graph import homology, piece_longitude, post_order, presentation
+from tautfol.decide import ROOT_KEY, iter_piece_evaluations
+from tautfol.graph import homology, parse_manifold, post_order, presentation, subtree_longitudes
 from tautfol.seifert import product_transport
 from conftest import (
     plumbing_chain,
@@ -47,7 +47,7 @@ from conftest import (
     rand_valid_closed,
     rand_valid_solid_tree,
 )
-from helpers import DenseH1
+from helpers import TWO_VERTICAL_CHILDREN, DenseH1
 
 F = Fraction
 
@@ -190,22 +190,27 @@ def test_walk_rejects_a_cycle():
         rational_longitude(g)
 
 
-def test_kernel_runs_once_per_piece(monkeypatch):
-    calls, checks = [], []
+def _counting(monkeypatch, modules, name):
+    """Patch ``name`` in each of ``modules`` to record its first argument's
+    ident (a piece's) and call through; the list of records."""
+    calls, function = [], getattr(modules[0], name)
 
-    def counting(piece, family, n_max=None):
+    def counting(piece, *args, **kwargs):
         calls.append(piece.ident)
-        return detect_relative(piece, family, n_max=n_max)
+        return function(piece, *args, **kwargs)
 
-    def counting_checks(piece, family, slope, n_max=None):
-        checks.append(piece.ident)
-        return detects(piece, family, slope, n_max=n_max)
+    for module in modules:
+        # raising=False: a module that has no such name gains one that the
+        # count would see, should it ever call it.
+        monkeypatch.setattr(module, name, counting, raising=False)
+    return calls
 
+
+def test_kernel_runs_once_per_piece(monkeypatch):
     # Patched in seifert too, so a membership query that falls back to the
     # kernel is counted.
-    for module in (tautfol.decide, tautfol.seifert):
-        monkeypatch.setattr(module, "detect_relative", counting)
-    monkeypatch.setattr(tautfol.decide, "detects", counting_checks)
+    calls = _counting(monkeypatch, (tautfol.decide, tautfol.seifert), "detect_relative")
+    checks = _counting(monkeypatch, (tautfol.decide,), "detects")
     g = plumbing_chain(24)
     res = detect_tree(g)
     assert sorted(calls) == sorted(g.pieces)
@@ -227,6 +232,37 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     iter_piece_evaluations(g, n_max=5)
     check_degenerate(g, n_max=5)
     assert len(calls) == 24
+
+
+def test_longitudes_come_from_one_walk_only(monkeypatch):
+    """Detection and extraction compute no longitude; decide_ctf and
+    rational_longitude compute each piece's once, in the longitude walk."""
+    longitudes = _counting(monkeypatch, (tautfol.graph, tautfol.decide), "piece_longitude")
+    g = plumbing_chain(24)
+    extract_witness(g, simplest_slope(detect_tree(g).detected))
+    iter_piece_evaluations(g, n_max=5)
+    assert longitudes == []
+    closed = plumbing_chain(24, "closed")
+    for split_edge in (None, "e11", "e22"):
+        decide_ctf(closed, split_edge=split_edge)
+        assert sorted(longitudes) == sorted(closed.pieces), split_edge
+        longitudes.clear()
+    rational_longitude(g)
+    assert sorted(longitudes) == sorted(g.pieces)
+
+
+def test_betti_errors_come_before_the_kernel(monkeypatch):
+    """A closed chain with leaves (b1 = 1) is refused by decide_ctf, at a
+    known split edge or an unknown one, and TWO_VERTICAL_CHILDREN (b1 = 2)
+    by check_degenerate, before the kernel runs."""
+    kernel = _counting(monkeypatch, (tautfol.decide, tautfol.seifert), "detect_relative")
+    closed = plumbing_chain(12, "closed", leaves=True)
+    for split_edge in (None, "e5", "e9999"):
+        with pytest.raises(RoleError, match=r"^not a rational homology sphere \(betti = 1\)$"):
+            decide_ctf(closed, split_edge=split_edge)
+    with pytest.raises(RoleError, match="^rational longitude needs betti = 1, got 2$"):
+        check_degenerate(parse_manifold(TWO_VERTICAL_CHILDREN))
+    assert kernel == []
 
 
 def test_evaluation_is_kept_on_its_own_graph():
@@ -322,15 +358,17 @@ def _h1_longitude(g):
 
 
 def test_tree_longitudes_match_homology():
-    """Each root node's Betti number, longitude and order are the ones H_1
-    gives, on 800 solid trees drawn with crosscap pieces half the time, so
-    that 55 have b1 >= 2 (39 of them at a crosscap root); rational_longitude,
-    which reads the same walk, agrees on 1,500 more trees of b1 = 1."""
+    """The longitude walk's Betti number, longitude and order at the root
+    are the ones H_1 gives, on 800 solid trees drawn with crosscap pieces
+    half the time, so that 55 have b1 >= 2 (39 of them at a crosscap root);
+    rational_longitude, which reads the same walk, agrees on 1,500 more
+    trees of b1 = 1."""
     high_betti, high_crosscap_roots = 0, 0
     for seed in range(800):
         g = rand_solid_tree(random.Random(seed), max_pieces=8, q_prob=0.5)
         expected = _h1_longitude(g)
-        assert tuple(_evaluate(g, None)[-1].longitude) == expected, seed
+        *_, root = subtree_longitudes(g).values()
+        assert tuple(root) == expected, seed
         if expected[0] >= 2:
             high_betti += 1
             high_crosscap_roots += not g.pieces[g.root()[0]].base_orientable
@@ -345,11 +383,10 @@ def test_tree_longitudes_match_homology():
         crosscap_roots += not g.pieces[g.root()[0]].base_orientable
         # Every subtree of a b1 = 1 tree has b1 = 1; count the vertical
         # longitudes in their parent's frame.
-        longitudes = {}
-        for pid, _, children in post_order(g):
-            moved = [(t, longitudes[cid]) for _, _, cid, t in children]
-            vertical_children += sum(act(t, lam.slope).is_vertical for t, lam in moved)
-            longitudes[pid] = piece_longitude(g.pieces[pid], moved)
+        longitudes = subtree_longitudes(g)
+        for _, _, children in post_order(g):
+            vertical_children += sum(act(t, longitudes[cid].slope).is_vertical
+                                     for _, _, cid, t in children)
     assert orders > 500 and crosscap_roots > 100 and vertical_children > 20
 
 

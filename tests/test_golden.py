@@ -16,6 +16,7 @@ import pytest
 import tautfol.graph
 import tautfol.snf
 from conftest import plumbing_chain
+from helpers import TWO_VERTICAL_CHILDREN
 from tautfol.cli import main
 from tautfol.graph import dump_manifold
 
@@ -53,22 +54,6 @@ def test_golden_text_report(path, command, capsys):
     assert out == expected
 
 
-# Two crosscap-1 children whose longitudes are both the root piece's fibre:
-# b1 = 2.
-_KB = {"base": {"orientable": False, "crosscaps": 1}, "cones": [], "b": 0, "boundary": 1}
-TWO_VERTICAL_CHILDREN = {
-    "role": "solid-torus",
-    "pieces": [
-        {"id": "root", "base": {"orientable": True, "crosscaps": 0}, "cones": [],
-         "b": 0, "boundary": 3},
-        {"id": "k1", **_KB},
-        {"id": "k2", **_KB},
-    ],
-    "edges": [
-        {"from": ["k1", 0], "to": ["root", 1], "matrix": [[1, 0], [0, -1]]},
-        {"from": ["k2", 0], "to": ["root", 2], "matrix": [[1, 0], [0, -1]]},
-    ],
-}
 LONGITUDE_BETTI_2 = "error: rational longitude needs betti = 1, got 2\n"
 
 

@@ -13,7 +13,7 @@ from tautfol import (
     detect_tree,
     rational_longitude,
 )
-from tautfol.graph import homology, presentation, subtree_longitude
+from tautfol.graph import homology, presentation, subtree_longitudes
 from tautfol.snf import Presentation, smith_normal_form
 from conftest import plumbing_chain, rand_cones, rand_valid_closed
 from helpers import DenseH1
@@ -127,10 +127,10 @@ def test_homology_of_seed_5023():
 
 
 def test_long_chain_longitude():
-    # The walk's Betti number: the dense Smith normal form of this chain's
-    # presentation takes tens of seconds.
+    # The walk's Betti numbers, 1 at every subtree: the dense Smith normal
+    # form of this chain's presentation takes tens of seconds.
     g = plumbing_chain(128)
-    assert subtree_longitude(g).betti == 1
+    assert [s.betti for s in subtree_longitudes(g).values()] == [1] * 128
     assert detect_tree(g).detected.contains(rational_longitude(g).slope)
 
 

@@ -10,7 +10,8 @@ Commands operate on a manifold JSON file (format documented in graph.py):
 
 Exit codes: 0 success (including a mathematical "admits = false"), 1
 malformed input or an unknown ``--split-edge``, 2 a usage error (as
-argparse's, also for an ``--nmax`` below 1), a role mismatch or a piece,
+argparse's, also for an ``--nmax`` below 1), a role mismatch, a graph that
+fails validation (every command names its errors alike) or a piece,
 constraint family or slope the kernel cannot take, 3 internal-consistency
 failure: an oracle-check mismatch, or a DecisionError (a witness that fails
 its check, or a certificate scan that its replay contradicts), 141 standard
@@ -28,7 +29,6 @@ from fractions import Fraction
 
 from .decide import (
     DecisionError,
-    _require_valid,
     check_degenerate,
     decide_ctf,
     detect_tree,
@@ -39,6 +39,7 @@ from .graph import (
     RoleError,
     load_manifold,
     rational_longitude,
+    require_valid,
     split_at_edge,
     validate,
 )
@@ -134,8 +135,6 @@ def _cmd_validate(graph, args):
 
 
 def _cmd_longitude(graph, args):
-    graph.root()  # a role mismatch keeps its own message
-    _require_valid(graph)
     result = rational_longitude(graph)
     report = {
         "schema": SCHEMA,
@@ -206,7 +205,7 @@ def _cmd_oracle_check(graph, args):
     rows = []
     ok = True
     if graph.role == "closed":
-        _require_valid(graph)  # the split edge too, not only the two sides
+        require_valid(graph)  # before graph.edges[0]: a closed file may have none
         sides = split_at_edge(graph, graph.edges[0])
     else:
         sides = (graph,)

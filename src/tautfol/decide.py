@@ -32,10 +32,9 @@ from .graph import (
     RoleError,
     longitude_error,
     post_order,
+    require_valid,
     split_at_edge,
     subtree_longitudes,
-    validate,
-    errors_of,
 )
 from .seifert import (
     ConstraintFamily,
@@ -57,12 +56,6 @@ from .slopes import (
     arc_intersect,
     simplest_slope,
 )
-
-
-def _require_valid(graph):
-    errs = errors_of(validate(graph))
-    if errs:
-        raise RoleError("; ".join(e.removeprefix("error: ") for e in errs))
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +83,9 @@ class _Child(namedtuple("_Child", "bdry edge transport node arc")):
 
 
 def _evaluate(graph, n_max):
-    """The nodes of the rooted tree in graph.post_order, the root last.  Each
-    piece is evaluated once, from its children's nodes."""
+    """The nodes of the rooted tree in graph.post_order (which validates the
+    graph first), the root last.  Each piece is evaluated once, from its
+    children's nodes."""
     nodes = {}
     for pid, via, links in post_order(graph):
         piece = graph.pieces[pid]
@@ -103,14 +97,10 @@ def _evaluate(graph, n_max):
 
 
 def _evaluated(graph, n_max, fresh=False):
-    """The nodes of a valid graph, read from the graph when an evaluation at
-    this bound is kept there and ``fresh`` is false, else evaluated and
-    kept; the graph is validated on its first evaluation only, since it
-    cannot change."""
+    """The nodes of the graph, read from the graph when an evaluation at this
+    bound is kept there and ``fresh`` is false, else evaluated and kept."""
     nodes = None if fresh else graph.evaluations.get(n_max)
     if nodes is None:
-        if not graph.evaluations:
-            _require_valid(graph)
         nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
     return nodes
 
@@ -421,7 +411,7 @@ NOTE_REFUSES = ("no gluing coherent slope family exists; no co-oriented taut "
 def decide_ctf(graph, split_edge=None, n_max=None):
     """Taut-foliation decision for a closed graph manifold rational homology
     sphere, with a gluing coherent witness when the answer is yes."""
-    _require_valid(graph)
+    require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
     # An edge ident, or an Edge equal to the graph's own edge.  An unknown

@@ -66,13 +66,15 @@ class PlumbingGraph:
     """A tree of Seifert pieces with GL(2,Z) edge gluings.
 
     A graph is read-only once built (``pieces`` is a read-only mapping), so
-    ``evaluations``, which maps n_max to the validated tree evaluation of
-    ``decide``, cannot go stale: each graph is validated once, the questions
-    asked after ``detect_tree`` read its evaluation instead of walking the
-    tree again, and the records live as long as the graph does.
+    what is learnt about it cannot go stale: ``_faults``, the joined error
+    text of validation (None until require_valid first runs, empty when
+    valid), and ``evaluations``, which maps n_max to the tree evaluation of
+    ``decide``.  Each graph is validated once, the questions asked after
+    ``detect_tree`` read its evaluation instead of walking the tree again,
+    and the records live as long as the graph does.
     """
 
-    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations")
+    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations", "_faults")
 
     def __init__(self, pieces, edges, role):
         by_ident = {p.ident: p for p in pieces}
@@ -87,7 +89,7 @@ class PlumbingGraph:
                 by_boundary[key] = e
         for name, value in (("pieces", MappingProxyType(by_ident)), ("edges", edges),
                             ("role", role), ("_by_boundary", by_boundary),
-                            ("evaluations", {})):
+                            ("evaluations", {}), ("_faults", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -173,8 +175,17 @@ def validate(graph):
     return out
 
 
-def errors_of(diagnostics):
-    return [d for d in diagnostics if d.startswith("error:")]
+def require_valid(graph):
+    """Raise RoleError, naming every validation error, unless the graph is a
+    valid tree of its role.  Every walk of the tree passes here first
+    (post_order, split_at_edge), so this is the one gate on the standing
+    hypothesis.  A graph is read-only, so it is validated on the first call
+    only; later calls read the verdict kept on it."""
+    if graph._faults is None:
+        object.__setattr__(graph, "_faults", "; ".join(
+            d.removeprefix("error: ") for d in validate(graph) if d.startswith("error:")))
+    if graph._faults:
+        raise RoleError(graph._faults)
 
 
 # ---------------------------------------------------------------------------
@@ -253,39 +264,27 @@ def post_order(graph):
     in boundary-index order), the root last, as (piece id, boundary towards
     the parent, children).  Each child is (boundary index, edge, child piece
     id, transport), the transport taking the child's root frame to this
-    piece's frame.  The walk keeps its own stack, so the depth of the tree
-    is not limited by the interpreter's recursion limit; it raises RoleError
-    on a graph that is not a tree, or whose edge names an unknown piece,
-    which it may be handed unvalidated."""
+    piece's frame.  The graph passes require_valid first, so every boundary
+    but the one towards the parent carries an edge to a known piece, and
+    the walk, which keeps its own stack (the depth of the tree is not
+    limited by the interpreter's recursion limit), meets each piece once."""
+    require_valid(graph)
     # Pre-order taking the children last-first; reversed, it is the post-order.
     order = []
     stack = [graph.root()]
     while stack:
         pid, via = stack.pop()
-        try:
-            count = graph.pieces[pid].boundary_count
-        except KeyError:  # only an edge leads to a piece that is not the root
-            raise RoleError(f"edge {graph.edge_at(pid, via).ident} references "
-                            f"unknown piece {pid!r}") from None
         children = []
-        for j in range(count):
+        for j in range(graph.pieces[pid].boundary_count):
             if j == via:
                 continue
             edge = graph.edge_at(pid, j)
-            if edge is None:
-                # The only dangling torus is the root's: the walk came back
-                # to the root piece.
-                raise RoleError("underlying graph is not a tree")
             cid, cbd = edge.other_side(pid, j)
             transport = (edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd)
                          else edge.matrix.inverse())
             children.append((j, edge, cid, transport))
             stack.append((cid, cbd))
         order.append((pid, via, children))
-        if len(order) > len(graph.pieces):
-            raise RoleError("underlying graph is not a tree")
-    if len(order) != len(graph.pieces):
-        raise RoleError("underlying graph is not a tree")
     return reversed(order)
 
 
@@ -391,8 +390,12 @@ def split_at_edge(graph, edge):
 
     Returns (U, V): U rooted at the from-side frame, V at the to-side frame;
     each holds the pieces reachable from its side of the torus without
-    crossing it.
+    crossing it.  A side of a valid closed tree is a valid solid tree, so
+    the graph passes require_valid and the sides are kept as valid.
     """
+    require_valid(graph)
+    if graph.role != "closed":
+        raise RoleError("only closed graphs split into two solid tori")
     sides = []
     for root_piece, root_bdry in ((edge.from_piece, edge.from_bdry),
                                   (edge.to_piece, edge.to_bdry)):
@@ -411,7 +414,9 @@ def split_at_edge(graph, edge):
                     frontier.append(oid)
                     edges.append(e)
         pieces = [p for i, p in graph.pieces.items() if i in keep]
-        sides.append(PlumbingGraph(pieces, edges, "solid-torus"))
+        side = PlumbingGraph(pieces, edges, "solid-torus")
+        object.__setattr__(side, "_faults", "")
+        sides.append(side)
     return tuple(sides)
 
 

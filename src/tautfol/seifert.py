@@ -681,8 +681,6 @@ def detect_relative(piece, family, n_max=None):
 
     # v == 1: the detected set is a closed arc through the vertical slope.
     j0 = next(j for j, arc in enumerate(family.arcs) if arc.contains_vertical())
-    if j0 in family.strong:
-        raise FamilyError("strong constraints may not contain the vertical slope")
     if family.arcs[j0].is_full:
         return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="vertical-full")
     # The rays (-oo, a] and [b, +oo) of the arc through the vertical slope:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import tautfol.cli
 import tautfol.decide
 from tautfol import (
     ConstraintFamily,
@@ -175,9 +176,8 @@ def test_check_degenerate_needs_betti_one():
 
 
 def test_walk_rejects_a_cycle():
-    # Validation rejects the cycle before any walk starts; the longitude's
-    # walk, which runs unvalidated, stops once it has visited more pieces
-    # than the graph has.
+    # Validation rejects the cycle before any walk starts, the longitude's
+    # walk too.
     swap = GluingMatrix(0, 1, 1, 0)
     g = PlumbingGraph(
         [piece("r", [(2, 1)], r=2), piece("x", [(2, 1)], r=3), piece("y", [(3, 1)], r=2)],
@@ -263,6 +263,34 @@ def test_betti_errors_come_before_the_kernel(monkeypatch):
     with pytest.raises(RoleError, match="^rational longitude needs betti = 1, got 2$"):
         check_degenerate(parse_manifold(TWO_VERTICAL_CHILDREN))
     assert kernel == []
+
+
+def test_each_graph_is_validated_once(monkeypatch, capsys):
+    """Validity is decided once per graph: the questions asked of a solid
+    tree share one validation, and ctf and oracle-check validate a closed
+    graph once and neither of its sides."""
+    validated, validate = [], tautfol.graph.validate
+
+    def counting(graph):
+        validated.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(tautfol.graph, "validate", counting)
+    g = plumbing_chain(6)
+    extract_witness(g, simplest_slope(detect_tree(g).detected))
+    iter_piece_evaluations(g)
+    check_degenerate(g)
+    rational_longitude(g)
+    assert validated == [g]
+    closed = plumbing_chain(6, "closed")
+    validated.clear()
+    decide_ctf(closed)
+    assert validated == [closed]
+    validated.clear()
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    assert tautfol.cli.main(["oracle-check", str(samples / "closed_admits.json")]) == 0
+    capsys.readouterr()
+    assert [graph.role for graph in validated] == ["closed"]
 
 
 def test_evaluation_is_kept_on_its_own_graph():
@@ -586,6 +614,33 @@ def test_ctf_witness_revalidates(rng):
         verdict = decide_ctf(g)
         if verdict.admits:
             assert revalidate_witness(g, verdict.witness)
+
+
+def test_revalidate_witness_refuses_a_gap_or_a_moved_slope():
+    g = rand_valid_closed(random.Random(10))
+    witness = decide_ctf(g).witness
+    assert len(witness) == 3 and revalidate_witness(g, witness)
+    for ident in witness:
+        assert not revalidate_witness(g, {k: s for k, s in witness.items() if k != ident})
+    # Each piece of closed_two detects [-2, -1] in tau; tau = 5 is outside.
+    g = closed_two(GluingMatrix(1, -3, 0, -1))
+    assert revalidate_witness(g, decide_ctf(g).witness)
+    assert not revalidate_witness(g, {"e0": slope_of_tau(5)})
+
+
+def test_a_witness_tuple_that_detects_nothing_is_named(monkeypatch):
+    """extract_witness checks each tuple that realize returns: one that does
+    not detect the piece's slope raises DecisionError naming the piece, the
+    branch, the tuple and the slope."""
+    g = load_manifold(Path(__file__).resolve().parent.parent / "samples"
+                      / "two_piece_tree.json")
+    target = simplest_slope(detect_tree(g).detected)
+    monkeypatch.setattr(tautfol.decide, "realize", lambda *args: (VERTICAL,))
+    with pytest.raises(DecisionError) as info:
+        extract_witness(g, target)
+    assert str(info.value) == (
+        "witness search failed at piece root (branch horizontal-interval): "
+        f"the constraint tuple (1/0) does not detect {target}")
 
 
 # Splits on which witness extraction once failed: the root saw two child arcs

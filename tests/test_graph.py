@@ -1,6 +1,7 @@
 """Plumbing graphs: validation, homology, longitudes, gauge shifts, JSON."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,14 @@ from tautfol import (
     SeifertPiece,
     Slope,
     VERTICAL,
+    check_degenerate,
     detect_tree,
     dump_manifold,
     parse_manifold,
     rational_longitude,
     validate,
 )
-from tautfol.graph import homology
+from tautfol.graph import homology, split_at_edge, subtree_longitudes
 from conftest import rand_matrix, rand_valid_solid_tree
 
 
@@ -62,14 +64,14 @@ def test_validate_cycle():
 
 
 def test_an_unknown_piece_is_a_role_error():
-    """An unvalidated tree whose edge leads to a piece that does not exist:
-    the walk names the edge and the piece, as validate does."""
+    """A tree whose edge leads to a piece that does not exist: every walk
+    names the edge and the piece, in validate's words."""
     a = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=2,
                      ident="A")
     g = PlumbingGraph([a], [Edge("A", 1, "Z", 0, GluingMatrix(0, 1, 1, 0), "e0")],
                       "solid-torus")
     message = "edge e0 references unknown piece 'Z'"
-    with pytest.raises(RoleError, match=f"^{message}$"):
+    with pytest.raises(RoleError, match=f"^{message}; "):
         rational_longitude(g)
     with pytest.raises(RoleError, match=f"^{message}; "):
         detect_tree(g)
@@ -103,6 +105,37 @@ def test_a_walk_back_to_the_root_piece_is_not_a_tree():
     assert "error: underlying graph is not a tree" in validate(g)
     with pytest.raises(RoleError, match="^underlying graph is not a tree$"):
         rational_longitude(g)
+
+
+@pytest.mark.parametrize("matrix,leaf,message", [
+    (GluingMatrix(1, 0, 0, 1), {"base_orientable": True, "cones": ((2, 1), (3, 1))},
+     "edge e0: orientation-incompatible gluing (det != -1)"),
+    (GluingMatrix(0, 1, 1, 0), {"base_orientable": False, "crosscaps": 2, "cones": ()},
+     "piece leaf: crosscap number >= 2 is unsupported"),
+], ids=["det-plus-one", "crosscap-two"])
+@pytest.mark.parametrize("walk", [rational_longitude, subtree_longitudes, check_degenerate])
+def test_no_walk_answers_on_an_invalid_graph(matrix, leaf, message, walk):
+    """A solid tree that validate refuses gets validate's error from every
+    walk, not a longitude or a Betti number."""
+    root = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=2,
+                        ident="root")
+    g = PlumbingGraph([root, SeifertPiece(b=0, boundary_count=1, ident="leaf", **leaf)],
+                      [Edge("root", 1, "leaf", 0, matrix, "e0")], "solid-torus")
+    with pytest.raises(RoleError, match=f"^{re.escape(message)}$"):
+        walk(g)
+
+
+def test_only_a_closed_graph_splits():
+    """The sides of a split are kept as valid solid trees, which holds only
+    for a valid closed graph: a solid tree, whose split would leave one side
+    with two dangling tori, is refused."""
+    root = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=2,
+                        ident="root")
+    leaf = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=1,
+                        ident="leaf")
+    edge = Edge("root", 1, "leaf", 0, GluingMatrix(0, 1, 1, 0), "e0")
+    with pytest.raises(RoleError, match="^only closed graphs split into two solid tori$"):
+        split_at_edge(PlumbingGraph([root, leaf], [edge], "solid-torus"), edge)
 
 
 def test_validate_orientation():

@@ -50,9 +50,11 @@ from .seifert import (
 )
 from .slopes import (
     VERTICAL,
+    Slope,
     SlopeArc,
     act,
     act_arc,
+    act_inverse,
     arc_intersect,
     simplest_slope,
 )
@@ -86,12 +88,12 @@ def _evaluate(graph, n_max):
     """The nodes of the rooted tree in graph.post_order (which validates the
     graph first), the root last.  Each piece is evaluated once, from its
     children's nodes."""
-    nodes = {}
+    nodes, pieces = {}, graph.pieces
     for pid, via, links in post_order(graph):
-        piece = graph.pieces[pid]
-        children = tuple(
-            _Child(j, edge, transport, nodes[cid], act_arc(transport, nodes[cid].result.detected))
-            for j, edge, cid, transport in links)
+        piece = pieces[pid]
+        children = tuple([
+            _Child(j, edge, transport, (node := nodes[cid]), act_arc(transport, node.result.detected))
+            for j, edge, cid, transport in links])
         nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max))
     return tuple(nodes.values())
 
@@ -120,7 +122,7 @@ def _detect(piece, via, children, n_max):
         return None, DetectionResult(
             act_arc(k, child.arc),
             _moved(k.compose(child.transport), child.node.result.exceptions), "product")
-    family = ConstraintFamily(tuple(c.arc for c in children))
+    family = ConstraintFamily([c.arc for c in children])
     rel = detect_relative(piece, family, n_max)
     detected = rel.detected
     # A degenerate set {lambda} over an orientable base is strong; the n2 and
@@ -149,10 +151,13 @@ def _cable_exceptions(piece, children, detected):
         slope = act(child.transport, exc.slope)
         if slope.is_vertical:
             continue
-        # The filling slope; integral (distance one from the fibre) when q = 1.
-        alpha = piece.horizontal_completion((slope,))
-        if (alpha.q == 1 and detected.contains(alpha)
-                and all(e.slope != alpha for e in out)):
+        # The filling slope (horizontal_completion), of interest only when
+        # integral (distance one from the fibre): when q divides p.
+        p, q = piece._completion((slope,))
+        if p % q:
+            continue
+        alpha = Slope(p // q, 1)
+        if detected.contains(alpha) and all(e.slope != alpha for e in out):
             out.append(ExceptionalSlope(
                 alpha, Strength.INDETERMINATE,
                 "filling here makes the cable space a solid torus whose "
@@ -346,20 +351,19 @@ def _extract(root, target, n_max):
             continue
         piece = node.piece
         picks = realize(piece, node.family, node.result, slope, n_max)
-        if node.family is not None:
-            family = ConstraintFamily(tuple(SlopeArc.point(s) for s in picks))
-            if not detects(piece, family, slope, n_max=n_max):
-                raise DecisionError(
-                    f"witness search failed at piece {piece.ident} "
-                    f"(branch {node.result.branch}): the constraint tuple "
-                    f"({', '.join(map(str, picks))}) does not detect {slope}")
-        for c, s in reversed(list(zip(node.children, picks))):
+        if node.family is not None and not detects(piece, picks, slope, n_max=n_max):
+            raise DecisionError(
+                f"witness search failed at piece {piece.ident} "
+                f"(branch {node.result.branch}): the constraint tuple "
+                f"({', '.join(map(str, picks))}) does not detect {slope}")
+        for c, s in zip(reversed(node.children), reversed(picks)):
             # An edge's slope is recorded in its from-side frame.
-            if (c.edge.from_piece, c.edge.from_bdry) == (piece.ident, c.bdry):
-                stack.append((c.node, c.edge.ident, s, act(c.edge.matrix, s)))
+            edge = c.edge
+            if edge.from_piece == piece.ident and edge.from_bdry == c.bdry:
+                stack.append((c.node, edge.ident, s, act(edge.matrix, s)))
             else:
-                child_slope = act(c.edge.matrix.inverse(), s)
-                stack.append((c.node, c.edge.ident, child_slope, child_slope))
+                child_slope = act_inverse(edge.matrix, s)
+                stack.append((c.node, edge.ident, child_slope, child_slope))
     return assignment
 
 
@@ -481,7 +485,7 @@ def revalidate_witness(graph, witness, n_max=None):
         if slopes is None:
             return False
         for target_bdry, target in enumerate(slopes):
-            arcs = tuple(SlopeArc.point(s) for j, s in enumerate(slopes) if j != target_bdry)
-            if not detects(piece, ConstraintFamily(arcs), target, n_max=n_max):
+            others = tuple(s for j, s in enumerate(slopes) if j != target_bdry)
+            if not detects(piece, others, target, n_max=n_max):
                 return False
     return True

@@ -101,19 +101,23 @@ class PlumbingGraph:
     def dangling_count(self):
         """How many boundary tori no edge uses: the declared boundary counts
         less the in-range edge ends, so a huge declared count costs nothing."""
+        pieces = self.pieces
         used = sum(1 for pid, j in self._by_boundary
-                   if pid in self.pieces and 0 <= j < self.pieces[pid].boundary_count)
-        return sum(p.boundary_count for p in self.pieces.values()) - used
+                   if pid in pieces and 0 <= j < pieces[pid].boundary_count)
+        return sum(p.boundary_count for p in pieces.values()) - used
 
     def root(self):
         """The unique dangling torus of a solid-torus-role graph.  With one
         dangling torus the declared boundary counts add up to at most one
-        more than twice the number of edges, which bounds the walk."""
+        more than twice the number of edges, which bounds the walk.  A graph
+        that require_valid has passed is known to have one: it is not
+        counted again."""
         if self.role != "solid-torus":
             raise RoleError("only solid-torus graphs have a root torus")
-        count = self.dangling_count()
-        if count != 1:
-            raise RoleError(f"expected one dangling torus, found {count}")
+        if self._faults != "":
+            count = self.dangling_count()
+            if count != 1:
+                raise RoleError(f"expected one dangling torus, found {count}")
         return next((p.ident, j) for p in self.pieces.values()
                     for j in range(p.boundary_count) if (p.ident, j) not in self._by_boundary)
 
@@ -126,9 +130,10 @@ class PlumbingGraph:
 def validate(graph):
     """Diagnostics (strings prefixed 'error:' or 'warning:'); empty is clean."""
     out = []
+    pieces = graph.pieces
     if graph.role not in ("closed", "solid-torus"):
         out.append(f"error: unknown role {graph.role!r}")
-    for p in graph.pieces.values():
+    for p in pieces.values():
         if not p.base_orientable and p.crosscaps > 1:
             out.append(f"error: piece {p.ident}: crosscap number >= 2 is unsupported")
         if p.is_solid_torus_piece:
@@ -141,14 +146,15 @@ def validate(graph):
                     f"warning: piece {p.ident}: cone ({a}, {beta}) not normalized into (0, a)")
     for e in graph.edges:
         for pid, idx in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
-            if pid not in graph.pieces:
+            p = pieces.get(pid)
+            if p is None:
                 out.append(f"error: edge {e.ident} references unknown piece {pid!r}")
-            elif not 0 <= idx < graph.pieces[pid].boundary_count:
+            elif not 0 <= idx < p.boundary_count:
                 out.append(f"error: edge {e.ident} boundary index {idx} out of range")
         if e.matrix.det != -1:
             out.append(f"error: edge {e.ident}: orientation-incompatible gluing (det != -1)")
     # Tree check: connected and |edges| = |pieces| - 1.
-    ids = list(graph.pieces)
+    ids = list(pieces)
     parent = {i: i for i in ids}
 
     def find(x):
@@ -157,15 +163,17 @@ def validate(graph):
             x = parent[x]
         return x
 
-    cycle = False
+    # Each union of two classes leaves one component fewer.
+    cycle, components = False, len(ids)
     for e in graph.edges:
         if e.from_piece in parent and e.to_piece in parent:
             ra, rb = find(e.from_piece), find(e.to_piece)
             if ra == rb:
                 cycle = True
-            parent[ra] = rb
-    components = {find(i) for i in ids}
-    if cycle or len(components) > 1 or len(graph.edges) != len(ids) - 1:
+            else:
+                parent[ra] = rb
+                components -= 1
+    if cycle or components > 1 or len(graph.edges) != len(ids) - 1:
         out.append("error: underlying graph is not a tree")
     dangling = graph.dangling_count()
     if graph.role == "closed" and dangling != 0:
@@ -271,17 +279,19 @@ def post_order(graph):
     require_valid(graph)
     # Pre-order taking the children last-first; reversed, it is the post-order.
     order = []
+    pieces, by_boundary = graph.pieces, graph._by_boundary
     stack = [graph.root()]
     while stack:
         pid, via = stack.pop()
         children = []
-        for j in range(graph.pieces[pid].boundary_count):
+        for j in range(pieces[pid].boundary_count):
             if j == via:
                 continue
-            edge = graph.edge_at(pid, j)
-            cid, cbd = edge.other_side(pid, j)
-            transport = (edge.matrix if (edge.from_piece, edge.from_bdry) == (cid, cbd)
-                         else edge.matrix.inverse())
+            edge = by_boundary[pid, j]
+            if edge.to_piece == pid and edge.to_bdry == j:  # the child is the from-side
+                cid, cbd, transport = edge.from_piece, edge.from_bdry, edge.matrix
+            else:
+                cid, cbd, transport = edge.to_piece, edge.to_bdry, edge.matrix.inverse()
             children.append((j, edge, cid, transport))
             stack.append((cid, cbd))
         order.append((pid, via, children))
@@ -478,6 +488,10 @@ def _check_edge(raw, k):
         pair = raw[side]
         if not isinstance(pair, list) or len(pair) != 2 or isinstance(pair[0], (list, dict)):
             raise ManifoldFormatError(f"edges[{k}].{side} must be [piece id, boundary index]")
+        # A piece id is what pieces[k].id may be: a bool or a float would
+        # alias the integer pieces (True == 1, 2.0 == 2).
+        if not isinstance(pair[0], (str, int)) or isinstance(pair[0], bool):
+            raise ManifoldFormatError(f"edges[{k}].{side}[0]: expected a string or integer")
         _int(pair[1], "edges[{}].{}[1]", k, side)
     m = raw["matrix"]
     if (not isinstance(m, list) or len(m) != 2
@@ -492,8 +506,9 @@ def parse_manifold(data):
     """Build a PlumbingGraph from a decoded JSON object (strict).
 
     Each piece and edge object is tested for its well-formed shape in one
-    expression; only an object failing it goes through the field-by-field
-    checks (_check_piece, _check_edge), which name the fault."""
+    expression, a piece's cone entries by SeifertPiece's own type test;
+    only an object failing a test goes through the field-by-field checks
+    (_check_piece, _check_edge), which name the fault."""
     _expect_keys(data, _MANIFOLD_KEYS, "manifold")
     role = data["role"]
     if role not in ("closed", "solid-torus"):
@@ -509,15 +524,16 @@ def parse_manifold(data):
                 and type(base := raw["base"]) is dict and base.keys() == _BASE_KEYS
                 and type(base["orientable"]) is bool and type(base["crosscaps"]) is int
                 and type(cones := raw["cones"]) is list
-                and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is int
-                        and type(pair[1]) is int for pair in cones)
                 and type(raw["b"]) is int and type(raw["boundary"]) is int):
             _check_piece(raw, k)
             base, cones = raw["base"], raw["cones"]
         try:
             pieces.append(SeifertPiece(base["orientable"], tuple(map(tuple, cones)), raw["b"],
                                        raw["boundary"], base["crosscaps"], raw["id"]))
-        except PieceError as exc:
+        except (PieceError, TypeError) as exc:
+            # A cone entry that is not a pair of integers fails the piece's
+            # type test (or, not iterable, the tuple): named as a shape fault.
+            _check_piece(raw, k)
             raise ManifoldFormatError(f"pieces[{k}]: {exc}") from exc
     edges = []
     for k, raw in enumerate(data["edges"]):
@@ -527,8 +543,9 @@ def parse_manifold(data):
                 and type(dst := raw["to"]) is list and len(dst) == 2
                 and type(dst[0]) in (str, int) and type(dst[1]) is int
                 and type(m := raw["matrix"]) is list and len(m) == 2
-                and all(type(row) is list and len(row) == 2 and type(row[0]) is int
-                        and type(row[1]) is int for row in m)):
+                and type(top := m[0]) is list and type(bottom := m[1]) is list
+                and len(top) == len(bottom) == 2
+                and type(top[0]) is type(top[1]) is type(bottom[0]) is type(bottom[1]) is int):
             _check_edge(raw, k)
         (from_piece, from_bdry), (to_piece, to_bdry), (a, b), (c, d) = (
             raw["from"], raw["to"], *raw["matrix"])

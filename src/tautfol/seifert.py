@@ -91,10 +91,12 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
     ``b`` is the integer obstruction in the section relation
     sum(x_i) + sum(d_j) + b*h = 0.
 
-    The derived ``b_eff``, ``horizontal_sum``, ``cone_order_lcm``, ``n``
-    (the number of cones) and the shape predicates are written once into
-    the instance dict, which a tuple subclass needs in place of slots;
-    assignment is refused, as on Slope.  The predicates: ``is_n2``, the
+    The derived ``b_eff``, ``cone_order_lcm``, ``n`` (the number of cones)
+    and the shape predicates are written once into the instance dict,
+    which a tuple subclass needs in place of slots, beside the numerator
+    of ``horizontal_sum`` over ``cone_order_lcm``; ``horizontal_sum``
+    itself, a Fraction, is made on read.  Assignment is refused, as on
+    Slope.  The predicates: ``is_n2``, the
     twisted I-bundle over the Klein bottle, presented over the Moebius band
     (crosscap 1, no cones, one boundary); ``is_solid_torus_piece``;
     ``is_product_piece``, S^1 x S^1 x I (annulus base, no cones); and
@@ -127,14 +129,14 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
             step = lcm(m, a)
             m, m_gammas = step, m_gammas * (step // m) + beta % a * (step // a)
             reduced += beta // a
-        self = super().__new__(cls, base_orientable, cones, b, boundary_count, crosscaps, ident)
+        self = tuple.__new__(cls, (base_orientable, cones, b, boundary_count, crosscaps, ident))
         b_eff, n = b - reduced, len(cones)
         annulus = base_orientable and boundary_count == 2
-        self.__dict__.update(
-            b_eff=b_eff, horizontal_sum=Fraction(b_eff * m - m_gammas, m), cone_order_lcm=m,
-            n=n, is_n2=not base_orientable and crosscaps == 1 and n == 0 and boundary_count == 1,
-            is_solid_torus_piece=base_orientable and boundary_count == 1 and n <= 1,
-            is_product_piece=annulus and n == 0, is_cable_space=annulus and n == 1)
+        _SET_DICT(self, {
+            "b_eff": b_eff, "cone_order_lcm": m, "_horizontal_num": b_eff * m - m_gammas,
+            "n": n, "is_n2": not base_orientable and crosscaps == 1 and n == 0 and boundary_count == 1,
+            "is_solid_torus_piece": base_orientable and boundary_count == 1 and n <= 1,
+            "is_product_piece": annulus and n == 0, "is_cable_space": annulus and n == 1})
         return self
 
     # _replace builds through _make: through __new__, so it is checked too.
@@ -148,21 +150,34 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
     def __delattr__(self, name):
         raise AttributeError("SeifertPiece is immutable")
 
+    @property
+    def horizontal_sum(self):
+        """b_eff - sum(gamma_i), which a horizontal surface's boundary taus
+        sum to."""
+        return Fraction(self._horizontal_num, self.cone_order_lcm)
+
     def horizontal_completion(self, slopes):
         """The slope on the remaining boundary torus that completes a
         horizontal surface with the horizontal ``slopes`` on the others:
-        tau = b_eff - sum(gamma_i) - sum(tau_j), folded over integers as
-        horizontal_sum plus each p_j/q_j over a common denominator."""
-        total = self.horizontal_sum
-        num, den = total.numerator, total.denominator
+        tau = b_eff - sum(gamma_i) - sum(tau_j)."""
+        return Slope(*self._completion(slopes))
+
+    def _completion(self, slopes):
+        """The pair (p, q) of horizontal_completion before it is reduced:
+        horizontal_sum plus each p_j/q_j folded over a common denominator."""
+        num, den = self._horizontal_num, self.cone_order_lcm
         for s in slopes:
             num, den = num * s.q + s.p * den, den * s.q
-        return Slope(-num, den)
+        return -num, den
 
     @property
     def gammas(self):
         """gamma_i = beta_i/a_i mod 1 in (0, 1), computed on read (for the oracle)."""
         return tuple(Fraction(beta % a, a) for a, beta in self.cones)
+
+
+# The instance dict's own setter, which the guard in __setattr__ does not see.
+_SET_DICT = SeifertPiece.__dict__["__dict__"].__set__
 
 
 def _check_field_types(base_orientable, cones, b, boundary_count, crosscaps):
@@ -221,7 +236,7 @@ class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_
                 if arc.is_point:
                     raise FamilyError(
                         f"constraint {j} is strong but is a single slope")
-        return super().__new__(cls, arcs, strong)
+        return tuple.__new__(cls, (arcs, strong))
 
     # _replace builds through _make: through __new__, so it is checked too,
     # and the tuple's own length check would count arcs, not fields.
@@ -709,6 +724,9 @@ def detect_relative(piece, family, n_max=None):
 def detects(piece, family, slope, n_max=None):
     """Whether ``family`` detects ``slope``: the answer of
     ``detect_relative(piece, family, n_max).detected.contains(slope)``.
+    ``family`` is a ConstraintFamily, or a plain tuple of slopes standing
+    for the family of their points, as a witness holds its constraint
+    tuple; no arc is built for such a tuple unless the kernel runs.
 
     On the horizontal branch the detected set is [c_min - C/N, c_max +
     C'/N] + b_eff, which holds the core, so a slope whose normalized tau
@@ -716,13 +734,26 @@ def detects(piece, family, slope, n_max=None):
     the slopes past the core, and the other branches, need the kernel."""
     if (piece.base_orientable and not piece.is_solid_torus_piece
             and not piece.is_product_piece and not slope.is_vertical
-            and len(family) == piece.boundary_count - 1 and v_count(family) == 0):
-        zetas, etas = _arc_ends(family)
+            and len(family) == piece.boundary_count - 1
+            and (ends := _vertical_free_ends(family)) is not None):
+        zetas, etas, strong = ends
         q = slope.q  # the normalized tau is (-p - b_eff q)/q
-        if (_core_end(piece, zetas, family.strong, "low") * q <= -slope.p - piece.b_eff * q
-                <= _core_end(piece, etas, family.strong, "high") * q):
+        if (_core_end(piece, zetas, strong, "low") * q <= -slope.p - piece.b_eff * q
+                <= _core_end(piece, etas, strong, "high") * q):
             return True
+    if type(family) is tuple:
+        family = ConstraintFamily(tuple(map(SlopeArc.point, family)))
     return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
+
+
+def _vertical_free_ends(family):
+    """(zetas, etas, strong indices) of ``family``, a ConstraintFamily or a
+    tuple of slopes as detects takes it, or None when a constraint holds
+    the vertical slope.  A point's two ends are its slope."""
+    if type(family) is not tuple:
+        return (*_arc_ends(family), family.strong) if v_count(family) == 0 else None
+    ends = [(-s.p, s.q) for s in family]
+    return (ends, ends, _NO_STRONG) if all(s.q for s in family) else None
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +774,10 @@ def realize(piece, family, result, target, n_max=None):
     if result.branch == "product":
         return (act(product_transport(piece), target),)
     arcs = family.arcs
-    vertical = [j for j, arc in enumerate(arcs) if arc.contains_vertical()]
+    # The kernel answers on the horizontal-interval branch only when no
+    # arc holds the vertical slope.
+    vertical = ([] if result.branch == "horizontal-interval"
+                else [j for j, arc in enumerate(arcs) if arc.contains_vertical()])
     if not piece.base_orientable:
         # Without a vertical slope the point family detects only the fibre
         # slope; with one, every slope.
@@ -757,10 +791,10 @@ def realize(piece, family, result, target, n_max=None):
     u = target.p + piece.b_eff * q
     r = piece.boundary_count
     low, high = -(-u // q) - (piece.n + r - 1), r - 2 + u // q
+    if not vertical:
+        return _floor_tuple([arc.tau_intervals()[0][0] for arc in arcs], low, high)[0]
     # A vertical point holds no horizontal target: it reads as the line.
     pieces = [arc.tau_intervals()[0] or [(VERTICAL, VERTICAL)] for arc in arcs]
-    if not vertical:
-        return _floor_tuple([p[0] for p in pieces], low, high)[0]
     j0 = vertical[0]
     tuples = []
     for ray in pieces[j0]:
@@ -801,28 +835,31 @@ def _floor_tuple(intervals, low, high):
     extreme endpoints (upper ones below the core, lower ones above) has the
     same refinement certificate as the family.
     """
-    spans, fixed = [], {}
+    spans, floors, fixed = [], [], {}
     for j, (lo, hi) in enumerate(intervals):
         a = -(lo.p // lo.q) if lo.q else None  # ceil(tau(lo))
         b = -hi.p // hi.q if hi.q else None  # floor(tau(hi))
         if a is None or b is None or a <= b:
             spans.append((a, b))
+            floors.append(_clamp(0, a, b))
         else:  # inside (b, b + 1): floor b, ceiling b + 1
             spans.append((b, b))
+            floors.append(b)
             fixed[j] = _simplest_in(lo, hi)
             high -= 1
-    floors = [_clamp(0, a, b) for a, b in spans]
+    total = sum(floors)
+    # Once the sum is in the window no later floor moves.
     for j, (a, b) in enumerate(spans):
-        total = sum(floors)
-        if total < low:
-            floors[j] = _clamp(floors[j] + low - total, a, b)
-        elif total > high:
-            floors[j] = _clamp(floors[j] + high - total, a, b)
-    if sum(floors) < low:
+        if low <= total <= high:
+            break
+        floor = _clamp(floors[j] + (low if total < low else high) - total, a, b)
+        total += floor - floors[j]
+        floors[j] = floor
+    if total < low:
         return tuple(hi for _, hi in intervals), False
-    if sum(floors) > high:
+    if total > high:
         return tuple(lo for lo, _ in intervals), False
-    return tuple(fixed.get(j) or Slope(-f, 1) for j, f in enumerate(floors)), True
+    return tuple([fixed.get(j) or _primitive(-f, 1) for j, f in enumerate(floors)]), True
 
 
 def _clamp(x, lo, hi):

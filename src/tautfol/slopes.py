@@ -333,17 +333,23 @@ def act(g, slope):
     return _primitive(g.a * slope.p + g.b * slope.q, g.c * slope.p + g.d * slope.q)
 
 
+def act_inverse(g, slope):
+    """act(g.inverse(), slope), with no inverse built: the adjugate
+    (d, -b; -c, a) is the inverse up to the sign det = +-1, which the
+    primitive pair's sign normalization takes out."""
+    return _primitive(g.d * slope.p - g.b * slope.q, g.a * slope.q - g.c * slope.p)
+
+
 def act_arc(g, arc):
     """Image of a closed arc.  The traversal direction flips when the induced
     circle map is orientation-reversing (det = -1)."""
-    if arc.kind in (SlopeArc.EMPTY, SlopeArc.FULL):
-        return arc
-    if arc.kind == SlopeArc.POINT:
-        return SlopeArc.point(act(g, arc.start))
-    s, e = act(g, arc.start), act(g, arc.end)
-    if g.det > 0:
-        return SlopeArc.arc(s, e)
-    return SlopeArc.arc(e, s)
+    kind = arc.kind
+    if kind == SlopeArc.ARC:
+        s, e = act(g, arc.start), act(g, arc.end)
+        return SlopeArc(kind, s, e) if g.det > 0 else SlopeArc(kind, e, s)
+    if kind == SlopeArc.POINT:
+        return SlopeArc(kind, act(g, arc.start))
+    return arc  # empty or full
 
 
 def simplest_slope(region, allow_vertical=True):

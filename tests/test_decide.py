@@ -1,5 +1,6 @@
 """Tree evaluation, degenerate analysis, witnesses and the closed decision."""
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -30,6 +31,7 @@ from tautfol import (
     detect_relative,
     detect_tree,
     detects,
+    dump_manifold,
     extract_witness,
     load_manifold,
     rational_longitude,
@@ -232,6 +234,39 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     iter_piece_evaluations(g, n_max=5)
     check_degenerate(g, n_max=5)
     assert len(calls) == 24
+
+
+def test_work_on_the_1000_piece_chain(monkeypatch):
+    """The pinned 1,000-piece chain (`python tests/conftest.py 1000`), read
+    as the CLI reads it: detection runs the kernel once per piece and builds
+    no gluing matrix; extraction runs no kernel, builds no gluing matrix
+    (a child's slope is carried back without inverting the edge) and asks
+    no arc whether it holds the vertical slope (the kernel's branch and the
+    realized slopes already say)."""
+    counts = dict.fromkeys(("matrices", "vertical"), 0)
+    make, holds = GluingMatrix.__init__, SlopeArc.contains_vertical
+
+    def counting_make(self, *args):
+        counts["matrices"] += 1
+        make(self, *args)
+
+    def counting_holds(self):
+        counts["vertical"] += 1
+        return holds(self)
+
+    g = parse_manifold(json.loads(json.dumps(dump_manifold(plumbing_chain(1000)))))
+    kernel = _counting(monkeypatch, (tautfol.decide, tautfol.seifert), "detect_relative")
+    monkeypatch.setattr(GluingMatrix, "__init__", counting_make)
+    monkeypatch.setattr(SlopeArc, "contains_vertical", counting_holds)
+    res = detect_tree(g)
+    assert sorted(kernel) == sorted(g.pieces)  # no product piece: one call each
+    assert counts["matrices"] == 0
+    target = simplest_slope(res.detected)
+    kernel.clear()
+    counts.update(matrices=0, vertical=0)
+    witness = extract_witness(g, target)
+    assert (len(kernel), counts["matrices"], counts["vertical"]) == (0, 0, 0)
+    assert len(witness) == 1000
 
 
 def test_longitudes_come_from_one_walk_only(monkeypatch):

@@ -396,6 +396,11 @@ READER_ERRORS = [
     (_set(("edges", 1, "to"), "B"), "edges[1].to must be [piece id, boundary index]"),
     (_set(("edges", 1, "from", 1), "1"), "edges[1].from[1]: expected an integer"),
     (_set(("edges", 1, "to", 1), True), "edges[1].to[1]: expected an integer"),
+    # an edge end's piece id is a string or an integer, as pieces[k].id is:
+    # true and 2.0 would alias the integer pieces 1 and 2
+    (_set(("edges", 1, "from", 0), True), "edges[1].from[0]: expected a string or integer"),
+    (_set(("edges", 1, "to", 0), 2.0), "edges[1].to[0]: expected a string or integer"),
+    (_set(("edges", 1, "from", 0), None), "edges[1].from[0]: expected a string or integer"),
     (_set(("edges", 1, "matrix"), [[1, -3]]), "edges[1].matrix must be a 2x2 integer matrix"),
     (_set(("edges", 1, "matrix", 1), 7), "edges[1].matrix must be a 2x2 integer matrix"),
     (_set(("edges", 1, "matrix", 1, 0), 0.5), "edges[1].matrix[1][0]: expected an integer"),

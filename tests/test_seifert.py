@@ -470,6 +470,17 @@ def test_piece_refusal_messages(fields, message):
     assert str(excinfo.value) == message
 
 
+def _piece_grid():
+    """(orientable, crosscaps, boundary, cones) for every small integer field
+    value around the limits, with no cone or one: 2,848 field tuples."""
+    cone_choices = [()] + [((a, beta),) for a in range(-1, 7) for beta in range(-3, 8)]
+    for orientable in (True, False):
+        for crosscaps in range(-1, 3):
+            for boundary in range(-1, 3):
+                for cones in cone_choices:
+                    yield orientable, crosscaps, boundary, cones
+
+
 def test_piece_accepts_exactly_the_documented_pieces():
     """SeifertPiece accepts a piece exactly when README's rules hold: at least
     one boundary torus, no crosscaps over an orientable base and at least one
@@ -477,27 +488,49 @@ def test_piece_accepts_exactly_the_documented_pieces():
     gcd(a, beta) = 1.  Checked on every small integer field value around the
     limits, with no cone or one; an accepted piece's shape predicates are
     checked against their definitions."""
-    cone_choices = [()] + [((a, beta),) for a in range(-1, 7) for beta in range(-3, 8)]
-    for orientable in (True, False):
-        for crosscaps in range(-1, 3):
-            for boundary in range(-1, 3):
-                for cones in cone_choices:
-                    rules = (boundary >= 1
-                             and (crosscaps == 0 if orientable else crosscaps >= 1)
-                             and all(a >= 2 and math.gcd(a, beta) == 1 for a, beta in cones))
-                    try:
-                        piece = SeifertPiece(orientable, cones, 0, boundary, crosscaps)
-                    except PieceError:
-                        assert not rules, (orientable, crosscaps, boundary, cones)
-                        continue
-                    assert rules, (orientable, crosscaps, boundary, cones)
-                    n = len(cones)
-                    assert (piece.n, piece.is_n2, piece.is_solid_torus_piece,
-                            piece.is_product_piece, piece.is_cable_space) == (
-                        n, not orientable and crosscaps == 1 and n == 0 and boundary == 1,
-                        orientable and boundary == 1 and n <= 1,
-                        orientable and boundary == 2 and n == 0,
-                        orientable and boundary == 2 and n == 1)
+    for orientable, crosscaps, boundary, cones in _piece_grid():
+        rules = (boundary >= 1
+                 and (crosscaps == 0 if orientable else crosscaps >= 1)
+                 and all(a >= 2 and math.gcd(a, beta) == 1 for a, beta in cones))
+        try:
+            piece = SeifertPiece(orientable, cones, 0, boundary, crosscaps)
+        except PieceError:
+            assert not rules, (orientable, crosscaps, boundary, cones)
+            continue
+        assert rules, (orientable, crosscaps, boundary, cones)
+        n = len(cones)
+        assert (piece.n, piece.is_n2, piece.is_solid_torus_piece,
+                piece.is_product_piece, piece.is_cable_space) == (
+            n, not orientable and crosscaps == 1 and n == 0 and boundary == 1,
+            orientable and boundary == 1 and n <= 1,
+            orientable and boundary == 2 and n == 0,
+            orientable and boundary == 2 and n == 1)
+
+
+def test_horizontal_sum_is_b_eff_less_the_gammas_and_read_only():
+    """On every accepted piece of the grid, horizontal_sum is the Fraction
+    b_eff - sum(gamma_i), read off the raw cones (gamma_i = beta_i mod a_i
+    over a_i, b_eff = b - sum(floor(beta_i / a_i))), and assigning or
+    deleting it raises and leaves it unchanged."""
+    checked = 0
+    for orientable, crosscaps, boundary, cones in _piece_grid():
+        for b in (-2, 0, 3):
+            try:
+                piece = SeifertPiece(orientable, cones, b, boundary, crosscaps)
+            except PieceError:
+                continue
+            b_eff = b - sum(beta // a for a, beta in cones)
+            want = b_eff - sum(Fraction(beta % a, a) for a, beta in cones)
+            assert piece.b_eff == b_eff
+            assert type(piece.horizontal_sum) is Fraction and piece.horizontal_sum == want
+            with pytest.raises(AttributeError):
+                piece.horizontal_sum = want + 1
+            with pytest.raises(AttributeError):
+                del piece.horizontal_sum
+            assert piece.horizontal_sum == want
+            checked += 1
+    assert checked > 500  # 198 accepted pieces, three b each
+
 
 def test_solid_torus_meridian():
     piece = _piece([(3, 2)], b=1, r=1)
@@ -680,9 +713,11 @@ def _membership_probes(piece, fam, res, rng):
 
 def test_detects_matches_the_kernel():
     """detects(piece, family, slope) is detect_relative(piece, family)
-    .detected.contains(slope) on every branch and under several bounds;
-    many probes lie in the core, which detects answers without the kernel."""
-    in_core = probes = 0
+    .detected.contains(slope) on every branch and under several bounds,
+    and so is detects on the tuple of a point family's slopes, the form a
+    witness passes; many probes lie in the core, which detects answers
+    without the kernel."""
+    in_core = probes = tuples = 0
     for seed in range(3200):
         rng = random.Random(f"detects-{seed}")
         piece, fam = _membership_draw(rng, seed % 4)
@@ -690,12 +725,17 @@ def test_detects_matches_the_kernel():
         res = detect_relative(piece, fam, n_max=n_max)
         horizontal = res.branch == "horizontal-interval"
         c_min, c_max = core_interval(piece, fam) if horizontal else (1, 0)
+        points = (tuple(arc.start for arc in fam.arcs)
+                  if all(arc.is_point for arc in fam.arcs) and not fam.strong else None)
         for slope in _membership_probes(piece, fam, res, rng):
             want = res.detected.contains(slope)
             assert detects(piece, fam, slope, n_max=n_max) == want, (piece, fam, slope, n_max)
+            if points is not None:
+                assert detects(piece, points, slope, n_max=n_max) == want, (piece, points, slope)
+                tuples += 1
             probes += 1
             in_core += not slope.is_vertical and c_min <= slope.tau - piece.b_eff <= c_max
-    assert probes > 40000 and in_core > 15000, (probes, in_core)
+    assert probes > 40000 and in_core > 15000 and tuples > 10000, (probes, in_core, tuples)
 
 
 def test_monotone_in_constraints(rng):

@@ -250,7 +250,7 @@ class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_
 
 def v_count(family):
     """Number of constraint arcs containing the vertical slope."""
-    return sum(1 for arc in family.arcs if arc.contains_vertical())
+    return sum(map(SlopeArc.contains_vertical, family.arcs))
 
 
 def _horizontal_ends(piece, family):
@@ -278,20 +278,20 @@ def _arc_ends(family):
     return zetas, etas
 
 
-def _core_end(piece, ends, strong, side):
-    """c_min from the zetas (side "low") or c_max from the etas ("high"):
-    integral ends count on strong constraints below, on free ones above."""
-    low = side == "low"
-    count = sum(1 for j, (_, den) in enumerate(ends) if den == 1 and (j in strong) == low)
-    floors = sum(num // den for num, den in ends)
-    return count - floors - (piece.n + piece.boundary_count - 1 if low else 1)
+def _core_end(piece, zetas, etas, strong):
+    """(c_min, c_max), from the zetas and the etas in one pass: integral
+    ends count on strong constraints below, on free ones above."""
+    c_min = c_max = 0
+    for j, ((z_num, z_den), (e_num, e_den)) in enumerate(zip(zetas, etas)):
+        c_min += (z_den == 1 and j in strong) - z_num // z_den
+        c_max += (e_den == 1 and j not in strong) - e_num // e_den
+    return c_min - (piece.n + piece.boundary_count - 1), c_max - 1
 
 
 def core_interval(piece, family):
     """The core integer interval [c_min, c_max] of the horizontal case."""
     zetas, etas = _horizontal_ends(piece, family)
-    return (_core_end(piece, zetas, family.strong, "low"),
-            _core_end(piece, etas, family.strong, "high"))
+    return _core_end(piece, zetas, etas, family.strong)
 
 
 # ---------------------------------------------------------------------------
@@ -352,28 +352,32 @@ def _scan_certificates(slots, n_max):
     """
     if not slots:
         return None
-    # Hardest first: the highest threshold, a strict one before a loose one.
-    common = lcm(*(t[1] for _, t, _ in slots))
-    keys = [(tn * (common // td), strict) for _, (tn, td), strict in slots]
-    order = sorted(range(len(slots)), key=keys.__getitem__, reverse=True)
-    thresholds = [(slots[i][1], slots[i][2]) for i in order]
-    # The largest N for which the value 1 satisfies each slot.
-    cutoffs = [n_max if tn <= 0 else (td - 1) // tn if strict else td // tn
-               for (tn, td), strict in thresholds]
-    cut1 = min(cutoffs[1:], default=n_max)
-    cut2 = min(cutoffs[2:], default=n_max)
-    (t0n, t0d), strict0 = thresholds[0]
+    # Hardest first: the highest threshold, strict before loose, then slot order.
+    common = 1
+    for _, (_, td), _ in slots:
+        common = lcm(common, td)
+    ranked = []
+    for i, (_, (tn, td), strict) in enumerate(slots):
+        ranked.append((tn * (common // td), strict, -i, tn, td))
+    ranked.sort(reverse=True)
+    # The largest N <= n_max for which the value 1 satisfies the second
+    # (cut1) and the third (cut2) hardest slot.  A slot's cutoff never falls
+    # along that order, so up to there 1/N satisfies every later slot too.
+    cut1 = cut2 = n_max
+    for _, strict, _, tn, td in ranked[2:0:-1]:
+        cut2, cut1 = cut1, n_max if tn <= 0 else min(n_max, (td - 1) // tn if strict else td // tn)
+    _, strict0, _, t0n, t0d = ranked[0]
     # Up to cut1 only the hardest slot can refuse a 1/N; A/N < 1 - t0 and
     # (N-A)/N > t0 are the same condition, so cases 0 and 1 reach the same
     # C at every N, and where 1/N fits every slot that C is N - 1.
-    best = _farey_below(t0d - t0n, t0d, strict0, min(cut1, n_max))
+    best = _farey_below(t0d - t0n, t0d, strict0, cut1)
     case = None
-    if len(thresholds) >= 2:
-        (t1n, t1d), strict1 = thresholds[1]
+    if len(ranked) >= 2:
+        _, strict1, _, t1n, t1d = ranked[1]
         pair = (t0n, t0d, strict0, t1n, t1d, strict1)
         n_value = _least_pair_denominator(pair)
         # A tie goes to cases 0 and 1: at N <= cut1 they reach C = 1 with A = 1.
-        if (n_value is not None and n_value <= min(cut2, n_max)
+        if (n_value is not None and n_value <= cut2
                 and (best is None or best[0] * n_value < best[1])):
             best, case = (1, n_value), 2
     if best is None:
@@ -385,7 +389,7 @@ def _scan_certificates(slots, n_max):
         a_val, case = c_num, 0
     else:
         a_val, case = n_value - c_num, 1
-    assign = _build_assignment(slots, order, n_value, a_val, case)
+    assign = _build_assignment(slots, [-i for _, _, i, _, _ in ranked], n_value, a_val, case)
     return (c_num, n_value), n_value, a_val, assign, c_num
 
 
@@ -455,7 +459,6 @@ def _first_a_pair_fits(n_value, pair):
 
 def _build_assignment(slots, order, n_value, a_val, case):
     """Replay the greedy placement for the winning (N, A, case)."""
-    values = []
     if case == 0:  # target took A
         values = [n_value - a_val] + [1] * (len(slots) - 1)
     elif case == 1:  # target took N - A
@@ -480,19 +483,19 @@ def _build_assignment(slots, order, n_value, a_val, case):
     return assign
 
 
-def _side_reach(piece, ends, strong, side, n_max):
-    """How far the detected set reaches on one side of the core: (end,
-    certificate) with end = c_min - C/N ("low") or c_max + C/N ("high")
-    for the largest C/N certified with N <= n_max, or (core end, None).
+def _side_reach(piece, end, ends, strong, side, n_max):
+    """How far the detected set reaches past the core end ``end`` (c_min on
+    side "low", c_max on "high"): (end - C/N or end + C/N as a (num, den)
+    pair, certificate) for the largest C/N certified with N <= n_max, or ((end, 1), None).
 
     ``ends`` are the side's extreme endpoints, one per constraint: zeta for
     low, eta for high.  Ends are (num, den) pairs in lowest terms.
     """
-    end = _core_end(piece, ends, strong, side)
     low = side == "low"
     # Thresholds 1 - gamma_i (low) or gamma_i (high), gamma_i = (beta_i mod a_i)/a_i.
-    slots = [(("cone", i), (a - beta % a if low else beta % a, a), True)
-             for i, (a, beta) in enumerate(piece.cones)]
+    slots = []
+    for i, (a, beta) in enumerate(piece.cones):
+        slots.append((("cone", i), (a - beta % a if low else beta % a, a), True))
     excluded = []
     for j, (num, den) in enumerate(ends):
         if den != 1:
@@ -517,7 +520,9 @@ def _refine_family(piece, family, side, n_max):
     """_side_reach on a vertical-free family, bounded by both sides' ends."""
     zetas, etas = _horizontal_ends(piece, family)
     bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
-    end, cert = _side_reach(piece, zetas if side == "low" else etas, family.strong, side, bound)
+    low = side == "low"
+    core = _core_end(piece, zetas, etas, family.strong)[0 if low else 1]
+    end, cert = _side_reach(piece, core, zetas if low else etas, family.strong, side, bound)
     return None if cert is None else (Fraction(*end), cert)
 
 
@@ -604,11 +609,6 @@ def merge_exceptions(entries):
 # ---------------------------------------------------------------------------
 
 
-def _check_supported(piece):
-    if not piece.base_orientable and piece.crosscaps > 1:
-        raise PieceError("bases with crosscap number >= 2 are out of scope")
-
-
 def product_transport(piece):
     """The slope map S(T_1) -> S(T_2) induced by an S^1 x S^1 x I piece,
     as a gluing matrix on (p, q) pairs: tau goes to b - tau."""
@@ -641,7 +641,8 @@ def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
                   for j, arc in enumerate(family.arcs)]
         ends = [(-s.p, s.q) for s in slopes]
         bound = n_max if n_max is not None else default_n_bound(piece, ends)
-        return _side_reach(piece, ends, family.strong, side, bound)[0]
+        core = _core_end(piece, ends, ends, family.strong)[side == "high"]
+        return _side_reach(piece, core, ends, family.strong, side, bound)[0]
 
     right = None if b_tau is None else reach(b_tau, "high")
     left = None if a_tau is None else reach(a_tau, "low")
@@ -650,9 +651,10 @@ def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
 
 def detect_relative(piece, family, n_max=None):
     """Detected and strongly detected slopes on the last boundary torus."""
-    _check_supported(piece)
+    if not piece.base_orientable and piece.crosscaps > 1:
+        raise PieceError("bases with crosscap number >= 2 are out of scope")
     r = piece.boundary_count
-    if len(family) != r - 1:
+    if len(family.arcs) != r - 1:
         raise FamilyError(
             f"piece has {r} boundary tori but family has {len(family)} arcs")
     shift = piece.b_eff
@@ -684,14 +686,16 @@ def detect_relative(piece, family, n_max=None):
     if v == 0:
         zetas, etas = _arc_ends(family)
         bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
-        left, low = _side_reach(piece, zetas, family.strong, "low", bound)
-        right, high = _side_reach(piece, etas, family.strong, "high", bound)
+        c_min, c_max = _core_end(piece, zetas, etas, family.strong)
+        left, low = _side_reach(piece, c_min, zetas, family.strong, "low", bound)
+        right, high = _side_reach(piece, c_max, etas, family.strong, "high", bound)
         if left[0] * right[1] > right[0] * left[1]:
             raise SlopeError("tau interval endpoints out of order")
         lo, hi = _slope_at(left, shift), _slope_at(right, shift)
-        # The frontier slopes in tau order, one record when they coincide.
-        exc = tuple(ExceptionalSlope(s, Strength.NOT_STRONG, "frontier of the detected interval")
-                    for s in ((lo,) if lo == hi else (lo, hi)))
+        # The frontier slopes in tau order, one record when they coincide
+        # (both ends are pairs in lowest terms).
+        exc = tuple([ExceptionalSlope(s, Strength.NOT_STRONG, "frontier of the detected interval")
+                     for s in ((lo,) if left == right else (lo, hi))])
         return DetectionResult(SlopeArc.arc(lo, hi), exc, "horizontal-interval", low, high)
 
     # v == 1: the detected set is a closed arc through the vertical slope.
@@ -736,10 +740,9 @@ def detects(piece, family, slope, n_max=None):
             and not piece.is_product_piece and not slope.is_vertical
             and len(family) == piece.boundary_count - 1
             and (ends := _vertical_free_ends(family)) is not None):
-        zetas, etas, strong = ends
+        c_min, c_max = _core_end(piece, *ends)
         q = slope.q  # the normalized tau is (-p - b_eff q)/q
-        if (_core_end(piece, zetas, strong, "low") * q <= -slope.p - piece.b_eff * q
-                <= _core_end(piece, etas, strong, "high") * q):
+        if c_min * q <= -slope.p - piece.b_eff * q <= c_max * q:
             return True
     if type(family) is tuple:
         family = ConstraintFamily(tuple(map(SlopeArc.point, family)))

@@ -206,7 +206,11 @@ class SlopeArc:
         return _cyclically_between(self.start, slope, self.end)
 
     def contains_vertical(self):
-        return self.contains(VERTICAL)
+        """contains(VERTICAL), read off the ends: an arc holds the vertical
+        slope when an end is vertical or tau falls from its start to its end."""
+        if self.kind == SlopeArc.ARC:
+            return not (self.start.q and self.end.q) or _before(self.end, self.start)
+        return self.kind == SlopeArc.FULL or (self.kind == SlopeArc.POINT and not self.start.q)
 
     def tau_intervals(self):
         """The horizontal part as closed tau-intervals, plus whether the

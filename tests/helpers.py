@@ -1,9 +1,14 @@
 """Test-side references shared by several test modules: H_1 of a
 presentation solved by the dense Smith normal form alone, the multiset
-check of a refinement certificate, and a solid tree of b1 = 2."""
+check of a refinement certificate, a solid tree of b1 = 2, and the
+closed-Seifert criterion for horizontal foliations with the Dehn filling
+that feeds it."""
 
+from fractions import Fraction
 from math import gcd
 
+from tautfol import GluingMatrix, SeifertPiece
+from tautfol.graph import Edge, PlumbingGraph
 from tautfol.snf import smith_normal_form
 
 
@@ -70,3 +75,86 @@ TWO_VERTICAL_CHILDREN = {
         {"from": ["k2", 0], "to": ["root", 2], "matrix": [[1, 0], [0, -1]]},
     ],
 }
+
+
+# ---------------------------------------------------------------------------
+# Closed Seifert fibred spaces: Dehn fillings and horizontal foliations
+# ---------------------------------------------------------------------------
+
+
+def fill(piece, slopes):
+    """(b, cones) of the closed Seifert fibred space made by filling each
+    boundary torus of ``piece`` (planar orientable base) along the
+    horizontal slope there.  In the frame (h, h#), h# = -d_j, the slope
+    (p, q) is the class p*h - q*d_j, so its filling adds the relation
+    q*d_j - p*h = 0: a new cone (q, -p), or, when q = 1, d_j = p*h, which
+    moves b to b + p."""
+    b, cones = piece.b, list(piece.cones)
+    for s in slopes:
+        if s.q == 1:
+            b += s.p
+        else:
+            cones.append((s.q, -s.p))
+    return b, cones
+
+
+def euler_number(b, cones):
+    """e = sum(beta_i/a_i) - b: with a_i*x_i + beta_i*h = 0 and sum(x_i) +
+    b*h = 0, h has rational order given by e, and |H_1| = |e| * prod(a_i)
+    when e != 0 (H_1 is infinite when e = 0)."""
+    return sum((Fraction(beta, a) for a, beta in cones), Fraction(-b))
+
+
+def has_horizontal_foliation(b, cones):
+    """Whether the closed Seifert fibred space (b, cones) over the sphere
+    carries a foliation transverse to its fibres (Eisenbud-Hirsch-Neumann,
+    Jankins-Neumann, Naimi).  Normalized as M(e0; r_1, ..., r_k) with
+    e = e0 + sum(r_i), 0 < r_i < 1: yes when 2 - k <= e0 <= -2; at
+    e0 = -1 when some coprime 0 < a < m puts two of the r's below a/m and
+    (m - a)/m and the rest below 1/m; at e0 = 1 - k when the 1 - r_i do
+    so; never when k <= 2.  Reversing the orientation takes (e0, r_i) to
+    (-k - e0, 1 - r_i), which the criterion maps to itself, so the sign
+    convention of e does not matter."""
+    e0 = -b + sum(beta // a for a, beta in cones)
+    rs = [Fraction(beta % a, a) for a, beta in cones if beta % a]
+    k = len(rs)
+    if k <= 2:
+        return False
+    if 2 - k <= e0 <= -2:
+        return True
+    if e0 == -1:
+        return _realizable(rs)
+    if e0 == 1 - k:
+        return _realizable([1 - r for r in rs])
+    return False
+
+
+def _realizable(rs):
+    """Some coprime 0 < a < m with r's below a/m and (m - a)/m and the rest
+    below 1/m.  Matching the r's in decreasing order to a/m >= (m - a)/m
+    >= 1/m is best, and the third largest r bounds m."""
+    rs = sorted(rs, reverse=True)
+    m = 2
+    while rs[2] * m < 1:
+        if any(gcd(a, m) == 1 and rs[0] * m < a and rs[1] * m < m - a
+               for a in range((m + 1) // 2, m)):
+            return True
+        m += 1
+    return False
+
+
+def filled_graph(piece, slopes):
+    """The filling of ``fill`` as a closed plumbing graph: ``piece`` with a
+    solid torus (no cones, b = 0, meridian (0, 1)) glued to each boundary
+    torus by a matrix of determinant -1 whose second column is the
+    slope."""
+    pieces = [piece._replace(ident="P")]
+    edges = []
+    for j, s in enumerate(slopes):
+        # x*q + y*p = 1, so [[-x, p], [y, q]] has determinant -1.
+        y = pow(s.p, -1, s.q)
+        x = (1 - y * s.p) // s.q
+        pieces.append(SeifertPiece(True, (), 0, 1, ident=f"D{j}"))
+        edges.append(Edge(f"D{j}", 0, "P", j, GluingMatrix(-x, s.p, y, s.q), f"e{j}"))
+    return PlumbingGraph(pieces, edges, "closed")
+

@@ -15,9 +15,15 @@ value instead of walking the certificates, is compared with the largest C/N
 over that enumeration, and with the kernel's scan at the bounds the
 commands use.  ``grid_union`` is compared with the tuple statistic written
 out here, and still answers with the kernel's core made to raise.
+
+One check shares no formula with the kernel: on two-boundary pieces, a
+slope beta whose double filling with alpha passes the closed-Seifert
+criterion (``tests/helpers.py``) must be detected relative to the point
+alpha.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -26,13 +32,29 @@ from pathlib import Path
 
 import pytest
 
-from tautfol import ConstraintFamily, JNCertificate, SeifertPiece, core_interval, seifert
+from tautfol import (
+    ConstraintFamily,
+    JNCertificate,
+    SeifertPiece,
+    Slope,
+    SlopeArc,
+    core_interval,
+    detect_relative,
+    seifert,
+)
 import tautfol.oracle
 from tautfol.oracle import _intervals, _samples, grid_union, jn_exhaustive_extremal
 from tautfol import jn_refine_high, jn_refine_low
+from tautfol.graph import homology, validate
 from tautfol.seifert import default_n_bound
-from conftest import rand_cones, rand_horizontal_piece_and_family
-from helpers import assert_multiset_distributed
+from conftest import rand_cones, rand_horizontal_piece_and_family, rand_orientable_piece
+from helpers import (
+    assert_multiset_distributed,
+    euler_number,
+    fill,
+    filled_graph,
+    has_horizontal_foliation,
+)
 
 F = Fraction
 DIGEST = Path(__file__).resolve().parent / "golden" / "oracle_digest.txt"
@@ -444,6 +466,77 @@ def test_certificates_match_the_fraction_enumeration():
             (3, 1, (2, 1), ((0, 1),), 1),
             (3, 2, (2, 1), ((0, 1),), 1),
         ]
+
+
+# ---------------------------------------------------------------------------
+# An oracle that shares no formula with the kernel: fillings of two-boundary
+# pieces under the closed-Seifert criterion
+# ---------------------------------------------------------------------------
+
+
+def _two_boundary_sample():
+    """110 seeded pieces over the annulus (0-3 cones, a <= 7, b in -2..2),
+    each with 6 distinct horizontal slopes alpha (q <= 5, |p| <= 12)."""
+    rng = random.Random(5)
+    for _ in range(110):
+        piece = rand_orientable_piece(rng, 2, n_max=3, a_max=7)
+        alphas = set()
+        while len(alphas) < 6:
+            p, q = rng.randint(-12, 12), rng.randint(1, 5)
+            if gcd(p, q) == 1:
+                alphas.add(Slope(p, q))
+        yield piece, sorted(alphas)
+
+
+# Every horizontal slope with q <= 5 and |p| <= 6q.
+_BETAS = [Slope(p, q) for q in range(1, 6) for p in range(-6 * q, 6 * q + 1) if gcd(p, q) == 1]
+
+
+def test_the_closed_criterion_on_the_poincare_and_brieskorn_spheres():
+    # Sigma(2,3,5) = S^2((2,1),(3,1),(5,1)) with b = 1: e = 1/30, no
+    # horizontal foliation, in either orientation; Sigma(2,3,7) has one.
+    for b, cones in ((1, [(2, 1), (3, 1), (5, 1)]), (2, [(2, 1), (3, 2), (5, 4)])):
+        assert abs(euler_number(b, cones)) == F(1, 30)
+        assert not has_horizontal_foliation(b, cones)
+    assert abs(euler_number(1, [(2, 1), (3, 1), (7, 1)])) == F(1, 42)
+    assert has_horizontal_foliation(1, [(2, 1), (3, 1), (7, 1)])
+    assert has_horizontal_foliation(2, [(2, 1), (3, 2), (7, 6)])
+
+
+def test_the_filling_fold_matches_homology():
+    """|H_1| = prod(a_i) * |e| for the folded invariants, and e = 0 exactly
+    when H_1 is infinite, against graph.homology of the filled graph."""
+    rng = random.Random(7)
+    for piece, alphas in _two_boundary_sample():
+        for alpha in alphas[:3]:
+            beta = rng.choice(_BETAS)
+            graph = filled_graph(piece, (alpha, beta))
+            assert not [d for d in validate(graph) if d.startswith("error")]
+            b, cones = fill(piece, (alpha, beta))
+            e, h1 = euler_number(b, cones), homology(graph)
+            if e == 0:
+                assert h1.betti == 1, (piece, alpha, beta)
+            else:
+                orders = math.prod(a for a, _ in cones)
+                assert (h1.betti, math.prod(h1.invariant_factors)) == (0, abs(e) * orders), (
+                    piece, alpha, beta)
+
+
+def test_fillings_with_a_horizontal_foliation_are_detected():
+    """When filling both tori of a two-boundary piece, along alpha and
+    beta, gives a closed Seifert space with a horizontal foliation, the
+    piece carries a horizontal foliation linear at both slopes, so beta is
+    detected relative to the point alpha.  The check is one-way: a beta
+    whose filling the criterion refuses proves nothing."""
+    accepted = []
+    for piece, alphas in _two_boundary_sample():
+        for alpha in alphas:
+            detected = detect_relative(piece, ConstraintFamily((SlopeArc.point(alpha),))).detected
+            for beta in _BETAS:
+                if has_horizontal_foliation(*fill(piece, (alpha, beta))):
+                    accepted.append((piece, alpha, beta))
+                    assert detected.contains(beta), (piece, alpha, beta)
+    assert len(accepted) > 3000
 
 
 if __name__ == "__main__":

@@ -279,6 +279,15 @@ def test_tau_intervals_cover_the_arc():
     assert SlopeArc.empty().tau_intervals() == ([], False)
 
 
+
+def test_contains_vertical_is_membership_of_the_vertical_slope():
+    ends = GRID[::3]
+    arcs = [SlopeArc.empty(), SlopeArc.full()] + [SlopeArc.point(x) for x in GRID]
+    arcs += [SlopeArc.arc(s, e) for s in ends for e in ends if s != e]
+    held = [arc.contains_vertical() for arc in arcs]
+    assert held == [arc.contains(VERTICAL) for arc in arcs]
+    assert 0 < sum(held) < len(arcs)
+
 def test_simplest_slope():
     assert simplest_slope(SlopeArc.full()) == VERTICAL
     assert simplest_slope(SlopeArc.full(), allow_vertical=False) == Slope(0, 1)

@@ -1,4 +1,5 @@
-"""The per-piece constant of the four stages on the deep-chain pool.
+"""The per-piece constant of the four stages on the deep-chain pool, with the
+kernel's certificate scan timed apart.
 
     python3 tools/per_piece.py [--src DIR ...] [--processes 6] [--passes 9]
 
@@ -9,6 +10,9 @@ microseconds per piece:
 
 * reader: ``json.loads`` and ``parse_manifold`` of each member's text;
 * kernel: ``detect_relative`` on the families the tree feeds it;
+* scan: the kernel's certificate scan, ``_scan_certificates``, replayed on
+  the slot lists it was given during the kernel stage (a part of the
+  kernel, which the table also shows without it as ``kernel less scan``);
 * tree step: ``detect_tree`` on freshly read graphs (validation included),
   with the kernel's answers looked up instead of computed;
 * extraction: ``extract_witness`` at the simplest detected slope.
@@ -32,7 +36,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-STAGES = ("reader", "kernel", "tree_step", "extraction")
+STAGES = ("reader", "kernel", "scan", "tree_step", "extraction")
 
 
 def _least(passes, run, setup=lambda: None):
@@ -57,7 +61,7 @@ def measure(src, passes):
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
     import gen
     import tautfol
-    from tautfol import decide
+    from tautfol import decide, seifert
 
     texts = [gen.encode(gen.pool_instance(name)) for name in gen.pool_names("deep-chain")]
     pieces = sum(len(json.loads(text)["pieces"]) for text in texts)
@@ -80,6 +84,18 @@ def measure(src, passes):
     for g in read():
         tautfol.detect_tree(g)
 
+    # The scan's slot lists, as the kernel stage hands them over.
+    scans, scan = [], seifert._scan_certificates
+
+    def recording_scan(slots, n_max):
+        scans.append((slots, n_max))
+        return scan(slots, n_max)
+
+    seifert._scan_certificates = recording_scan
+    for piece, family in pairs:
+        kernel(piece, family)
+    seifert._scan_certificates = scan
+
     def replaying():
         replay = iter(answers)
         decide.detect_relative = lambda piece, family, n_max=None: next(replay)
@@ -88,6 +104,7 @@ def measure(src, passes):
     took = {
         "reader": _least(passes, lambda _: read()),
         "kernel": _least(passes, lambda _: [kernel(p, f) for p, f in pairs]),
+        "scan": _least(passes, lambda _: [scan(slots, n_max) for slots, n_max in scans]),
         "tree_step": _least(passes, lambda fresh: [tautfol.detect_tree(g) for g in fresh],
                             replaying),
     }
@@ -118,9 +135,12 @@ def main(argv=None):
                 check=True, capture_output=True, text=True).stdout
             for stage, value in json.loads(out).items():
                 best[src][stage] = min(best[src].get(stage, value), value)
-    print("stage        " + "".join(f"{src[-24:]:>26}" for src in sources))
-    for stage in STAGES:
-        print(f"{stage:<13}" + "".join(f"{best[src][stage]:>26.2f}" for src in sources))
+    rows = [(stage, [best[src][stage] for src in sources]) for stage in STAGES]
+    rows.insert(3, ("kernel less scan", [best[src]["kernel"] - best[src]["scan"]
+                                         for src in sources]))
+    print(f"{'stage':<17}" + "".join(f"{src[-24:]:>26}" for src in sources))
+    for stage, values in rows:
+        print(f"{stage:<17}" + "".join(f"{value:>26.2f}" for value in values))
     print(json.dumps(best))
     return 0
 

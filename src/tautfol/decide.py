@@ -98,10 +98,10 @@ def _evaluate(graph, n_max):
     return tuple(nodes.values())
 
 
-def _evaluated(graph, n_max, fresh=False):
+def _evaluated(graph, n_max):
     """The nodes of the graph, read from the graph when an evaluation at this
-    bound is kept there and ``fresh`` is false, else evaluated and kept."""
-    nodes = None if fresh else graph.evaluations.get(n_max)
+    bound is kept there, else evaluated and kept."""
+    nodes = graph.evaluations.get(n_max)
     if nodes is None:
         nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
     return nodes
@@ -156,8 +156,10 @@ def _cable_exceptions(piece, children, detected):
         p, q = piece._completion((slope,))
         if p % q:
             continue
+        # act and the completion are injective: distinct child exceptions
+        # give distinct alphas.
         alpha = Slope(p // q, 1)
-        if detected.contains(alpha) and all(e.slope != alpha for e in out):
+        if detected.contains(alpha):
             out.append(ExceptionalSlope(
                 alpha, Strength.INDETERMINATE,
                 "filling here makes the cable space a solid torus whose "
@@ -224,7 +226,8 @@ def detect_tree(graph, n_max=None):
     Each call evaluates the tree, so timing or tracing it always measures
     the kernel's work; the evaluation is kept on the graph, where
     extract_witness, iter_piece_evaluations and check_degenerate read it."""
-    return _evaluated(graph, n_max, fresh=True)[-1].result
+    nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
+    return nodes[-1].result
 
 
 def iter_piece_evaluations(graph, n_max=None):

@@ -38,8 +38,6 @@ from .snf import Presentation, smith_normal_form
 from .seifert import PieceError, SeifertPiece
 from .slopes import VERTICAL, GluingMatrix, act
 
-SCHEMA_VERSION = 1
-
 
 class ManifoldFormatError(ValueError):
     """Malformed manifold JSON."""
@@ -506,9 +504,10 @@ def parse_manifold(data):
     """Build a PlumbingGraph from a decoded JSON object (strict).
 
     Each piece and edge object is tested for its well-formed shape in one
-    expression, a piece's cone entries by SeifertPiece's own type test;
-    only an object failing a test goes through the field-by-field checks
-    (_check_piece, _check_edge), which name the fault."""
+    expression, a piece's field types and cone entries by SeifertPiece's
+    own type test; only an object failing a test goes through the
+    field-by-field checks (_check_piece, _check_edge), which name the
+    fault."""
     _expect_keys(data, _MANIFOLD_KEYS, "manifold")
     role = data["role"]
     if role not in ("closed", "solid-torus"):
@@ -522,17 +521,15 @@ def parse_manifold(data):
         if not (type(raw) is dict and raw.keys() == _PIECE_KEYS
                 and type(raw["id"]) in (str, int)
                 and type(base := raw["base"]) is dict and base.keys() == _BASE_KEYS
-                and type(base["orientable"]) is bool and type(base["crosscaps"]) is int
-                and type(cones := raw["cones"]) is list
-                and type(raw["b"]) is int and type(raw["boundary"]) is int):
+                and type(cones := raw["cones"]) is list):
             _check_piece(raw, k)
             base, cones = raw["base"], raw["cones"]
         try:
             pieces.append(SeifertPiece(base["orientable"], tuple(map(tuple, cones)), raw["b"],
                                        raw["boundary"], base["crosscaps"], raw["id"]))
         except (PieceError, TypeError) as exc:
-            # A cone entry that is not a pair of integers fails the piece's
-            # type test (or, not iterable, the tuple): named as a shape fault.
+            # A field or cone entry of the wrong type fails the piece's type
+            # test (or, not iterable, the tuple): named as a shape fault.
             _check_piece(raw, k)
             raise ManifoldFormatError(f"pieces[{k}]: {exc}") from exc
     edges = []

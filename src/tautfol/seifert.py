@@ -343,9 +343,13 @@ def _scan_certificates(slots, n_max):
       takes A or N - A and the hardest slot the other: C/N is the best
       approximation of 1 - t0 from below with N <= cut1 (_farey_below);
     * the target takes a 1/N copy and {A, N - A} go on the two hardest
-      slots: the least N <= cut2 with some big/N in lowest terms in the
-      window of _first_a_pair_fits, the denominator of the window's
-      simplest fraction (slopes._least_denominator).
+      slots: the least N <= cut2 with some big/N = max(A, N - A)/N in
+      lowest terms in the window _least_pair_denominator reads off those
+      slots, the window's simplest fraction (slopes._least_denominator).
+      That fixes A = N - big: two consecutive terms of the Farey sequence
+      of order N never share a denominator >= 2, so between two fractions
+      of denominator N in the window would lie one of smaller
+      denominator, and big/N is the only one at the least N.
 
     At the winning N the least A reaching C is taken, then the lowest case:
     the first optimum in (N, then C, then A) order.
@@ -371,25 +375,27 @@ def _scan_certificates(slots, n_max):
     # (N-A)/N > t0 are the same condition, so cases 0 and 1 reach the same
     # C at every N, and where 1/N fits every slot that C is N - 1.
     best = _farey_below(t0d - t0n, t0d, strict0, cut1)
-    case = None
+    big = None
     if len(ranked) >= 2:
         _, strict1, _, t1n, t1d = ranked[1]
-        pair = (t0n, t0d, strict0, t1n, t1d, strict1)
-        n_value = _least_pair_denominator(pair)
+        pair = _least_pair_denominator(t0n, t0d, strict0, t1n, t1d, strict1)
         # A tie goes to cases 0 and 1: at N <= cut1 they reach C = 1 with A = 1.
-        if (n_value is not None and n_value <= cut2
-                and (best is None or best[0] * n_value < best[1])):
-            best, case = (1, n_value), 2
+        if (pair is not None and pair[1] <= cut2
+                and (best is None or best[0] * pair[1] < best[1])):
+            big, n_value = pair
+            best = (1, n_value)
     if best is None:
         return None
     c_num, n_value = best
-    if case == 2:
-        a_val = _first_a_pair_fits(n_value, pair)
-    elif 2 * c_num <= n_value:  # case 0 (A = C) wins a tie in A, at N = 2
-        a_val, case = c_num, 0
+    if big is not None:  # case 2: {big, A} on the two hardest slots
+        a_val = n_value - big
+        values = (big, a_val)
     else:
-        a_val, case = n_value - c_num, 1
-    assign = _build_assignment(slots, [-i for _, _, i, _, _ in ranked], n_value, a_val, case)
+        # Cases 0 (the target takes A = C) and 1 (it takes N - A = C) leave
+        # N - C for the hardest slot; case 0 wins a tie in A, at N = 2.
+        a_val = min(c_num, n_value - c_num)
+        values = (n_value - c_num,)
+    assign = _build_assignment(slots, [-i for _, _, i, _, _ in ranked], n_value, a_val, values)
     return (c_num, n_value), n_value, a_val, assign, c_num
 
 
@@ -424,62 +430,32 @@ def _farey_below(num, den, strict, bound):
     return (c, n) if c > 0 else None
 
 
-def _least_pair_denominator(pair):
-    """The least N with a big/N in lowest terms that _first_a_pair_fits
-    accepts: 1/2 <= big/N < 1, big/N above t0 and below 1 - t1 (or at
-    them without strictness).  None when that window is empty."""
-    t0n, t0d, s0, t1n, t1d, s1 = pair
+def _least_pair_denominator(t0n, t0d, s0, t1n, t1d, s1):
+    """(big, N): the fraction big/N of least denominator with 1/2 <= big/N
+    < 1, above the hardest threshold t0 and below 1 - t1, t1 the second
+    hardest (or at them without strictness), in lowest terms.  None when
+    that window is empty."""
     lo = (1, 2, False) if 2 * t0n < t0d else (t0n, t0d, s0)
     hi = (1, 1, True) if t1n <= 0 else (t1d - t1n, t1d, s1)
     gap = lo[0] * hi[1] - hi[0] * lo[1]
     if gap > 0 or (gap == 0 and (lo[2] or hi[2])):
         return None
-    return _least_denominator(lo[0], lo[1], hi[0], hi[1], lo[2], hi[2])[1]
+    return _least_denominator(lo[0], lo[1], hi[0], hi[1], lo[2], hi[2])
 
 
-def _first_a_pair_fits(n_value, pair):
-    """Smallest A such that {A, N-A} sorted descending satisfies the two
-    hardest slots, by window arithmetic on big = max(A, N-A).  ``pair`` is
-    (numerator, denominator, strict) of the hardest threshold followed by
-    the same three of the second hardest."""
-    t0n, t0d, s0, t1n, t1d, s1 = pair
-    # big > t0*N (or >=):
-    need = n_value * t0n
-    lo = need // t0d + 1 if s0 else -((-need) // t0d)
-    # N - big > t1*N  <=>  big < N(1 - t1) (or <=):
-    spare = n_value * (t1d - t1n)
-    hi = (spare - 1) // t1d if s1 else spare // t1d
-    lo = max(lo, (n_value + 1) // 2)
-    hi = min(hi, n_value - 1)
-    for big in range(hi, lo - 1, -1):
-        if gcd(big, n_value) == 1:
-            return n_value - big
-    return None
-
-
-def _build_assignment(slots, order, n_value, a_val, case):
-    """Replay the greedy placement for the winning (N, A, case)."""
-    if case == 0:  # target took A
-        values = [n_value - a_val] + [1] * (len(slots) - 1)
-    elif case == 1:  # target took N - A
-        values = [a_val] + [1] * (len(slots) - 1)
-    else:  # target took 1
-        big, small = max(a_val, n_value - a_val), min(a_val, n_value - a_val)
-        values = [big, small] + [1] * (len(slots) - 2)
+def _build_assignment(slots, order, n_value, a_val, values):
+    """The winning (N, A)'s values on the slots, hardest (``order``) first:
+    ``values``, the larger non-target ones in descending order, then 1s.
+    Each is checked against its slot's threshold."""
     assign = {}
-    remaining = sorted(values, reverse=True)
-    for idx in order:
+    for k, idx in enumerate(order):
         tag, threshold, strict = slots[idx]
-        placed = None
-        for k, v in enumerate(remaining):
-            if _satisfies(v, n_value, threshold, strict):
-                placed = remaining.pop(k)
-                break
-        if placed is None:
+        value = values[k] if k < len(values) else 1
+        if not _satisfies(value, n_value, threshold, strict):
             raise DecisionError(
                 f"certificate replay failed at N = {n_value}, A = {a_val}: "
                 f"no value left for slot {tag} (threshold {threshold[0]}/{threshold[1]})")
-        assign[tag] = placed
+        assign[tag] = value
     return assign
 
 
@@ -790,10 +766,12 @@ def realize(piece, family, result, target, n_max=None):
     if result.branch == "full":
         return _vertical_or_simplest(arcs, vertical[:2])
     # Horizontal target of normalized tau -u/q; at most one vertical arc.
+    # The window is the core of the all-zero point tuple, shifted by the target.
     q = target.q
     u = target.p + piece.b_eff * q
-    r = piece.boundary_count
-    low, high = -(-u // q) - (piece.n + r - 1), r - 2 + u // q
+    zeros = [(0, 1)] * len(arcs)
+    c_min, c_max = _core_end(piece, zeros, zeros, _NO_STRONG)
+    low, high = c_min - (-u // q), c_max + u // q
     if not vertical:
         return _floor_tuple([arc.tau_intervals()[0][0] for arc in arcs], low, high)[0]
     # A vertical point holds no horizontal target: it reads as the line.

@@ -13,6 +13,7 @@ import tautfol.decide
 from tautfol import (
     ConstraintFamily,
     DecisionError,
+    DetectionResult,
     Edge,
     GluingMatrix,
     PieceError,
@@ -514,6 +515,39 @@ def test_degenerate_random(rng):
         assert rep.consistent, (rep.branch, rep.explanation)
         if rep.is_degenerate:
             assert rep.result.detected == SlopeArc.point(rep.longitude)
+
+
+# A point off every longitude below, and the tree each case reads it on: one
+# piece, whose point is not its longitude, and a leaf glued to a root piece,
+# where the leaf's point is not the leaf's longitude either.
+OFF_LONGITUDE = Slope(7, 3)
+DEGENERATE_MISMATCHES = [
+    (lambda: one_piece_tree([(2, 1), (2, 1)]),
+     "the relative detected set is not a point; the degenerate point differs "
+     "from the rational longitude"),
+    (lambda: PlumbingGraph([HALFHALF, piece("R", [(2, 1), (3, 1)], r=2)],
+                           [Edge("C", 0, "R", 1, M_NOVERT, "e0")], "solid-torus"),
+     "a child is degenerate away from its longitude; the degenerate point "
+     "differs from the rational longitude"),
+]
+
+
+@pytest.mark.parametrize("make,explanation", DEGENERATE_MISMATCHES)
+def test_check_degenerate_reports_a_kernel_it_contradicts(monkeypatch, tmp_path,
+                                                          make, explanation):
+    """A kernel answering one fixed point everywhere is degenerate where the
+    branch conditions say it is not, at a point that is not the longitude:
+    check_degenerate says so, and oracle-check exits 3."""
+    monkeypatch.setattr(tautfol.decide, "detect_relative",
+                        lambda piece, family, n_max=None: DetectionResult(
+                            SlopeArc.point(OFF_LONGITUDE)))
+    rep = check_degenerate(make())
+    assert rep.is_degenerate and not rep.predicted and not rep.consistent
+    assert rep.longitude != OFF_LONGITUDE
+    assert explanation in rep.explanation
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dump_manifold(make())), encoding="utf-8")
+    assert tautfol.cli.main(["oracle-check", str(path)]) == 3
 
 
 # ---------------------------------------------------------------------------

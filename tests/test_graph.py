@@ -150,6 +150,21 @@ def test_validate_role_mismatch():
     assert any("dangling" in d for d in validate(g))
 
 
+def test_validate_names_an_unknown_role():
+    g = PlumbingGraph(
+        [SeifertPiece(base_orientable=True, cones=((2, 1), (2, 1)), b=0,
+                      boundary_count=1, ident="A")], [], "open")
+    assert "error: unknown role 'open'" in validate(g)
+
+
+def test_root_of_an_unvalidated_graph_counts_its_dangling_tori():
+    g = PlumbingGraph(
+        [SeifertPiece(base_orientable=True, cones=((2, 1),), b=0,
+                      boundary_count=2, ident="A")], [], "solid-torus")
+    with pytest.raises(RoleError, match="expected one dangling torus, found 2"):
+        g.root()
+
+
 def test_validate_warnings():
     g = PlumbingGraph(
         [SeifertPiece(base_orientable=True, cones=((2, 3),), b=0,
@@ -372,6 +387,8 @@ READER_ERRORS = [
     (_set(("pieces", 1, "base", "crosscaps"), False),
      "pieces[1].base.crosscaps: expected an integer"),
     (_set(("pieces", 1, "cones"), {}), "pieces[1].cones must be a list"),
+    # a string or a dict would pass as a sequence of cones (tuple(map(tuple, ...)))
+    (_set(("pieces", 1, "cones"), ""), "pieces[1].cones must be a list"),
     (_set(("pieces", 1, "cones", 1), [2]), "pieces[1].cones[1] must be [a, beta]"),
     (_set(("pieces", 1, "cones", 1), "2,1"), "pieces[1].cones[1] must be [a, beta]"),
     (_set(("pieces", 1, "cones", 1, 0), 3.0), "pieces[1].cones[1][0]: expected an integer"),

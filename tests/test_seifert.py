@@ -38,12 +38,7 @@ from tautfol import (
     v_count,
 )
 from tautfol.oracle import grid_union, jn_exhaustive_extremal
-from tautfol.seifert import (
-    _build_assignment,
-    _first_a_pair_fits,
-    _scan_certificates,
-    default_n_bound,
-)
+from tautfol.seifert import _scan_certificates, default_n_bound
 from conftest import (
     rand_cones,
     rand_family,
@@ -256,9 +251,12 @@ def _linear_scan_on_pairs(slots, n_max):
 
 def _linear_scan(slots, n_max):
     """The certificate scan as a loop over every N <= n_max, with the same
-    per-N rule: the reference for _scan_certificates' closed form.  (The
-    loop built the assignment at every improvement; it is built once here,
-    for the optimum, with the same result.)"""
+    per-N rule: the reference for _scan_certificates' closed form.  It
+    searches each N's pair window for A and replays the greedy placement
+    on its own (_first_a_pair_fits, _greedy_assignment), so it calls
+    nothing of the scan it checks.  (The loop built the assignment at
+    every improvement; it is built once here, for the optimum, with the
+    same result.)"""
     if not slots:
         return None
     order = sorted(range(len(slots)), key=lambda i: (-slots[i][1], not slots[i][2]))
@@ -317,7 +315,49 @@ def _linear_scan(slots, n_max):
         return None
     c_num, n_value, a_val, case = best
     return (F(c_num, n_value), n_value, a_val,
-            _build_assignment(_pair_slots(slots), order, n_value, a_val, case), c_num)
+            _greedy_assignment(slots, order, n_value, a_val, case), c_num)
+
+
+def _first_a_pair_fits(n_value, pair):
+    """Smallest A such that {A, N-A} sorted descending satisfies the two
+    hardest slots, by a loop over big = max(A, N-A) in the window the two
+    thresholds leave.  ``pair`` is (numerator, denominator, strict) of the
+    hardest threshold followed by the same three of the second hardest."""
+    t0n, t0d, s0, t1n, t1d, s1 = pair
+    # big > t0*N (or >=):
+    need = n_value * t0n
+    lo = need // t0d + 1 if s0 else -((-need) // t0d)
+    # N - big > t1*N  <=>  big < N(1 - t1) (or <=):
+    spare = n_value * (t1d - t1n)
+    hi = (spare - 1) // t1d if s1 else spare // t1d
+    lo = max(lo, (n_value + 1) // 2)
+    hi = min(hi, n_value - 1)
+    for big in range(hi, lo - 1, -1):
+        if math.gcd(big, n_value) == 1:
+            return n_value - big
+    return None
+
+
+def _greedy_assignment(slots, order, n_value, a_val, case):
+    """The greedy placement for the winning (N, A, case): each slot, hardest
+    first, takes the first of the values left, largest first, that fits."""
+    if case == 0:  # target took A
+        values = [n_value - a_val] + [1] * (len(slots) - 1)
+    elif case == 1:  # target took N - A
+        values = [a_val] + [1] * (len(slots) - 1)
+    else:  # target took 1
+        big, small = max(a_val, n_value - a_val), min(a_val, n_value - a_val)
+        values = [big, small] + [1] * (len(slots) - 2)
+    assign = {}
+    remaining = sorted(values, reverse=True)
+    for idx in order:
+        tag, threshold, strict = slots[idx]
+        placed = next((k for k, v in enumerate(remaining)
+                       if (F(v, n_value) > threshold if strict else F(v, n_value) >= threshold)),
+                      None)
+        assert placed is not None, (slots, n_value, a_val, case)
+        assign[tag] = remaining.pop(placed)
+    return assign
 
 
 def _placement(slots, n):

@@ -360,13 +360,11 @@ def _extract(root, target, n_max):
                 f"(branch {node.result.branch}): the constraint tuple "
                 f"({', '.join(map(str, picks))}) does not detect {slope}")
         for c, s in zip(reversed(node.children), reversed(picks)):
-            # An edge's slope is recorded in its from-side frame.
-            edge = c.edge
-            if edge.from_piece == piece.ident and edge.from_bdry == c.bdry:
-                stack.append((c.node, edge.ident, s, act(edge.matrix, s)))
-            else:
-                child_slope = act_inverse(edge.matrix, s)
-                stack.append((c.node, edge.ident, child_slope, child_slope))
+            # The child's transport carries its slope here; an edge's slope
+            # is recorded in its from-side frame.
+            edge, child_slope = c.edge, act_inverse(c.transport, s)
+            from_here = edge.from_piece == piece.ident and edge.from_bdry == c.bdry
+            stack.append((c.node, edge.ident, s if from_here else child_slope, child_slope))
     return assignment
 
 

@@ -4,7 +4,7 @@ grid_union re-derives the core interval by enumerating constraint tuples
 over a finite rational grid and minimizing/maximizing the interval ends
 straight from their definitions; it must agree exactly with the closed-form
 core_interval (the extrema sit at interval endpoints and just inside integer
-coordinates, so endpoints, integer points and integer +- 1/d offsets are
+coordinates, so endpoints, integer points and integer +- 1/2 offsets are
 always sampled).  Each tuple's ends come from _tuple_ends, written here
 from the definition, so the check shares no code with the kernel's core.
 
@@ -25,20 +25,20 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .seifert import FamilyError, core_interval, v_count
+from .seifert import FamilyError, core_interval
 
 
-def _samples(eta, zeta, d):
+def _samples(eta, zeta):
     """Both endpoints of [eta, zeta], every integer point in it, and the
-    integer +- 1/d offsets."""
+    integer +- 1/2 offsets."""
     points = {eta, zeta}
-    step = Fraction(1, d)
+    half = Fraction(1, 2)
     for k in range(ceil(eta), floor(zeta) + 1):
         points.add(Fraction(k))
-        if eta <= k - step <= zeta:
-            points.add(k - step)
-        if eta <= k + step <= zeta:
-            points.add(k + step)
+        if eta <= k - half <= zeta:
+            points.add(k - half)
+        if eta <= k + half <= zeta:
+            points.add(k + half)
     return sorted(points)
 
 
@@ -64,23 +64,17 @@ def _tuple_ends(taus, strong, n_cones):
     return b0 + i0 - (n_cones + r - 1), b0 + s0 - 1
 
 
-def grid_union(piece, family, denominator=None):
+def grid_union(piece, family):
     """(min m0, max m1) over all sampled tuples with no integral strong
     coordinate; the brute-force counterpart of core_interval.
 
-    Each constraint interval is sampled at _samples with denominator d, by
-    default the largest endpoint denominator.  d is clamped to >= 2: a
-    denominator-1 grid holds no non-integral point, so it cannot sample the
-    stratum where strong coordinates must avoid the integers.  Every d from
-    2 up gives the same answer: _tuple_ends reads only the floor and the
-    integrality of each coordinate, and the endpoints, integers and offsets
-    meet each such class of an interval."""
-    if v_count(family) != 0:
-        raise FamilyError("grid oracle needs a vertical-free family")
-    intervals = _intervals(family)
-    if denominator is None:
-        denominator = max((e.denominator for ends in intervals for e in ends), default=2)
-    grids = [_samples(eta, zeta, max(2, denominator)) for eta, zeta in intervals]
+    Each constraint interval is sampled at _samples; the offsets' step does
+    not matter.  _tuple_ends reads only the floor and the integrality of
+    each coordinate, and every such class that an interval meets holds an
+    endpoint or lies whole inside it: an integer m, which is sampled, or
+    the open (m, m + 1), whose m + 1/2 is.  Integers alone would not do:
+    a strong coordinate must take a non-integral class."""
+    grids = [_samples(eta, zeta) for eta, zeta in _intervals(family)]
     lo = None
     hi = None
     for taus in itertools.product(*grids) if grids else [()]:

@@ -598,31 +598,24 @@ def solid_torus_meridian(piece):
     return piece.horizontal_completion(())
 
 
-def _ray_side_bounds(piece, family, j0, a_tau, b_tau, n_max):
-    """Frontier reach of the two nested-ray families when constraint j0
-    contains the vertical slope.
-
-    Returns (left, right): ``right`` is the supremum end of (-oo, right]
-    coming from the [b_tau, +oo) ray, ``left`` the infimum of [left, +oo)
-    coming from the (-oo, a_tau] ray; each is None when its ray is absent.
-    The ray ends are slopes; the answers are (num, den) pairs in the
-    normalized (b = 0) frame.
+def _ray_reach(piece, family, j0, ray_end, side, n_max):
+    """How far one side reaches when constraint j0 contains the vertical
+    slope, through one of its two rays: on side "high" the supremum end of
+    (-oo, right] coming from the ray [ray_end, +oo), on side "low" the
+    infimum of [left, +oo) coming from the ray (-oo, ray_end].  The ray end
+    is a slope; the answer is a (num, den) pair in the normalized (b = 0)
+    frame.  The other arcs are finite: their zeta below, their eta above.
     """
     # Each side's default bound counts only that side's extreme endpoints,
     # where the horizontal branch counts both sides': a larger bound can
     # certify a larger C/N, and recorded reports were made this way.
-    def reach(ray_end, side):
-        # The other arcs are finite: zeta below, eta above.
-        slopes = [ray_end if j == j0 else arc.start if side == "high" else arc.end or arc.start
-                  for j, arc in enumerate(family.arcs)]
-        ends = [(-s.p, s.q) for s in slopes]
-        bound = n_max if n_max is not None else default_n_bound(piece, ends)
-        core = _core_end(piece, ends, ends, family.strong)[side == "high"]
-        return _side_reach(piece, core, ends, family.strong, side, bound)[0]
-
-    right = None if b_tau is None else reach(b_tau, "high")
-    left = None if a_tau is None else reach(a_tau, "low")
-    return left, right
+    high = side == "high"
+    slopes = [ray_end if j == j0 else arc.start if high else arc.end or arc.start
+              for j, arc in enumerate(family.arcs)]
+    ends = [(-s.p, s.q) for s in slopes]
+    bound = n_max if n_max is not None else default_n_bound(piece, ends)
+    core = _core_end(piece, ends, ends, family.strong)[high]
+    return _side_reach(piece, core, ends, family.strong, side, bound)[0]
 
 
 def detect_relative(piece, family, n_max=None):
@@ -681,8 +674,8 @@ def detect_relative(piece, family, n_max=None):
     # The rays (-oo, a] and [b, +oo) of the arc through the vertical slope:
     # a is its horizontal end, b its horizontal start.
     a, b = family.arcs[j0].end, family.arcs[j0].start
-    left, right = _ray_side_bounds(piece, family, j0, a if a and a.q else None,
-                                   b if b.q else None, n_max)
+    left = _ray_reach(piece, family, j0, a, "low", n_max) if a and a.q else None
+    right = _ray_reach(piece, family, j0, b, "high", n_max) if b.q else None
     if left is None and right is None:
         exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical point detected through a vertical constraint"),)
@@ -701,12 +694,12 @@ def detect_relative(piece, family, n_max=None):
     return DetectionResult(detected, merge_exceptions(entries), branch="vertical-arc")
 
 
-def detects(piece, family, slope, n_max=None):
-    """Whether ``family`` detects ``slope``: the answer of
-    ``detect_relative(piece, family, n_max).detected.contains(slope)``.
-    ``family`` is a ConstraintFamily, or a plain tuple of slopes standing
-    for the family of their points, as a witness holds its constraint
-    tuple; no arc is built for such a tuple unless the kernel runs.
+def detects(piece, slopes, slope, n_max=None):
+    """Whether the point family of ``slopes`` detects ``slope``: the answer
+    of ``detect_relative(piece, family, n_max).detected.contains(slope)``
+    for that family.  ``slopes`` holds one slope per constraint torus, as a
+    witness holds its constraint tuple; no arc is built for it unless the
+    kernel runs.
 
     On the horizontal branch the detected set is [c_min - C/N, c_max +
     C'/N] + b_eff, which holds the core, so a slope whose normalized tau
@@ -714,25 +707,14 @@ def detects(piece, family, slope, n_max=None):
     the slopes past the core, and the other branches, need the kernel."""
     if (piece.base_orientable and not piece.is_solid_torus_piece
             and not piece.is_product_piece and not slope.is_vertical
-            and len(family) == piece.boundary_count - 1
-            and (ends := _vertical_free_ends(family)) is not None):
-        c_min, c_max = _core_end(piece, *ends)
+            and len(slopes) == piece.boundary_count - 1 and all(s.q for s in slopes)):
+        ends = [(-s.p, s.q) for s in slopes]  # a point's two ends are its slope
+        c_min, c_max = _core_end(piece, ends, ends, _NO_STRONG)
         q = slope.q  # the normalized tau is (-p - b_eff q)/q
         if c_min * q <= -slope.p - piece.b_eff * q <= c_max * q:
             return True
-    if type(family) is tuple:
-        family = ConstraintFamily(tuple(map(SlopeArc.point, family)))
+    family = ConstraintFamily(tuple(map(SlopeArc.point, slopes)))
     return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
-
-
-def _vertical_free_ends(family):
-    """(zetas, etas, strong indices) of ``family``, a ConstraintFamily or a
-    tuple of slopes as detects takes it, or None when a constraint holds
-    the vertical slope.  A point's two ends are its slope."""
-    if type(family) is not tuple:
-        return (*_arc_ends(family), family.strong) if v_count(family) == 0 else None
-    ends = [(-s.p, s.q) for s in family]
-    return (ends, ends, _NO_STRONG) if all(s.q for s in family) else None
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +771,7 @@ def realize(piece, family, result, target, n_max=None):
     # Past both cores, so in the refinement zone of the ray (-oo, a] (low,
     # reaching down to ``left``) or of [b, +oo) (high, up to ``right``).
     if result.detected.is_full:
-        right = _ray_side_bounds(piece, family, j0, None, pieces[j0][1][0], n_max)[1]
+        right = _ray_reach(piece, family, j0, pieces[j0][1][0], "high", n_max)
     else:
         end = result.detected.end
         right = (-end.p - piece.b_eff * end.q, end.q)

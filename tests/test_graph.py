@@ -447,6 +447,20 @@ def test_reader_accepts_int_subclasses():
     assert json.dumps(dumped) == json.dumps(READER_BASE)
 
 
+def test_reader_accepts_a_piece_as_a_dict_subclass():
+    """A dict subclass fails the one-expression shape test (``type(raw) is
+    dict``) and loads, through the field-by-field checks, the same graph as
+    a plain dict."""
+    class Piece(dict):
+        pass
+
+    data = json.loads(json.dumps(READER_BASE))
+    data["pieces"][1] = Piece(data["pieces"][1])
+    graph, plain = parse_manifold(data), parse_manifold(READER_BASE)
+    assert graph.pieces == plain.pieces and graph.edges == plain.edges
+    assert dump_manifold(graph) == READER_BASE
+
+
 @pytest.mark.parametrize("mutate,message", READER_ERRORS,
                          ids=[message for _, message in READER_ERRORS])
 def test_reader_error_messages(mutate, message):

@@ -34,13 +34,16 @@ import pytest
 
 from tautfol import (
     ConstraintFamily,
+    FamilyError,
     JNCertificate,
     SeifertPiece,
     Slope,
     SlopeArc,
+    VERTICAL,
     core_interval,
     detect_relative,
     seifert,
+    slope_of_tau,
 )
 import tautfol.oracle
 from tautfol.oracle import _intervals, _samples, grid_union, jn_exhaustive_extremal
@@ -69,7 +72,6 @@ def _piece(cones, b=0, r=1):
 
 
 def _points(*taus):
-    from tautfol import SlopeArc, slope_of_tau
     return ConstraintFamily(tuple(SlopeArc.point(slope_of_tau(t)) for t in taus))
 
 
@@ -124,19 +126,23 @@ def test_grid_union_needs_no_kernel_core(rng, monkeypatch):
 
 
 def test_grid_samples_include_endpoints_integers_offsets():
-    samples = _samples(F(-1, 3), F(5, 2), 6)
-    for required in (F(-1, 3), F(5, 2), 0, 1, 2,
-                     F(-1, 6), F(1, 6), F(5, 6), F(7, 6), F(11, 6), F(13, 6)):
-        assert F(required) in samples
+    samples = _samples(F(-1, 3), F(5, 2))
+    assert samples == [F(-1, 3), 0, F(1, 2), 1, F(3, 2), 2, F(5, 2)]
+    assert _samples(F(1, 3), F(2, 3)) == [F(1, 3), F(2, 3)]
+    assert _samples(F(-1, 2), F(1, 2)) == [F(-1, 2), 0, F(1, 2)]
 
 
-def test_grid_same_answer_at_every_denominator(rng):
-    """grid_union reads only each coordinate's floor and integrality, which
-    the endpoints, integers and 1/d offsets meet for every d >= 2."""
-    for _ in range(40):
-        piece, fam = rand_horizontal_piece_and_family(rng, den_max=6)
-        answers = [grid_union(piece, fam, denominator=d) for d in (2, 3, 6, 12)]
-        assert answers.count(answers[0]) == 4, answers
+def test_the_oracles_refuse_a_vertical_family():
+    """Both brute forces read each arc as one finite tau interval."""
+    piece = _piece([(2, 1)], r=2)
+    for arc in (SlopeArc.point(VERTICAL), SlopeArc.full(),
+                SlopeArc.arc(slope_of_tau(1), slope_of_tau(0))):
+        fam = ConstraintFamily((arc,))
+        for oracle in (grid_union, partial(jn_exhaustive_extremal, side="low", n_max=8),
+                       partial(jn_exhaustive_extremal, side="high", n_max=8)):
+            with pytest.raises(FamilyError,
+                               match="^grid oracle needs finite horizontal constraints$"):
+                oracle(piece, fam)
 
 
 def test_exhaustive_absent_cases():

@@ -38,7 +38,7 @@ from tautfol import (
     v_count,
 )
 from tautfol.oracle import grid_union, jn_exhaustive_extremal
-from tautfol.seifert import _scan_certificates, default_n_bound
+from tautfol.seifert import _scan_certificates, default_n_bound, solid_torus_meridian
 from conftest import (
     rand_cones,
     rand_family,
@@ -118,17 +118,17 @@ def test_core_interval_preconditions():
     vertical_fam = ConstraintFamily((SlopeArc.full(),))
     with pytest.raises(FamilyError):
         core_interval(piece, vertical_fam)
+    klein = _piece([(2, 1)], r=2, orientable=False, crosscaps=1)
+    with pytest.raises(PieceError, match="^core interval is defined over orientable bases$"):
+        core_interval(klein, _point_family(F(1, 2)))
+    with pytest.raises(FamilyError, match="^family size must be boundary count minus one$"):
+        core_interval(_piece([(2, 1)], r=3), _point_family(F(1, 2)))
 
 
 def test_core_interval_matches_grid_oracle(rng):
     for _ in range(150):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=8)
-        dens = [1]
-        for arc in fam.arcs:
-            pieces, _ = arc.tau_pieces()
-            for lo, hi in pieces:
-                dens.extend([lo.denominator, hi.denominator])
-        assert core_interval(piece, fam) == grid_union(piece, fam, math.lcm(*dens))
+        assert core_interval(piece, fam) == grid_union(piece, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +581,9 @@ def test_solid_torus_meridian():
     plain = _piece([], r=1)
     assert detect_relative(plain, ConstraintFamily(())).detected == \
         SlopeArc.point(slope_of_tau(0))
+    for other in (_piece([(2, 1), (3, 1)]), _piece([(2, 1)], r=2)):
+        with pytest.raises(PieceError, match="^piece is not a solid torus$"):
+            solid_torus_meridian(other)
 
 
 def test_horizontal_completion_sums_the_taus_to_b_eff_minus_the_gammas(rng):
@@ -697,6 +700,20 @@ def test_strong_index_must_be_an_arc_index(index, message):
     assert str(excinfo.value) == message
     assert ConstraintFamily(arcs, {1}).strong == {1}
 
+
+def test_a_family_refuses_an_empty_arc_also_when_replaced():
+    """_replace builds through the constructor, so its checks run too."""
+    arc = SlopeArc.from_tau_interval(F(1, 3), F(1, 2))
+    with pytest.raises(FamilyError, match="^constraint 1 is empty$"):
+        ConstraintFamily((arc, SlopeArc.empty()))
+    fam = ConstraintFamily((arc,))
+    with pytest.raises(FamilyError, match="^constraint 0 is empty$"):
+        fam._replace(arcs=(SlopeArc.empty(),))
+    with pytest.raises(FamilyError, match="^strong index 1 out of range$"):
+        fam._replace(strong={1})
+    assert fam._replace(strong={0}) == ConstraintFamily((arc,), {0})
+
+
 def test_family_size_checked():
     piece = _piece([(2, 1)], r=3)
     with pytest.raises(FamilyError):
@@ -717,22 +734,26 @@ def test_detected_contains_core_always(rng):
 
 
 def _membership_draw(rng, kind):
-    """A piece and family for the membership test: vertical-free (kind 0),
-    all points with no strong index, as witness extraction asks (kind 1),
-    through the vertical slope (kind 2), or any branch (kind 3)."""
+    """A piece and a point family with no strong index, as witness
+    extraction asks, for the membership test: one slope, an end or the
+    simplest, from each arc of a vertical-free family (kinds 0 and 1), of
+    a family through the vertical slope (kind 2), or of any branch's family
+    (kind 3)."""
     if kind == 0:
-        return rand_horizontal_piece_and_family(rng, den_max=6)
-    if kind == 1:
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=6)
+    elif kind == 1:
         piece, fam = rand_horizontal_piece_and_family(rng)
-        return piece, ConstraintFamily(tuple(SlopeArc.point(simplest_slope(a))
-                                             for a in fam.arcs))
-    if kind == 2:
-        return rand_vertical_piece_and_family(rng, den_max=6)
-    r = rng.randint(1, 4)
-    orientable = rng.random() < 0.8
-    piece = _piece(rand_cones(rng), b=rng.randint(-2, 2), r=r,
-                   orientable=orientable, crosscaps=0 if orientable else 1)
-    return piece, ConstraintFamily(tuple(_rand_arc(rng) for _ in range(r - 1)))
+    elif kind == 2:
+        piece, fam = rand_vertical_piece_and_family(rng, den_max=6)
+    else:
+        r = rng.randint(1, 4)
+        orientable = rng.random() < 0.8
+        piece = _piece(rand_cones(rng), b=rng.randint(-2, 2), r=r,
+                       orientable=orientable, crosscaps=0 if orientable else 1)
+        fam = ConstraintFamily(tuple(_rand_arc(rng) for _ in range(r - 1)))
+    return piece, ConstraintFamily(tuple(
+        SlopeArc.point(rng.choice([e for e in (a.start, a.end) if e] + [simplest_slope(a)]))
+        for a in fam.arcs))
 
 
 def _membership_probes(piece, fam, res, rng):
@@ -752,30 +773,30 @@ def _membership_probes(piece, fam, res, rng):
 
 
 def test_detects_matches_the_kernel():
-    """detects(piece, family, slope) is detect_relative(piece, family)
-    .detected.contains(slope) on every branch and under several bounds,
-    and so is detects on the tuple of a point family's slopes, the form a
-    witness passes; many probes lie in the core, which detects answers
+    """detects(piece, slopes, slope) on the slope tuple of a point family,
+    the form a witness passes, is detect_relative(piece, family)
+    .detected.contains(slope) for that family on every branch and under
+    several bounds; many probes lie in the core, which detects answers
     without the kernel."""
-    in_core = probes = tuples = 0
+    in_core = probes = 0
+    branches = set()
     for seed in range(3200):
         rng = random.Random(f"detects-{seed}")
         piece, fam = _membership_draw(rng, seed % 4)
         n_max = rng.choice((None, None, 2, 6, 40))
         res = detect_relative(piece, fam, n_max=n_max)
+        branches.add(res.branch)
         horizontal = res.branch == "horizontal-interval"
         c_min, c_max = core_interval(piece, fam) if horizontal else (1, 0)
-        points = (tuple(arc.start for arc in fam.arcs)
-                  if all(arc.is_point for arc in fam.arcs) and not fam.strong else None)
+        points = tuple(arc.start for arc in fam.arcs)
         for slope in _membership_probes(piece, fam, res, rng):
             want = res.detected.contains(slope)
-            assert detects(piece, fam, slope, n_max=n_max) == want, (piece, fam, slope, n_max)
-            if points is not None:
-                assert detects(piece, points, slope, n_max=n_max) == want, (piece, points, slope)
-                tuples += 1
+            assert detects(piece, points, slope, n_max=n_max) == want, (piece, points, slope, n_max)
             probes += 1
             in_core += not slope.is_vertical and c_min <= slope.tau - piece.b_eff <= c_max
-    assert probes > 40000 and in_core > 15000 and tuples > 10000, (probes, in_core, tuples)
+    assert probes > 40000 and in_core > 15000, (probes, in_core)
+    assert branches == {"n2", "nonorientable-point", "nonorientable-full", "solid-torus",
+                        "product", "full", "horizontal-interval", "vertical-arc"}, branches
 
 
 def test_monotone_in_constraints(rng):

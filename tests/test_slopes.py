@@ -84,6 +84,21 @@ def test_act_rejects_non_unimodular():
         GluingMatrix(2, 0, 0, 1)
 
 
+def test_slopes_arcs_and_matrices_refuse_assignment():
+    for obj, name, value in ((Slope(1, 2), "p", 3), (SlopeArc.point(VERTICAL), "start", None),
+                             (GluingMatrix(2, 1, 1, 1), "a", 0)):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match="is immutable$"):
+            setattr(obj, name, value)
+        assert getattr(obj, name) == before
+
+
+def test_equal_gluing_matrices_hash_alike():
+    m, same = GluingMatrix(2, 1, 1, 1), GluingMatrix(2, 1, 1, 1)
+    assert m == same and m is not same and hash(m) == hash(same)
+    assert len({m, same, GluingMatrix(1, 1, 1, 2)}) == 2
+
+
 def test_act_preserves_primitivity(rng):
     for _ in range(100):
         g = rand_unimodular(rng)
@@ -300,6 +315,20 @@ def test_simplest_slope():
     assert simplest_slope(arc3, allow_vertical=False) == Slope(0, 1)
     arc4 = SlopeArc.arc(slope_of_tau(2), slope_of_tau(-2))  # through vertical
     assert simplest_slope(arc4, allow_vertical=False) == Slope(-2, 1)
+
+
+def test_simplest_slope_refuses_a_region_without_a_slope_to_pick():
+    for region in (SlopeArc.empty(), [], [SlopeArc.empty(), SlopeArc.empty()]):
+        with pytest.raises(SlopeError, match="^cannot pick a slope from the empty set$"):
+            simplest_slope(region)
+    with pytest.raises(SlopeError, match="^no rational slope found; malformed region$"):
+        simplest_slope(SlopeArc.point(VERTICAL), allow_vertical=False)
+
+
+def test_tau_interval_ends_must_be_in_order():
+    with pytest.raises(SlopeError, match="^tau interval endpoints out of order$"):
+        SlopeArc.from_tau_interval(Fraction(1, 2), Fraction(1, 3))
+    assert SlopeArc.from_tau_interval(Fraction(1, 2), Fraction(1, 2)).is_point
 
 
 def _simplest_by_scan(pieces):

@@ -4,7 +4,7 @@ grid_union re-derives the core interval by enumerating constraint tuples
 over a finite rational grid and minimizing/maximizing the interval ends
 straight from their definitions; it must agree exactly with the closed-form
 core_interval (the extrema sit at interval endpoints and just inside integer
-coordinates, so endpoints, integer points and integer +- 1/2 offsets are
+coordinates, so endpoints, integer points and integer + 1/2 offsets are
 always sampled).  Each tuple's ends come from _tuple_ends, written here
 from the definition, so the check shares no code with the kernel's core.
 
@@ -29,15 +29,15 @@ from .seifert import FamilyError, core_interval
 
 
 def _samples(eta, zeta):
-    """Both endpoints of [eta, zeta], every integer point in it, and the
-    integer +- 1/2 offsets."""
+    """Both endpoints of [eta, zeta], every integer k in it, and each
+    k + 1/2 in it.  No k - 1/2 is needed: an open (k - 1, k) that the
+    interval meets holds an endpoint or lies whole inside it, and then its
+    k - 1/2 is (k - 1) + 1/2."""
     points = {eta, zeta}
     half = Fraction(1, 2)
     for k in range(ceil(eta), floor(zeta) + 1):
         points.add(Fraction(k))
-        if eta <= k - half <= zeta:
-            points.add(k - half)
-        if eta <= k + half <= zeta:
+        if k + half <= zeta:
             points.add(k + half)
     return sorted(points)
 

@@ -47,6 +47,7 @@ from .slopes import (
     act_arc,
     _least_denominator,
     _primitive,
+    _Record,
     _simplest_in,
     simplest_slope,
 )
@@ -80,8 +81,8 @@ def _require_int(value, field, *args):
         raise PieceError(f"{field.format(*args)} must be an integer, got {value!r}")
 
 
-class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_count "
-                               "crosscaps ident", defaults=(0, 1, 0, None))):
+class SeifertPiece(_Record, namedtuple("SeifertPiece", "base_orientable cones b boundary_count "
+                                        "crosscaps ident", defaults=(0, 1, 0, None))):
     """One Seifert-fibred piece.
 
     The base orbifold is a planar orientable surface or a once-punctured-or-
@@ -95,8 +96,8 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
     and the shape predicates are written once into the instance dict,
     which a tuple subclass needs in place of slots, beside the numerator
     of ``horizontal_sum`` over ``cone_order_lcm``; ``horizontal_sum``
-    itself, a Fraction, is made on read.  Assignment is refused, as on
-    Slope.  The predicates: ``is_n2``, the
+    itself, a Fraction, is made on read.  Assignment is refused, to the
+    fields and the derived values alike.  The predicates: ``is_n2``, the
     twisted I-bundle over the Klein bottle, presented over the Moebius band
     (crosscap 1, no cones, one boundary); ``is_solid_torus_piece``;
     ``is_product_piece``, S^1 x S^1 x I (annulus base, no cones); and
@@ -138,11 +139,6 @@ class SeifertPiece(namedtuple("SeifertPiece", "base_orientable cones b boundary_
             "is_solid_torus_piece": base_orientable and boundary_count == 1 and n <= 1,
             "is_product_piece": annulus and n == 0, "is_cable_space": annulus and n == 1})
         return self
-
-    # _replace builds through _make: through __new__, so it is checked too.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertPiece is immutable")
@@ -210,7 +206,8 @@ def _check_field_types(base_orientable, cones, b, boundary_count, crosscaps):
 _NO_STRONG = frozenset()
 
 
-class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_NO_STRONG,))):
+class ConstraintFamily(_Record, namedtuple("ConstraintFamily", "arcs strong",
+                                           defaults=(_NO_STRONG,))):
     """Arcs S_1, ..., S_{r-1} (0-indexed here) plus the strong index set J.
     Its length is the number of arcs.  A strong index is an ``int`` (not a
     ``bool``) naming an arc."""
@@ -237,12 +234,6 @@ class ConstraintFamily(namedtuple("ConstraintFamily", "arcs strong", defaults=(_
                     raise FamilyError(
                         f"constraint {j} is strong but is a single slope")
         return tuple.__new__(cls, (arcs, strong))
-
-    # _replace builds through _make: through __new__, so it is checked too,
-    # and the tuple's own length check would count arcs, not fields.
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
     def __len__(self):
         return len(self.arcs)

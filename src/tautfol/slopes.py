@@ -15,6 +15,7 @@ Everything here is exact: no floats, ever.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -23,22 +24,52 @@ class SlopeError(ValueError):
     """Raised for invalid slope, arc or matrix constructions."""
 
 
-class Slope:
-    """A rational slope: primitive (p, q), q >= 0, and p > 0 when q = 0."""
+def _before(a, b):
+    """a < b in the order of increasing tau with the vertical slope last, by
+    cross-multiplying: tau(a) < tau(b) is b.p * a.q < a.p * b.q, as both q
+    are positive."""
+    if b.q == 0:
+        return a.q != 0
+    return a.q != 0 and b.p * a.q < a.p * b.q
 
-    __slots__ = ("p", "q")
 
-    def __init__(self, p, q):
+class _Record:
+    """Base of the named-tuple records whose constructor checks or
+    normalizes its fields: the tuple's own _make, which _replace calls,
+    would skip the constructor; this one builds through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class Slope(_Record, namedtuple("Slope", "p q")):
+    """A rational slope: primitive (p, q), q >= 0, and p > 0 when q = 0.
+
+    Slopes order by increasing tau with the vertical slope last, not as
+    tuples; <= and >= are refused rather than read lexicographically."""
+
+    __slots__ = ()
+
+    def __new__(cls, p, q):
         if p == 0 and q == 0:
             raise SlopeError("slope (0, 0) is not a point of the circle")
         g = gcd(p, q)
         if q < 0 or (q == 0 and p < 0):
             g = -g
-        _SET_P(self, p // g)
-        _SET_Q(self, q // g)
+        return tuple.__new__(cls, (p // g, q // g))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Slope is immutable")
+    __lt__ = _before
+
+    def __gt__(self, other):
+        return _before(other, self)
+
+    def __le__(self, other):
+        return NotImplemented
+
+    __ge__ = __le__
 
     @property
     def is_vertical(self):
@@ -51,12 +82,6 @@ class Slope:
             return None
         return Fraction(-self.p, self.q)
 
-    def __eq__(self, other):
-        return isinstance(other, Slope) and self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
     def __repr__(self):
         return f"Slope({self.p}, {self.q})"
 
@@ -64,19 +89,12 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-# The slots' own setters, which the immutability guard in __setattr__ does not see.
-_SET_P, _SET_Q = Slope.p.__set__, Slope.q.__set__
-
-
 def _primitive(p, q):
     """The slope of a pair (p, q) already known to be primitive: only the
     sign is normalized, with no gcd."""
-    slope = object.__new__(Slope)
     if q < 0 or (q == 0 and p < 0):
         p, q = -p, -q
-    _SET_P(slope, p)
-    _SET_Q(slope, q)
-    return slope
+    return tuple.__new__(Slope, (p, q))
 
 
 VERTICAL = Slope(1, 0)
@@ -99,18 +117,6 @@ def slope_of_tau(tau):
     return Slope(-tau.numerator, tau.denominator)
 
 
-def _before(a, b):
-    """a < b in the order of increasing tau with the vertical slope last, by
-    cross-multiplying: tau(a) < tau(b) is b.p * a.q < a.p * b.q, as both q
-    are positive."""
-    if b.q == 0:
-        return a.q != 0
-    return a.q != 0 and b.p * a.q < a.p * b.q
-
-
-Slope.__lt__ = _before  # so slopes sort in that order
-
-
 def _cyclically_between(a, x, b):
     """True when x lies strictly inside the arc from a to b (positive
     orientation); False when two of the three points coincide."""
@@ -118,7 +124,7 @@ def _cyclically_between(a, x, b):
     return (ax and xb) or (ba and ax) or (xb and ba)
 
 
-class SlopeArc:
+class SlopeArc(_Record, namedtuple("SlopeArc", "kind start end")):
     """A non-empty-or-empty closed connected subset of the circle.
 
     Four kinds: the empty set, the full circle, a single point, or the
@@ -132,21 +138,16 @@ class SlopeArc:
     POINT = "point"
     ARC = "arc"
 
-    __slots__ = ("kind", "start", "end")
+    __slots__ = ()
 
-    def __init__(self, kind, start=None, end=None):
+    def __new__(cls, kind, start=None, end=None):
         if kind == SlopeArc.ARC and start == end:
             kind, end = SlopeArc.POINT, None
         if kind == SlopeArc.POINT:
             end = None
         if kind in (SlopeArc.EMPTY, SlopeArc.FULL):
             start = end = None
-        _SET_KIND(self, kind)
-        _SET_START(self, start)
-        _SET_END(self, end)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SlopeArc is immutable")
+        return tuple.__new__(cls, (kind, start, end))
 
     # -- constructors -----------------------------------------------------
 
@@ -236,23 +237,12 @@ class SlopeArc:
         intervals, has_vertical = self.tau_intervals()
         return [(lo.tau, hi.tau) for lo, hi in intervals], has_vertical
 
-    def __eq__(self, other):
-        return (isinstance(other, SlopeArc) and self.kind == other.kind
-                and self.start == other.start and self.end == other.end)
-
-    def __hash__(self):
-        return hash((self.kind, self.start, self.end))
-
     def __repr__(self):
         if self.kind == SlopeArc.POINT:
             return f"SlopeArc.point({self.start!r})"
         if self.kind == SlopeArc.ARC:
             return f"SlopeArc.arc({self.start!r}, {self.end!r})"
         return f"SlopeArc.{self.kind}()"
-
-
-_SET_KIND, _SET_START, _SET_END = (SlopeArc.kind.__set__, SlopeArc.start.__set__,
-                                   SlopeArc.end.__set__)
 
 
 def arc_intersect(a, b):
@@ -280,22 +270,16 @@ def arc_intersect(a, b):
     return tuple(out)
 
 
-class GluingMatrix:
+class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):
     """An integer 2x2 matrix of determinant +-1 acting on slope pairs by
     (p, q) |-> (a*p + b*q, c*p + d*q)."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
-    def __init__(self, a, b, c, d):
+    def __new__(cls, a, b, c, d):
         if a * d - b * c not in (1, -1):
             raise SlopeError("gluing matrix must have determinant +-1")
-        _SET_A(self, a)
-        _SET_B(self, b)
-        _SET_C(self, c)
-        _SET_D(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GluingMatrix is immutable")
+        return tuple.__new__(cls, (a, b, c, d))
 
     @property
     def det(self):
@@ -317,18 +301,10 @@ class GluingMatrix:
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
 
-    def __eq__(self, other):
-        return (isinstance(other, GluingMatrix) and self.rows() == other.rows())
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
     def __repr__(self):
         return f"GluingMatrix({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-_SET_A, _SET_B, _SET_C, _SET_D = (GluingMatrix.a.__set__, GluingMatrix.b.__set__,
-                                  GluingMatrix.c.__set__, GluingMatrix.d.__set__)
 IDENTITY = GluingMatrix(1, 0, 0, 1)
 
 

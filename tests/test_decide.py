@@ -1,6 +1,8 @@
 """Tree evaluation, degenerate analysis, witnesses and the closed decision."""
 
+import copy
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -349,7 +351,7 @@ def test_evaluation_is_kept_on_its_own_graph():
 
 def _records():
     """One of each record the library answers with, built by the calls that
-    return them."""
+    return them, then a slope, an arc and a gluing matrix."""
     samples = Path(__file__).resolve().parent.parent / "samples"
     piece = SeifertPiece(True, ((2, 1), (3, 1)), boundary_count=2)
     family = ConstraintFamily((SlopeArc.from_tau_interval(Fraction(1, 5), Fraction(2, 5)),))
@@ -358,18 +360,24 @@ def _records():
     tree = load_manifold(samples / "two_piece_tree.json")
     return [piece, family, result, result.high_certificate, result.exceptions[0],
             closed.edges[0], rational_longitude(tree), check_degenerate(tree),
-            decide_ctf(closed)]
+            decide_ctf(closed), Slope(1, 2), family.arcs[0], closed.edges[0].matrix]
 
 
 def test_records_are_read_only_values():
     records = _records()
     assert [type(r).__name__ for r in records] == [
         "SeifertPiece", "ConstraintFamily", "DetectionResult", "JNCertificate",
-        "ExceptionalSlope", "Edge", "LongitudeResult", "DegenerateReport", "CtfVerdict"]
+        "ExceptionalSlope", "Edge", "LongitudeResult", "DegenerateReport", "CtfVerdict",
+        "Slope", "SlopeArc", "GluingMatrix"]
     for record in records:
         for name in record._fields:
+            before = getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+            assert getattr(record, name) is before
+        assert record == tuple(record)
+    for value in records[-3:]:  # the value types, also set members and dict keys
+        assert hash(value) == hash(tuple(value))
     # The derived values a graph's kept evaluation depends on.
     piece = records[0]
     for name in ("b_eff", "horizontal_sum", "cone_order_lcm", "n", "is_n2",
@@ -392,6 +400,14 @@ def test_records_are_read_only_values():
     assert piece._replace(b=3).b_eff == 3
     with pytest.raises(PieceError):
         piece._replace(cones=((2, 2),))
+
+
+def test_records_copy_and_pickle():
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    for record in _records() + [detect_tree(load_manifold(samples / "two_piece_tree.json"))]:
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
 
 
 def test_deep_chain_needs_no_recursion():

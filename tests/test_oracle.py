@@ -130,6 +130,7 @@ def test_grid_samples_include_endpoints_integers_offsets():
     assert samples == [F(-1, 3), 0, F(1, 2), 1, F(3, 2), 2, F(5, 2)]
     assert _samples(F(1, 3), F(2, 3)) == [F(1, 3), F(2, 3)]
     assert _samples(F(-1, 2), F(1, 2)) == [F(-1, 2), 0, F(1, 2)]
+    assert _samples(F(-7, 10), F(1, 3)) == [F(-7, 10), 0, F(1, 3)]
 
 
 def test_the_oracles_refuse_a_vertical_family():

@@ -13,11 +13,12 @@ over an orientable base and not strong over a non-orientable one, and the
 two cable-space / degenerate-fibration situations downgrade finitely many
 slopes to an indeterminate status.
 
-The evaluation computes no longitudes.  Those come from their own walk,
+The evaluation computes no longitudes.  Those come from their own fold,
 graph.subtree_longitudes, in closed form, so no question here needs H_1 of
-the whole graph: decide_ctf splits a closed manifold along any JSJ torus,
-reads the Betti number from the two sides' longitudes there before it
-evaluates either side, intersects the two detected sets, and certifies a
+the whole graph: decide_ctf cuts a closed manifold along any JSJ torus in
+place, one post-order walk rooted at each end, reads the Betti number from
+the two sides' longitudes along them before it evaluates either side along
+the same walk, intersects the two detected sets, and certifies a
 co-oriented taut foliation by a gluing coherent slope assignment when the
 intersection is non-empty.  A graph is read-only, so its evaluation is kept
 on it and every question about it shares one.
@@ -33,7 +34,6 @@ from .graph import (
     longitude_error,
     post_order,
     require_valid,
-    split_at_edge,
     subtree_longitudes,
 )
 from .seifert import (
@@ -84,12 +84,12 @@ class _Child(namedtuple("_Child", "bdry edge transport node arc")):
     __slots__ = ()
 
 
-def _evaluate(graph, n_max):
-    """The nodes of the rooted tree in graph.post_order (which validates the
-    graph first), the root last.  Each piece is evaluated once, from its
-    children's nodes."""
+def _evaluate(graph, n_max, walk=None):
+    """The nodes of the rooted tree along ``walk``, by default graph.post_order
+    (which validates the graph first), the root last.  Each piece is
+    evaluated once, from its children's nodes."""
     nodes, pieces = {}, graph.pieces
-    for pid, via, links in post_order(graph):
+    for pid, via, links in post_order(graph) if walk is None else walk:
         piece = pieces[pid]
         children = tuple([
             _Child(j, edge, transport, (node := nodes[cid]), act_arc(transport, node.result.detected))
@@ -415,21 +415,24 @@ NOTE_REFUSES = ("no gluing coherent slope family exists; no co-oriented taut "
 
 def decide_ctf(graph, split_edge=None, n_max=None):
     """Taut-foliation decision for a closed graph manifold rational homology
-    sphere, with a gluing coherent witness when the answer is yes."""
+    sphere, with a gluing coherent witness when the answer is yes.  The cut
+    at ``split_edge`` builds no side graph: each side is one post_order walk
+    rooted at its end, read by the Betti check and by its evaluation."""
     require_valid(graph)
     if graph.role != "closed":
         raise RoleError("decide_ctf needs a closed manifold")
     # An edge ident, or an Edge equal to the graph's own edge.  An unknown
     # one is named after the Betti number, which is read at the first edge.
     edge = next((e for e in graph.edges if split_edge in (None, e.ident, e)), None)
-    sides = split_at_edge(graph, edge or graph.edges[0])
-    _require_rational_sphere(edge or graph.edges[0], *sides)
+    cut = edge or graph.edges[0]
+    walks = (post_order(graph, (cut.from_piece, cut.from_bdry)),
+             post_order(graph, (cut.to_piece, cut.to_bdry)))
+    _require_rational_sphere(graph, cut, walks)
     if edge is None:
         raise RoleError(f"no edge {split_edge!r}; the edges are: "
                         f"{', '.join(e.ident for e in graph.edges)}")
-    # The sides of a valid closed tree are valid solid trees: each is
-    # evaluated once, for detection and for extraction alike.
-    u_root, v_root = (_evaluate(side, n_max)[-1] for side in sides)
+    # Each side is evaluated once, for detection and for extraction alike.
+    u_root, v_root = (_evaluate(graph, n_max, walk)[-1] for walk in walks)
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
     if not meet:
@@ -443,13 +446,12 @@ def decide_ctf(graph, split_edge=None, n_max=None):
     return CtfVerdict(True, witness, tags, NOTE_ADMITS, edge.ident)
 
 
-def _require_rational_sphere(edge, u_side, v_side):
-    """Raise, naming the Betti number, unless b1 = 0, reading the longitude
-    walk of the two sides of a split at ``edge``, U on its from-side.  By
-    Mayer-Vietoris each side adds b1 - 1, and the split torus one more when
-    the two longitudes are the same slope on it."""
-    *_, u = subtree_longitudes(u_side).values()
-    *_, v = subtree_longitudes(v_side).values()
+def _require_rational_sphere(graph, edge, walks):
+    """Raise, naming the Betti number, unless b1 = 0, folding longitudes
+    along ``walks``, the walks of the two sides of a cut at ``edge``, its
+    from-side first.  By Mayer-Vietoris each side adds b1 - 1, and the cut
+    torus one more when the two longitudes are the same slope on it."""
+    u, v = (list(subtree_longitudes(graph, walk).values())[-1] for walk in walks)
     betti = u.betti + v.betti - 2 + (act(edge.matrix, u.slope) == v.slope)
     if betti != 0:
         raise RoleError(f"not a rational homology sphere (betti = {betti})")

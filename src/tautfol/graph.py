@@ -69,7 +69,9 @@ class PlumbingGraph:
     valid), and ``evaluations``, which maps n_max to the tree evaluation of
     ``decide``.  Each graph is validated once, the questions asked after
     ``detect_tree`` read its evaluation instead of walking the tree again,
-    and the records live as long as the graph does.
+    and the records live as long as the graph does.  A copy or a pickle is
+    rebuilt from the pieces, edges and role, so it validates and evaluates
+    afresh.
     """
 
     __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations", "_faults")
@@ -92,6 +94,9 @@ class PlumbingGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("PlumbingGraph is read-only")
+
+    def __reduce__(self):
+        return PlumbingGraph, (tuple(self.pieces.values()), self.edges, self.role)
 
     def edge_at(self, piece_id, bdry):
         return self._by_boundary.get((piece_id, bdry))
@@ -265,20 +270,23 @@ class LongitudeResult(namedtuple("LongitudeResult", "slope order")):
 SubtreeLongitude = namedtuple("SubtreeLongitude", "betti slope order")
 
 
-def post_order(graph):
-    """The pieces of a solid-torus tree in post-order (depth-first, children
-    in boundary-index order), the root last, as (piece id, boundary towards
-    the parent, children).  Each child is (boundary index, edge, child piece
-    id, transport), the transport taking the child's root frame to this
-    piece's frame.  The graph passes require_valid first, so every boundary
-    but the one towards the parent carries an edge to a known piece, and
-    the walk, which keeps its own stack (the depth of the tree is not
-    limited by the interpreter's recursion limit), meets each piece once."""
+def post_order(graph, root=None):
+    """The list of the pieces of a rooted tree in post-order (depth-first,
+    children in boundary-index order), the root last, as (piece id, boundary
+    towards the parent, children).  Each child is (boundary index, edge,
+    child piece id, transport), the transport taking the child's root frame
+    to this piece's frame.  ``root``, the (piece id, boundary index) of the
+    torus towards the parent, defaults to a solid tree's dangling torus; an
+    end of a closed graph's edge roots that side of split_at_edge in place.
+    The graph passes require_valid first, so every boundary but the one
+    towards the parent carries an edge to a known piece, and the walk, which
+    keeps its own stack (the depth of the tree is not limited by the
+    interpreter's recursion limit), meets each piece once."""
     require_valid(graph)
     # Pre-order taking the children last-first; reversed, it is the post-order.
     order = []
     pieces, by_boundary = graph.pieces, graph._by_boundary
-    stack = [graph.root()]
+    stack = [graph.root() if root is None else root]
     while stack:
         pid, via = stack.pop()
         children = []
@@ -293,7 +301,7 @@ def post_order(graph):
             children.append((j, edge, cid, transport))
             stack.append((cid, cbd))
         order.append((pid, via, children))
-    return reversed(order)
+    return order[::-1]
 
 
 def piece_longitude(piece, children):
@@ -343,13 +351,13 @@ def piece_longitude(piece, children):
     return SubtreeLongitude(1, slope, order)
 
 
-def subtree_longitudes(graph):
-    """The SubtreeLongitude of every subtree of a solid-torus tree, by the id
-    of its root piece, the whole tree's last: carried up one post-order walk
-    by piece_longitude, with no H_1.  This walk is the only one that computes
-    longitudes; the detection walk of ``decide`` computes none."""
+def subtree_longitudes(graph, walk=None):
+    """The SubtreeLongitude of every subtree of a rooted tree, by the id of
+    its root piece, the whole tree's last: carried up ``walk``, by default
+    post_order(graph), by piece_longitude, with no H_1.  This fold is the
+    only one that computes longitudes; decide's detection fold computes none."""
     longitudes = {}
-    for pid, _, children in post_order(graph):
+    for pid, _, children in post_order(graph) if walk is None else walk:
         longitudes[pid] = piece_longitude(
             graph.pieces[pid],
             [(transport, longitudes[cid]) for _, _, cid, transport in children])

@@ -12,6 +12,7 @@ import pytest
 
 import tautfol.cli
 import tautfol.decide
+import tautfol.graph
 from tautfol import (
     ConstraintFamily,
     DecisionError,
@@ -43,7 +44,14 @@ from tautfol import (
     slope_of_tau,
 )
 from tautfol.decide import ROOT_KEY, iter_piece_evaluations
-from tautfol.graph import homology, parse_manifold, post_order, presentation, subtree_longitudes
+from tautfol.graph import (
+    homology,
+    parse_manifold,
+    post_order,
+    presentation,
+    split_at_edge,
+    subtree_longitudes,
+)
 from tautfol.seifert import product_transport
 from conftest import (
     plumbing_chain,
@@ -136,6 +144,22 @@ def test_cable_meridian_exception():
     assert res.strong_status(target) == Strength.INDETERMINATE
     [exc] = [e for e in res.exceptions if e.slope == target]
     assert "cable" in exc.reason
+
+
+def test_cable_exception_from_an_added_child_exception():
+    """tests/golden/cable_chain.json: the cable piece p4 adds the
+    indeterminate 2/1 inside its own arc, which is no end of that arc, and
+    the cable piece p1 above it carries it up as 7/1.  So a cable child's
+    exceptions are not only the ends of its transported arc, even on the
+    horizontal-interval branch."""
+    g = load_manifold(Path(__file__).resolve().parent / "golden" / "cable_chain.json")
+    nodes = tautfol.decide._evaluate(g, None)
+    assert [n.piece.ident for n in nodes] == ["p5", "p4", "p1"]
+    for node, slope in zip(nodes[1:], (Slope(2, 1), Slope(7, 1))):
+        result = node.result
+        assert node.piece.is_cable_space and result.branch == "horizontal-interval"
+        assert slope not in result.detected.endpoints()
+        assert result.strong_status(slope) == Strength.INDETERMINATE
 
 
 def test_degenerate_fibration_exception():
@@ -404,10 +428,19 @@ def test_records_are_read_only_values():
 
 def test_records_copy_and_pickle():
     samples = Path(__file__).resolve().parent.parent / "samples"
-    for record in _records() + [detect_tree(load_manifold(samples / "two_piece_tree.json"))]:
+    graph = load_manifold(samples / "two_piece_tree.json")
+    result = detect_tree(graph)
+    for record in _records() + [result]:
         for twin in (copy.copy(record), copy.deepcopy(record),
                      pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin == record
+    # A graph has no value equality: compare what it describes and detects.
+    # Its kept evaluation and validity verdict are made afresh, not copied.
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert type(twin) is PlumbingGraph and twin is not graph
+        assert (twin.evaluations, twin._faults) == ({}, None)
+        assert dump_manifold(twin) == dump_manifold(graph)
+        assert detect_tree(twin) == result
 
 
 def test_deep_chain_needs_no_recursion():
@@ -491,6 +524,59 @@ def test_betti_test_at_every_split_matches_homology():
         with pytest.raises(RoleError, match=f"betti = {betti}" if betti else "no edge 'e9'"):
             decide_ctf(g, split_edge="e9")
     assert spheres + positive >= 1000 and positive >= 15
+
+
+def test_ctf_cuts_in_place_with_one_walk_per_side(monkeypatch):
+    """decide_ctf builds no PlumbingGraph and walks each side of the cut
+    torus once, rooted at its end there; the Betti check and detection read
+    the same walk."""
+    g = load_manifold(Path(__file__).resolve().parent / "golden" / "closed_five.json")
+    expected = decide_ctf(g, split_edge=g.edges[1].ident)
+    built, roots = [], []
+    init, walk = PlumbingGraph.__init__, tautfol.graph.post_order
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_walk(graph, *root):
+        roots.append(root)
+        return walk(graph, *root)
+
+    monkeypatch.setattr(PlumbingGraph, "__init__", counting_init)
+    # subtree_longitudes walks through the graph module's binding.
+    monkeypatch.setattr(tautfol.graph, "post_order", counting_walk)
+    monkeypatch.setattr(tautfol.decide, "post_order", counting_walk)
+    edge = g.edges[1]
+    assert decide_ctf(g, split_edge=edge.ident) == expected and expected.admits
+    assert len(built) == 0
+    assert roots == [((edge.from_piece, edge.from_bdry),), ((edge.to_piece, edge.to_bdry),)]
+
+
+def test_rooted_walks_match_the_split_sides():
+    """At every edge of 200 seeded closed graphs, the walk rooted at each end
+    is the post_order walk of the matching side of split_at_edge, the
+    reference, and gives the same root longitude, detected arc and
+    exceptions."""
+    rng = random.Random(3101)
+    ends = 0
+    for draw in range(200):
+        g = rand_valid_closed(rng, max_pieces=6)
+        for edge in g.edges:
+            sides = split_at_edge(g, edge)
+            for side, root in zip(sides, ((edge.from_piece, edge.from_bdry),
+                                          (edge.to_piece, edge.to_bdry))):
+                walk = post_order(g, root)
+                assert walk == post_order(side), (draw, edge.ident)
+                *_, here = subtree_longitudes(g, walk).values()
+                *_, there = subtree_longitudes(side).values()
+                assert here == there, (draw, edge.ident)
+                here = tautfol.decide._evaluate(g, None, walk)[-1].result
+                there = detect_tree(side)
+                assert (here.branch, here.detected, here.exceptions) == (
+                    there.branch, there.detected, there.exceptions), (draw, edge.ident)
+                ends += 1
+    assert ends >= 600
 
 
 def test_lambda_membership_random(rng):

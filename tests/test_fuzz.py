@@ -52,7 +52,9 @@ def _replacement(rng, value, data):
     if type(value) is int:
         return rng.choice((value + rng.choice((-2, -1, 1, 2)), -value, rng.randint(-6, 6)))
     if isinstance(value, str):
-        ids = [p.get("id") for p in data.get("pieces", []) if isinstance(p, dict)]
+        # An earlier change may have left the root or its pieces a non-list.
+        pieces = data.get("pieces") if isinstance(data, dict) else None
+        ids = [p.get("id") for p in pieces if isinstance(p, dict)] if isinstance(pieces, list) else []
         return rng.choice(ids + ["closed", "solid-torus", "zz", ""])
     if isinstance(value, list) and value and rng.random() < 0.7:
         out = list(value)

@@ -41,7 +41,6 @@ from .graph import (
     rational_longitude,
     require_valid,
     split_at_edge,
-    validate,
 )
 from .oracle import grid_union, jn_exhaustive_extremal
 from .seifert import (
@@ -127,7 +126,7 @@ def _emit(report, fmt, text_lines):
 
 
 def _cmd_validate(graph, args):
-    diags = validate(graph)
+    diags = graph.diagnostics
     report = {"schema": SCHEMA, "command": "validate", "diagnostics": diags,
               "clean": not diags}
     _emit(report, args.format, lambda: ["validation: clean"] if not diags else diags)

@@ -63,24 +63,27 @@ class Edge(namedtuple("Edge", "from_piece from_bdry to_piece to_bdry matrix iden
 class PlumbingGraph:
     """A tree of Seifert pieces with GL(2,Z) edge gluings.
 
-    A graph is read-only once built (``pieces`` is a read-only mapping), so
-    what is learnt about it cannot go stale: ``_faults``, the joined error
-    text of validation (None until require_valid first runs, empty when
-    valid), and ``evaluations``, which maps n_max to the tree evaluation of
-    ``decide``.  Each graph is validated once, the questions asked after
-    ``detect_tree`` read its evaluation instead of walking the tree again,
-    and the records live as long as the graph does.  A copy or a pickle is
-    rebuilt from the pieces, edges and role, so it validates and evaluates
-    afresh.
+    Building a graph validates it once: ``diagnostics`` is the tuple that
+    ``validate`` gives, whose errors require_valid raises.  A graph is
+    read-only once built (``pieces`` is a read-only mapping), so that
+    verdict cannot go stale, nor can ``evaluations``, which maps n_max to
+    the tree evaluation of ``decide``: the questions asked after
+    ``detect_tree`` read it instead of walking the tree again, and it lives
+    as long as the graph does.  Piece ids and edge idents are each
+    distinct, and no boundary torus carries two edges.  A copy or a pickle
+    is rebuilt from the pieces, edges and role, so it validates and
+    evaluates afresh.
     """
 
-    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations", "_faults")
+    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations", "diagnostics")
 
     def __init__(self, pieces, edges, role):
         by_ident = {p.ident: p for p in pieces}
         if len(by_ident) != len(pieces):
             raise ManifoldFormatError("duplicate piece ids")
         edges = tuple(edges)
+        if len({e.ident for e in edges}) != len(edges):
+            raise ManifoldFormatError("duplicate edge idents")
         by_boundary = {}
         for e in edges:
             for key in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
@@ -89,8 +92,9 @@ class PlumbingGraph:
                 by_boundary[key] = e
         for name, value in (("pieces", MappingProxyType(by_ident)), ("edges", edges),
                             ("role", role), ("_by_boundary", by_boundary),
-                            ("evaluations", {}), ("_faults", None)):
+                            ("evaluations", {})):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "diagnostics", tuple(validate(self)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlumbingGraph is read-only")
@@ -112,12 +116,11 @@ class PlumbingGraph:
     def root(self):
         """The unique dangling torus of a solid-torus-role graph.  With one
         dangling torus the declared boundary counts add up to at most one
-        more than twice the number of edges, which bounds the walk.  A graph
-        that require_valid has passed is known to have one: it is not
-        counted again."""
+        more than twice the number of edges, which bounds the walk.  A valid
+        graph is known to have one; only an invalid one is counted."""
         if self.role != "solid-torus":
             raise RoleError("only solid-torus graphs have a root torus")
-        if self._faults != "":
+        if any(d.startswith("error:") for d in self.diagnostics):
             count = self.dangling_count()
             if count != 1:
                 raise RoleError(f"expected one dangling torus, found {count}")
@@ -166,17 +169,17 @@ def validate(graph):
             x = parent[x]
         return x
 
-    # Each union of two classes leaves one component fewer.
-    cycle, components = False, len(ids)
+    # Each union of two classes leaves one component fewer.  One component
+    # takes |V| - 1 unions, each by an edge with both ends known and no
+    # cycle, so with |E| = |V| - 1 it leaves no edge to close a cycle.
+    components = len(ids)
     for e in graph.edges:
         if e.from_piece in parent and e.to_piece in parent:
             ra, rb = find(e.from_piece), find(e.to_piece)
-            if ra == rb:
-                cycle = True
-            else:
+            if ra != rb:
                 parent[ra] = rb
                 components -= 1
-    if cycle or components > 1 or len(graph.edges) != len(ids) - 1:
+    if components > 1 or len(graph.edges) != len(ids) - 1:
         out.append("error: underlying graph is not a tree")
     dangling = graph.dangling_count()
     if graph.role == "closed" and dangling != 0:
@@ -190,13 +193,10 @@ def require_valid(graph):
     """Raise RoleError, naming every validation error, unless the graph is a
     valid tree of its role.  Every walk of the tree passes here first
     (post_order, split_at_edge), so this is the one gate on the standing
-    hypothesis.  A graph is read-only, so it is validated on the first call
-    only; later calls read the verdict kept on it."""
-    if graph._faults is None:
-        object.__setattr__(graph, "_faults", "; ".join(
-            d.removeprefix("error: ") for d in validate(graph) if d.startswith("error:")))
-    if graph._faults:
-        raise RoleError(graph._faults)
+    hypothesis.  It reads the diagnostics the graph was built with."""
+    errors = [d.removeprefix("error: ") for d in graph.diagnostics if d.startswith("error:")]
+    if errors:
+        raise RoleError("; ".join(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +406,8 @@ def split_at_edge(graph, edge):
 
     Returns (U, V): U rooted at the from-side frame, V at the to-side frame;
     each holds the pieces reachable from its side of the torus without
-    crossing it.  A side of a valid closed tree is a valid solid tree, so
-    the graph passes require_valid and the sides are kept as valid.
+    crossing it.  The graph passes require_valid first, and each side is
+    validated as it is built, like any graph.
     """
     require_valid(graph)
     if graph.role != "closed":
@@ -430,9 +430,7 @@ def split_at_edge(graph, edge):
                     frontier.append(oid)
                     edges.append(e)
         pieces = [p for i, p in graph.pieces.items() if i in keep]
-        side = PlumbingGraph(pieces, edges, "solid-torus")
-        object.__setattr__(side, "_faults", "")
-        sides.append(side)
+        sides.append(PlumbingGraph(pieces, edges, "solid-torus"))
     return tuple(sides)
 
 
@@ -559,10 +557,7 @@ def parse_manifold(data):
         except ValueError as exc:
             raise ManifoldFormatError(f"edges[{k}]: {exc}") from exc
         edges.append(Edge(from_piece, from_bdry, to_piece, to_bdry, matrix, f"e{k}"))
-    try:
-        return PlumbingGraph(pieces, edges, role)
-    except ValueError as exc:
-        raise ManifoldFormatError(str(exc)) from exc
+    return PlumbingGraph(pieces, edges, role)
 
 
 def load_manifold(path):

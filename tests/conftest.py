@@ -20,7 +20,6 @@ from tautfol import (
     SlopeArc,
     VERTICAL,
     slope_of_tau,
-    validate,
 )
 from tautfol.graph import homology, subtree_longitudes
 
@@ -151,7 +150,7 @@ def rand_valid_solid_tree(rng, max_pieces=4, q_prob=0.25):
     (test_tree_longitudes_match_homology checks it against H_1)."""
     while True:
         g = rand_solid_tree(rng, max_pieces, q_prob)
-        if any(d.startswith("error:") for d in validate(g)):
+        if any(d.startswith("error:") for d in g.diagnostics):
             continue
         *_, root = subtree_longitudes(g).values()
         if root.betti == 1:
@@ -181,7 +180,7 @@ def rand_closed(rng, max_pieces=4, min_pieces=2):
 def rand_valid_closed(rng, max_pieces=4, min_pieces=2):
     while True:
         g = rand_closed(rng, max_pieces, min_pieces)
-        if g is None or any(d.startswith("error:") for d in validate(g)):
+        if g is None or any(d.startswith("error:") for d in g.diagnostics):
             continue
         if homology(g).betti == 0:
             return g

@@ -328,9 +328,11 @@ def test_betti_errors_come_before_the_kernel(monkeypatch):
 
 
 def test_each_graph_is_validated_once(monkeypatch, capsys):
-    """Validity is decided once per graph: the questions asked of a solid
-    tree share one validation, and ctf and oracle-check validate a closed
-    graph once and neither of its sides."""
+    """Validity is decided once per graph, where it is built: the questions
+    asked of a solid tree, decide_ctf on a closed graph and every command
+    validate nothing more, a copy or a pickle validates its twin once, and
+    oracle-check on a closed file validates the graph and the two sides
+    that split_at_edge builds."""
     validated, validate = [], tautfol.graph.validate
 
     def counting(graph):
@@ -339,20 +341,34 @@ def test_each_graph_is_validated_once(monkeypatch, capsys):
 
     monkeypatch.setattr(tautfol.graph, "validate", counting)
     g = plumbing_chain(6)
+    assert validated == [g]
     extract_witness(g, simplest_slope(detect_tree(g).detected))
     iter_piece_evaluations(g)
     check_degenerate(g)
     rational_longitude(g)
     assert validated == [g]
-    closed = plumbing_chain(6, "closed")
+    for twin_of in (copy.copy, copy.deepcopy, lambda graph: pickle.loads(pickle.dumps(graph))):
+        validated.clear()
+        twin = twin_of(g)
+        detect_tree(twin)
+        rational_longitude(twin)
+        assert validated == [twin]
     validated.clear()
+    closed = plumbing_chain(6, "closed")
     decide_ctf(closed)
     assert validated == [closed]
-    validated.clear()
     samples = Path(__file__).resolve().parent.parent / "samples"
+    for command, sample in (("validate", "closed_admits"), ("longitude", "two_piece_tree"),
+                            ("detect", "two_piece_tree"), ("ctf", "closed_admits"),
+                            ("oracle-check", "two_piece_tree")):
+        validated.clear()
+        assert tautfol.cli.main([command, str(samples / f"{sample}.json")]) == 0
+        capsys.readouterr()
+        assert len(validated) == 1, command
+    validated.clear()
     assert tautfol.cli.main(["oracle-check", str(samples / "closed_admits.json")]) == 0
     capsys.readouterr()
-    assert [graph.role for graph in validated] == ["closed"]
+    assert [graph.role for graph in validated] == ["closed", "solid-torus", "solid-torus"]
 
 
 def test_evaluation_is_kept_on_its_own_graph():
@@ -435,10 +451,11 @@ def test_records_copy_and_pickle():
                      pickle.loads(pickle.dumps(record))):
             assert type(twin) is type(record) and twin == record
     # A graph has no value equality: compare what it describes and detects.
-    # Its kept evaluation and validity verdict are made afresh, not copied.
+    # Its kept evaluation is made afresh, not copied, and its diagnostics
+    # are those of its own build.
     for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert type(twin) is PlumbingGraph and twin is not graph
-        assert (twin.evaluations, twin._faults) == ({}, None)
+        assert (twin.evaluations, twin.diagnostics) == ({}, graph.diagnostics)
         assert dump_manifold(twin) == dump_manifold(graph)
         assert detect_tree(twin) == result
 

@@ -1,6 +1,7 @@
 """Plumbing graphs: validation, homology, longitudes, gauge shifts, JSON."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from tautfol import (
     Slope,
     VERTICAL,
     check_degenerate,
+    decide_ctf,
     detect_tree,
     dump_manifold,
     parse_manifold,
@@ -23,7 +25,7 @@ from tautfol import (
     validate,
 )
 from tautfol.graph import homology, split_at_edge, subtree_longitudes
-from conftest import rand_matrix, rand_valid_solid_tree
+from conftest import rand_matrix, rand_valid_closed, rand_valid_solid_tree
 
 
 def n2_graph():
@@ -324,6 +326,84 @@ def test_duplicate_boundary_use_rejected():
     with pytest.raises(ManifoldFormatError):
         PlumbingGraph([a, b, c], [Edge("A", 0, "B", 0, m, "e0"),
                                   Edge("A", 0, "C", 0, m, "e1")], "closed")
+
+
+def test_edges_that_share_an_ident_are_refused():
+    """A witness, --split-edge and the slopes a piece reads all key a torus
+    by its edge's ident, so two edges may not share one, the default ""
+    included; a closed graph that admits, rebuilt so, is refused too."""
+    a, c = (SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0,
+                         boundary_count=1, ident=i) for i in "AC")
+    b = SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0, boundary_count=2,
+                     ident="B")
+    m = GluingMatrix(0, 1, 1, 0)
+    for extra in ((), ("e0",)):  # the default ident "", then a named one
+        with pytest.raises(ManifoldFormatError, match="^duplicate edge idents$"):
+            PlumbingGraph([a, b, c], [Edge("A", 0, "B", 0, m, *extra),
+                                      Edge("B", 1, "C", 0, m, *extra)], "closed")
+    rng = random.Random(3)
+    refused = 0
+    while refused < 5:
+        g = rand_valid_closed(rng, max_pieces=5, min_pieces=3)
+        if not decide_ctf(g).admits:
+            continue
+        with pytest.raises(ManifoldFormatError, match="^duplicate edge idents$"):
+            PlumbingGraph(g.pieces.values(), [e._replace(ident="") for e in g.edges],
+                          "closed")
+        refused += 1
+
+
+def _reference_is_tree(ids, ends):
+    """A tree: every edge end a known piece, |E| = |V| - 1, and a breadth-
+    first search from one piece reaches every piece."""
+    if any(end not in ids for pair in ends for end in pair) or len(ends) != len(ids) - 1:
+        return False
+    seen, queue = {ids[0]}, [ids[0]]
+    for here in queue:
+        for pair in ends:
+            if here in pair:
+                for there in pair:
+                    if there not in seen:
+                        seen.add(there)
+                        queue.append(there)
+    return len(seen) == len(ids)
+
+
+def test_tree_verdict_matches_a_breadth_first_reference():
+    """validate calls the underlying graph a tree exactly when every edge
+    joins two known pieces, |E| = |V| - 1 and one search reaches every
+    piece, on seeded multigraphs: repeated piece pairs, edges between two
+    boundaries of one piece, and edge ends at an unknown piece."""
+    rng = random.Random(20)
+    m = GluingMatrix(0, 1, 1, 0)
+    trees = 0
+    for _ in range(2400):
+        ids = [f"p{i}" for i in range(rng.randint(1, 6))]
+        ends = []
+        # Half the draws have |E| = |V| - 1, where a cycle and a second
+        # component come together.
+        for _ in range(len(ids) - 1 if rng.random() < 0.5 else rng.randint(0, 7)):
+            pair = [rng.choice(ids) if rng.random() < 0.9 else "Z" for _ in range(2)]
+            if rng.random() < 0.1:
+                pair[1] = pair[0]  # two boundaries of one piece
+            elif rng.random() < 0.2 and ends:
+                pair = list(rng.choice(ends))  # the same pair of pieces again
+            ends.append(tuple(pair))
+        used = {}
+        edges = []
+        for k, (x, y) in enumerate(ends):
+            jx = used[x] = used.get(x, -1) + 1
+            jy = used[y] = used.get(y, -1) + 1
+            edges.append(Edge(x, jx, y, jy, m, f"e{k}"))
+        pieces = [SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0,
+                               boundary_count=max(1, used.get(i, -1) + 1 + rng.randint(0, 1)),
+                               ident=i)
+                  for i in ids]
+        g = PlumbingGraph(pieces, edges, rng.choice(("closed", "solid-torus")))
+        expected = _reference_is_tree(ids, ends)
+        trees += expected
+        assert ("error: underlying graph is not a tree" not in g.diagnostics) == expected, ends
+    assert 300 < trees < 2100
 
 
 READER_BASE = {

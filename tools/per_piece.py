@@ -1,5 +1,5 @@
-"""The per-piece constant of the four stages on the deep-chain pool, with the
-kernel's certificate scan timed apart.
+"""The per-piece constant of the four stages on the deep-chain pool, with
+validation and the kernel's certificate scan timed apart.
 
     python3 tools/per_piece.py [--src DIR ...] [--processes 6] [--passes 9]
 
@@ -9,12 +9,15 @@ plumbing chains, 1,902 pieces.  Each stage is timed over the whole pool, in
 microseconds per piece:
 
 * reader: ``json.loads`` and ``parse_manifold`` of each member's text;
+* validation: ``validate`` on each of the pool's graphs, timed apart: a
+  part of the reader where building a graph validates it, and of the tree
+  step where the first walk of a graph does;
 * kernel: ``detect_relative`` on the families the tree feeds it;
 * scan: the kernel's certificate scan, ``_scan_certificates``, replayed on
   the slot lists it was given during the kernel stage (a part of the
   kernel, which the table also shows without it as ``kernel less scan``);
-* tree step: ``detect_tree`` on freshly read graphs (validation included),
-  with the kernel's answers looked up instead of computed;
+* tree step: ``detect_tree`` on freshly read graphs, with the kernel's
+  answers looked up instead of computed;
 * extraction: ``extract_witness`` at the simplest detected slope.
 
 A process reports the least of ``--passes`` passes per stage, with the
@@ -36,7 +39,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-STAGES = ("reader", "kernel", "scan", "tree_step", "extraction")
+STAGES = ("reader", "validation", "kernel", "scan", "tree_step", "extraction")
 
 
 def _least(passes, run, setup=lambda: None):
@@ -103,6 +106,7 @@ def measure(src, passes):
 
     took = {
         "reader": _least(passes, lambda _: read()),
+        "validation": _least(passes, lambda _: [tautfol.validate(g) for g in graphs]),
         "kernel": _least(passes, lambda _: [kernel(p, f) for p, f in pairs]),
         "scan": _least(passes, lambda _: [scan(slots, n_max) for slots, n_max in scans]),
         "tree_step": _least(passes, lambda fresh: [tautfol.detect_tree(g) for g in fresh],
@@ -136,7 +140,7 @@ def main(argv=None):
             for stage, value in json.loads(out).items():
                 best[src][stage] = min(best[src].get(stage, value), value)
     rows = [(stage, [best[src][stage] for src in sources]) for stage in STAGES]
-    rows.insert(3, ("kernel less scan", [best[src]["kernel"] - best[src]["scan"]
+    rows.insert(4, ("kernel less scan", [best[src]["kernel"] - best[src]["scan"]
                                          for src in sources]))
     print(f"{'stage':<17}" + "".join(f"{src[-24:]:>26}" for src in sources))
     for stage, values in rows:

@@ -10,13 +10,13 @@ Commands operate on a manifold JSON file (format documented in graph.py):
 
 Exit codes: 0 success (including a mathematical "admits = false"), 1
 malformed input or an unknown ``--split-edge``, 2 a usage error (as
-argparse's, also for an ``--nmax`` below 1), a role mismatch, a graph that
-fails validation (every command names its errors alike) or a piece,
-constraint family or slope the kernel cannot take, 3 internal-consistency
-failure: an oracle-check mismatch, or a DecisionError (a witness that fails
-its check, or a certificate scan that its replay contradicts), 141 standard
-output closed before the report was written (as for a process that SIGPIPE
-ends, 128 + 13; no traceback).
+argparse's, an unknown flag included), a role mismatch, a graph that fails
+validation (every command names its errors alike) or a piece, constraint
+family or slope the kernel cannot take, 3 internal-consistency failure: an
+oracle-check mismatch, or a DecisionError (a witness that fails its check,
+or a certificate scan that its replay contradicts), 141 standard output
+closed before the report was written (as for a process that SIGPIPE ends,
+128 + 13; no traceback).
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _cmd_longitude(graph, args):
 
 
 def _cmd_detect(graph, args):
-    result = detect_tree(graph, n_max=args.nmax)
+    result = detect_tree(graph)
     report = {"schema": SCHEMA, "command": "detect"}
     report.update(_detection_json(result))
 
@@ -176,7 +176,7 @@ def _cmd_ctf(graph, args):
         print(f"error: no edge {args.split_edge!r}; the edges are: "
               f"{', '.join(idents) or 'none'}", file=sys.stderr)
         return EXIT_MALFORMED
-    verdict = decide_ctf(graph, split_edge=args.split_edge, n_max=args.nmax)
+    verdict = decide_ctf(graph, split_edge=args.split_edge)
     report = {
         "schema": SCHEMA,
         "command": "ctf",
@@ -209,7 +209,7 @@ def _cmd_oracle_check(graph, args):
     else:
         sides = (graph,)
     for side in sides:
-        for piece, family in iter_piece_evaluations(side, n_max=args.nmax):
+        for piece, family in iter_piece_evaluations(side):
             if (not piece.base_orientable or piece.is_solid_torus_piece
                     or piece.is_product_piece or v_count(family) != 0):
                 continue
@@ -222,7 +222,7 @@ def _cmd_oracle_check(graph, args):
                 "grid": [lo, hi],
                 "core_matches_grid": (c_min, c_max) == (lo, hi),
             }
-            n_bound = args.nmax if args.nmax is not None else default_n_bound(piece, endpoints)
+            n_bound = default_n_bound(piece, endpoints)
             low = jn_refine_low(piece, family, n_max=n_bound)
             high = jn_refine_high(piece, family, n_max=n_bound)
             ex_low = jn_exhaustive_extremal(piece, family, "low", n_bound)
@@ -236,7 +236,7 @@ def _cmd_oracle_check(graph, args):
                 and ((high[0] if high else None) == ex_high))
             ok = ok and row["core_matches_grid"] and row["refinements_match"]
             rows.append(row)
-        degenerate = check_degenerate(side, n_max=args.nmax)
+        degenerate = check_degenerate(side)
         rows.append({
             "piece": "degenerate-cross-check",
             "is_degenerate": degenerate.is_degenerate,
@@ -258,8 +258,6 @@ def build_parser():
     parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("input", help="manifold JSON file")
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--nmax", type=int, default=None,
-                        help="certificate search bound (default derived from the data)")
     parser.add_argument("--split-edge", default=None,
                         help="edge ident to split along for ctf (default e0)")
     return parser
@@ -278,8 +276,6 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    if args.nmax is not None and args.nmax < 1:
-        _PARSER.error(f"argument --nmax: must be at least 1, got {args.nmax}")
     try:
         graph = load_manifold(args.input)
     except ManifoldFormatError as exc:

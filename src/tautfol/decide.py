@@ -20,8 +20,16 @@ place, one post-order walk rooted at each end, reads the Betti number from
 the two sides' longitudes along them before it evaluates either side along
 the same walk, intersects the two detected sets, and certifies a
 co-oriented taut foliation by a gluing coherent slope assignment when the
-intersection is non-empty.  A graph is read-only, so its evaluation is kept
-on it and every question about it shares one.
+intersection is non-empty.  A graph is read-only, so it keeps one
+evaluation, which every question about it shares.
+
+No certificate bound is set here, and none binds.  A child's arc reaches
+the kernel with no strong index, so each constraint, like each cone, is a
+slot of the certificate scan unless an integral extreme end ends the search
+(the absence rule), and a piece past the solid-torus and product branches
+has n + r >= 3: every scan has at least two slots.  Then N needs to reach
+only the second-hardest threshold's denominator (cases 0 and 1) or the sum
+of two thresholds' denominators (case 2), within the kernel's default bound.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from collections import namedtuple
 from math import lcm
 
 from .graph import (
+    ROOT_KEY,
     RoleError,
     longitude_error,
     post_order,
@@ -84,7 +93,7 @@ class _Child(namedtuple("_Child", "bdry edge transport node arc")):
     __slots__ = ()
 
 
-def _evaluate(graph, n_max, walk=None):
+def _evaluate(graph, walk=None):
     """The nodes of the rooted tree along ``walk``, by default graph.post_order
     (which validates the graph first), the root last.  Each piece is
     evaluated once, from its children's nodes."""
@@ -94,17 +103,16 @@ def _evaluate(graph, n_max, walk=None):
         children = tuple([
             _Child(j, edge, transport, (node := nodes[cid]), act_arc(transport, node.result.detected))
             for j, edge, cid, transport in links])
-        nodes[pid] = _Node(piece, children, *_detect(piece, via, children, n_max))
+        nodes[pid] = _Node(piece, children, *_detect(piece, via, children))
     return tuple(nodes.values())
 
 
-def _evaluated(graph, n_max):
-    """The nodes of the graph, read from the graph when an evaluation at this
-    bound is kept there, else evaluated and kept."""
-    nodes = graph.evaluations.get(n_max)
-    if nodes is None:
-        nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
-    return nodes
+def _evaluated(graph):
+    """The nodes of the graph: its kept evaluation, made and kept first when
+    it has none."""
+    if graph.evaluation is None:
+        graph.evaluation = _evaluate(graph)
+    return graph.evaluation
 
 
 def _moved(transport, exceptions):
@@ -113,7 +121,7 @@ def _moved(transport, exceptions):
                  for e in exceptions)
 
 
-def _detect(piece, via, children, n_max):
+def _detect(piece, via, children):
     """(constraint family, DetectionResult) of one piece from its children;
     the family is None on a product piece, which only relays its child."""
     if piece.is_product_piece:
@@ -123,7 +131,7 @@ def _detect(piece, via, children, n_max):
             act_arc(k, child.arc),
             _moved(k.compose(child.transport), child.node.result.exceptions), "product")
     family = ConstraintFamily([c.arc for c in children])
-    rel = detect_relative(piece, family, n_max)
+    rel = detect_relative(piece, family)
     detected = rel.detected
     # A degenerate set {lambda} over an orientable base is strong; the n2 and
     # solid-torus branches carry no exceptions either.
@@ -220,21 +228,21 @@ def _fibration_slope(piece, target_bdry, child_bdry, child_slope):
     return slope, lcm(piece.cone_order_lcm, q) // q
 
 
-def detect_tree(graph, n_max=None):
+def detect_tree(graph):
     """DetectionResult on the dangling torus of a solid-torus-role graph.
 
     Each call evaluates the tree, so timing or tracing it always measures
-    the kernel's work; the evaluation is kept on the graph, where
+    the kernel's work; the graph keeps this one in place of any other, and
     extract_witness, iter_piece_evaluations and check_degenerate read it."""
-    nodes = graph.evaluations[n_max] = _evaluate(graph, n_max)
-    return nodes[-1].result
+    graph.evaluation = _evaluate(graph)
+    return graph.evaluation[-1].result
 
 
-def iter_piece_evaluations(graph, n_max=None):
+def iter_piece_evaluations(graph):
     """(piece, constraint family) for every node of the rooted tree, children
     first; the families are the transported child detected sets actually fed
     to the relative-detection kernel."""
-    return [(node.piece, node.family) for node in _evaluated(graph, n_max)
+    return [(node.piece, node.family) for node in _evaluated(graph)
             if node.family is not None]
 
 
@@ -248,7 +256,7 @@ class DegenerateReport(namedtuple("DegenerateReport", "is_degenerate predicted c
     __slots__ = ()
 
 
-def check_degenerate(graph, n_max=None):
+def check_degenerate(graph):
     """Is the detected set a single point (necessarily the rational
     longitude)?  Cross-checks the branch conditions against the direct
     computation and reports any disagreement.  The Betti number is read
@@ -257,7 +265,7 @@ def check_degenerate(graph, n_max=None):
     *_, (betti, lam, _) = longitudes.values()
     if betti != 1:
         raise longitude_error(betti)
-    root = _evaluated(graph, n_max)[-1]
+    root = _evaluated(graph)[-1]
     result = root.result
     direct = result.detected.is_point
     piece, children = root.piece, root.children
@@ -322,20 +330,17 @@ def check_degenerate(graph, n_max=None):
 # ---------------------------------------------------------------------------
 
 
-ROOT_KEY = "root"
-
-
-def extract_witness(graph, target, n_max=None):
+def extract_witness(graph, target):
     """A gluing coherent rational slope assignment extending ``target``.
 
     Returns a dict: ROOT_KEY maps to ``target`` (dangling frame), and each
     edge ident maps to the assigned slope on that torus in the edge's
     from-side frame.  Raises DecisionError when the target is not detected.
     """
-    return _extract(_evaluated(graph, n_max)[-1], target, n_max)
+    return _extract(_evaluated(graph)[-1], target)
 
 
-def _extract(root, target, n_max):
+def _extract(root, target):
     """Top-down over the evaluated tree, in pre-order on an explicit stack:
     each piece realizes its own slope by constraint slopes in its children's
     arcs, read off the branch its kernel call took, and each child continues
@@ -353,8 +358,8 @@ def _extract(root, target, n_max):
         if not node.children:
             continue
         piece = node.piece
-        picks = realize(piece, node.family, node.result, slope, n_max)
-        if node.family is not None and not detects(piece, picks, slope, n_max=n_max):
+        picks = realize(piece, node.family, node.result, slope)
+        if node.family is not None and not detects(piece, picks, slope):
             raise DecisionError(
                 f"witness search failed at piece {piece.ident} "
                 f"(branch {node.result.branch}): the constraint tuple "
@@ -413,7 +418,7 @@ NOTE_REFUSES = ("no gluing coherent slope family exists; no co-oriented taut "
                 "foliation is detected this way")
 
 
-def decide_ctf(graph, split_edge=None, n_max=None):
+def decide_ctf(graph, split_edge=None):
     """Taut-foliation decision for a closed graph manifold rational homology
     sphere, with a gluing coherent witness when the answer is yes.  The cut
     at ``split_edge`` builds no side graph: each side is one post_order walk
@@ -432,14 +437,14 @@ def decide_ctf(graph, split_edge=None, n_max=None):
         raise RoleError(f"no edge {split_edge!r}; the edges are: "
                         f"{', '.join(e.ident for e in graph.edges)}")
     # Each side is evaluated once, for detection and for extraction alike.
-    u_root, v_root = (_evaluate(graph, n_max, walk)[-1] for walk in walks)
+    u_root, v_root = (_evaluate(graph, walk)[-1] for walk in walks)
     moved = act_arc(edge.matrix.inverse(), v_root.result.detected)
     meet = arc_intersect(u_root.result.detected, moved)
     if not meet:
         return CtfVerdict(False, {}, {}, NOTE_REFUSES, edge.ident)
     w = simplest_slope(meet)
-    assign_u = _extract(u_root, w, n_max)
-    assign_v = _extract(v_root, act(edge.matrix, w), n_max)
+    assign_u = _extract(u_root, w)
+    assign_v = _extract(v_root, act(edge.matrix, w))
     witness = {edge.ident: w, **assign_u, **assign_v}
     del witness[ROOT_KEY]
     tags = _tag_pieces(graph, witness)
@@ -478,7 +483,7 @@ def _tag_pieces(graph, witness):
             for pid, piece in graph.pieces.items()}
 
 
-def revalidate_witness(graph, witness, n_max=None):
+def revalidate_witness(graph, witness):
     """Check gluing coherence: every piece's induced slope tuple lies in its
     relative detected set against the other coordinates.  On a solid-torus
     graph the slope on the dangling torus is ``witness[ROOT_KEY]``, as
@@ -489,6 +494,6 @@ def revalidate_witness(graph, witness, n_max=None):
             return False
         for target_bdry, target in enumerate(slopes):
             others = tuple(s for j, s in enumerate(slopes) if j != target_bdry)
-            if not detects(piece, others, target, n_max=n_max):
+            if not detects(piece, others, target):
                 return False
     return True

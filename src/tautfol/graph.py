@@ -39,6 +39,10 @@ from .seifert import PieceError, SeifertPiece
 from .slopes import VERTICAL, GluingMatrix, act
 
 
+# The key of the dangling torus's slope in a witness, beside the edge idents.
+ROOT_KEY = "root"
+
+
 class ManifoldFormatError(ValueError):
     """Malformed manifold JSON."""
 
@@ -66,24 +70,27 @@ class PlumbingGraph:
     Building a graph validates it once: ``diagnostics`` is the tuple that
     ``validate`` gives, whose errors require_valid raises.  A graph is
     read-only once built (``pieces`` is a read-only mapping), so that
-    verdict cannot go stale, nor can ``evaluations``, which maps n_max to
-    the tree evaluation of ``decide``: the questions asked after
-    ``detect_tree`` read it instead of walking the tree again, and it lives
-    as long as the graph does.  Piece ids and edge idents are each
-    distinct, and no boundary torus carries two edges.  A copy or a pickle
-    is rebuilt from the pieces, edges and role, so it validates and
-    evaluates afresh.
+    verdict cannot go stale, nor can ``evaluation``, the one attribute
+    written later: the tree evaluation of ``decide``, None until one is
+    made.  The questions asked after ``detect_tree`` read it instead of
+    walking the tree again, and it lives as long as the graph does.  Piece
+    ids and edge idents are each distinct, no edge is named ROOT_KEY, and
+    no boundary torus carries two edges.  A copy or a pickle is rebuilt
+    from the pieces, edges and role, so it validates and evaluates afresh.
     """
 
-    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluations", "diagnostics")
+    __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluation", "diagnostics")
 
     def __init__(self, pieces, edges, role):
         by_ident = {p.ident: p for p in pieces}
         if len(by_ident) != len(pieces):
             raise ManifoldFormatError("duplicate piece ids")
         edges = tuple(edges)
-        if len({e.ident for e in edges}) != len(edges):
+        idents = {e.ident for e in edges}
+        if len(idents) != len(edges):
             raise ManifoldFormatError("duplicate edge idents")
+        if ROOT_KEY in idents:
+            raise ManifoldFormatError(f"edge ident {ROOT_KEY!r} names the dangling torus")
         by_boundary = {}
         for e in edges:
             for key in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
@@ -92,12 +99,14 @@ class PlumbingGraph:
                 by_boundary[key] = e
         for name, value in (("pieces", MappingProxyType(by_ident)), ("edges", edges),
                             ("role", role), ("_by_boundary", by_boundary),
-                            ("evaluations", {})):
+                            ("evaluation", None)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "diagnostics", tuple(validate(self)))
 
     def __setattr__(self, name, value):
-        raise AttributeError("PlumbingGraph is read-only")
+        if name != "evaluation":
+            raise AttributeError("PlumbingGraph is read-only")
+        object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return PlumbingGraph, (tuple(self.pieces.values()), self.edges, self.role)

@@ -22,7 +22,7 @@ from tautfol import (
     dump_manifold,
     rational_longitude,
 )
-from tautfol.cli import main
+from tautfol.cli import _PARSER, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -249,14 +249,6 @@ HALFTHIRD = {
 }
 
 
-def test_nmax_flag_limits_refinement(manifold_file, capsys):
-    path = manifold_file(HALFTHIRD)
-    _, out, _ = run(capsys, "detect", path, "--format", "json")
-    assert json.loads(out)["detected"]["end"]["tau"] == "-4/5"  # N = 5 certificate
-    _, out2, _ = run(capsys, "detect", path, "--format", "json", "--nmax", "4")
-    assert json.loads(out2)["detected"]["end"]["tau"] == "-1/1"  # below the bound
-
-
 def test_oracle_mismatch_exit_3(manifold_file, capsys, monkeypatch):
     import tautfol.cli as cli
 
@@ -276,7 +268,7 @@ def test_kernel_errors_exit_2_and_a_failed_replay_exit_3(capsys, monkeypatch):
 
     path = str(Path(__file__).resolve().parent / "golden" / "two_cone_torus.json")
     for error in (PieceError, FamilyError, SlopeError):
-        def raising(graph, n_max=None, error=error):
+        def raising(graph, error=error):
             raise error("out of scope")
 
         monkeypatch.setattr(cli, "detect_tree", raising)
@@ -333,10 +325,8 @@ def test_unreduced_cones_report_as_their_reduction(manifold_file, capsys):
         unreduced_path = manifold_file(unreduced, "unreduced.json")
         commands = ("ctf", "oracle-check") if closed else ("longitude", "detect", "oracle-check")
         for command in commands:
-            # The oracle's enumeration is quadratic in its bound; cap it.
-            flags = ("--format", "json") + (("--nmax", "24") if command == "oracle-check" else ())
-            want = run(capsys, command, reduced_path, *flags)[:2]
-            got = run(capsys, command, unreduced_path, *flags)[:2]
+            want = run(capsys, command, reduced_path, "--format", "json")[:2]
+            got = run(capsys, command, unreduced_path, "--format", "json")[:2]
             assert got == want, (command, unreduced)
             if command == "oracle-check":
                 assert got[0] == 0 and json.loads(got[1])["ok"] is True, unreduced
@@ -473,30 +463,6 @@ def test_unreadable_file_exit_1(content, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("command,value,message", [
-    ("detect", "0", "must be at least 1, got 0"),
-    ("ctf", "-3", "must be at least 1, got -3"),
-    ("oracle-check", "0", "must be at least 1, got 0"),
-    ("detect", "abc", "invalid int value: 'abc'"),
-])
-def test_a_bound_below_1_is_a_usage_error(command, value, message):
-    """``--nmax`` below 1 would switch every refinement off and still print
-    a normal report; it is refused as argparse refuses a non-integer, with
-    the usage, exit 2 and no report."""
-    stem = "samples/closed_admits" if command == "ctf" else "tests/golden/two_cone_torus"
-    proc = _fresh_process(command, str(ROOT / f"{stem}.json"), f"--nmax={value}")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("usage: tautfol ")
-    assert proc.stderr.endswith(f"\ntautfol: error: argument --nmax: {message}\n")
-
-
-def test_a_bound_of_1_is_accepted(capsys):
-    path = str(ROOT / "tests" / "golden" / "two_cone_torus.json")
-    code, out, err = run(capsys, "oracle-check", path, "--format", "json", "--nmax", "1")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["rows"][0]["exhaustive_high"] is None
-
-
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_closed_stdout_ends_without_a_traceback(fmt):
     """A reader that has gone before the report is written (as with
@@ -513,6 +479,19 @@ def test_a_closed_stdout_ends_without_a_traceback(fmt):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("command,stem", [("detect", "two_piece_tree"),
+                                          ("ctf", "closed_admits")])
+def test_no_flag_sets_a_certificate_bound(capsys, command, stem):
+    """Detection over a tree is exact, so no flag sets the certificate
+    bound: ``--nmax`` is an unknown argument, with exit 2 and no report."""
+    assert "--nmax" not in _PARSER.format_help()
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(ROOT / "samples" / f"{stem}.json"), "--nmax", "4"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("\ntautfol: error: unrecognized arguments: --nmax 4\n")
 
 
 def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys,
@@ -535,11 +514,10 @@ def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys
     detect = run(capsys, "detect", half, "--format", "json")
     assert detect[0] == 0
     for _ in range(3):
-        code, out, _ = run(capsys, "detect", half, "--format", "json", "--nmax", "3")
+        code, out, _ = run(capsys, "detect", half)  # the text report
         assert code == 0 and out != detect[1]
         assert run(capsys, "detect", half, "--format", "json") == detect
-        code, out, _ = run(capsys, "ctf", five, "--format", "json", "--nmax", "3",
-                           "--split-edge", "e1")
+        code, out, _ = run(capsys, "ctf", five, "--format", "json", "--split-edge", "e1")
         assert code == 0 and json.loads(out)["split_edge"] == "e1"
         assert run(capsys, "ctf", five, "--format", "json") == (0, five_ctf, "")
         with pytest.raises(SystemExit) as exc:

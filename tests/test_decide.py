@@ -19,6 +19,7 @@ from tautfol import (
     DetectionResult,
     Edge,
     GluingMatrix,
+    ManifoldFormatError,
     PieceError,
     PlumbingGraph,
     RoleError,
@@ -153,7 +154,7 @@ def test_cable_exception_from_an_added_child_exception():
     exceptions are not only the ends of its transported arc, even on the
     horizontal-interval branch."""
     g = load_manifold(Path(__file__).resolve().parent / "golden" / "cable_chain.json")
-    nodes = tautfol.decide._evaluate(g, None)
+    nodes = tautfol.decide._evaluate(g)
     assert [n.piece.ident for n in nodes] == ["p5", "p4", "p1"]
     for node, slope in zip(nodes[1:], (Slope(2, 1), Slope(7, 1))):
         result = node.result
@@ -257,10 +258,6 @@ def test_kernel_runs_once_per_piece(monkeypatch):
     # detect_tree itself evaluates the tree on every call.
     assert detect_tree(g) == res
     assert len(calls) == 24
-    calls.clear()
-    iter_piece_evaluations(g, n_max=5)
-    check_degenerate(g, n_max=5)
-    assert len(calls) == 24
 
 
 def test_work_on_the_1000_piece_chain(monkeypatch):
@@ -302,7 +299,7 @@ def test_longitudes_come_from_one_walk_only(monkeypatch):
     longitudes = _counting(monkeypatch, (tautfol.graph, tautfol.decide), "piece_longitude")
     g = plumbing_chain(24)
     extract_witness(g, simplest_slope(detect_tree(g).detected))
-    iter_piece_evaluations(g, n_max=5)
+    iter_piece_evaluations(plumbing_chain(24))  # evaluated here, and kept
     assert longitudes == []
     closed = plumbing_chain(24, "closed")
     for split_edge in (None, "e11", "e22"):
@@ -372,13 +369,24 @@ def test_each_graph_is_validated_once(monkeypatch, capsys):
 
 
 def test_evaluation_is_kept_on_its_own_graph():
+    """A graph keeps one evaluation, a tuple of nodes with no bound key:
+    None until the first question, replaced by each detect_tree, and read
+    by the other questions."""
     path = Path(__file__).resolve().parent.parent / "samples" / "two_piece_tree.json"
     g, h = load_manifold(path), load_manifold(path)
+    assert (g.evaluation, h.evaluation) == (None, None)
     assert detect_tree(g) == detect_tree(h)
-    nodes_g, nodes_h = g.evaluations[None], h.evaluations[None]
+    nodes_g, nodes_h = g.evaluation, h.evaluation
+    assert type(nodes_g) is tuple and [n.piece for n in nodes_g] == [
+        g.pieces[pid] for pid, _, _ in post_order(g)]
     assert all(a is not b for a, b in zip(nodes_g, nodes_h))
     assert extract_witness(g, simplest_slope(nodes_g[-1].result.detected))
-    assert g.evaluations[None] is nodes_g
+    iter_piece_evaluations(g)
+    check_degenerate(g)
+    assert g.evaluation is nodes_g
+    detect_tree(g)
+    assert g.evaluation is not nodes_g and g.evaluation == nodes_g
+    assert h.evaluation is nodes_h
     with pytest.raises(AttributeError):
         g.pieces = {}
     with pytest.raises(TypeError):
@@ -387,6 +395,52 @@ def test_evaluation_is_kept_on_its_own_graph():
         g.edges = ()
     with pytest.raises(AttributeError):
         g.role = "closed"
+
+
+@pytest.mark.parametrize("sample", ["closed_admits", "two_piece_tree"])
+def test_an_edge_named_as_the_root_key_is_refused(sample):
+    """A witness keys the dangling torus's slope by ROOT_KEY beside the edge
+    idents, so an edge of that name would lose its slope (decide_ctf) or
+    give it to the dangling torus (extract_witness): no graph has one."""
+    g = load_manifold(Path(__file__).resolve().parent.parent / "samples" / f"{sample}.json")
+    edges = [g.edges[0]._replace(ident=ROOT_KEY), *g.edges[1:]]
+    with pytest.raises(ManifoldFormatError, match=f"^edge ident '{ROOT_KEY}' names the"):
+        PlumbingGraph(g.pieces.values(), edges, g.role)
+
+
+def test_tree_scans_have_two_slots_so_no_bound_binds(monkeypatch):
+    """Why decide sets no certificate bound: on 1,000 seeded solid trees
+    and both sides of e0 in 1,000 seeded closed graphs, every evaluated
+    family has no strong index, every certificate scan the evaluation
+    starts has at least two slots, and the kernel answers alike at its
+    default bound and at 10^12."""
+    slots, scan = [], tautfol.seifert._scan_certificates
+
+    def spying(scan_slots, n_max):
+        slots.append(len(scan_slots))
+        return scan(scan_slots, n_max)
+
+    monkeypatch.setattr(tautfol.seifert, "_scan_certificates", spying)
+    rng = random.Random(3301)
+    families = scans = 0
+    for draw in range(1000):
+        closed, solid = rand_valid_closed(rng), rand_valid_solid_tree(rng)
+        e = closed.edges[0]
+        for graph, walk in ((solid, None),
+                            (closed, post_order(closed, (e.from_piece, e.from_bdry))),
+                            (closed, post_order(closed, (e.to_piece, e.to_bdry)))):
+            slots.clear()
+            nodes = tautfol.decide._evaluate(graph, walk)
+            assert min(slots, default=2) >= 2, draw
+            scans += len(slots)
+            for node in nodes:
+                if node.family is None:
+                    continue
+                assert not node.family.strong, draw
+                assert (detect_relative(node.piece, node.family, n_max=10**12)
+                        == detect_relative(node.piece, node.family)), draw
+                families += 1
+    assert families > 5000 and scans > 4000
 
 
 def _records():
@@ -455,7 +509,7 @@ def test_records_copy_and_pickle():
     # are those of its own build.
     for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert type(twin) is PlumbingGraph and twin is not graph
-        assert (twin.evaluations, twin.diagnostics) == ({}, graph.diagnostics)
+        assert (twin.evaluation, twin.diagnostics) == (None, graph.diagnostics)
         assert dump_manifold(twin) == dump_manifold(graph)
         assert detect_tree(twin) == result
 
@@ -588,7 +642,7 @@ def test_rooted_walks_match_the_split_sides():
                 *_, here = subtree_longitudes(g, walk).values()
                 *_, there = subtree_longitudes(side).values()
                 assert here == there, (draw, edge.ident)
-                here = tautfol.decide._evaluate(g, None, walk)[-1].result
+                here = tautfol.decide._evaluate(g, walk)[-1].result
                 there = detect_tree(side)
                 assert (here.branch, here.detected, here.exceptions) == (
                     there.branch, there.detected, there.exceptions), (draw, edge.ident)
@@ -658,7 +712,7 @@ def test_check_degenerate_reports_a_kernel_it_contradicts(monkeypatch, tmp_path,
     branch conditions say it is not, at a point that is not the longitude:
     check_degenerate says so, and oracle-check exits 3."""
     monkeypatch.setattr(tautfol.decide, "detect_relative",
-                        lambda piece, family, n_max=None: DetectionResult(
+                        lambda piece, family: DetectionResult(
                             SlopeArc.point(OFF_LONGITUDE)))
     rep = check_degenerate(make())
     assert rep.is_degenerate and not rep.predicted and not rep.consistent

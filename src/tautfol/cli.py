@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .decide import (
     DecisionError,
@@ -60,6 +61,9 @@ EXIT_MALFORMED = 1
 EXIT_ROLE = 2
 EXIT_ORACLE = 3
 EXIT_PIPE = 141
+# oracle-check's brute force takes a step per N, so a piece whose N bound
+# passes this budget is reported as skipped rather than searched.
+ORACLE_N_BUDGET = 100_000
 
 
 def _fraction_str(value):
@@ -69,8 +73,14 @@ def _fraction_str(value):
     return f"{f.numerator}/{f.denominator}"
 
 
+def _tau_str(slope):
+    """tau = -p/q of a slope, written from its primitive pair; "inf" for the
+    vertical slope."""
+    return f"{-slope.p}/{slope.q}" if slope.q else "inf"
+
+
 def _slope_json(slope):
-    return {"slope": str(slope), "tau": _fraction_str(slope.tau)}
+    return {"slope": str(slope), "tau": _tau_str(slope)}
 
 
 def _arc_json(arc):
@@ -104,7 +114,7 @@ def _detection_json(result):
         "exceptional": [
             {
                 "slope": str(e.slope),
-                "tau": _fraction_str(e.slope.tau),
+                "tau": _tau_str(e.slope),
                 "status": e.status.value,
                 "reason": e.reason,
             }
@@ -115,11 +125,64 @@ def _detection_json(result):
     }
 
 
+def _json_text(value):
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the values a
+    report holds: str, int, bool, None, and lists, tuples and str-keyed
+    dicts of them.  Any other value, a float included, raises TypeError.
+
+    The stdlib serves ``indent`` only with its pure-Python encoder; this
+    writes the same bytes directly, strings through its C escaper."""
+    parts = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, indent, put):
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        # A key that is not a str raises TypeError, in the sort or the escaper.
+        for key, item in sorted(value.items()):
+            put(sep)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        raise TypeError(f"a report holds no {kind.__name__}: {value!r}")
+
+
 def _emit(report, fmt, text_lines):
     """Print the report as JSON, or the lines that ``text_lines()`` builds
     for ``--format text``; only the printed form is built."""
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json_text(report))
     else:
         for line in text_lines():
             print(line)
@@ -143,7 +206,7 @@ def _cmd_longitude(graph, args):
     }
     _emit(report, args.format, lambda: [
         f"rational longitude: {result.slope} (tau = "
-        f"{_fraction_str(result.slope.tau)}), order {result.order} in H_1"])
+        f"{_tau_str(result.slope)}), order {result.order} in H_1"])
     return EXIT_OK
 
 
@@ -156,13 +219,13 @@ def _cmd_detect(graph, args):
         arc = result.detected
         yield f"detected set: {arc.kind}"
         if arc.is_point:
-            yield f"  point {arc.start} (tau = {_fraction_str(arc.start.tau)})"
+            yield f"  point {arc.start} (tau = {_tau_str(arc.start)})"
         elif arc.kind == "arc":
-            yield f"  from {arc.start} (tau = {_fraction_str(arc.start.tau)})"
-            yield f"  to   {arc.end} (tau = {_fraction_str(arc.end.tau)})"
+            yield f"  from {arc.start} (tau = {_tau_str(arc.start)})"
+            yield f"  to   {arc.end} (tau = {_tau_str(arc.end)})"
         for e in result.exceptions:
             yield (f"  {e.status.value}: {e.slope} "
-                   f"(tau = {_fraction_str(e.slope.tau)}) - {e.reason}")
+                   f"(tau = {_tau_str(e.slope)}) - {e.reason}")
         if not result.exceptions:
             yield "  every detected rational slope is strongly detected"
 
@@ -192,7 +255,7 @@ def _cmd_ctf(graph, args):
         yield f"admits co-oriented taut foliation: {verdict.admits}"
         yield f"note: {verdict.note}"
         for key, s in sorted(verdict.witness.items()):
-            yield f"  witness slope on {key}: {s} (tau = {_fraction_str(s.tau)})"
+            yield f"  witness slope on {key}: {s} (tau = {_tau_str(s)})"
         for k, v in sorted(verdict.piece_tags.items(), key=lambda kv: str(kv[0])):
             yield f"  piece {k}: {v}"
 
@@ -225,16 +288,21 @@ def _cmd_oracle_check(graph, args):
             n_bound = default_n_bound(piece, endpoints)
             low = jn_refine_low(piece, family, n_max=n_bound)
             high = jn_refine_high(piece, family, n_max=n_bound)
-            ex_low = jn_exhaustive_extremal(piece, family, "low", n_bound)
-            ex_high = jn_exhaustive_extremal(piece, family, "high", n_bound)
             row["refine_low"] = _fraction_str(low[0]) if low else None
-            row["exhaustive_low"] = _fraction_str(ex_low) if ex_low is not None else None
             row["refine_high"] = _fraction_str(high[0]) if high else None
-            row["exhaustive_high"] = _fraction_str(ex_high) if ex_high is not None else None
-            row["refinements_match"] = (
-                ((low[0] if low else None) == ex_low)
-                and ((high[0] if high else None) == ex_high))
-            ok = ok and row["core_matches_grid"] and row["refinements_match"]
+            if n_bound > ORACLE_N_BUDGET:
+                row.update(exhaustive_low=None, exhaustive_high=None, refinements_match=None,
+                           skipped={"n_bound": n_bound, "budget": ORACLE_N_BUDGET})
+            else:
+                ex_low = jn_exhaustive_extremal(piece, family, "low", n_bound)
+                ex_high = jn_exhaustive_extremal(piece, family, "high", n_bound)
+                row["exhaustive_low"] = _fraction_str(ex_low) if ex_low is not None else None
+                row["exhaustive_high"] = _fraction_str(ex_high) if ex_high is not None else None
+                row["refinements_match"] = (
+                    ((low[0] if low else None) == ex_low)
+                    and ((high[0] if high else None) == ex_high))
+            # A skipped search (refinements_match None) is no check made.
+            ok = ok and row["core_matches_grid"] and row["refinements_match"] is not False
             rows.append(row)
         degenerate = check_degenerate(side)
         rows.append({

@@ -6,23 +6,27 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tautfol import (
+    VERTICAL,
     Edge,
     FamilyError,
     GluingMatrix,
     PieceError,
     PlumbingGraph,
     SeifertPiece,
+    Slope,
     SlopeError,
     detect_tree,
     dump_manifold,
     rational_longitude,
 )
-from tautfol.cli import _PARSER, main
+from tautfol.cli import ORACLE_N_BUDGET, _PARSER, _fraction_str, _json_text, _tau_str, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -566,9 +570,114 @@ def test_reports_print_integers_past_the_conversion_limit(tmp_path, capsys):
         got = report["longitude"] if command == "longitude" else report["detected"]["end"]
         assert got["slope"] == slope
         assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
     too_long = tmp_path / "too_long.json"
     too_long.write_text(json.dumps(HALFHALF).replace('"b": 0', '"b": 1' + "0" * 4300),
                         encoding="utf-8")
     code, out, err = run(capsys, "longitude", str(too_long))
     assert (code, out) == (1, "") and err.startswith("error: cannot read manifold file")
     assert sys.get_int_max_str_digits() == limit
+
+
+# The JSON report writer against the stdlib encoder it stands in for.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001f600'),
+                          st.characters()))
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_REPORT_VALUES)
+@example({"a": {}, "b": [], "c": (), "d": [[], [{}], ("x", -1)], "": -(10 ** 30)})
+@example({"\u00e9\"\\\n": ["\x00\u2028", "\U0001f600"], "\x1f": {"k": [True, False, None]}})
+@example(-7)
+def test_the_report_writer_matches_the_stdlib_encoder(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_the_report_writer_reproduces_every_golden_report():
+    reports = sorted((ROOT / "tests" / "golden" / "reports").glob("*.json"))
+    assert reports
+    for path in reports:
+        text = path.read_text(encoding="utf-8")
+        assert _json_text(json.loads(text)) + "\n" == text, path.name
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {"a": [0.0]}, {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {None: 1}},
+    ["x", b"bytes"], Fraction(1, 2),
+], ids=["float", "nested-float", "set", "nested-set", "int-key", "none-key", "bytes",
+        "fraction"])
+def test_the_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("slope", [
+    VERTICAL, Slope(0, 1), Slope(1, 1), Slope(-3, 7), Slope(4, -6), Slope(5, 2),
+    Slope(-(2 ** 127 - 1), 3), Slope(10 ** 60 + 1, 10 ** 60), Slope(1, 10 ** 90),
+    Slope(-1, 2 ** 200 + 1), Slope(7 ** 300, 1),
+], ids=repr)
+def test_tau_is_written_from_the_primitive_pair(slope):
+    assert _tau_str(slope) == _fraction_str(slope.tau)
+
+
+def _cones_past_the_budget(tmp_path):
+    """A one-piece solid torus whose default N bound, 200,320,126, is far
+    past the oracle's budget: the brute force would take a step per N."""
+    data = {"role": "solid-torus",
+            "pieces": [{"id": "a", "base": {"orientable": True, "crosscaps": 0},
+                        "cones": [[10007, 1], [10009, 1]], "b": -1, "boundary": 1}],
+            "edges": []}
+    path = tmp_path / "cones_10007_10009.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_oracle_check_skips_a_piece_past_the_budget(tmp_path):
+    """In a fresh process, main ends with exit 0 in under 1 s, and the
+    skipped row names the bound and the budget."""
+    timed_main = ("import sys, time; from tautfol.cli import main; "
+                  "start = time.perf_counter(); code = main(sys.argv[1:]); "
+                  "print(code, time.perf_counter() - start, file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, "oracle-check", _cones_past_the_budget(tmp_path),
+         "--format", "json"],
+        env=_source_env(), capture_output=True, text=True, timeout=60)
+    code, seconds = proc.stderr.split()
+    assert code == "0" and float(seconds) < 1.0
+    report = json.loads(proc.stdout)
+    assert report["ok"] is True
+    piece, degenerate = report["rows"]
+    assert piece["skipped"] == {"n_bound": 200_320_126, "budget": ORACLE_N_BUDGET}
+    assert piece["core_matches_grid"] is True
+    assert (piece["exhaustive_low"], piece["exhaustive_high"],
+            piece["refinements_match"]) == (None, None, None)
+    assert degenerate["consistent"] is True
+
+
+def test_oracle_check_counts_only_the_checks_made(manifold_file, capsys, monkeypatch):
+    """With every piece past the budget, the brute force never runs, each
+    row is skipped, and ``ok`` still follows the core-versus-grid check."""
+    import tautfol.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("brute force run past the budget")
+
+    monkeypatch.setattr(cli, "ORACLE_N_BUDGET", 1)
+    monkeypatch.setattr(cli, "jn_exhaustive_extremal", refuse)
+    path = manifold_file(HALFHALF)
+    code, out, _ = run(capsys, "oracle-check", path, "--format", "json")
+    report = json.loads(out)
+    skipped = [row for row in report["rows"] if "skipped" in row]
+    assert (code, report["ok"]) == (0, True)
+    assert skipped and all(row["refinements_match"] is None for row in skipped)
+    monkeypatch.setattr(cli, "core_interval", lambda piece, family: (-99, 99))
+    code, out, _ = run(capsys, "oracle-check", path, "--format", "json")
+    assert (code, json.loads(out)["ok"]) == (3, False)

@@ -74,9 +74,10 @@ class PlumbingGraph:
     written later: the tree evaluation of ``decide``, None until one is
     made.  The questions asked after ``detect_tree`` read it instead of
     walking the tree again, and it lives as long as the graph does.  Piece
-    ids and edge idents are each distinct, no edge is named ROOT_KEY, and
-    no boundary torus carries two edges.  A copy or a pickle is rebuilt
-    from the pieces, edges and role, so it validates and evaluates afresh.
+    ids are distinct and print distinctly (not 1 and "1"), edge idents are
+    distinct, no edge is named ROOT_KEY, and no boundary torus carries two
+    edges.  A copy or a pickle is rebuilt from the pieces, edges and role,
+    so it validates and evaluates afresh.
     """
 
     __slots__ = ("pieces", "edges", "role", "_by_boundary", "evaluation", "diagnostics")
@@ -85,6 +86,12 @@ class PlumbingGraph:
         by_ident = {p.ident: p for p in pieces}
         if len(by_ident) != len(pieces):
             raise ManifoldFormatError("duplicate piece ids")
+        # Reports and diagnostics name a piece by str(ident): 1 and "1" clash.
+        printed = {str(i): i for i in by_ident}
+        if len(printed) != len(by_ident):
+            first = next(i for i in by_ident if printed[str(i)] != i)
+            raise ManifoldFormatError(
+                f"piece ids {first!r} and {printed[str(first)]!r} print alike")
         edges = tuple(edges)
         idents = {e.ident for e in edges}
         if len(idents) != len(edges):

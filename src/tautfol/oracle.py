@@ -11,12 +11,13 @@ from the definition, so the check shares no code with the kernel's core.
 Each certificate condition becomes an integer threshold built from its
 definition, sharing no search logic with the optimized scan in the kernel.
 A condition only gets easier as the value grows, so each N has one least
-passing value per slot, and _allowed_pairs turns those into the placements
-that can pass at N: none when more than two slots fail on 1, else each
-allowed (pos_a, pos_b) with the one range of A on which it passes.
+passing value per slot, read from that check's column: a generator over
+N = 2..n_max that evaluates the threshold at each N.
 jn_exhaustive_extremal needs only the largest target value C/N, so it
-builds no certificate: it visits every N up to the bound and reads each
-allowed pair's best C straight from its range, one step per N and pair.
+builds no certificate and lists no placement: it visits every N up to the
+bound, passes over it when more than two slots fail on 1, and otherwise
+scans A up from one start for a value coprime to N, a few integer steps
+per N and check.
 """
 
 from __future__ import annotations
@@ -113,27 +114,13 @@ def _thresholds(piece, family, side):
     return [(t.numerator, t.denominator, strict) for t, strict in thresholds]
 
 
-def _allowed_pairs(checks, n_value):
-    """The placements that can pass at N = n_value, as (lo, hi, pos_a,
-    pos_b) in (pos_a, pos_b) order: A on slot pos_a and N - A on slot pos_b
-    pass their checks exactly when lo <= A <= hi, and every other slot holds
-    1 and passes its check.  The target's slot, last, has no condition.
-
-    A check only gets easier as the value grows, so at each N it passes
-    exactly the values from its least passing one up: the slots whose least
-    value exceeds 1 must be pos_a and pos_b, and when more than two of them
-    do, no placement passes."""
-    # Every value is at least 1, so a least value below 1 counts as 1.
-    least = [max(n_value * p // q + 1 if strict else -(-n_value * p // q), 1)
-             for p, q, strict in checks] + [1]
-    failing = len(least) - least.count(1)
-    if failing > 2:
-        return []
-    slots = range(len(least))
-    return [(least[pos_a], n_value - least[pos_b], pos_a, pos_b)
-            for pos_a in slots for pos_b in slots
-            if pos_b != pos_a and least[pos_a] + least[pos_b] <= n_value
-            and failing == (least[pos_a] > 1) + (least[pos_b] > 1)]
+def _least_column(p, q, strict, n_max):
+    """One check's least passing value at each N = 2..n_max, from its
+    definition: the least v with v*q > N*p (or >= where not strict).  Every
+    value is at least 1, so a least value below 1 counts as 1."""
+    for n_value in range(2, n_max + 1):
+        least = n_value * p // q + 1 if strict else -(-n_value * p // q)
+        yield least if least > 1 else 1
 
 
 def jn_exhaustive_extremal(piece, family, side, n_max):
@@ -141,26 +128,38 @@ def jn_exhaustive_extremal(piece, family, side, n_max):
     below c_min resp. maximal zeta above c_max over all certificates with
     N <= n_max, or None.  Used to cross-check the optimized scan.
 
-    Every N is visited, and each allowed pair gives its best target value C
-    from its range of A at once: N minus the least A coprime to N when the
-    target is pos_b, else 1 when some A in range is coprime to N.  A target
-    on pos_a is read off the mirrored pair (pos_b, pos_a), which passes on
-    the range of N - A."""
+    Every N is visited, with every check's least passing value read from
+    its column.  A placement puts A on slot pos_a, N - A on pos_b and 1
+    elsewhere, so the slots that fail on 1 must be among pos_a and pos_b.
+    With the target on pos_b, the best C is N minus the least A coprime to
+    N from the failing slot's least value (or 1) up; the scan ends by
+    N - 1, which is coprime to N.  A target on pos_a is the mirrored
+    placement.  With the target holding 1, C = 1, and since every C/N found
+    earlier is at least 1/N, such a placement counts only while nothing
+    beats 1/N: it needs two failing slots (fewer is already the first
+    case) and an A coprime to N between the one's least value and N minus
+    the other's."""
     checks = _thresholds(piece, family, side)
-    target = len(checks)
-    best = None
-    for n_value in range(2, n_max + 1):
-        for lo, hi, pos_a, pos_b in _allowed_pairs(checks, n_value):
-            if pos_a == target:
-                continue
-            a_value = next((a for a in range(lo, hi + 1) if gcd(a, n_value) == 1), None)
-            if a_value is None:
-                continue
-            c_value = n_value - a_value if pos_b == target else 1
-            if best is None or c_value * best[1] > best[0] * n_value:
-                best = (c_value, n_value)
-    if best is None:
+    best_c, best_n = 0, 1
+    # One generator per check, made in a function so that each binds its
+    # own (p, q, strict).
+    columns = [_least_column(p, q, strict, n_max) for p, q, strict in checks]
+    for n_value, least in zip(range(2, n_max + 1), zip(*columns)):
+        failing = len(least) - least.count(1)
+        if failing < 2:
+            a_value = max(least)
+            # C is at most N - a_value: scan for A only if that beats best.
+            if a_value < n_value and (n_value - a_value) * best_n > best_c * n_value:
+                while gcd(a_value, n_value) != 1:
+                    a_value += 1
+                if (n_value - a_value) * best_n > best_c * n_value:
+                    best_c, best_n = n_value - a_value, n_value
+        elif failing == 2 and best_n > best_c * n_value:
+            low, high = sorted(least)[-2:]
+            if any(gcd(a, n_value) == 1 for a in range(low, n_value - high + 1)):
+                best_c, best_n = 1, n_value
+    if not best_c:
         return None
     c_min, c_max = core_interval(piece, family)
-    gap = Fraction(*best)
+    gap = Fraction(best_c, best_n)
     return c_min - gap if side == "low" else c_max + gap

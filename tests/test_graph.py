@@ -353,6 +353,28 @@ def test_edges_that_share_an_ident_are_refused():
         refused += 1
 
 
+def test_piece_ids_that_print_alike_are_refused():
+    """Reports, witnesses and diagnostics name a piece by str(ident), so the
+    integer 1 and the string "1", distinct keys, would name two pieces
+    alike: the JSON report's piece_tags would hold one of them."""
+    base = {"orientable": True, "crosscaps": 0}
+    data = {"role": "closed",
+            "pieces": [{"id": 1, "base": base, "cones": [[2, 1], [3, 1]], "b": -2,
+                        "boundary": 1},
+                       {"id": "1", "base": base, "cones": [[2, 1], [5, 2]], "b": -1,
+                        "boundary": 1}],
+            "edges": [{"from": [1, 0], "to": ["1", 0], "matrix": [[2, 1], [1, 0]]}]}
+    with pytest.raises(ManifoldFormatError, match="^piece ids 1 and '1' print alike$"):
+        parse_manifold(data)
+    a, b = (SeifertPiece(base_orientable=True, cones=((2, 1), (3, 1)), b=0,
+                         boundary_count=1, ident=i) for i in ("7", 7))
+    with pytest.raises(ManifoldFormatError, match="^piece ids '7' and 7 print alike$"):
+        PlumbingGraph([a, b], [Edge("7", 0, 7, 0, GluingMatrix(0, 1, 1, 0), "e0")], "closed")
+    data["pieces"][1]["id"] = "2"
+    data["edges"][0]["to"][0] = "2"
+    assert dump_manifold(parse_manifold(data)) == data
+
+
 def _reference_is_tree(ids, ends):
     """A tree: every edge end a known piece, |E| = |V| - 1, and a breadth-
     first search from one piece reaches every piece."""

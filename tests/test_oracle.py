@@ -10,11 +10,12 @@ change to the thresholds' answers rewrites the file in the same change:
 
     PYTHONPATH=src:tests python tests/test_oracle.py > tests/golden/oracle_digest.txt
 
-``jn_exhaustive_extremal``, which reads each allowed pair's best target
-value instead of walking the certificates, is compared with the largest C/N
-over that enumeration, and with the kernel's scan at the bounds the
-commands use.  ``grid_union`` is compared with the tuple statistic written
-out here, and still answers with the kernel's core made to raise.
+``jn_exhaustive_extremal``, which reads each N's best target value from
+the checks' least passing values instead of walking the certificates, is
+compared with the largest C/N over that enumeration, and with the kernel's
+scan at the bounds the commands use; it still answers with the kernel's
+search made to raise.  ``grid_union`` is compared with the tuple statistic
+written out here, and still answers with the kernel's core made to raise.
 
 One check shares no formula with the kernel: on two-boundary pieces, a
 slope beta whose double filling with alpha passes the closed-Seifert
@@ -106,7 +107,7 @@ def test_grid_union_on_random_point_families(rng):
 
 
 def _raise(*_args, **_kwargs):
-    raise AssertionError("the grid oracle reached the kernel")
+    raise AssertionError("an oracle reached the kernel")
 
 
 def test_grid_union_needs_no_kernel_core(rng, monkeypatch):
@@ -360,8 +361,8 @@ EDGE_CHECKS = {
 def _extremal_by_certificates(piece, fam, side, n_max):
     """The refined endpoint of the largest C/N over every placement that
     passes the oracle's thresholds: the reference for
-    jn_exhaustive_extremal, which reads the best C of each allowed pair's
-    range of A instead."""
+    jn_exhaustive_extremal, which reads each N's best C from the checks'
+    least passing values instead."""
     gaps = [F(values[-1], n_value) for n_value, _, values in _every_placement(
         tautfol.oracle._thresholds(piece, fam, side), n_max)]
     if not gaps:
@@ -425,6 +426,35 @@ def test_exhaustive_extremal_agrees_with_refine_at_the_default_bounds():
             assert (got[0] if got else None) == expected, (piece.cones, piece.b, side)
             found += expected is not None
     assert found >= 25
+
+
+def test_exhaustive_extremal_needs_no_kernel_search(monkeypatch):
+    """With the kernel's scan, its Farey steps, its N bound, its refinements
+    and detect_relative made to raise, jn_exhaustive_extremal still gives
+    the values read beforehand.  core_interval, which only places the
+    endpoint, stays."""
+    rng = random.Random(0x5EED + 4)
+    cases = []
+    for i in range(40):
+        piece, fam = rand_horizontal_piece_and_family(rng, den_max=(2, 4, 12)[i % 3],
+                                                      a_max=6)
+        cases.append((piece, fam, rng.randint(25, 120)))
+    for _ in range(8):
+        piece = SeifertPiece(base_orientable=True, cones=rand_cones(rng, 3, 12, n_min=2),
+                             b=rng.randint(-3, 2), boundary_count=1)
+        cases.append((piece, ConstraintFamily(()), default_n_bound(piece, [])))
+    expected = [jn_exhaustive_extremal(piece, fam, side, n_max)
+                for piece, fam, n_max in cases for side in ("low", "high")]
+    assert sum(value is not None for value in expected) >= 10
+    for name in ("_side_reach", "_scan_certificates", "_farey_below",
+                 "_least_pair_denominator", "default_n_bound", "jn_refine_low",
+                 "jn_refine_high", "detect_relative"):
+        monkeypatch.setattr(seifert, name, _raise)
+    got = [jn_exhaustive_extremal(piece, fam, side, n_max)
+           for piece, fam, n_max in cases for side in ("low", "high")]
+    assert got == expected
+    with pytest.raises(AssertionError):
+        seifert.jn_refine_high(*cases[0][:2])
 
 
 def _enumerations(enumerate_certificates):

@@ -99,11 +99,12 @@ def _evaluate(graph, walk=None):
     evaluated once, from its children's nodes."""
     nodes, pieces = {}, graph.pieces
     for pid, via, links in post_order(graph) if walk is None else walk:
-        piece = pieces[pid]
-        children = tuple([
-            _Child(j, edge, transport, (node := nodes[cid]), act_arc(transport, node.result.detected))
-            for j, edge, cid, transport in links])
-        nodes[pid] = _Node(piece, children, *_detect(piece, via, children))
+        children, arcs = [], []
+        for j, edge, cid, transport in links:
+            arcs.append(act_arc(transport, nodes[cid].result.detected))
+            children.append(tuple.__new__(_Child, (j, edge, transport, nodes[cid], arcs[-1])))
+        children, piece = tuple(children), pieces[pid]
+        nodes[pid] = tuple.__new__(_Node, (piece, children, *_detect(piece, via, children, arcs)))
     return tuple(nodes.values())
 
 
@@ -121,21 +122,22 @@ def _moved(transport, exceptions):
                  for e in exceptions)
 
 
-def _detect(piece, via, children):
-    """(constraint family, DetectionResult) of one piece from its children;
-    the family is None on a product piece, which only relays its child."""
+def _detect(piece, via, children, arcs):
+    """(constraint family, DetectionResult) of one piece from its children
+    and their transported ``arcs``; the family is None on a product piece,
+    which only relays its child."""
     if piece.is_product_piece:
         k = product_transport(piece)
         child = children[0]
         return None, DetectionResult(
             act_arc(k, child.arc),
             _moved(k.compose(child.transport), child.node.result.exceptions), "product")
-    family = ConstraintFamily([c.arc for c in children])
+    family = ConstraintFamily(arcs)
     rel = detect_relative(piece, family)
     detected = rel.detected
     # A degenerate set {lambda} over an orientable base is strong; the n2 and
     # solid-torus branches carry no exceptions either.
-    degenerate = rel.branch == "vertical-arc" and detected.is_point
+    degenerate = rel.branch == "vertical-arc" and detected.kind == "point"
     added = (_cable_exceptions(piece, children, detected)
              + _degenerate_fibration_exceptions(piece, via, children, detected))
     if not (added or degenerate):
@@ -157,7 +159,7 @@ def _cable_exceptions(piece, children, detected):
     out = []
     for exc in child.node.result.exceptions:
         slope = act(child.transport, exc.slope)
-        if slope.is_vertical:
+        if not slope.q:  # vertical
             continue
         # The filling slope (horizontal_completion), of interest only when
         # integral (distance one from the fibre): when q divides p.
@@ -183,7 +185,7 @@ def _degenerate_fibration_exceptions(piece, via, children, detected):
         return []
     # Two boundary tori, one towards the parent: exactly one child.
     child = children[0]
-    if not child.arc.is_point or child.arc.start.is_vertical:
+    if child.arc.kind != "point" or not child.arc.start.q:  # not a horizontal point
         return []
     # A point's status does not depend on the frame it is read in.
     own = child.node.result
@@ -353,23 +355,22 @@ def _extract(root, target):
     # (node, assignment key, slope recorded there, slope in the node's frame)
     stack = [(root, ROOT_KEY, target, target)]
     while stack:
-        node, key, recorded, slope = stack.pop()
+        (piece, children, family, result), key, recorded, slope = stack.pop()
         assignment[key] = recorded
-        if not node.children:
+        if not children:
             continue
-        piece = node.piece
-        picks = realize(piece, node.family, node.result, slope)
-        if node.family is not None and not detects(piece, picks, slope):
+        picks = realize(piece, family, result, slope)
+        if family is not None and not detects(piece, picks, slope):
             raise DecisionError(
                 f"witness search failed at piece {piece.ident} "
-                f"(branch {node.result.branch}): the constraint tuple "
+                f"(branch {result.branch}): the constraint tuple "
                 f"({', '.join(map(str, picks))}) does not detect {slope}")
-        for c, s in zip(reversed(node.children), reversed(picks)):
+        for (bdry, edge, transport, child, _), s in zip(reversed(children), reversed(picks)):
             # The child's transport carries its slope here; an edge's slope
             # is recorded in its from-side frame.
-            edge, child_slope = c.edge, act_inverse(c.transport, s)
-            from_here = edge.from_piece == piece.ident and edge.from_bdry == c.bdry
-            stack.append((c.node, edge.ident, s if from_here else child_slope, child_slope))
+            child_slope = act_inverse(transport, s)
+            from_here = edge.from_piece == piece.ident and edge.from_bdry == bdry
+            stack.append((child, edge.ident, s if from_here else child_slope, child_slope))
     return assignment
 
 

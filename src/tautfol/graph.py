@@ -166,18 +166,9 @@ def validate(graph):
             if not 0 < beta < a:
                 out.append(
                     f"warning: piece {p.ident}: cone ({a}, {beta}) not normalized into (0, a)")
-    for e in graph.edges:
-        for pid, idx in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
-            p = pieces.get(pid)
-            if p is None:
-                out.append(f"error: edge {e.ident} references unknown piece {pid!r}")
-            elif not 0 <= idx < p.boundary_count:
-                out.append(f"error: edge {e.ident} boundary index {idx} out of range")
-        if e.matrix.det != -1:
-            out.append(f"error: edge {e.ident}: orientation-incompatible gluing (det != -1)")
-    # Tree check: connected and |edges| = |pieces| - 1.
-    ids = list(pieces)
-    parent = {i: i for i in ids}
+    # Tree check: connected and |edges| = |pieces| - 1, by union-find over
+    # the edges with both ends known.
+    parent = {i: i for i in pieces}
 
     def find(x):
         while parent[x] != x:
@@ -188,14 +179,22 @@ def validate(graph):
     # Each union of two classes leaves one component fewer.  One component
     # takes |V| - 1 unions, each by an edge with both ends known and no
     # cycle, so with |E| = |V| - 1 it leaves no edge to close a cycle.
-    components = len(ids)
+    components = len(parent)
     for e in graph.edges:
+        for pid, idx in ((e.from_piece, e.from_bdry), (e.to_piece, e.to_bdry)):
+            p = pieces.get(pid)
+            if p is None:
+                out.append(f"error: edge {e.ident} references unknown piece {pid!r}")
+            elif not 0 <= idx < p.boundary_count:
+                out.append(f"error: edge {e.ident} boundary index {idx} out of range")
+        if e.matrix.det != -1:
+            out.append(f"error: edge {e.ident}: orientation-incompatible gluing (det != -1)")
         if e.from_piece in parent and e.to_piece in parent:
             ra, rb = find(e.from_piece), find(e.to_piece)
             if ra != rb:
                 parent[ra] = rb
                 components -= 1
-    if components > 1 or len(graph.edges) != len(ids) - 1:
+    if components > 1 or len(graph.edges) != len(parent) - 1:
         out.append("error: underlying graph is not a tree")
     dangling = graph.dangling_count()
     if graph.role == "closed" and dangling != 0:
@@ -310,10 +309,11 @@ def post_order(graph, root=None):
             if j == via:
                 continue
             edge = by_boundary[pid, j]
-            if edge.to_piece == pid and edge.to_bdry == j:  # the child is the from-side
-                cid, cbd, transport = edge.from_piece, edge.from_bdry, edge.matrix
+            from_piece, from_bdry, to_piece, to_bdry, matrix, _ = edge
+            if to_piece == pid and to_bdry == j:  # the child is the from-side
+                cid, cbd, transport = from_piece, from_bdry, matrix
             else:
-                cid, cbd, transport = edge.to_piece, edge.to_bdry, edge.matrix.inverse()
+                cid, cbd, transport = to_piece, to_bdry, matrix.inverse()
             children.append((j, edge, cid, transport))
             stack.append((cid, cbd))
         order.append((pid, via, children))
@@ -527,9 +527,9 @@ def parse_manifold(data):
 
     Each piece and edge object is tested for its well-formed shape in one
     expression, a piece's field types and cone entries by SeifertPiece's
-    own type test; only an object failing a test goes through the
-    field-by-field checks (_check_piece, _check_edge), which name the
-    fault."""
+    own type test and an edge's matrix entries by GluingMatrix's; only an
+    object failing a test goes through the field-by-field checks
+    (_check_piece, _check_edge), which name the fault."""
     _expect_keys(data, _MANIFOLD_KEYS, "manifold")
     role = data["role"]
     if role not in ("closed", "solid-torus"):
@@ -563,16 +563,17 @@ def parse_manifold(data):
                 and type(dst[0]) in (str, int) and type(dst[1]) is int
                 and type(m := raw["matrix"]) is list and len(m) == 2
                 and type(top := m[0]) is list and type(bottom := m[1]) is list
-                and len(top) == len(bottom) == 2
-                and type(top[0]) is type(top[1]) is type(bottom[0]) is type(bottom[1]) is int):
+                and len(top) == len(bottom) == 2):
             _check_edge(raw, k)
         (from_piece, from_bdry), (to_piece, to_bdry), (a, b), (c, d) = (
             raw["from"], raw["to"], *raw["matrix"])
         try:
             matrix = GluingMatrix(a, b, c, d)
         except ValueError as exc:
+            _check_edge(raw, k)  # a matrix entry that is no integer is a shape fault
             raise ManifoldFormatError(f"edges[{k}]: {exc}") from exc
-        edges.append(Edge(from_piece, from_bdry, to_piece, to_bdry, matrix, f"e{k}"))
+        edges.append(tuple.__new__(Edge, (from_piece, from_bdry, to_piece, to_bdry, matrix,
+                                          f"e{k}")))
     return PlumbingGraph(pieces, edges, role)
 
 

@@ -66,9 +66,10 @@ class DecisionError(ValueError):
 
 
 def _slope_at(end, shift):
-    """The slope of tau = num/den + shift, for an end (num, den) in lowest terms."""
+    """The slope of tau = num/den + shift, for an end (num, den) in lowest
+    terms with den > 0: a primitive pair already in sign order."""
     num, den = end
-    return _primitive(-num - shift * den, den)
+    return tuple.__new__(Slope, (-num - shift * den, den))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +106,14 @@ class SeifertPiece(_Record, namedtuple("SeifertPiece", "base_orientable cones b 
     """
 
     def __new__(cls, base_orientable, cones, b=0, boundary_count=1, crosscaps=0, ident=None):
-        if not (type(base_orientable) is bool and type(b) is int
-                and type(boundary_count) is int and type(crosscaps) is int
-                and type(cones) is tuple
-                and all(type(cone) is tuple and len(cone) == 2 and type(cone[0]) is int
-                        and type(cone[1]) is int for cone in cones)):
+        typed = (type(base_orientable) is bool and type(b) is int
+                 and type(boundary_count) is int and type(crosscaps) is int
+                 and type(cones) is tuple)
+        for cone in cones if typed else ():
+            if not (type(cone) is tuple and len(cone) == 2 and type(cone[0]) is type(cone[1]) is int):
+                typed = False
+                break
+        if not typed:
             cones = _check_field_types(base_orientable, cones, b, boundary_count, crosscaps)
         if boundary_count < 1:
             raise PieceError("a piece needs at least one boundary torus")
@@ -224,7 +228,7 @@ class ConstraintFamily(_Record, namedtuple("ConstraintFamily", "arcs strong",
                 if not 0 <= j < len(arcs):
                     raise FamilyError(f"strong index {j} out of range")
         for j, arc in enumerate(arcs):
-            if arc.is_empty:
+            if arc.kind == "empty":
                 raise FamilyError(f"constraint {j} is empty")
             if j in strong:
                 if arc.contains_vertical():
@@ -262,8 +266,8 @@ def _arc_ends(family):
     """(zetas, etas): the upper and lower ends, as (num, den) pairs, of the
     [eta_j, zeta_j] tau-intervals of a vertical-free family."""
     zetas, etas = [], []
-    for arc in family.arcs:
-        lo, hi = arc.start, arc.end or arc.start
+    for _, lo, hi in family.arcs:
+        hi = hi or lo
         etas.append((-lo.p, lo.q))
         zetas.append((-hi.p, hi.q))
     return zetas, etas
@@ -272,10 +276,11 @@ def _arc_ends(family):
 def _core_end(piece, zetas, etas, strong):
     """(c_min, c_max), from the zetas and the etas in one pass: integral
     ends count on strong constraints below, on free ones above."""
-    c_min = c_max = 0
-    for j, ((z_num, z_den), (e_num, e_den)) in enumerate(zip(zetas, etas)):
+    c_min = c_max = j = 0
+    for (z_num, z_den), (e_num, e_den) in zip(zetas, etas):
         c_min += (z_den == 1 and j in strong) - z_num // z_den
         c_max += (e_den == 1 and j not in strong) - e_num // e_den
+        j += 1
     return c_min - (piece.n + piece.boundary_count - 1), c_max - 1
 
 
@@ -308,8 +313,11 @@ class JNCertificate(namedtuple("JNCertificate", "n_value a_value side cone_numer
 def default_n_bound(piece, endpoints):
     """Search bound for the certificate hunt: twice the lcm of the cone
     orders times the largest denominator of the (num, den) endpoints."""
-    bound = 2 * piece.cone_order_lcm * max((den for _, den in endpoints), default=1)
-    return max(bound, 2)
+    largest = 1  # the largest denominator, 1 when there is none
+    for _, den in endpoints:
+        if den > largest:
+            largest = den
+    return max(2 * piece.cone_order_lcm * largest, 2)
 
 
 def _satisfies(value_num, n_value, threshold, strict):
@@ -386,7 +394,7 @@ def _scan_certificates(slots, n_max):
         # N - C for the hardest slot; case 0 wins a tie in A, at N = 2.
         a_val = min(c_num, n_value - c_num)
         values = (n_value - c_num,)
-    assign = _build_assignment(slots, [-i for _, _, i, _, _ in ranked], n_value, a_val, values)
+    assign = _build_assignment(slots, ranked, n_value, a_val, values)
     return (c_num, n_value), n_value, a_val, assign, c_num
 
 
@@ -434,13 +442,14 @@ def _least_pair_denominator(t0n, t0d, s0, t1n, t1d, s1):
     return _least_denominator(lo[0], lo[1], hi[0], hi[1], lo[2], hi[2])
 
 
-def _build_assignment(slots, order, n_value, a_val, values):
-    """The winning (N, A)'s values on the slots, hardest (``order``) first:
+def _build_assignment(slots, ranked, n_value, a_val, values):
+    """The winning (N, A)'s values on the slots, hardest first (in the
+    scan's ``ranked`` order, each entry naming its slot i as -i):
     ``values``, the larger non-target ones in descending order, then 1s.
     Each is checked against its slot's threshold."""
     assign = {}
-    for k, idx in enumerate(order):
-        tag, threshold, strict = slots[idx]
+    for k, (_, _, minus_i, _, _) in enumerate(ranked):
+        tag, threshold, strict = slots[-minus_i]
         value = values[k] if k < len(values) else 1
         if not _satisfies(value, n_value, threshold, strict):
             raise DecisionError(
@@ -463,10 +472,11 @@ def _side_reach(piece, end, ends, strong, side, n_max):
     slots = []
     for i, (a, beta) in enumerate(piece.cones):
         slots.append((("cone", i), (a - beta % a if low else beta % a, a), True))
-    excluded = []
+    excluded, held = [], []  # held: the constraints with a slot
     for j, (num, den) in enumerate(ends):
         if den != 1:
             slots.append((("bdry", j), (-num % den if low else num % den, den), j in strong))
+            held.append(j)
         elif j in strong:
             excluded.append(j)
         else:
@@ -477,9 +487,9 @@ def _side_reach(piece, end, ends, strong, side, n_max):
     if found is None:
         return (end, 1), None
     (c_num, n_value), _, a_val, assign, _ = found
-    cert = JNCertificate(
-        n_value, a_val, side, tuple(assign[tag] for tag, _, _ in slots[:piece.n]),
-        tuple((tag[1], assign[tag]) for tag, _, _ in slots[piece.n:]), tuple(excluded), c_num)
+    values, n = [assign[tag] for tag, _, _ in slots], piece.n
+    cert = tuple.__new__(JNCertificate, (n_value, a_val, side, tuple(values[:n]),
+                                         tuple(zip(held, values[n:])), tuple(excluded), c_num))
     return (end * n_value - c_num if low else end * n_value + c_num, n_value), cert
 
 
@@ -524,6 +534,8 @@ class ExceptionalSlope(namedtuple("ExceptionalSlope", "slope status reason")):
 # The one exception of every full detected circle.
 _VERTICAL_IN_FULL = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                       "vertical slope in a full circle"),)
+# The status and reason of every frontier slope of a detected interval.
+_FRONTIER = (Strength.NOT_STRONG, "frontier of the detected interval")
 
 
 class DetectionResult(namedtuple("DetectionResult", "detected exceptions branch "
@@ -654,9 +666,11 @@ def detect_relative(piece, family, n_max=None):
         lo, hi = _slope_at(left, shift), _slope_at(right, shift)
         # The frontier slopes in tau order, one record when they coincide
         # (both ends are pairs in lowest terms).
-        exc = tuple([ExceptionalSlope(s, Strength.NOT_STRONG, "frontier of the detected interval")
-                     for s in ((lo,) if left == right else (lo, hi))])
-        return DetectionResult(SlopeArc.arc(lo, hi), exc, "horizontal-interval", low, high)
+        exc = (tuple.__new__(ExceptionalSlope, (lo, *_FRONTIER)),)
+        if left != right:
+            exc += (tuple.__new__(ExceptionalSlope, (hi, *_FRONTIER)),)
+        return tuple.__new__(DetectionResult, (SlopeArc("arc", lo, hi), exc,
+                                               "horizontal-interval", low, high))
 
     # v == 1: the detected set is a closed arc through the vertical slope.
     j0 = next(j for j, arc in enumerate(family.arcs) if arc.contains_vertical())
@@ -696,14 +710,14 @@ def detects(piece, slopes, slope, n_max=None):
     C'/N] + b_eff, which holds the core, so a slope whose normalized tau
     lies in [c_min, c_max] is detected whatever the certificates are; only
     the slopes past the core, and the other branches, need the kernel."""
-    if (piece.base_orientable and not piece.is_solid_torus_piece
-            and not piece.is_product_piece and not slope.is_vertical
-            and len(slopes) == piece.boundary_count - 1 and all(s.q for s in slopes)):
-        ends = [(-s.p, s.q) for s in slopes]  # a point's two ends are its slope
-        c_min, c_max = _core_end(piece, ends, ends, _NO_STRONG)
-        q = slope.q  # the normalized tau is (-p - b_eff q)/q
-        if c_min * q <= -slope.p - piece.b_eff * q <= c_max * q:
-            return True
+    q = slope.q  # the normalized tau is (-p - b_eff q)/q
+    if (q and piece.base_orientable and not piece.is_solid_torus_piece
+            and not piece.is_product_piece):
+        ends = [(-s.p, s.q) for s in slopes if s.q]  # a point's two ends are its slope
+        if len(ends) == len(slopes) == piece.boundary_count - 1:
+            c_min, c_max = _core_end(piece, ends, ends, _NO_STRONG)
+            if c_min * q <= -slope.p - piece.b_eff * q <= c_max * q:
+                return True
     family = ConstraintFamily(tuple(map(SlopeArc.point, slopes)))
     return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
 
@@ -723,30 +737,32 @@ def realize(piece, family, result, target, n_max=None):
     detected relative to single-slope tuples, and the tuple is read off the
     branch that ``result`` took.
     """
-    if result.branch == "product":
+    branch = result.branch
+    if branch == "product":
         return (act(product_transport(piece), target),)
     arcs = family.arcs
     # The kernel answers on the horizontal-interval branch only when no
     # arc holds the vertical slope.
-    vertical = ([] if result.branch == "horizontal-interval"
+    vertical = ([] if branch == "horizontal-interval"
                 else [j for j, arc in enumerate(arcs) if arc.contains_vertical()])
+    q = target.q
     if not piece.base_orientable:
         # Without a vertical slope the point family detects only the fibre
         # slope; with one, every slope.
-        return _vertical_or_simplest(arcs, vertical[:0 if target.is_vertical else 1])
-    if target.is_vertical:
+        return _vertical_or_simplest(arcs, vertical[:1 if q else 0])
+    if not q:
         return _vertical_or_simplest(arcs, vertical[:1])
-    if result.branch == "full":
+    if branch == "full":
         return _vertical_or_simplest(arcs, vertical[:2])
     # Horizontal target of normalized tau -u/q; at most one vertical arc.
     # The window is the core of the all-zero point tuple, shifted by the target.
-    q = target.q
     u = target.p + piece.b_eff * q
     zeros = [(0, 1)] * len(arcs)
     c_min, c_max = _core_end(piece, zeros, zeros, _NO_STRONG)
     low, high = c_min - (-u // q), c_max + u // q
     if not vertical:
-        return _floor_tuple([arc.tau_intervals()[0][0] for arc in arcs], low, high)[0]
+        # A vertical-free arc's one tau-interval runs from its start to its end.
+        return _floor_tuple([(lo, hi or lo) for _, lo, hi in arcs], low, high)[0]
     # A vertical point holds no horizontal target: it reads as the line.
     pieces = [arc.tau_intervals()[0] or [(VERTICAL, VERTICAL)] for arc in arcs]
     j0 = vertical[0]
@@ -789,31 +805,33 @@ def _floor_tuple(intervals, low, high):
     extreme endpoints (upper ones below the core, lower ones above) has the
     same refinement certificate as the family.
     """
-    spans, floors, fixed = [], [], {}
-    for j, (lo, hi) in enumerate(intervals):
+    spans, floors, fixed, total = [], [], [], 0
+    for lo, hi in intervals:
         a = -(lo.p // lo.q) if lo.q else None  # ceil(tau(lo))
         b = -hi.p // hi.q if hi.q else None  # floor(tau(hi))
         if a is None or b is None or a <= b:
-            spans.append((a, b))
-            floors.append(_clamp(0, a, b))
+            floor = _clamp(0, a, b)
+            fixed.append(None)
         else:  # inside (b, b + 1): floor b, ceiling b + 1
-            spans.append((b, b))
-            floors.append(b)
-            fixed[j] = _simplest_in(lo, hi)
+            a = floor = b
+            fixed.append(_simplest_in(lo, hi))
             high -= 1
-    total = sum(floors)
+        spans.append((a, b))
+        floors.append(floor)
+        total += floor
     # Once the sum is in the window no later floor moves.
-    for j, (a, b) in enumerate(spans):
-        if low <= total <= high:
-            break
-        floor = _clamp(floors[j] + (low if total < low else high) - total, a, b)
-        total += floor - floors[j]
-        floors[j] = floor
-    if total < low:
-        return tuple(hi for _, hi in intervals), False
-    if total > high:
-        return tuple(lo for lo, _ in intervals), False
-    return tuple([fixed.get(j) or _primitive(-f, 1) for j, f in enumerate(floors)]), True
+    if not low <= total <= high:
+        for j, (a, b) in enumerate(spans):
+            floor = _clamp(floors[j] + (low if total < low else high) - total, a, b)
+            total += floor - floors[j]
+            floors[j] = floor
+            if low <= total <= high:
+                break
+        if total < low:
+            return tuple([hi for _, hi in intervals]), False
+        if total > high:
+            return tuple([lo for lo, _ in intervals]), False
+    return tuple([s or _primitive(-f, 1) for s, f in zip(fixed, floors)]), True
 
 
 def _clamp(x, lo, hi):

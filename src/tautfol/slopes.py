@@ -141,11 +141,12 @@ class SlopeArc(_Record, namedtuple("SlopeArc", "kind start end")):
     __slots__ = ()
 
     def __new__(cls, kind, start=None, end=None):
-        if kind == SlopeArc.ARC and start == end:
-            kind, end = SlopeArc.POINT, None
-        if kind == SlopeArc.POINT:
+        # The kinds by value, the four strings above.
+        if kind == "arc" and start == end:
+            kind = "point"
+        if kind == "point":
             end = None
-        if kind in (SlopeArc.EMPTY, SlopeArc.FULL):
+        elif kind == "empty" or kind == "full":
             start = end = None
         return tuple.__new__(cls, (kind, start, end))
 
@@ -178,15 +179,15 @@ class SlopeArc(_Record, namedtuple("SlopeArc", "kind start end")):
 
     @property
     def is_empty(self):
-        return self.kind == SlopeArc.EMPTY
+        return self.kind == "empty"
 
     @property
     def is_full(self):
-        return self.kind == SlopeArc.FULL
+        return self.kind == "full"
 
     @property
     def is_point(self):
-        return self.kind == SlopeArc.POINT
+        return self.kind == "point"
 
     def endpoints(self):
         if self.kind == SlopeArc.POINT:
@@ -209,9 +210,10 @@ class SlopeArc(_Record, namedtuple("SlopeArc", "kind start end")):
     def contains_vertical(self):
         """contains(VERTICAL), read off the ends: an arc holds the vertical
         slope when an end is vertical or tau falls from its start to its end."""
-        if self.kind == SlopeArc.ARC:
-            return not (self.start.q and self.end.q) or _before(self.end, self.start)
-        return self.kind == SlopeArc.FULL or (self.kind == SlopeArc.POINT and not self.start.q)
+        kind, start, end = self
+        if kind == "arc":
+            return not (start.q and end.q) or _before(end, start)
+        return kind == "full" or (kind == "point" and not start.q)
 
     def tau_intervals(self):
         """The horizontal part as closed tau-intervals, plus whether the
@@ -272,11 +274,15 @@ def arc_intersect(a, b):
 
 class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):
     """An integer 2x2 matrix of determinant +-1 acting on slope pairs by
-    (p, q) |-> (a*p + b*q, c*p + d*q)."""
+    (p, q) |-> (a*p + b*q, c*p + d*q).  Its entries are ints, as the reader
+    takes them: an int subclass, but no bool, float or Fraction."""
 
     __slots__ = ()
 
     def __new__(cls, a, b, c, d):
+        if not type(a) is type(b) is type(c) is type(d) is int and not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in (a, b, c, d)):
+            raise SlopeError(f"gluing matrix entries must be integers, got {(a, b, c, d)!r}")
         if a * d - b * c not in (1, -1):
             raise SlopeError("gluing matrix must have determinant +-1")
         return tuple.__new__(cls, (a, b, c, d))
@@ -285,18 +291,20 @@ class GluingMatrix(_Record, namedtuple("GluingMatrix", "a b c d")):
     def det(self):
         return self.a * self.d - self.b * self.c
 
+    # Inverses and products of such matrices are such matrices: built unchecked.
     def inverse(self):
+        a, b, c, d = self
         s = self.det  # +-1, its own inverse
-        return GluingMatrix(s * self.d, -s * self.b, -s * self.c, s * self.a)
+        return tuple.__new__(GluingMatrix, (s * d, -s * b, -s * c, s * a))
 
     def compose(self, other):
         """Matrix product self * other (apply other first)."""
-        return GluingMatrix(
+        return tuple.__new__(GluingMatrix, (
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-        )
+        ))
 
     def rows(self):
         return [[self.a, self.b], [self.c, self.d]]
@@ -323,12 +331,13 @@ def act_inverse(g, slope):
 def act_arc(g, arc):
     """Image of a closed arc.  The traversal direction flips when the induced
     circle map is orientation-reversing (det = -1)."""
-    kind = arc.kind
-    if kind == SlopeArc.ARC:
-        s, e = act(g, arc.start), act(g, arc.end)
-        return SlopeArc(kind, s, e) if g.det > 0 else SlopeArc(kind, e, s)
-    if kind == SlopeArc.POINT:
-        return SlopeArc(kind, act(g, arc.start))
+    kind, start, end = arc
+    # act is a bijection, so the images need no normalizing constructor.
+    if kind == "arc":
+        s, e = act(g, start), act(g, end)
+        return tuple.__new__(SlopeArc, (kind, s, e) if g.det > 0 else (kind, e, s))
+    if kind == "point":
+        return tuple.__new__(SlopeArc, (kind, act(g, start), None))
     return arc  # empty or full
 
 

@@ -38,7 +38,12 @@ from tautfol import (
     v_count,
 )
 from tautfol.oracle import grid_union, jn_exhaustive_extremal
-from tautfol.seifert import _scan_certificates, default_n_bound, solid_torus_meridian
+from tautfol.seifert import (
+    _floor_tuple,
+    _scan_certificates,
+    default_n_bound,
+    solid_torus_meridian,
+)
 from conftest import (
     rand_cones,
     rand_family,
@@ -903,6 +908,62 @@ def _rand_arc(rng):
     if kind == 5:
         return SlopeArc.arc(slope_of_tau(x), VERTICAL)
     return SlopeArc.arc(slope_of_tau(max(x, y) + 1), slope_of_tau(min(x, y)))
+
+
+def _floor_tuple_reference(taus, low, high, reach=16):
+    """Whether some point tuple, one point per closed tau-interval (lo, hi)
+    (Fractions, None unbounded), has sum(floor) >= low and sum(ceil) <=
+    high, by brute force: each interval's integers within +-reach, and one
+    non-integer point per unit gap (k, k + 1) it meets, folded into the set
+    of reachable (sum of floors, sum of ceilings)."""
+    sums = {(0, 0)}
+    for lo, hi in taus:
+        points = set()
+        for k in range(-reach, reach + 1):
+            if (lo is None or lo <= k) and (hi is None or k <= hi):
+                points.add((k, k))
+            if (lo is None or lo < k + 1) and (hi is None or k < hi):
+                points.add((k, k + 1))
+        sums = {(f + pf, c + pc) for f, c in sums for pf, pc in points}
+    return any(f >= low and c <= high for f, c in sums)
+
+
+def test_floor_tuple_matches_a_brute_force():
+    """_floor_tuple on 2,000 seeded tuples of 1-3 closed tau-intervals
+    (ends of denominator <= 4 and |tau| <= 4, some unbounded) and windows
+    of small integers, some empty: in_core is the brute force's answer,
+    every returned slope lies in its interval (the vertical slope only at
+    an unbounded end), and an in-core tuple meets the window."""
+    rng = random.Random(3601)
+
+    def end():
+        q = rng.randint(1, 4)
+        return None if rng.random() < 0.15 else F(rng.randint(-4 * q, 4 * q), q)
+
+    cases = {True: 0, False: 0}
+    for _ in range(2000):
+        taus = []
+        for _ in range(rng.randint(1, 3)):
+            lo, hi = end(), end()
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            taus.append((lo, hi))
+        low = rng.randint(-6, 6)
+        high = low + rng.randint(-2, 8)
+        intervals = [(slope_of_tau(lo), slope_of_tau(hi)) for lo, hi in taus]
+        picks, in_core = _floor_tuple(intervals, low, high)
+        assert in_core == _floor_tuple_reference(taus, low, high), (taus, low, high)
+        cases[in_core] += 1
+        assert len(picks) == len(taus)
+        for s, (lo, hi) in zip(picks, taus):
+            if s.is_vertical:
+                assert not in_core and None in (lo, hi), (taus, low, high, picks)
+            else:
+                assert (lo is None or lo <= s.tau) and (hi is None or s.tau <= hi), (taus, picks)
+        if in_core:
+            assert sum(math.floor(s.tau) for s in picks) >= low, (taus, low, high, picks)
+            assert sum(math.ceil(s.tau) for s in picks) <= high, (taus, low, high, picks)
+    assert min(cases.values()) > 200, cases
 
 
 def test_realize_random_families(rng):

@@ -106,6 +106,28 @@ def test_act_rejects_non_unimodular():
         GluingMatrix(2, 0, 0, 1)
 
 
+@pytest.mark.parametrize("entries", [
+    (1.5, 0.5, 1, 1),
+    (Fraction(3, 2), Fraction(1, 2), 1, 1),
+    (True, False, False, True),
+    ("1", 0, 0, "1"),
+], ids=["float", "Fraction", "bool", "str"])
+def test_gluing_matrix_takes_only_integer_entries(entries):
+    """Each of these has determinant 1 (or, for str, none): a float or
+    Fraction matrix would send Slope(1, 1) to a pair that is neither
+    integral nor primitive.  They are refused as the reader refuses them,
+    through _replace too; an int subclass is an integer."""
+    with pytest.raises(SlopeError, match="^gluing matrix entries must be integers, got "):
+        GluingMatrix(*entries)
+    with pytest.raises(SlopeError, match="^gluing matrix entries must be integers, got "):
+        IDENTITY._replace(a=entries[0])
+
+    class Integer(int):
+        pass
+
+    assert GluingMatrix(Integer(2), 1, 1, 1) == GluingMatrix(2, 1, 1, 1)
+
+
 def test_equal_gluing_matrices_hash_alike():
     m, same = GluingMatrix(2, 1, 1, 1), GluingMatrix(2, 1, 1, 1)
     assert m == same and m is not same and hash(m) == hash(same)

@@ -18,14 +18,19 @@ microseconds per piece:
   kernel, which the table also shows without it as ``kernel less scan``);
 * tree step: ``detect_tree`` on freshly read graphs, with the kernel's
   answers looked up instead of computed;
-* extraction: ``extract_witness`` at the simplest detected slope.
+* extraction: ``extract_witness`` at the simplest detected slope;
+* total: the per-piece constant, reader + kernel + tree step + extraction
+  (validation and the scan are parts of the reader and the kernel).
 
 A process reports the least of ``--passes`` passes per stage, with the
 garbage collector off while a pass runs.  Each ``--src`` (default:
 ``src``) is imported in its own processes; with two or more, the processes
 alternate and the side that runs first alternates too.  The table gives
-the least over each side's processes, and the last line is the same as
-JSON.
+the least over each side's processes, then each later side's ratio to the
+first, stage by stage, and the last line is the same least values as JSON.
+A hook that the tree no longer reaches (the kernel through
+``decide.detect_relative``, the scan through ``seifert._scan_certificates``)
+ends the run with an error instead of timing nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 STAGES = ("reader", "validation", "kernel", "scan", "tree_step", "extraction")
+TOTAL = ("reader", "kernel", "tree_step", "extraction")
 
 
 def _least(passes, run, setup=lambda: None):
@@ -98,6 +104,9 @@ def measure(src, passes):
     for piece, family in pairs:
         kernel(piece, family)
     seifert._scan_certificates = scan
+    if len(answers) != len(pairs) or not scans:
+        sys.exit(f"per_piece: the hooks saw {len(answers)} of {len(pairs)} kernel calls "
+                 f"and {len(scans)} scans")
 
     def replaying():
         replay = iter(answers)
@@ -115,7 +124,9 @@ def measure(src, passes):
     decide.detect_relative = kernel
     took["extraction"] = _least(passes, lambda _: [tautfol.extract_witness(g, t)
                                                    for g, t in zip(graphs, targets)])
-    return {stage: round(seconds / pieces * 1e6, 2) for stage, seconds in took.items()}
+    per_piece = {stage: round(seconds / pieces * 1e6, 2) for stage, seconds in took.items()}
+    per_piece["total"] = round(sum(per_piece[stage] for stage in TOTAL), 2)
+    return per_piece
 
 
 def main(argv=None):
@@ -136,15 +147,17 @@ def main(argv=None):
             out = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--child", src,
                  "--passes", str(args.passes)],
-                check=True, capture_output=True, text=True).stdout
+                check=True, stdout=subprocess.PIPE, text=True).stdout
             for stage, value in json.loads(out).items():
                 best[src][stage] = min(best[src].get(stage, value), value)
-    rows = [(stage, [best[src][stage] for src in sources]) for stage in STAGES]
+    rows = [(stage, [best[src][stage] for src in sources]) for stage in (*STAGES, "total")]
     rows.insert(4, ("kernel less scan", [best[src]["kernel"] - best[src]["scan"]
                                          for src in sources]))
-    print(f"{'stage':<17}" + "".join(f"{src[-24:]:>26}" for src in sources))
+    print(f"{'stage':<17}" + "".join(f"{src[-24:]:>26}" for src in sources)
+          + "".join(f"{'ratio ' + str(k + 1) + '/1':>12}" for k in range(1, len(sources))))
     for stage, values in rows:
-        print(f"{stage:<17}" + "".join(f"{value:>26.2f}" for value in values))
+        print(f"{stage:<17}" + "".join(f"{value:>26.2f}" for value in values)
+              + "".join(f"{value / values[0]:>12.3f}" for value in values[1:]))
     print(json.dumps(best))
     return 0
 

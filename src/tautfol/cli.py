@@ -17,6 +17,11 @@ oracle-check mismatch, or a DecisionError (a witness that fails its check,
 or a certificate scan that its replay contradicts), 141 standard output
 closed before the report was written (as for a process that SIGPIPE ends,
 128 + 13; no traceback).
+
+A call in the documented form, COMMAND FILE then ``--format text|json`` or
+``--split-edge ID`` as two tokens each, is read directly; every other
+spelling, ``--help`` and every usage error go through argparse, so their
+messages are argparse's.
 """
 
 from __future__ import annotations
@@ -342,8 +347,30 @@ _HANDLERS = {
 _PARSER = build_parser()
 
 
+def _read_argv(argv):
+    """The namespace ``_PARSER.parse_args(argv)`` gives for the documented
+    form, or None for anything else.  A token that does not start with "-"
+    is a value to argparse, so a value or FILE that does is left to it."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if (type(argv) not in (list, tuple) or len(argv) < 2 or len(argv) % 2
+            or any(type(token) is not str for token in argv)
+            or argv[0] not in _HANDLERS or argv[1][:1] == "-"):
+        return None
+    fmt, edge = "text", None
+    for i in range(2, len(argv), 2):
+        flag, value = argv[i], argv[i + 1]
+        if flag == "--format" and (value == "text" or value == "json"):
+            fmt = value
+        elif flag == "--split-edge" and value[:1] != "-":
+            edge = value
+        else:
+            return None
+    return argparse.Namespace(command=argv[0], input=argv[1], format=fmt, split_edge=edge)
+
+
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _read_argv(argv) or _PARSER.parse_args(argv)
     try:
         graph = load_manifold(args.input)
     except ManifoldFormatError as exc:

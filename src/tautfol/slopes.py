@@ -142,12 +142,14 @@ class SlopeArc(_Record, namedtuple("SlopeArc", "kind start end")):
 
     def __new__(cls, kind, start=None, end=None):
         # The kinds by value, the four strings above.
-        if kind == "arc" and start == end:
+        if kind == "arc" and start == end and start is not None:
             kind = "point"
-        if kind == "point":
+        if kind == "point" and start is not None:
             end = None
         elif kind == "empty" or kind == "full":
             start = end = None
+        elif kind != "arc" or start is None or end is None:
+            raise SlopeError(f"no arc of kind {kind!r} from {start!r} to {end!r}")
         return tuple.__new__(cls, (kind, start, end))
 
     # -- constructors -----------------------------------------------------

@@ -1,6 +1,8 @@
 """The command line front end: commands, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -10,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tautfol import (
     VERTICAL,
@@ -26,7 +28,8 @@ from tautfol import (
     dump_manifold,
     rational_longitude,
 )
-from tautfol.cli import ORACLE_N_BUDGET, _PARSER, _fraction_str, _json_text, _tau_str, main
+from tautfol.cli import (ORACLE_N_BUDGET, _PARSER, _fraction_str, _json_text, _read_argv,
+                         _tau_str, main)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -530,6 +533,128 @@ def test_main_is_reentrant_with_the_parser_built_at_import(manifold_file, capsys
         assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
         assert run(capsys, "detect", half, "--format", "json") == detect
     assert built == []
+
+
+# The direct reader of the documented argv form against argparse.
+_COMMANDS = ("validate", "longitude", "detect", "ctf", "oracle-check")
+_CANONICAL = [[command, path, *flags] for command in _COMMANDS for path in ("m.json", "")
+              for flags in ([], ["--format", "json"], ["--format", "text"], ["--split-edge", "e1"],
+                            ["--format", "json", "--split-edge", "e1"],
+                            ["--split-edge", "e1", "--format", "text"])]
+_ARGV_TOKENS = st.sampled_from([
+    *_COMMANDS, "frobnicate", "m.json", "", "-", "-x",
+    "--format", "--split-edge", "--form", "--split", "--format=json", "-h", "--help", "--",
+    "--nmax", "text", "json", "xml", "e1", "-1"])
+
+
+def _argparse_reading(argv):
+    """vars(_PARSER.parse_args(argv)), or None where argparse exits; what
+    it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Near the documented form: COMMAND FILE and flag-value pairs, each drawn
+# from every token.
+_NEAR_CANONICAL = st.builds(
+    lambda head, pairs: [*head, *(token for pair in pairs for token in pair)],
+    st.lists(_ARGV_TOKENS, min_size=2, max_size=2),
+    st.lists(st.lists(_ARGV_TOKENS, min_size=2, max_size=2), max_size=3))
+
+
+@settings(max_examples=500)
+@given(st.lists(_ARGV_TOKENS, max_size=7) | _NEAR_CANONICAL)
+@example(["ctf", "m.json", "--format", "xml"])
+@example(["ctf", "m.json", "--format", "xml", "--format", "json"])
+@example(["ctf", "m.json", "--split-edge", "-x"])
+@example(["ctf", "m.json", "--split-edge", "--format", "json"])
+@example(["ctf", "-x"])
+@example(["ctf", "m.json", "--split-edge", "e1", "--split-edge", "--help"])
+def test_the_direct_reader_agrees_with_argparse(argv):
+    """A namespace from the direct reader is the one argparse gives, and an
+    argv argparse refuses (or answers with help) is left to argparse.  Every
+    canonical form is read directly."""
+    direct = _read_argv(argv)
+    expected = _argparse_reading(argv)
+    if expected is None:
+        assert direct is None
+    elif direct is not None:
+        assert vars(direct) == expected
+    assert direct is not None or argv not in _CANONICAL
+
+
+for _argv in _CANONICAL:
+    test_the_direct_reader_agrees_with_argparse = example(_argv)(
+        test_the_direct_reader_agrees_with_argparse)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The argv of each ArgumentParser.parse_args call made while the test runs."""
+    calls = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def counting(self, args=None, namespace=None):
+        calls.append(args)
+        return parse(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    return calls
+
+
+def test_a_well_formed_call_never_enters_argparse(parse_calls, capsys):
+    """The argv forms of every golden report and of the README are read
+    directly, and give the stored reports."""
+    inputs = {path.stem: str(path)
+              for path in sorted((ROOT / "samples").glob("*.json"))
+              + sorted((ROOT / "tests" / "golden").glob("*.json"))}
+    checked = 0
+    for report in sorted((ROOT / "tests" / "golden" / "reports").iterdir()):
+        stem, command, suffix = report.name.rsplit(".", 2)
+        if stem not in inputs:
+            continue  # a generated chain
+        flags = ["--format", "json"] if suffix == "json" else []
+        assert run(capsys, command, inputs[stem], *flags) == (
+            0, report.read_text(encoding="utf-8"), "")
+        checked += 1
+    assert checked > 50
+    closed = inputs["closed_admits"]
+    for argv in (["detect", inputs["two_piece_tree"]], ["ctf", closed],
+                 ["ctf", closed, "--split-edge", "e0"], ["ctf", closed, "--split-edge", "e9"],
+                 ["ctf", closed, "--format", "text", "--split-edge", "e0"],
+                 ["ctf", closed, "--split-edge", "e0", "--format", "json"]):
+        assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert parse_calls == []
+
+
+def test_every_other_spelling_goes_through_argparse(parse_calls, capsys):
+    """Each argparse-only spelling takes exactly one argparse call and gives
+    the canonical report byte for byte; help and usage errors are argparse's."""
+    path = str(ROOT / "samples" / "closed_admits.json")
+    canonical = run(capsys, "ctf", path, "--format", "json")
+    assert canonical[0] == 0 and parse_calls == []
+    for argv in (["ctf", path, "--format=json"], ["ctf", path, "--form", "json"],
+                 ["--format", "json", "ctf", path]):
+        del parse_calls[:]
+        assert run(capsys, *argv) == canonical
+        assert parse_calls == [argv]
+    for argv, code, message in (
+            (["--help"], 0, None),
+            (["frobnicate", "x"], 2, "invalid choice: 'frobnicate'"),
+            (["ctf", path, "--nmax", "4"], 2, "error: unrecognized arguments: --nmax 4\n")):
+        del parse_calls[:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code and parse_calls == [argv]
+        out, err = capsys.readouterr()
+        if message is None:
+            assert (out, err) == (_PARSER.format_help(), "")
+        else:
+            assert out == "" and err.startswith(_PARSER.format_usage()) and message in err
 
 
 def _long_slope_chain():

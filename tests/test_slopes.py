@@ -84,6 +84,28 @@ def test_replace_goes_through_the_constructor():
         GluingMatrix(2, 1, 1, 1)._replace(d=2)
 
 
+
+@pytest.mark.parametrize("args", [
+    ("Point", Slope(1, 2)),
+    ("line", Slope(1, 2), VERTICAL),
+    (None,),
+    ("arc", Slope(1, 2)),
+    ("arc", None, VERTICAL),
+    ("arc",),
+    ("point",),
+    ("point", None, VERTICAL),
+], ids=["Point", "line", "None", "arc-without-end", "arc-without-start", "arc-without-ends",
+        "point-without-slope", "point-with-only-an-end"])
+def test_slope_arc_refuses_a_kind_it_cannot_serve(args):
+    """A kind outside the four, an arc lacking an end, and a point with no
+    slope are refused where they are made, through _replace too, rather
+    than left to fail in a later query."""
+    message = f"^no arc of kind {args[0]!r} from "
+    with pytest.raises(SlopeError, match=message):
+        SlopeArc(*args)
+    with pytest.raises(SlopeError, match=message):
+        SlopeArc.full()._replace(**dict(zip(SlopeArc._fields, args)))
+
 def test_slope_strings():
     assert str(Slope(-3, 2)) == "-3/2"
     assert slope_from_string("-3/2") == Slope(-3, 2)

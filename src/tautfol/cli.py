@@ -291,8 +291,8 @@ def _cmd_oracle_check(graph, args):
                 "core_matches_grid": (c_min, c_max) == (lo, hi),
             }
             n_bound = default_n_bound(piece, endpoints)
-            low = jn_refine_low(piece, family, n_max=n_bound)
-            high = jn_refine_high(piece, family, n_max=n_bound)
+            low = jn_refine_low(piece, family)
+            high = jn_refine_high(piece, family)
             row["refine_low"] = _fraction_str(low[0]) if low else None
             row["refine_high"] = _fraction_str(high[0]) if high else None
             if n_bound > ORACLE_N_BUDGET:

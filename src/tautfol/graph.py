@@ -58,11 +58,6 @@ class Edge(namedtuple("Edge", "from_piece from_bdry to_piece to_bdry matrix iden
 
     __slots__ = ()
 
-    def other_side(self, piece_id, bdry):
-        if (self.from_piece, self.from_bdry) == (piece_id, bdry):
-            return self.to_piece, self.to_bdry
-        return self.from_piece, self.from_bdry
-
 
 class PlumbingGraph:
     """A tree of Seifert pieces with GL(2,Z) edge gluings.
@@ -421,32 +416,22 @@ def split_at_edge(graph, edge):
     """Split a closed graph along a JSJ torus into two rooted solid tori.
 
     Returns (U, V): U rooted at the from-side frame, V at the to-side frame;
-    each holds the pieces reachable from its side of the torus without
-    crossing it.  The graph passes require_valid first, and each side is
-    validated as it is built, like any graph.
+    each holds the pieces of the post_order walk rooted at its side of the
+    torus and the walk's child edges, both in the graph's order.  The graph
+    passes require_valid first, and each side is validated as it is built,
+    like any graph.
     """
     require_valid(graph)
     if graph.role != "closed":
         raise RoleError("only closed graphs split into two solid tori")
     sides = []
-    for root_piece, root_bdry in ((edge.from_piece, edge.from_bdry),
-                                  (edge.to_piece, edge.to_bdry)):
-        keep = {root_piece}
-        frontier = [root_piece]
-        edges = []
-        while frontier:
-            pid = frontier.pop()
-            for j in range(graph.pieces[pid].boundary_count):
-                e = graph.edge_at(pid, j)
-                if e is None or (pid, j) == (root_piece, root_bdry):
-                    continue
-                oid, _ = e.other_side(pid, j)
-                if oid not in keep:
-                    keep.add(oid)
-                    frontier.append(oid)
-                    edges.append(e)
-        pieces = [p for i, p in graph.pieces.items() if i in keep]
-        sides.append(PlumbingGraph(pieces, edges, "solid-torus"))
+    for root in ((edge.from_piece, edge.from_bdry), (edge.to_piece, edge.to_bdry)):
+        walk = post_order(graph, root)
+        keep = {pid for pid, _, _ in walk}
+        crossed = {e.ident for _, _, children in walk for _, e, _, _ in children}
+        sides.append(PlumbingGraph([p for i, p in graph.pieces.items() if i in keep],
+                                   [e for e in graph.edges if e.ident in crossed],
+                                   "solid-torus"))
     return tuple(sides)
 
 

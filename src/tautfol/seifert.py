@@ -18,8 +18,8 @@ interval [c_min, c_max].  The detected set can stick out of the core by less
 than 1 on each side; whether it does is governed by a finite search for
 coprime integers 0 < A < N distributing (A/N, 1-A/N, 1/N, ..., 1/N) over the
 cone points, the free constraint endpoints and the target torus subject to
-sharp fractional-part inequalities.  That search is performed here with a
-configurable bound on N; absence below the bound is reported as absence.
+sharp fractional-part inequalities.  That search is performed here with
+the bound ``default_n_bound``; absence below the bound is reported as absence.
 
 Every tau endpoint is read off its arc's end slope (p, q) as the integer pair
 (-p, q); Fraction appears only at the public API (Slope.tau, gammas,
@@ -493,25 +493,25 @@ def _side_reach(piece, end, ends, strong, side, n_max):
     return (end * n_value - c_num if low else end * n_value + c_num, n_value), cert
 
 
-def _refine_family(piece, family, side, n_max):
+def _refine_family(piece, family, side):
     """_side_reach on a vertical-free family, bounded by both sides' ends."""
     zetas, etas = _horizontal_ends(piece, family)
-    bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
     low = side == "low"
     core = _core_end(piece, zetas, etas, family.strong)[0 if low else 1]
-    end, cert = _side_reach(piece, core, zetas if low else etas, family.strong, side, bound)
+    end, cert = _side_reach(piece, core, zetas if low else etas, family.strong, side,
+                            default_n_bound(piece, etas + zetas))
     return None if cert is None else (Fraction(*end), cert)
 
 
-def jn_refine_low(piece, family, n_max=None):
+def jn_refine_low(piece, family):
     """Extremal eta in (c_min - 1, c_min) realizable past the core interval,
-    with its certificate, or None when no certificate exists up to n_max."""
-    return _refine_family(piece, family, "low", n_max)
+    with its certificate, or None when none exists up to default_n_bound."""
+    return _refine_family(piece, family, "low")
 
 
-def jn_refine_high(piece, family, n_max=None):
+def jn_refine_high(piece, family):
     """Extremal zeta in (c_max, c_max + 1); mirror of jn_refine_low."""
-    return _refine_family(piece, family, "high", n_max)
+    return _refine_family(piece, family, "high")
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def solid_torus_meridian(piece):
     return piece.horizontal_completion(())
 
 
-def _ray_reach(piece, family, j0, ray_end, side, n_max):
+def _ray_reach(piece, family, j0, ray_end, side):
     """How far one side reaches when constraint j0 contains the vertical
     slope, through one of its two rays: on side "high" the supremum end of
     (-oo, right] coming from the ray [ray_end, +oo), on side "low" the
@@ -616,12 +616,11 @@ def _ray_reach(piece, family, j0, ray_end, side, n_max):
     slopes = [ray_end if j == j0 else arc.start if high else arc.end or arc.start
               for j, arc in enumerate(family.arcs)]
     ends = [(-s.p, s.q) for s in slopes]
-    bound = n_max if n_max is not None else default_n_bound(piece, ends)
     core = _core_end(piece, ends, ends, family.strong)[high]
-    return _side_reach(piece, core, ends, family.strong, side, bound)[0]
+    return _side_reach(piece, core, ends, family.strong, side, default_n_bound(piece, ends))[0]
 
 
-def detect_relative(piece, family, n_max=None):
+def detect_relative(piece, family):
     """Detected and strongly detected slopes on the last boundary torus."""
     if not piece.base_orientable and piece.crosscaps > 1:
         raise PieceError("bases with crosscap number >= 2 are out of scope")
@@ -657,7 +656,7 @@ def detect_relative(piece, family, n_max=None):
 
     if v == 0:
         zetas, etas = _arc_ends(family)
-        bound = n_max if n_max is not None else default_n_bound(piece, etas + zetas)
+        bound = default_n_bound(piece, etas + zetas)
         c_min, c_max = _core_end(piece, zetas, etas, family.strong)
         left, low = _side_reach(piece, c_min, zetas, family.strong, "low", bound)
         right, high = _side_reach(piece, c_max, etas, family.strong, "high", bound)
@@ -679,8 +678,8 @@ def detect_relative(piece, family, n_max=None):
     # The rays (-oo, a] and [b, +oo) of the arc through the vertical slope:
     # a is its horizontal end, b its horizontal start.
     a, b = family.arcs[j0].end, family.arcs[j0].start
-    left = _ray_reach(piece, family, j0, a, "low", n_max) if a and a.q else None
-    right = _ray_reach(piece, family, j0, b, "high", n_max) if b.q else None
+    left = _ray_reach(piece, family, j0, a, "low") if a and a.q else None
+    right = _ray_reach(piece, family, j0, b, "high") if b.q else None
     if left is None and right is None:
         exc = (ExceptionalSlope(VERTICAL, Strength.NOT_STRONG,
                                 "vertical point detected through a vertical constraint"),)
@@ -699,9 +698,9 @@ def detect_relative(piece, family, n_max=None):
     return DetectionResult(detected, merge_exceptions(entries), branch="vertical-arc")
 
 
-def detects(piece, slopes, slope, n_max=None):
+def detects(piece, slopes, slope):
     """Whether the point family of ``slopes`` detects ``slope``: the answer
-    of ``detect_relative(piece, family, n_max).detected.contains(slope)``
+    of ``detect_relative(piece, family).detected.contains(slope)``
     for that family.  ``slopes`` holds one slope per constraint torus, as a
     witness holds its constraint tuple; no arc is built for it unless the
     kernel runs.
@@ -719,7 +718,7 @@ def detects(piece, slopes, slope, n_max=None):
             if c_min * q <= -slope.p - piece.b_eff * q <= c_max * q:
                 return True
     family = ConstraintFamily(tuple(map(SlopeArc.point, slopes)))
-    return detect_relative(piece, family, n_max=n_max).detected.contains(slope)
+    return detect_relative(piece, family).detected.contains(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -727,15 +726,15 @@ def detects(piece, slopes, slope, n_max=None):
 # ---------------------------------------------------------------------------
 
 
-def realize(piece, family, result, target, n_max=None):
+def realize(piece, family, result, target):
     """One slope in each constraint arc such that the point family detects
     ``target``, a slope of ``result.detected``.
 
-    ``result`` is what ``detect_relative`` answered for ``family`` under the
-    certificate bound ``n_max`` (on a product piece, which only relays its
-    child, ``family`` may be None).  The detected set is the union of the sets
-    detected relative to single-slope tuples, and the tuple is read off the
-    branch that ``result`` took.
+    ``result`` is what ``detect_relative`` answered for ``family`` (on a
+    product piece, which only relays its child, ``family`` may be None);
+    both read the bound ``default_n_bound``.  The detected set is the union
+    of the sets detected relative to single-slope tuples, and the tuple is
+    read off the branch that ``result`` took.
     """
     branch = result.branch
     if branch == "product":
@@ -778,7 +777,7 @@ def realize(piece, family, result, target, n_max=None):
     # Past both cores, so in the refinement zone of the ray (-oo, a] (low,
     # reaching down to ``left``) or of [b, +oo) (high, up to ``right``).
     if result.detected.is_full:
-        right = _ray_reach(piece, family, j0, pieces[j0][1][0], "high", n_max)
+        right = _ray_reach(piece, family, j0, pieces[j0][1][0], "high")
     else:
         end = result.detected.end
         right = (-end.p - piece.b_eff * end.q, end.q)

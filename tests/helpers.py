@@ -1,12 +1,14 @@
 """Test-side references shared by several test modules: H_1 of a
 presentation solved by the dense Smith normal form alone, the multiset
-check of a refinement certificate, a solid tree of b1 = 2, and the
-closed-Seifert criterion for horizontal foliations with the Dehn filling
-that feeds it."""
+check of a refinement certificate, the kernel's certificate bound held at
+a constant, a solid tree of b1 = 2, and the closed-Seifert criterion for
+horizontal foliations with the Dehn filling that feeds it."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
+import tautfol.seifert
 from tautfol import GluingMatrix, SeifertPiece
 from tautfol.graph import Edge, PlumbingGraph
 from tautfol.snf import smith_normal_form
@@ -57,6 +59,20 @@ def assert_multiset_distributed(cert):
                     + [cert.target_numerator])
     expected = sorted([cert.a_value, cert.n_value - cert.a_value] + [1] * (len(values) - 2))
     assert values == expected, cert
+
+
+@contextmanager
+def kernel_bound(n):
+    """Hold the kernel's certificate bound at ``n`` inside the block: every
+    bound site of the kernel calls ``tautfol.seifert.default_n_bound``,
+    which answers ``n`` until the block ends.  None keeps the default."""
+    default = tautfol.seifert.default_n_bound
+    if n is not None:
+        tautfol.seifert.default_n_bound = lambda piece, endpoints: n
+    try:
+        yield
+    finally:
+        tautfol.seifert.default_n_bound = default
 
 
 # Two crosscap-1 children whose longitudes are both the root piece's fibre:

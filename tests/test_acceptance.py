@@ -37,6 +37,7 @@ from conftest import (
     rand_valid_closed,
     rand_valid_solid_tree,
 )
+from helpers import kernel_bound
 
 F = Fraction
 
@@ -187,8 +188,9 @@ def test_criterion_10_half_half_fixture():
                          boundary_count=1, ident="a")
     family = ConstraintFamily(())
     assert core_interval(piece, family) == (-2, -1)
-    assert jn_refine_low(piece, family, n_max=64) is None
-    assert jn_refine_high(piece, family, n_max=64) is None
+    with kernel_bound(64):
+        assert jn_refine_low(piece, family) is None
+        assert jn_refine_high(piece, family) is None
     assert jn_exhaustive_extremal(piece, family, "low", 16) is None
     assert jn_exhaustive_extremal(piece, family, "high", 16) is None
     graph = PlumbingGraph([piece], [], "solid-torus")

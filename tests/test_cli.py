@@ -787,6 +787,38 @@ def test_oracle_check_skips_a_piece_past_the_budget(tmp_path):
     assert degenerate["consistent"] is True
 
 
+def test_each_oracle_check_row_reads_one_bound(capsys, monkeypatch):
+    """On every sample and golden file, each oracle-check row gives its
+    brute force the bound that jn_refine_low and jn_refine_high read: the
+    command's own default_n_bound call is followed by one from each
+    refinement, through ``seifert.default_n_bound``, with the same answer."""
+    import tautfol.cli as cli
+    import tautfol.seifert as seifert
+
+    reads = []
+
+    def recording(who, bound):
+        def read(piece, endpoints):
+            reads.append((who, bound(piece, endpoints)))
+            return reads[-1][1]
+        return read
+
+    monkeypatch.setattr(cli, "default_n_bound", recording("command", cli.default_n_bound))
+    monkeypatch.setattr(seifert, "default_n_bound", recording("kernel", seifert.default_n_bound))
+    checked = 0
+    for path in sorted(ROOT.glob("samples/*.json")) + sorted(ROOT.glob("tests/golden/*.json")):
+        reads.clear()
+        code, out, _ = run(capsys, "oracle-check", str(path), "--format", "json")
+        assert code == 0, path
+        rows = [row for row in json.loads(out)["rows"] if "core" in row]
+        at = [i for i, (who, _) in enumerate(reads) if who == "command"]
+        assert len(at) == len(rows), path
+        for i, row in zip(at, rows):
+            assert reads[i + 1:i + 3] == [("kernel", reads[i][1])] * 2, (path, row["piece"])
+            checked += 1
+    assert checked >= 10, checked
+
+
 def test_oracle_check_counts_only_the_checks_made(manifold_file, capsys, monkeypatch):
     """With every piece past the budget, the brute force never runs, each
     row is skipped, and ``ok`` still follows the core-versus-grid check."""

@@ -22,6 +22,7 @@ from tautfol import VERTICAL, detect_relative, realize, slope_of_tau
 from tautfol.seifert import merge_exceptions
 
 from conftest import rand_horizontal_piece_and_family, rand_vertical_piece_and_family
+from helpers import kernel_bound
 
 DIGEST = Path(__file__).resolve().parent / "golden" / "kernel_digest.txt"
 BLOCK = 100
@@ -53,15 +54,15 @@ def _targets(arc):
     return tuple(out)
 
 
-def _record(piece, family, n_max):
-    res = detect_relative(piece, family, n_max=n_max)
+def _record(piece, family):
+    res = detect_relative(piece, family)
     # decide._detect relies on the kernel's exceptions coming merged and sorted.
     assert merge_exceptions(res.exceptions) == res.exceptions
     exceptions = [(str(e.slope), e.status.value, e.reason) for e in res.exceptions]
     parts = [res.branch, repr(res.detected), repr(exceptions),
              repr(res.low_certificate), repr(res.high_certificate)]
     for target in _targets(res.detected):
-        picks = realize(piece, family, res, target, n_max)
+        picks = realize(piece, family, res, target)
         parts.append(f"{target} <- {' '.join(map(str, picks))}")
     return " | ".join(parts)
 
@@ -74,8 +75,8 @@ def digest_lines():
             h = hashlib.sha256()
             for seed in range(start, start + BLOCK):
                 piece, family = draw(random.Random(f"{kind}-{seed}"))
-                n_max = (None, 6, 40)[seed % 3]
-                h.update(_record(piece, family, n_max).encode())
+                with kernel_bound((None, 6, 40)[seed % 3]):
+                    h.update(_record(piece, family).encode())
                 h.update(b"\n")
             lines.append(f"{kind} {start} {BLOCK} {h.hexdigest()}")
     return lines

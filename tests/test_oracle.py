@@ -58,6 +58,7 @@ from helpers import (
     fill,
     filled_graph,
     has_horizontal_foliation,
+    kernel_bound,
 )
 
 F = Fraction
@@ -177,7 +178,8 @@ def test_exhaustive_extremal_agrees_with_refine(rng):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=4, n_max=3,
                                                       a_max=4)
         for side, refine in (("low", jn_refine_low), ("high", jn_refine_high)):
-            got = refine(piece, fam, n_max=10)
+            with kernel_bound(10):
+                got = refine(piece, fam)
             expected = jn_exhaustive_extremal(piece, fam, side, 10)
             assert (got[0] if got else None) == expected, (piece, fam.arcs, side)
 
@@ -421,7 +423,7 @@ def test_exhaustive_extremal_agrees_with_refine_at_the_default_bounds():
         fam = ConstraintFamily(())
         n_bound = default_n_bound(piece, [])
         for side, refine in (("low", jn_refine_low), ("high", jn_refine_high)):
-            got = refine(piece, fam, n_max=n_bound)
+            got = refine(piece, fam)
             expected = jn_exhaustive_extremal(piece, fam, side, n_bound)
             assert (got[0] if got else None) == expected, (piece.cones, piece.b, side)
             found += expected is not None

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import tautfol.seifert
 from tautfol import (
     ConstraintFamily,
     FamilyError,
@@ -52,7 +53,7 @@ from conftest import (
     rand_orientable_piece,
     rand_vertical_piece_and_family,
 )
-from helpers import assert_multiset_distributed
+from helpers import assert_multiset_distributed, kernel_bound
 
 F = Fraction
 SCAN_DIGEST = Path(__file__).resolve().parent / "golden" / "scan_digest.txt"
@@ -179,7 +180,8 @@ def test_certificates_revalidate(rng):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=4, n_max=3,
                                                       a_max=4)
         for refine in (jn_refine_low, jn_refine_high):
-            got = refine(piece, fam, n_max=12)
+            with kernel_bound(12):
+                got = refine(piece, fam)
             if got is None:
                 continue
             endpoint, cert = got
@@ -789,14 +791,17 @@ def test_detects_matches_the_kernel():
         rng = random.Random(f"detects-{seed}")
         piece, fam = _membership_draw(rng, seed % 4)
         n_max = rng.choice((None, None, 2, 6, 40))
-        res = detect_relative(piece, fam, n_max=n_max)
+        with kernel_bound(n_max):
+            res = detect_relative(piece, fam)
         branches.add(res.branch)
         horizontal = res.branch == "horizontal-interval"
         c_min, c_max = core_interval(piece, fam) if horizontal else (1, 0)
         points = tuple(arc.start for arc in fam.arcs)
         for slope in _membership_probes(piece, fam, res, rng):
             want = res.detected.contains(slope)
-            assert detects(piece, points, slope, n_max=n_max) == want, (piece, points, slope, n_max)
+            with kernel_bound(n_max):
+                got = detects(piece, points, slope)
+            assert got == want, (piece, points, slope, n_max)
             probes += 1
             in_core += not slope.is_vertical and c_min <= slope.tau - piece.b_eff <= c_max
     assert probes > 40000 and in_core > 15000, (probes, in_core)
@@ -1034,6 +1039,48 @@ def test_realize_in_refined_zones_under_the_point_bound(rng):
                 _assert_realizes(piece, family, slope_of_tau(t + shift))
                 targets += 1
     assert targets > 300 and smaller > 50, (targets, smaller)
+
+
+def test_every_bound_site_reads_default_n_bound(monkeypatch):
+    """Every place the kernel bounds its certificate scan calls
+    ``seifert.default_n_bound`` by its module-global name, which
+    ``helpers.kernel_bound`` and the benchmark's tracer substitute: the
+    horizontal branch once, a vertical-arc family once per ray, realize
+    past both cores of a full circle once, and jn_refine_low and
+    jn_refine_high once each.  A site that computed its bound another way
+    would slip past the substitution without an error."""
+    real, calls = tautfol.seifert.default_n_bound, []
+
+    def recording(piece, endpoints):
+        calls.append(endpoints)
+        return real(piece, endpoints)
+
+    def reads(call, *args):
+        calls.clear()
+        answer = call(*args)
+        return answer, len(calls)
+
+    monkeypatch.setattr(tautfol.seifert, "default_n_bound", recording)
+    piece = _piece([], r=3)
+    horizontal = _interval_family((F(-3, 2), F(-3, 2)), (F(1, 3), F(1, 2)))
+    res, count = reads(detect_relative, piece, horizontal)
+    assert (res.branch, count) == ("horizontal-interval", 1)
+    assert res.low_certificate is not None and res.high_certificate is not None
+    for refine in (jn_refine_low, jn_refine_high):
+        found, count = reads(refine, piece, horizontal)
+        assert found is not None and count == 1, refine
+    # The rays [3, +oo) and (-oo, -3] of one arc through the vertical slope.
+    vertical = ConstraintFamily((SlopeArc.point(slope_of_tau(F(-3, 2))),
+                                 SlopeArc.arc(slope_of_tau(3), slope_of_tau(-3))))
+    res, count = reads(detect_relative, piece, vertical)
+    assert (res.branch, count) == ("vertical-arc", 2)
+    # test_realize_between_abutting_ray_cores' circle: -5/3 is past both cores.
+    full = ConstraintFamily((SlopeArc.arc(Slope(-1, 2), Slope(4, 3)),
+                             SlopeArc.point(Slope(-3, 2))))
+    res = detect_relative(piece, full)
+    assert res.detected.is_full
+    picks, count = reads(realize, piece, full, res, slope_of_tau(F(-5, 3)))
+    assert count == 1 and detects(piece, picks, slope_of_tau(F(-5, 3)))
 
 
 if __name__ == "__main__":

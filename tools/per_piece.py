@@ -85,8 +85,8 @@ def measure(src, passes):
     # The kernel's answers, in the order the tree step asks for them.
     answers, kernel = [], decide.detect_relative
 
-    def recording(piece, family, n_max=None):
-        answers.append(kernel(piece, family, n_max))
+    def recording(piece, family):
+        answers.append(kernel(piece, family))
         return answers[-1]
 
     decide.detect_relative = recording
@@ -110,7 +110,7 @@ def measure(src, passes):
 
     def replaying():
         replay = iter(answers)
-        decide.detect_relative = lambda piece, family, n_max=None: next(replay)
+        decide.detect_relative = lambda piece, family: next(replay)
         return read()
 
     took = {

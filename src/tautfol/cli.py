@@ -49,15 +49,7 @@ from .graph import (
     split_at_edge,
 )
 from .oracle import grid_union, jn_exhaustive_extremal
-from .seifert import (
-    FamilyError,
-    PieceError,
-    core_interval,
-    default_n_bound,
-    jn_refine_high,
-    jn_refine_low,
-    v_count,
-)
+from .seifert import FamilyError, PieceError, bounded_ends, core_interval, v_count
 from .slopes import SlopeError
 
 SCHEMA = 1
@@ -76,6 +68,16 @@ def _fraction_str(value):
         return "inf"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
+
+
+def _past_core(core, side, gap):
+    """The endpoint that a gap (C, N) reaches past the core (c_min, c_max)
+    on ``side``, c_min - C/N or c_max + C/N, as a report string; None
+    without a gap."""
+    if gap is None:
+        return None
+    c, n = gap
+    return _fraction_str(Fraction(core[0] * n - c if side == "low" else core[1] * n + c, n))
 
 
 def _tau_str(slope):
@@ -277,35 +279,34 @@ def _cmd_oracle_check(graph, args):
     else:
         sides = (graph,)
     for side in sides:
-        for piece, family in iter_piece_evaluations(side):
+        for piece, family, result in iter_piece_evaluations(side):
             if (not piece.base_orientable or piece.is_solid_torus_piece
                     or piece.is_product_piece or v_count(family) != 0):
                 continue
-            c_min, c_max = core_interval(piece, family)
-            endpoints = [(-s.p, s.q) for arc in family.arcs for s in (arc.start, arc.end) if s]
+            core = core_interval(piece, family)
             lo, hi = grid_union(piece, family)
             row = {
                 "piece": str(piece.ident),
-                "core": [c_min, c_max],
+                "core": list(core),
                 "grid": [lo, hi],
-                "core_matches_grid": (c_min, c_max) == (lo, hi),
+                "core_matches_grid": core == (lo, hi),
             }
-            n_bound = default_n_bound(piece, endpoints)
-            low = jn_refine_low(piece, family)
-            high = jn_refine_high(piece, family)
-            row["refine_low"] = _fraction_str(low[0]) if low else None
-            row["refine_high"] = _fraction_str(high[0]) if high else None
+            # The kernel's refinements, from the certificates of its scans
+            # at the bound that the brute force is given.
+            n_bound = bounded_ends(piece, family)[2]
+            for name, cert in (("low", result.low_certificate), ("high", result.high_certificate)):
+                row["refine_" + name] = _past_core(
+                    core, name, cert and (cert.target_numerator, cert.n_value))
             if n_bound > ORACLE_N_BUDGET:
                 row.update(exhaustive_low=None, exhaustive_high=None, refinements_match=None,
                            skipped={"n_bound": n_bound, "budget": ORACLE_N_BUDGET})
             else:
-                ex_low = jn_exhaustive_extremal(piece, family, "low", n_bound)
-                ex_high = jn_exhaustive_extremal(piece, family, "high", n_bound)
-                row["exhaustive_low"] = _fraction_str(ex_low) if ex_low is not None else None
-                row["exhaustive_high"] = _fraction_str(ex_high) if ex_high is not None else None
+                for name in ("low", "high"):
+                    row["exhaustive_" + name] = _past_core(
+                        core, name, jn_exhaustive_extremal(piece, family, name, n_bound))
                 row["refinements_match"] = (
-                    ((low[0] if low else None) == ex_low)
-                    and ((high[0] if high else None) == ex_high))
+                    (row["refine_low"], row["refine_high"])
+                    == (row["exhaustive_low"], row["exhaustive_high"]))
             # A skipped search (refinements_match None) is no check made.
             ok = ok and row["core_matches_grid"] and row["refinements_match"] is not False
             rows.append(row)

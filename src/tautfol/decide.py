@@ -241,10 +241,10 @@ def detect_tree(graph):
 
 
 def iter_piece_evaluations(graph):
-    """(piece, constraint family) for every node of the rooted tree, children
-    first; the families are the transported child detected sets actually fed
-    to the relative-detection kernel."""
-    return [(node.piece, node.family) for node in _evaluated(graph)
+    """(piece, constraint family, DetectionResult) for every node of the
+    rooted tree, children first; the families are the transported child
+    detected sets actually fed to the relative-detection kernel."""
+    return [(node.piece, node.family, node.result) for node in _evaluated(graph)
             if node.family is not None]
 
 

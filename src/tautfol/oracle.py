@@ -17,7 +17,8 @@ jn_exhaustive_extremal needs only the largest target value C/N, so it
 builds no certificate and lists no placement: it visits every N up to the
 bound, passes over it when more than two slots fail on 1, and otherwise
 scans A up from one start for a value coprime to N, a few integer steps
-per N and check.
+per N and check.  It answers with the gap C/N, and the caller places the
+endpoint: the module imports no kernel formula, only FamilyError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .seifert import FamilyError, core_interval
+from .seifert import FamilyError
 
 
 def _samples(eta, zeta):
@@ -43,14 +44,15 @@ def _samples(eta, zeta):
     return sorted(points)
 
 
+def _finite(family):
+    """family.arcs, refused unless each is one finite tau-interval."""
+    if any(arc.contains_vertical() for arc in family.arcs):
+        raise FamilyError("grid oracle needs finite horizontal constraints")
+    return family.arcs
+
+
 def _intervals(family):
-    out = []
-    for arc in family.arcs:
-        pieces, has_vertical = arc.tau_pieces()
-        if has_vertical or len(pieces) != 1:
-            raise FamilyError("grid oracle needs finite horizontal constraints")
-        out.append(pieces[0])
-    return out
+    return [(lo.tau, (hi or lo).tau) for _, lo, hi in _finite(family)]
 
 
 def _tuple_ends(taus, strong, n_cones):
@@ -96,22 +98,22 @@ def _thresholds(piece, family, side):
     (p, q, strict), the cones first, a value v at N passing by v*q > N*p (or
     >= where not strict).  A boundary slot is a constraint whose endpoint
     on ``side`` is not an integral strong one."""
-    intervals = _intervals(family)
-    endpoints = [z for _, z in intervals] if side == "low" else [e for e, _ in intervals]
-    # Each check reads value/N > threshold, or >= where not strict.  Cone
-    # condition: 1 - value/N < gamma on the low side, value/N > gamma on the
-    # high side.  Slot condition (2): 1 - value/N < frac(x), or <= when the
-    # slot is not in J.  The high side is the low side applied to the
-    # fibre-reversed piece, so x is the negated endpoint there: frac(-eta)
-    # is 1 - frac(eta) off the integers but 0 on them, which is what makes
-    # an integral free endpoint kill the refinement on both sides.
-    thresholds = [(1 - gamma if side == "low" else gamma, True) for gamma in piece.gammas]
-    for j, e in enumerate(endpoints):
-        if j in family.strong and e.denominator == 1:
-            continue
-        x = e if side == "low" else -e
-        thresholds.append((1 - (x - floor(x)), j in family.strong))
-    return [(t.numerator, t.denominator, strict) for t, strict in thresholds]
+    low = side == "low"
+    # Each check reads value/N > p/q, or >= where not strict.  Cone
+    # condition, gamma = (beta mod a)/a: 1 - value/N < gamma on the low side,
+    # value/N > gamma on the high side.  Slot condition (2): 1 - value/N <
+    # frac(x), or <= off J, x = num/den the upper end: p/q = 1 - frac(x).
+    # The high side is the low side applied to the fibre-reversed piece, so
+    # x is the negated lower end there: frac(-eta) is 1 - frac(eta) off the
+    # integers but 0 on them, which is what makes an integral free endpoint
+    # kill the refinement on both sides.
+    checks = [(a - beta % a if low else beta % a, a, True) for a, beta in piece.cones]
+    for j, (_, lo, hi) in enumerate(_finite(family)):
+        end = (hi or lo) if low else lo
+        num, den = -end.p if low else end.p, end.q
+        if den > 1 or j not in family.strong:
+            checks.append((den - num % den, den, j in family.strong))
+    return checks
 
 
 def _least_column(p, q, strict, n_max):
@@ -124,9 +126,10 @@ def _least_column(p, q, strict, n_max):
 
 
 def jn_exhaustive_extremal(piece, family, side, n_max):
-    """Extremal refined endpoint found by pure enumeration: the minimal eta
-    below c_min resp. maximal zeta above c_max over all certificates with
-    N <= n_max, or None.  Used to cross-check the optimized scan.
+    """The largest gap (C, N), in lowest terms, past the core on ``side``
+    over all certificates with N <= n_max, found by pure enumeration, or
+    None: the refined endpoint c_min - C/N resp. c_max + C/N.  Used to
+    cross-check the optimized scan.
 
     Every N is visited, with every check's least passing value read from
     its column.  A placement puts A on slot pos_a, N - A on pos_b and 1
@@ -158,8 +161,4 @@ def jn_exhaustive_extremal(piece, family, side, n_max):
             low, high = sorted(least)[-2:]
             if any(gcd(a, n_value) == 1 for a in range(low, n_value - high + 1)):
                 best_c, best_n = 1, n_value
-    if not best_c:
-        return None
-    c_min, c_max = core_interval(piece, family)
-    gap = Fraction(best_c, best_n)
-    return c_min - gap if side == "low" else c_max + gap
+    return (best_c, best_n) if best_c else None

@@ -22,8 +22,8 @@ sharp fractional-part inequalities.  That search is performed here with
 the bound ``default_n_bound``; absence below the bound is reported as absence.
 
 Every tau endpoint is read off its arc's end slope (p, q) as the integer pair
-(-p, q); Fraction appears only at the public API (Slope.tau, gammas,
-horizontal_sum, jn_refine_low/high).
+(-p, q); Fraction appears only at the public API (Slope.tau, horizontal_sum,
+jn_refine_low/high).
 
 A horizontal surface in a piece meets its boundary tori in slopes whose taus
 sum to b_eff - sum(gamma_i); SeifertPiece.horizontal_completion is the one
@@ -170,11 +170,6 @@ class SeifertPiece(_Record, namedtuple("SeifertPiece", "base_orientable cones b 
             num, den = num * s.q + s.p * den, den * s.q
         return -num, den
 
-    @property
-    def gammas(self):
-        """gamma_i = beta_i/a_i mod 1 in (0, 1), computed on read (for the oracle)."""
-        return tuple(Fraction(beta % a, a) for a, beta in self.cones)
-
 
 # The instance dict's own setter, which the guard in __setattr__ does not see.
 _SET_DICT = SeifertPiece.__dict__["__dict__"].__set__
@@ -249,7 +244,7 @@ def v_count(family):
 
 
 def _horizontal_ends(piece, family):
-    """_arc_ends, once the horizontal case's preconditions are checked."""
+    """bounded_ends, once the horizontal case's preconditions are checked."""
     if not piece.base_orientable:
         raise PieceError("core interval is defined over orientable bases")
     if v_count(family) != 0:
@@ -259,18 +254,20 @@ def _horizontal_ends(piece, family):
         raise FamilyError("family size must be boundary count minus one")
     if piece.n + r < 3:
         raise PieceError("core interval needs n + r >= 3")
-    return _arc_ends(family)
+    return bounded_ends(piece, family)
 
 
-def _arc_ends(family):
-    """(zetas, etas): the upper and lower ends, as (num, den) pairs, of the
-    [eta_j, zeta_j] tau-intervals of a vertical-free family."""
+def bounded_ends(piece, family):
+    """(zetas, etas, n_bound): the upper and lower ends, as (num, den) pairs,
+    of the [eta_j, zeta_j] tau-intervals of a vertical-free family, and
+    default_n_bound over both: the one bound of the horizontal branch,
+    jn_refine_low/high and oracle-check's brute force."""
     zetas, etas = [], []
     for _, lo, hi in family.arcs:
         hi = hi or lo
         etas.append((-lo.p, lo.q))
         zetas.append((-hi.p, hi.q))
-    return zetas, etas
+    return zetas, etas, default_n_bound(piece, etas + zetas)
 
 
 def _core_end(piece, zetas, etas, strong):
@@ -286,7 +283,7 @@ def _core_end(piece, zetas, etas, strong):
 
 def core_interval(piece, family):
     """The core integer interval [c_min, c_max] of the horizontal case."""
-    zetas, etas = _horizontal_ends(piece, family)
+    zetas, etas, _ = _horizontal_ends(piece, family)
     return _core_end(piece, zetas, etas, family.strong)
 
 
@@ -495,11 +492,10 @@ def _side_reach(piece, end, ends, strong, side, n_max):
 
 def _refine_family(piece, family, side):
     """_side_reach on a vertical-free family, bounded by both sides' ends."""
-    zetas, etas = _horizontal_ends(piece, family)
+    zetas, etas, n_bound = _horizontal_ends(piece, family)
     low = side == "low"
     core = _core_end(piece, zetas, etas, family.strong)[0 if low else 1]
-    end, cert = _side_reach(piece, core, zetas if low else etas, family.strong, side,
-                            default_n_bound(piece, etas + zetas))
+    end, cert = _side_reach(piece, core, zetas if low else etas, family.strong, side, n_bound)
     return None if cert is None else (Fraction(*end), cert)
 
 
@@ -655,8 +651,7 @@ def detect_relative(piece, family):
         return DetectionResult(SlopeArc.full(), _VERTICAL_IN_FULL, branch="full")
 
     if v == 0:
-        zetas, etas = _arc_ends(family)
-        bound = default_n_bound(piece, etas + zetas)
+        zetas, etas, bound = bounded_ends(piece, family)
         c_min, c_max = _core_end(piece, zetas, etas, family.strong)
         left, low = _side_reach(piece, c_min, zetas, family.strong, "low", bound)
         right, high = _side_reach(piece, c_max, etas, family.strong, "high", bound)

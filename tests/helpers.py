@@ -1,8 +1,9 @@
 """Test-side references shared by several test modules: H_1 of a
 presentation solved by the dense Smith normal form alone, the multiset
 check of a refinement certificate, the kernel's certificate bound held at
-a constant, a solid tree of b1 = 2, and the closed-Seifert criterion for
-horizontal foliations with the Dehn filling that feeds it."""
+a constant, the endpoint a brute-force gap places past the core, a solid
+tree of b1 = 2, and the closed-Seifert criterion for horizontal foliations
+with the Dehn filling that feeds it."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -59,6 +60,15 @@ def assert_multiset_distributed(cert):
                     + [cert.target_numerator])
     expected = sorted([cert.a_value, cert.n_value - cert.a_value] + [1] * (len(values) - 2))
     assert values == expected, cert
+
+
+def past_core(piece, family, side, gap):
+    """The refined endpoint that ``jn_exhaustive_extremal``'s gap (C, N)
+    gives on ``side``: c_min - C/N or c_max + C/N; None without a gap."""
+    if gap is None:
+        return None
+    c_min, c_max = tautfol.seifert.core_interval(piece, family)
+    return c_min - Fraction(*gap) if side == "low" else c_max + Fraction(*gap)
 
 
 @contextmanager

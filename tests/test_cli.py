@@ -31,6 +31,8 @@ from tautfol import (
 from tautfol.cli import (ORACLE_N_BUDGET, _PARSER, _fraction_str, _json_text, _read_argv,
                          _tau_str, main)
 
+from conftest import rand_horizontal_piece_and_family
+
 ROOT = Path(__file__).resolve().parent.parent
 
 N2 = {
@@ -787,36 +789,106 @@ def test_oracle_check_skips_a_piece_past_the_budget(tmp_path):
     assert degenerate["consistent"] is True
 
 
-def test_each_oracle_check_row_reads_one_bound(capsys, monkeypatch):
-    """On every sample and golden file, each oracle-check row gives its
-    brute force the bound that jn_refine_low and jn_refine_high read: the
-    command's own default_n_bound call is followed by one from each
-    refinement, through ``seifert.default_n_bound``, with the same answer."""
+def _oracle_check_rows(capsys, path):
+    """oracle-check's rows with a core on ``path``, each beside the (piece,
+    family, result) the command read it from: the horizontal-interval
+    nodes that ``iter_piece_evaluations`` gave it, in order."""
     import tautfol.cli as cli
+
+    nodes, real = [], cli.iter_piece_evaluations
+
+    def recording(graph):
+        evaluated = real(graph)
+        nodes.extend(node for node in evaluated if node[2].branch == "horizontal-interval")
+        return evaluated
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "iter_piece_evaluations", recording)
+        code, out, _ = run(capsys, "oracle-check", str(path), "--format", "json")
+    assert code == 0, path
+    rows = [row for row in json.loads(out)["rows"] if "core" in row]
+    assert [row["piece"] for row in rows] == [str(piece.ident) for piece, _, _ in nodes], path
+    return list(zip(rows, nodes))
+
+
+SAMPLES_AND_GOLDEN = (sorted(ROOT.glob("samples/*.json"))
+                      + sorted(ROOT.glob("tests/golden/*.json")))
+
+
+def test_each_oracle_check_row_reads_one_bound(capsys, monkeypatch):
+    """On every sample and golden file, each searched oracle-check row gives
+    its brute force, on both sides, the one bound that the piece's
+    detect_relative call read through ``seifert.default_n_bound`` while
+    the tree was evaluated, before the rows."""
+    import tautfol.cli as cli
+    import tautfol.decide as decide
     import tautfol.seifert as seifert
 
-    reads = []
+    kernel_reads, searches, reading = [], [], []
+    bound, kernel, search = seifert.default_n_bound, decide.detect_relative, cli.jn_exhaustive_extremal
 
-    def recording(who, bound):
-        def read(piece, endpoints):
-            reads.append((who, bound(piece, endpoints)))
-            return reads[-1][1]
-        return read
+    def recording_bound(piece, endpoints):
+        reading.append(bound(piece, endpoints))
+        return reading[-1]
 
-    monkeypatch.setattr(cli, "default_n_bound", recording("command", cli.default_n_bound))
-    monkeypatch.setattr(seifert, "default_n_bound", recording("kernel", seifert.default_n_bound))
+    def recording_kernel(piece, family):
+        reading.clear()
+        result = kernel(piece, family)
+        kernel_reads.append((family, list(reading)))
+        return result
+
+    def recording_search(piece, family, side, n_max):
+        searches.append((family, n_max))
+        return search(piece, family, side, n_max)
+
+    monkeypatch.setattr(seifert, "default_n_bound", recording_bound)
+    monkeypatch.setattr(decide, "detect_relative", recording_kernel)
+    monkeypatch.setattr(cli, "jn_exhaustive_extremal", recording_search)
     checked = 0
-    for path in sorted(ROOT.glob("samples/*.json")) + sorted(ROOT.glob("tests/golden/*.json")):
-        reads.clear()
-        code, out, _ = run(capsys, "oracle-check", str(path), "--format", "json")
-        assert code == 0, path
-        rows = [row for row in json.loads(out)["rows"] if "core" in row]
-        at = [i for i, (who, _) in enumerate(reads) if who == "command"]
-        assert len(at) == len(rows), path
-        for i, row in zip(at, rows):
-            assert reads[i + 1:i + 3] == [("kernel", reads[i][1])] * 2, (path, row["piece"])
+    for path in SAMPLES_AND_GOLDEN:
+        kernel_reads.clear()
+        searches.clear()
+        for row, (_, family, _) in _oracle_check_rows(capsys, path):
+            if "skipped" in row:
+                continue
+            read = [bounds for f, bounds in kernel_reads if f is family]
+            assert len(read) == 1 and len(read[0]) == 1, (path, row["piece"])
+            assert [n for f, n in searches if f is family] == read[0] * 2, (path, row["piece"])
             checked += 1
     assert checked >= 10, checked
+
+
+def test_oracle_check_reads_the_kernels_refinements(capsys, rng):
+    """The refinements oracle-check reads off each piece's evaluated
+    certificates are jn_refine_low's and jn_refine_high's, certificate and
+    endpoint: on every row of every sample and golden file, and on 500
+    seeded horizontal families through the command's own placement."""
+    from tautfol import core_interval, detect_relative, jn_refine_high, jn_refine_low
+    from tautfol.cli import _past_core
+
+    def agree(piece, family, result, reported):
+        core = core_interval(piece, family)
+        for side, refine, cert in (("low", jn_refine_low, result.low_certificate),
+                                   ("high", jn_refine_high, result.high_certificate)):
+            expected = refine(piece, family)
+            assert cert == (expected and expected[1]), (piece, family, side)
+            value = expected and _fraction_str(expected[0])
+            gap = cert and (cert.target_numerator, cert.n_value)
+            assert _past_core(core, side, gap) == reported.get(side, value) == value
+
+    rows = 0
+    for path in SAMPLES_AND_GOLDEN:
+        for row, node in _oracle_check_rows(capsys, path):
+            agree(*node, {"low": row["refine_low"], "high": row["refine_high"]})
+            rows += 1
+    assert rows >= 10, rows
+    found = 0
+    for _ in range(500):
+        piece, family = rand_horizontal_piece_and_family(rng)
+        result = detect_relative(piece, family)
+        agree(piece, family, result, {})
+        found += result.low_certificate is not None or result.high_certificate is not None
+    assert found >= 100, found
 
 
 def test_oracle_check_counts_only_the_checks_made(manifold_file, capsys, monkeypatch):

@@ -987,5 +987,6 @@ def test_iter_piece_evaluations_orders_children_first():
     g = PlumbingGraph([Q_PIECE, HALFHALF],
                       [Edge("C", 0, "Q", 1, M_NOVERT, "e0")], "solid-torus")
     rows = iter_piece_evaluations(g)
-    assert [p.ident for p, _ in rows] == ["C", "Q"]
+    assert [p.ident for p, _, _ in rows] == ["C", "Q"]
     assert len(rows[0][1]) == 0 and len(rows[1][1]) == 1
+    assert [res for *_, res in rows] == [detect_relative(p, f) for p, f, _ in rows]

@@ -23,6 +23,7 @@ criterion (``tests/helpers.py``) must be detected relative to the point
 alpha.
 """
 
+import ast
 import hashlib
 import math
 import random
@@ -59,6 +60,7 @@ from helpers import (
     filled_graph,
     has_horizontal_foliation,
     kernel_bound,
+    past_core,
 )
 
 F = Fraction
@@ -113,18 +115,34 @@ def _raise(*_args, **_kwargs):
 
 def test_grid_union_needs_no_kernel_core(rng, monkeypatch):
     """With the kernel's core, refinement scan and core_interval made to
-    raise, grid_union still gives the core intervals read beforehand."""
+    raise, grid_union still gives the core intervals read beforehand.  The
+    oracle module binds none of them itself: see
+    test_the_oracle_imports_no_kernel_formula."""
     cases = []
     for _ in range(40):
         piece, fam = rand_horizontal_piece_and_family(rng, den_max=6)
         cases.append((piece, fam, core_interval(piece, fam)))
     for name in ("_core_end", "_side_reach", "_scan_certificates", "core_interval"):
         monkeypatch.setattr(seifert, name, _raise)
-    monkeypatch.setattr(tautfol.oracle, "core_interval", _raise)
     for piece, fam, expected in cases:
         assert grid_union(piece, fam) == expected, (piece, fam.arcs, fam.strong)
     with pytest.raises(AssertionError):
         seifert.core_interval(*cases[0][:2])
+
+
+def test_the_oracle_imports_no_kernel_formula():
+    """oracle.py takes nothing from the kernel's module but its FamilyError:
+    no name bound from ``.seifert`` can hand the brute force a kernel
+    formula, whatever the tests patch."""
+    tree = ast.parse(Path(tautfol.oracle.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [("", alias.name) for alias in node.names]
+    assert [pair for pair in imported if "seifert" in " ".join(pair)] == [
+        ("seifert", "FamilyError")]
 
 
 def test_grid_samples_include_endpoints_integers_offsets():
@@ -165,7 +183,8 @@ def test_exhaustive_finds_and_revalidates():
     fam = ConstraintFamily(())
     c_max = core_interval(piece, fam)[1]
     assert jn_exhaustive_extremal(piece, fam, "high", 4) is None
-    assert jn_exhaustive_extremal(piece, fam, "high", 10) == c_max + F(1, 5) == F(-4, 5)
+    assert jn_exhaustive_extremal(piece, fam, "high", 10) == (1, 5)
+    assert past_core(piece, fam, "high", (1, 5)) == c_max + F(1, 5) == F(-4, 5)
     proofs = [c for c in _certificates(piece, fam, "high", 10)
               if F(c.target_numerator, c.n_value) == F(1, 5)]
     assert proofs
@@ -180,7 +199,7 @@ def test_exhaustive_extremal_agrees_with_refine(rng):
         for side, refine in (("low", jn_refine_low), ("high", jn_refine_high)):
             with kernel_bound(10):
                 got = refine(piece, fam)
-            expected = jn_exhaustive_extremal(piece, fam, side, 10)
+            expected = past_core(piece, fam, side, jn_exhaustive_extremal(piece, fam, side, 10))
             assert (got[0] if got else None) == expected, (piece, fam.arcs, side)
 
 
@@ -205,8 +224,8 @@ def test_exhaustive_extremal_matches_per_gap_definition(rng):
                                                       a_max=4)
         for side in ("low", "high"):
             expected = _extremal_by_gaps(piece, fam, side, 8)
-            assert jn_exhaustive_extremal(piece, fam, side, 8) == expected, (
-                piece, fam.arcs, side)
+            assert past_core(piece, fam, side, jn_exhaustive_extremal(piece, fam, side, 8)) \
+                == expected, (piece, fam.arcs, side)
             found += expected is not None
     assert found
 
@@ -260,7 +279,7 @@ def _fraction_certificates(piece, family, side, n_max):
     on an explicit list of placements: the reference for the oracle's
     integer thresholds."""
     endpoints, bdry, excluded = _slots(family, side)
-    gammas = piece.gammas
+    gammas = [F(beta % a, a) for a, beta in piece.cones]
     checks = ([partial(_condition_cone, gamma, side=side) for gamma in gammas]
               + [partial(_condition_slot, endpoints[j], j in family.strong, side)
                  for j in bdry])
@@ -382,8 +401,8 @@ def test_exhaustive_extremal_matches_the_certificates_past_the_digest_bounds():
         n_max = rng.randint(25, 120)
         for side in ("low", "high"):
             expected = _extremal_by_certificates(piece, fam, side, n_max)
-            assert jn_exhaustive_extremal(piece, fam, side, n_max) == expected, (
-                piece, fam.arcs, fam.strong, side, n_max)
+            got = past_core(piece, fam, side, jn_exhaustive_extremal(piece, fam, side, n_max))
+            assert got == expected, (piece, fam.arcs, fam.strong, side, n_max)
             found += expected is not None
     assert found >= 20
 
@@ -398,7 +417,8 @@ def test_exhaustive_extremal_matches_the_certificates_at_the_threshold_edges(mon
                             lambda *_, checks=checks: checks)
         for side in ("low", "high"):
             expected = _extremal_by_certificates(piece, fam, side, 60)
-            assert jn_exhaustive_extremal(piece, fam, side, 60) == expected, (name, side)
+            got = past_core(piece, fam, side, jn_exhaustive_extremal(piece, fam, side, 60))
+            assert got == expected, (name, side)
         found[name] = expected
     # With no slot failing on 1 the target takes N - 1 up to N = 40, past
     # which the easy slots fail on 1 and must hold A and N - A.  Beside the
@@ -424,17 +444,17 @@ def test_exhaustive_extremal_agrees_with_refine_at_the_default_bounds():
         n_bound = default_n_bound(piece, [])
         for side, refine in (("low", jn_refine_low), ("high", jn_refine_high)):
             got = refine(piece, fam)
-            expected = jn_exhaustive_extremal(piece, fam, side, n_bound)
+            expected = past_core(piece, fam, side,
+                                 jn_exhaustive_extremal(piece, fam, side, n_bound))
             assert (got[0] if got else None) == expected, (piece.cones, piece.b, side)
             found += expected is not None
     assert found >= 25
 
 
 def test_exhaustive_extremal_needs_no_kernel_search(monkeypatch):
-    """With the kernel's scan, its Farey steps, its N bound, its refinements
-    and detect_relative made to raise, jn_exhaustive_extremal still gives
-    the values read beforehand.  core_interval, which only places the
-    endpoint, stays."""
+    """With the kernel's scan, its Farey steps, its N bound, its
+    refinements, detect_relative and its core made to raise,
+    jn_exhaustive_extremal still gives the gaps read beforehand."""
     rng = random.Random(0x5EED + 4)
     cases = []
     for i in range(40):
@@ -450,7 +470,7 @@ def test_exhaustive_extremal_needs_no_kernel_search(monkeypatch):
     assert sum(value is not None for value in expected) >= 10
     for name in ("_side_reach", "_scan_certificates", "_farey_below",
                  "_least_pair_denominator", "default_n_bound", "jn_refine_low",
-                 "jn_refine_high", "detect_relative"):
+                 "jn_refine_high", "detect_relative", "core_interval", "_core_end"):
         monkeypatch.setattr(seifert, name, _raise)
     got = [jn_exhaustive_extremal(piece, fam, side, n_max)
            for piece, fam, n_max in cases for side in ("low", "high")]

@@ -42,6 +42,7 @@ from tautfol.oracle import grid_union, jn_exhaustive_extremal
 from tautfol.seifert import (
     _floor_tuple,
     _scan_certificates,
+    bounded_ends,
     default_n_bound,
     solid_torus_meridian,
 )
@@ -53,7 +54,7 @@ from conftest import (
     rand_orientable_piece,
     rand_vertical_piece_and_family,
 )
-from helpers import assert_multiset_distributed, kernel_bound
+from helpers import assert_multiset_distributed, kernel_bound, past_core
 
 F = Fraction
 SCAN_DIGEST = Path(__file__).resolve().parent / "golden" / "scan_digest.txt"
@@ -188,7 +189,8 @@ def test_certificates_revalidate(rng):
             assert_multiset_distributed(cert)
             # The brute force over every N up to the certificate's finds
             # the same extremal endpoint.
-            assert jn_exhaustive_extremal(piece, fam, cert.side, cert.n_value) == endpoint
+            gap = jn_exhaustive_extremal(piece, fam, cert.side, cert.n_value)
+            assert past_core(piece, fam, cert.side, gap) == endpoint
             c_min, c_max = core_interval(piece, fam)
             if cert.side == "low":
                 assert c_min - 1 < endpoint < c_min
@@ -1002,6 +1004,50 @@ def test_realize_between_abutting_ray_cores():
             _assert_realizes(piece, family, slope_of_tau(-2 + F(k, den)))
 
 
+def test_realize_past_both_cores_of_full_circles(rng, monkeypatch):
+    """realize's full-circle branch, on generated families: no cones, point
+    constraints, and one arc from tau b through the vertical slope to tau
+    a, with floor(a) set so that the cores of its rays, [c_min, +oo) from
+    (-oo, a] and (-oo, c_max] from [b, +oo), leave the one gap (c_max,
+    c_max + 1).  Where the refinements close it the detected set is the
+    full circle, and realize reaches a target in the gap, past both cores,
+    through _ray_reach; a wrapper counts the calls made inside realize.
+    Every realized tuple is detected by its point family."""
+    real, reaches = tautfol.seifert._ray_reach, []
+
+    def counting(*args):
+        reaches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tautfol.seifert, "_ray_reach", counting)
+    families = 0
+    for _ in range(1000):
+        r = rng.randint(3, 4)
+        piece = _piece([], b=rng.randint(-2, 2), r=r)
+        j0, den = rng.randrange(r - 1), rng.randint(2, 4)
+        points = [F(rng.randint(-2 * den, 2 * den), den) for _ in range(r - 1)]
+        integral = sum(x.denominator == 1 for x in points)
+        c_max = integral - 1 - sum(math.floor(x) for x in points)
+        a = math.floor(points[j0]) - (r - 1 + integral) + F(rng.randint(1, den - 1), den)
+        arcs = [SlopeArc.point(slope_of_tau(x)) for x in points]
+        arcs[j0] = SlopeArc.arc(slope_of_tau(points[j0]), slope_of_tau(a))
+        family = ConstraintFamily(tuple(arcs))
+        res = detect_relative(piece, family)
+        if res.branch != "vertical-full":
+            continue
+        reached = False
+        for d in range(2, 7):
+            for k in range(1, d):
+                target = slope_of_tau(piece.b_eff + c_max + F(k, d))
+                reaches.clear()
+                picks = realize(piece, family, res, target)
+                reached = reached or len(reaches) == 1
+                assert all(arc.contains(s) for arc, s in zip(arcs, picks))
+                assert detects(piece, picks, target), (piece, arcs, target, picks)
+        families += reached
+    assert families >= 50, families
+
+
 def test_realize_in_refined_zones_under_the_point_bound(rng):
     """In a refined zone realize picks the side's extreme endpoints.  The
     point family's default bound counts only their denominators, the
@@ -1046,9 +1092,10 @@ def test_every_bound_site_reads_default_n_bound(monkeypatch):
     ``seifert.default_n_bound`` by its module-global name, which
     ``helpers.kernel_bound`` and the benchmark's tracer substitute: the
     horizontal branch once, a vertical-arc family once per ray, realize
-    past both cores of a full circle once, and jn_refine_low and
-    jn_refine_high once each.  A site that computed its bound another way
-    would slip past the substitution without an error."""
+    past both cores of a full circle once, and jn_refine_low,
+    jn_refine_high and bounded_ends, oracle-check's bound, once each.  A
+    site that computed its bound another way would slip past the
+    substitution without an error."""
     real, calls = tautfol.seifert.default_n_bound, []
 
     def recording(piece, endpoints):
@@ -1069,6 +1116,7 @@ def test_every_bound_site_reads_default_n_bound(monkeypatch):
     for refine in (jn_refine_low, jn_refine_high):
         found, count = reads(refine, piece, horizontal)
         assert found is not None and count == 1, refine
+    assert reads(bounded_ends, piece, horizontal)[1] == 1
     # The rays [3, +oo) and (-oo, -3] of one arc through the vertical slope.
     vertical = ConstraintFamily((SlopeArc.point(slope_of_tau(F(-3, 2))),
                                  SlopeArc.arc(slope_of_tau(3), slope_of_tau(-3))))

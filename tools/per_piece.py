@@ -80,7 +80,8 @@ def measure(src, passes):
 
     graphs = read()
     targets = [tautfol.simplest_slope(tautfol.detect_tree(g).detected) for g in graphs]
-    pairs = [pair for g in graphs for pair in decide.iter_piece_evaluations(g)]
+    pairs = [(piece, family) for g in graphs
+             for piece, family, _ in decide.iter_piece_evaluations(g)]
 
     # The kernel's answers, in the order the tree step asks for them.
     answers, kernel = [], decide.detect_relative
